@@ -229,7 +229,12 @@ class FockOperator:
         if len(values) != dim:
             raise ValueError(f"need {dim} diagonal values, got {len(values)}")
         dtype = np.int64 if all(isinstance(v, int) for v in values) else np.complex128
-        return cls(modes, sp.diags(np.array(values, dtype=dtype), format="csr"))
+        # built as CSR directly: sp.diags would cast an int64 diagonal to float64
+        mat = sp.csr_matrix(
+            (np.array(values, dtype=dtype), np.arange(dim), np.arange(dim + 1)),
+            shape=(dim, dim),
+        )
+        return cls(modes, mat)
 
     # -- basic queries -----------------------------------------------------
 

@@ -356,10 +356,18 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
         raise ValueError(
             f"particle count must be in [1, {n - 1}] for unit operators, got {m}"
         )
+    fock.build_basis(n)  # validates n against the capacity cap
+    return list(_element_operators(n, m))
+
+
+# run_suite and mixed_rep reuse a set right after building it; the small
+# bound keeps large sets from living for the rest of the process
+@lru_cache(maxsize=4)
+def _element_operators(n: int, m: int) -> tuple[FockOperator, ...]:
     sector = sector_operators(n, m)
     pvac = fock.vacuum_projector(n)
     half = [op.dagger() @ pvac for op in sector.ops]
-    return [left @ op for left in half for op in sector.ops]
+    return tuple(left @ op for left in half for op in sector.ops)
 
 
 def _sector_combination(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,14 @@ def test_vacuum_projector():
     p = fock.vacuum_projector(3)
     assert p.entries() == {(0, 0): 1}
     assert (p @ p) == p
+
+
+def test_number_operators_are_exact_int64():
+    assert fock.number_operator(3, 1).mat.dtype == np.int64
+    assert fock.total_number(3).mat.dtype == np.int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fock.number_operator(3, 2).mat.dtype == np.int64
+        assert FockOperator.diagonal(1, [0, 2]).mat.dtype == np.int64
+        assert FockOperator.diagonal(1, [0.5, 2.0]).mat.dtype == np.complex128
+        assert FockOperator.diagonal(1, [1j, 2]).mat.dtype == np.complex128

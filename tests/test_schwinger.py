@@ -275,6 +275,16 @@ def test_element_operators_commute_with_number():
     assert all(q.commutator(nt).max_abs() == 0.0 for q in units)
 
 
+def test_element_operators_fresh_list_per_call():
+    first = schwinger.element_operators(3, 1)
+    first[1] = 2 * first[1]
+    first.pop()
+    second = schwinger.element_operators(3, 1)
+    assert second is not first and len(second) == 9
+    idx = fock.sector_indices(3, 1)
+    assert second[1] == FockOperator.from_entries(3, {(idx[0], idx[1]): 1})
+
+
 def test_element_operators_domain_errors():
     with pytest.raises(ValueError):
         schwinger.element_operators(4, 0)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fermirep import fock, liealg, schwinger, verify
 from fermirep.errors import CapacityError
@@ -210,6 +213,144 @@ def test_report_residual_validation():
 def test_report_equality_ignores_elapsed():
     a = VerificationReport()
     a.add("x", 0.0, 1e-10, elapsed=1.0)
+    a.timings["batch"] = 1.0
     b = VerificationReport()
     b.add("x", 0.0, 1e-10, elapsed=2.0)
     assert a == b
+    assert a.signature() == b.signature()
+
+
+def test_run_suite_timings_are_batch_measurements():
+    report = verify.run_suite(3)
+    assert sum(report.timings.values()) > 0
+    assert {"closure/standard/n03", "eij/n03m01", "outer/n03m02"} <= set(report.timings)
+    batched = ("closure/", "eij/", "outer/")
+    assert all(c.elapsed == 0.0 for c in report.checks if c.name.startswith(batched))
+    restored = VerificationReport.from_dict(json.loads(report.to_json()))
+    assert restored.timings == report.timings
+
+
+def test_report_extend_sums_timings():
+    a = VerificationReport()
+    a.timings["batch"] = 1.0
+    b = VerificationReport()
+    b.timings.update({"batch": 0.5, "other": 2.0})
+    a.extend(b)
+    assert a.timings == {"batch": 1.5, "other": 2.0}
+
+
+# -- whole-set kernels against the per-quadruple and per-unit definitions --------
+
+
+def _oracle_eij(units, k, tol, label, samples=None, seed=0):
+    def q(i, j):
+        return units[i * k + j]
+
+    def identity_residual(i, j, p, qq):
+        lhs = q(i, j).commutator(q(p, qq))
+        rhs = FockOperator.zero(lhs.modes)
+        if j == p:
+            rhs = rhs + q(i, qq)
+        if qq == i:
+            rhs = rhs - q(p, j)
+        return (lhs - rhs).max_abs()
+
+    report = VerificationReport()
+    if samples is None:
+        for i in range(k):
+            for j in range(k):
+                worst = 0.0
+                for p in range(k):
+                    for qq in range(k):
+                        worst = max(worst, identity_residual(i, j, p, qq))
+                report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", worst, tol)
+    else:
+        rng = np.random.RandomState(seed)
+        worst = 0.0
+        for _ in range(samples):
+            i, j, p, qq = rng.randint(0, k, size=4)
+            worst = max(worst, identity_residual(int(i), int(j), int(p), int(qq)))
+        report.add(f"{label}/sampled[{samples}]", worst, tol)
+    return report
+
+
+def _oracle_outer(units, n, m, tol, label):
+    idx = fock.sector_indices(n, m)
+    k = len(idx)
+    worst = 0.0
+    for i in range(k):
+        for j in range(k):
+            expected = FockOperator.from_entries(n, {(idx[i], idx[j]): 1})
+            worst = max(worst, units[i * k + j].diff_max(expected))
+    report = VerificationReport()
+    report.add(label, worst, tol)
+    return report
+
+
+def _oracle_numcomm(ops, n, tol, label):
+    ntot = fock.total_number(n)
+    report = VerificationReport()
+    for a, op in enumerate(ops):
+        report.add(f"{label}/{a + 1:03d}", op.commutator(ntot).max_abs(), tol)
+    return report
+
+
+_SMALL_SECTORS = [
+    (n, m) for n in range(2, 7) for m in range(1, n) if math.comb(n, m) <= 6
+]
+
+
+@st.composite
+def _corrupted_unit_sets(draw):
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from(_SMALL_SECTORS))
+        units = schwinger.element_operators(n, m)
+    else:
+        n, m = draw(st.integers(2, 4)), None
+        units = [
+            fock.creation(n, i) @ fock.annihilation(n, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+    dim = 1 << n
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, len(units) - 1))
+        mat = units[a].mat.copy()
+        kind = draw(st.sampled_from(["flip", "scale", "stray", "zero"]))
+        if kind in ("flip", "scale") and mat.nnz:
+            which = draw(st.integers(0, mat.nnz - 1))
+            factor = -1 if kind == "flip" else draw(st.sampled_from([-3, -2, 0, 2, 3]))
+            mat.data[which] *= factor
+        elif kind == "stray":
+            r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+        elif kind == "zero":
+            mat = mat * 0
+        units[a] = FockOperator(n, mat)
+    return n, m, units
+
+
+@settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_unit_sets())
+def test_kernels_match_naive_oracle(case):
+    n, m, units = case
+    k = math.isqrt(len(units))
+    tol = verify.DEFAULT_TOL
+    pairs = [
+        (verify.check_eij_algebra(units, k, tol, label="e"),
+         _oracle_eij(units, k, tol, "e")),
+        (verify.check_eij_algebra(units, k, tol, label="e", samples=60, seed=n),
+         _oracle_eij(units, k, tol, "e", samples=60, seed=n)),
+        (verify.check_number_commutant(units, n, tol, label="c"),
+         _oracle_numcomm(units, n, tol, "c")),
+    ]
+    if m is not None:  # the bilinears are not outer products
+        pairs.append((verify._outer_product_check(units, n, m, tol, "o"),
+                      _oracle_outer(units, n, m, tol, "o")))
+    for fast, slow in pairs:
+        assert fast.signature() == slow.signature()
