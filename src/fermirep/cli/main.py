@@ -20,6 +20,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
+# second set of the mixed group on sector n - m: the conjugate set, or the
+# set itself (which rebuilds the number-selective representation at m = 1)
+PAIRINGS = ("conjugate", "same")
 
 
 def _rebuild_family(family: dict) -> liealg.GeneratorSet:
@@ -34,7 +37,13 @@ def _rebuild_family(family: dict) -> liealg.GeneratorSet:
     raise ValueError(f"unknown generator family {name!r}")
 
 
-def build_variant(group: str, n: int, m: int | None, xi: tuple[int, int] | None):
+def build_variant(
+    group: str,
+    n: int,
+    m: int | None,
+    xi: tuple[int, int] | None,
+    pairing: str = "conjugate",
+):
     """Construct the requested representation plus its generator set."""
     if group in ("un-standard", "un-nonstandard"):
         gens = liealg.generalized_gell_mann(n)
@@ -54,8 +63,10 @@ def build_variant(group: str, n: int, m: int | None, xi: tuple[int, int] | None)
     if group == "ucnm":
         rep = schwinger.rep_ucnm(gens, n, m)
     else:
+        if pairing not in PAIRINGS:
+            raise ValueError(f"unknown pairing {pairing!r}")
         xi = xi or (1, 1)
-        gens2 = liealg.conjugate_rep(gens)
+        gens2 = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
         rep = schwinger.mixed_rep(gens, gens2, n, m, xi[0], xi[1])
     return rep, gens, family
 
@@ -74,8 +85,11 @@ def representation_report(
 
 
 def cmd_build(args) -> int:
-    xi = (args.xi_minus, args.xi_plus) if args.group == "mixed" else None
-    rep, gens, family = build_variant(args.group, args.n, args.m, xi)
+    mixed = args.group == "mixed"
+    xi = (args.xi_minus, args.xi_plus) if mixed else None
+    rep, gens, family = build_variant(args.group, args.n, args.m, xi, args.pairing)
+    # only the mixed group has a second generator set to record
+    pairing = {"pairing": args.pairing} if mixed else {}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     generators = []
@@ -89,6 +103,7 @@ def cmd_build(args) -> int:
             "index": idx,
             "label": label,
             "family": family,
+            **pairing,
         }
         matfile.write_operator(out / fname, op, metadata)
         generators.append({"label": label, "file": fname})
@@ -98,6 +113,7 @@ def cmd_build(args) -> int:
         "particles": rep.meta.particles,
         "xi": list(rep.meta.xi) if rep.meta.xi else None,
         "family": family,
+        **pairing,
         "generators": generators,
     }
     matfile.write_manifest(out / "manifest.json", manifest)
@@ -161,15 +177,12 @@ def cmd_table(args) -> int:
     sc = liealg.structure_constants(gens)
     # coefficients printed in the convention [G_i, G_j] = 2i f_ijk G_k
     f = sc.c / 2j
-    count = 0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            for l in range(len(gens)):
-                v = f[i, j, l]
-                if abs(v) > 1e-12:
-                    print(f"f[{i + 1},{j + 1},{l + 1}] = {v.real:.12g}")
-                    count += 1
-    print(f"{count} nonzero entries (i < j)")
+    # nonzero() lists the entries in lexicographic (i, j, l) order
+    ii, jj, ll = (abs(f) > 1e-12).nonzero()
+    upper = ii < jj
+    for i, j, l in zip(ii[upper], jj[upper], ll[upper]):
+        print(f"f[{i + 1},{j + 1},{l + 1}] = {f[i, j, l].real:.12g}")
+    print(f"{int(upper.sum())} nonzero entries (i < j)")
     return EXIT_OK
 
 
@@ -232,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--m", type=int, default=None, help="particle-number sector")
     p_build.add_argument("--xi-minus", type=int, default=1, choices=(0, 1))
     p_build.add_argument("--xi-plus", type=int, default=1, choices=(0, 1))
+    p_build.add_argument(
+        "--pairing", choices=PAIRINGS, default="conjugate",
+        help="mixed only: second set on sector n - m is the conjugate set or the same set",
+    )
     p_build.add_argument("--out", required=True, help="output directory")
     p_build.set_defaults(func=cmd_build)
 

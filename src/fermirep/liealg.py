@@ -79,15 +79,6 @@ class StructureConstants:
     size: int
     c: np.ndarray
 
-    def nonzero(self, tol: float = 1e-12):
-        """Yield (i, j, l, value) for entries above tol, 1-based indices."""
-        for i in range(self.size):
-            for j in range(self.size):
-                for l in range(self.size):
-                    v = self.c[i, j, l]
-                    if abs(v) > tol:
-                        yield i + 1, j + 1, l + 1, complex(v)
-
     def max_difference(self, other: "StructureConstants") -> float:
         if other.size != self.size:
             raise ValueError("structure-constant tensors have different sizes")
@@ -198,15 +189,19 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     except np.linalg.LinAlgError as exc:
         raise DependenceError("Gram matrix is singular") from exc
 
+    # coefficients of a flattened matrix x are x @ proj: the trace inner
+    # products with every generator, solved through the Gram matrix
+    flat = stack.reshape(k, -1)
+    proj = flat.conj().T @ gram_inv.T
     c = np.zeros((k, k, k), dtype=np.complex128)
     worst = 0.0
     for i in range(k):
         # all commutators [G_i, G_j] at once
         comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(stack, stack[i][None, :, :])
-        b = np.einsum("ayx,jyx->ja", stack.conj(), comm)
-        coeff = b @ gram_inv.T
-        recon = np.tensordot(coeff, stack, axes=(1, 0))
-        resid = np.max(np.abs(comm - recon), axis=(1, 2))
+        comm = comm.reshape(k, -1)
+        coeff = np.matmul(comm, proj, out=c[i])
+        comm -= coeff @ flat
+        resid = np.max(np.abs(comm), axis=1)
         worst = max(worst, float(resid.max()))
         if worst >= tol:
             j = int(np.argmax(resid))
@@ -214,7 +209,6 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
                 f"commutator of generators {i + 1} and {j + 1} leaves the span "
                 f"(residual {resid[j]:.3e} >= {tol:.1e})"
             )
-        c[i] = coeff
     return StructureConstants(k, c)
 
 

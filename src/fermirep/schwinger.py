@@ -74,12 +74,6 @@ class SelectivePolynomial:
             acc = acc * x + c
         return acc
 
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def __str__(self) -> str:
         if all(c == 0 for c in self.coeffs):
             return "0"
@@ -146,7 +140,6 @@ class RepMeta:
     modes: int
     particles: int | None = None
     labels: tuple[str, ...] = ()
-    family: dict | None = None
     xi: tuple[int, int] | None = None
 
 

@@ -181,9 +181,48 @@ def check_anticommutation(
     return report
 
 
-# above this many bytes for the dense operator stack, closure checks fall
-# back to sparse pairwise arithmetic instead of batched dense products
+# above this many bytes for the dense stack of the largest block, closure
+# checks fall back to sparse pairwise arithmetic instead of batched dense
+# products
 _DENSE_CLOSURE_BYTES = 400_000_000
+
+
+def _particle_counts(n: int) -> np.ndarray:
+    """Particle count of each basis state, without building the basis.
+
+    The basis lists the sectors in order of their count (see
+    fock.FockBasis), so this is the diagonal of fock.total_number(n).
+    """
+    return np.repeat(np.arange(n + 1), [math.comb(n, m) for m in range(n + 1)])
+
+
+def _linked_blocks(ops: Sequence[FockOperator]) -> list[np.ndarray]:
+    """Basis index sets that no operator links to one another.
+
+    Particle-number sectors are merged when a stored entry (r, c) of any
+    operator joins the sector of r to that of c, and indices that no
+    operator touches are dropped.  Every operator, and so every product
+    and linear combination of them, is block diagonal over the returned
+    sets and zero elsewhere, whether the operators conserve particle
+    number or not.
+    """
+    n = ops[0].modes
+    counts = _particle_counts(n)
+    # group[m] is the smallest sector merged with sector m so far
+    group = np.arange(n + 1)
+    touched = np.zeros(1 << n, dtype=bool)
+    for op in ops:
+        mat = op.mat
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        touched[rows] = True
+        touched[mat.indices] = True
+        for link in np.unique(counts[rows] * (n + 1) + counts[mat.indices]):
+            a, b = sorted((group[link // (n + 1)], group[link % (n + 1)]))
+            group[group == b] = a
+    labels = group[counts]
+    return [
+        np.flatnonzero(touched & (labels == g)) for g in np.unique(labels[touched])
+    ]
 
 
 def check_closure(
@@ -192,7 +231,14 @@ def check_closure(
     tol: float = DEFAULT_TOL,
     label: str = "closure",
 ) -> VerificationReport:
-    """Residuals of [r_i, r_j] - sum_l c[i, j, l] r_l for every pair i < j."""
+    """Residuals of [r_i, r_j] - sum_l c[i, j, l] r_l for every pair i < j.
+
+    The residuals are computed as batched dense products on each block of
+    _linked_blocks and maximized over the blocks; outside the blocks
+    every term is zero.  When the dense stack of the largest block would
+    exceed _DENSE_CLOSURE_BYTES, each pair is computed with sparse
+    arithmetic on the full space instead.
+    """
     ops = list(rep)
     k = len(ops)
     if constants.size != k:
@@ -201,8 +247,10 @@ def check_closure(
         )
     report = VerificationReport({"label": label, "tol": tol})
     c = constants.c
-    dim = ops[0].dim
-    if k * dim * dim * 16 > _DENSE_CLOSURE_BYTES:
+    t0 = time.perf_counter()
+    blocks = _linked_blocks(ops)
+    b_max = max((len(idx) for idx in blocks), default=0)
+    if k * b_max * b_max * 16 > _DENSE_CLOSURE_BYTES:
         for i in range(k):
             for j in range(i + 1, k):
                 t0 = time.perf_counter()
@@ -214,16 +262,23 @@ def check_closure(
                     diff.max_abs(), tol, time.perf_counter() - t0,
                 )
         return report
-    t0 = time.perf_counter()
-    stack = np.stack([op.to_dense() for op in ops])
-    for i in range(k):
-        comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(
-            stack, stack[i][None, :, :]
+    resid = np.zeros((k, k))
+    for idx in blocks:
+        b = len(idx)
+        stack = np.stack([op.mat[idx][:, idx].toarray() for op in ops]).astype(
+            np.complex128, copy=False
         )
-        recon = np.tensordot(c[i], stack, axes=(1, 0))
-        resid = np.max(np.abs(comm - recon), axis=(1, 2))
+        for i in range(k):
+            comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(
+                stack, stack[i][None, :, :]
+            )
+            recon = (c[i] @ stack.reshape(k, b * b)).reshape(k, b, b)
+            np.maximum(
+                resid[i], np.max(np.abs(comm - recon), axis=(1, 2)), out=resid[i]
+            )
+    for i in range(k):
         for j in range(i + 1, k):
-            report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", float(resid[j]), tol)
+            report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", float(resid[i, j]), tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 
@@ -349,7 +404,7 @@ def check_number_commutant(
     """
     ops = list(rep)
     report = VerificationReport({"label": label, "n": n, "tol": tol})
-    counts = fock.total_number(n).mat.diagonal()
+    counts = _particle_counts(n)
     names = None
     if isinstance(rep, RepresentationResult) and len(rep.meta.labels) == len(ops):
         names = rep.meta.labels
@@ -525,9 +580,17 @@ def run_suite(
         report.extend(
             check_anticommutation(n, tol, annihilation_source=annihilation_source)
         )
+    # each generalized Gell-Mann set and its constants, built once per dimension
+    sets: dict[int, tuple[liealg.GeneratorSet, StructureConstants]] = {}
+
+    def gell_mann_set(d: int) -> tuple[liealg.GeneratorSet, StructureConstants]:
+        if d not in sets:
+            gens = liealg.generalized_gell_mann(d)
+            sets[d] = gens, liealg.structure_constants(gens)
+        return sets[d]
+
     for n in range(2, n_max + 1):
-        gens = liealg.generalized_gell_mann(n)
-        sc = liealg.structure_constants(gens)
+        gens, sc = gell_mann_set(n)
         conj = liealg.conjugate_rep(gens)
 
         std = schwinger.standard_rep(gens, n)
@@ -612,8 +675,7 @@ def run_suite(
                         units, kdim, tol, label=f"eij/n{n:02d}m{m:02d}"
                     )
                 )
-                sector_gens = liealg.generalized_gell_mann(kdim)
-                sector_sc = liealg.structure_constants(sector_gens)
+                sector_gens, sector_sc = gell_mann_set(kdim)
                 sector_rep = schwinger.rep_ucnm(sector_gens, n, m)
                 report.extend(
                     check_closure(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from fermirep.cli.main import (
     main,
     representation_report,
 )
+
+DATA = Path(__file__).parent / "data"
 
 LAMBDA_H4 = "(adag(1)*a(3) + adag(3)*a(1)) * (1 - 2*N(2))"
 
@@ -68,6 +74,42 @@ def test_build_mixed(tmp_path):
     ) == EXIT_OK
     manifest = matfile.read_manifest(out / "manifest.json")
     assert manifest["xi"] == [1, 1]
+
+
+def test_build_mixed_same_pairing_is_number_selective(tmp_path):
+    same = tmp_path / "same"
+    nssfr = tmp_path / "nssfr"
+    assert main(
+        ["build", "mixed", "--n", "3", "--m", "1", "--pairing", "same", "--out", str(same)]
+    ) == EXIT_OK
+    assert main(["build", "un-nonstandard", "--n", "3", "--out", str(nssfr)]) == EXIT_OK
+    manifest = matfile.read_manifest(same / "manifest.json")
+    assert manifest["pairing"] == "same"
+    reference = matfile.read_manifest(nssfr / "manifest.json")["generators"]
+    for item, ref in zip(manifest["generators"], reference):
+        op, meta = matfile.read_operator(same / item["file"])
+        assert meta["pairing"] == "same"
+        assert op.diff_max(matfile.read_operator(nssfr / ref["file"])[0]) == 0.0
+    assert main(["verify", "--from", str(same)]) == EXIT_OK
+
+
+def test_build_mixed_default_pairing_is_conjugate(tmp_path):
+    out = tmp_path / "conj"
+    assert main(["build", "mixed", "--n", "3", "--m", "1", "--out", str(out)]) == EXIT_OK
+    manifest = matfile.read_manifest(out / "manifest.json")
+    assert manifest["pairing"] == "conjugate"
+    # at n = 3 the conjugate pairing is the bilinear representation
+    std = tmp_path / "std"
+    assert main(["build", "un-standard", "--n", "3", "--out", str(std)]) == EXIT_OK
+    reference = matfile.read_manifest(std / "manifest.json")
+    for item, ref in zip(manifest["generators"], reference["generators"]):
+        op, _meta = matfile.read_operator(out / item["file"])
+        assert op.diff_max(matfile.read_operator(std / ref["file"])[0]) == 0.0
+    # groups without a second generator set record no pairing
+    assert "pairing" not in reference
+    assert main(
+        ["build", "mixed", "--n", "3", "--m", "1", "--pairing", "other", "--out", str(out)]
+    ) == EXIT_USAGE
 
 
 def test_verify_suite_exit_codes(tmp_path):
@@ -141,6 +183,28 @@ def test_table_structure_output(capsys):
     assert main(["table", "structure", "--n", "3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "f[1,2,3] = 1" in out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_table_structure_golden_text(capsys, n):
+    assert main(["table", "structure", "--n", str(n)]) == EXIT_OK
+    expected = (DATA / f"table_structure_n{n}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # both cost start-up time on every command and nothing in the CLI needs them
+    code = (
+        "import sys, fermirep.cli.main\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_eval_prints_matrix(capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -181,3 +182,56 @@ def test_conjugate_rep_imaginary_antisymmetric_fixed_up_to_basis():
 def test_conjugate_rep_dimension_mismatch():
     with pytest.raises(ValueError):
         liealg.conjugate_rep(liealg.gell_mann(), n=4)
+
+
+# -- Gram projection against the per-generator einsum definition -----------------
+
+
+def _oracle_structure_constants(gens):
+    """Structure constants by an einsum projection per generator."""
+    k = len(gens)
+    stack = np.stack(gens.mats)
+    gram_inv = np.linalg.inv(np.einsum("ayx,byx->ab", stack.conj(), stack))
+    c = np.zeros((k, k, k), dtype=np.complex128)
+    for i in range(k):
+        comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(stack, stack[i][None, :, :])
+        c[i] = np.einsum("ayx,jyx->ja", stack.conj(), comm) @ gram_inv.T
+    return c
+
+
+def _mixed_gell_mann():
+    # invertible triangular mixing of the Gell-Mann set: closed, not orthogonal
+    gm = liealg.gell_mann().mats
+    return liealg.GeneratorSet.create(
+        [gm[a] + 0.5 * gm[a + 1] - 0.25j * gm[0] if a < 7 else gm[a] for a in range(8)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(functools.partial(liealg.generalized_gell_mann, d) for d in range(2, 7)),
+     liealg.gell_mann, liealg.spin1_matrices, _mixed_gell_mann],
+    ids=[*(f"ggm{d}" for d in range(2, 7)), "gell_mann", "spin1", "mixed_gell_mann"],
+)
+def test_structure_constants_match_einsum_oracle(make):
+    gens = make()
+    sc = liealg.structure_constants(gens)
+    assert np.max(np.abs(sc.c - _oracle_structure_constants(gens))) <= 1e-15
+
+
+def test_mixed_gell_mann_is_not_orthogonal():
+    stack = np.stack(_mixed_gell_mann().mats)
+    gram = np.einsum("ayx,byx->ab", stack.conj(), stack)
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 0.1
+
+
+def test_structure_constants_errors_after_projection_change():
+    g = liealg.generalized_gell_mann(3)
+    with pytest.raises(ClosureError, match="leaves the span"):
+        liealg.structure_constants(liealg.GeneratorSet.create(g.mats[:4]))
+    # GeneratorSet rejects a dependent set itself, so the duplicate is put in
+    # afterwards to reach the Gram inversion inside structure_constants
+    singular = liealg.GeneratorSet.create([g[0], g[1], g[2]])
+    object.__setattr__(singular, "mats", (g[0], g[0], g[2]))
+    with pytest.raises(DependenceError):
+        liealg.structure_constants(singular)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -354,3 +355,121 @@ def test_kernels_match_naive_oracle(case):
                       _oracle_outer(units, n, m, tol, "o")))
     for fast, slow in pairs:
         assert fast.signature() == slow.signature()
+
+
+# -- block-wise closure against the full-space dense definition ------------------
+
+
+def _oracle_closure(ops, constants, tol, label):
+    """Closure residuals from dense products on the full 2^n space."""
+    k = len(ops)
+    c = constants.c
+    stack = np.stack([op.to_dense() for op in ops])
+    report = VerificationReport()
+    for i in range(k):
+        comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(
+            stack, stack[i][None, :, :]
+        )
+        recon = np.tensordot(c[i], stack, axes=(1, 0))
+        resid = np.max(np.abs(comm - recon), axis=(1, 2))
+        for j in range(i + 1, k):
+            report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", float(resid[j]), tol)
+    return report
+
+
+@functools.lru_cache(maxsize=None)
+def _ggm_with_constants(d):
+    gens = liealg.generalized_gell_mann(d)
+    return gens, liealg.structure_constants(gens)
+
+
+@st.composite
+def _corrupted_representations(draw):
+    kind = draw(st.sampled_from(["ucnm", "mixed", "standard"]))
+    if kind == "standard":
+        n = draw(st.integers(2, 5))
+        gens, sc = _ggm_with_constants(n)
+        ops = list(schwinger.standard_rep(gens, n).ops)
+    else:
+        n = draw(st.integers(3 if kind == "mixed" else 2, 5))
+        m = draw(st.integers(1, n - 1).filter(lambda m: kind == "ucnm" or 2 * m != n))
+        gens, sc = _ggm_with_constants(math.comb(n, m))
+        if kind == "ucnm":
+            ops = list(schwinger.rep_ucnm(gens, n, m).ops)
+        else:
+            gens2 = gens if draw(st.booleans()) else liealg.conjugate_rep(gens)
+            ops = list(schwinger.mixed_rep(gens, gens2, n, m, 1, 1).ops)
+    dim = 1 << n
+    counts = fock.total_number(n).mat.diagonal()
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, len(ops) - 1))
+        mat = ops[a].mat.astype(np.complex128)
+        what = draw(st.sampled_from(["link", "edge", "flip", "zero"]))
+        if what == "link":
+            s, t = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+            r = draw(st.sampled_from(np.flatnonzero(counts == s).tolist()))
+            c = draw(st.sampled_from(np.flatnonzero(counts == t).tolist()))
+            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+        elif what == "edge":
+            r, c = draw(st.sampled_from([(0, 0), (dim - 1, dim - 1), (0, dim - 1)]))
+            mat = mat + FockOperator.from_entries(n, {(r, c): 1.5 - 0.5j}).mat
+        elif what == "flip" and mat.nnz:
+            mat.data[draw(st.integers(0, mat.nnz - 1))] *= -1
+        elif what == "zero":
+            mat = mat * 0
+        ops[a] = FockOperator(n, mat)
+    return ops, sc
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_representations())
+def test_block_closure_matches_full_space_oracle(case):
+    ops, sc = case
+    tol = verify.DEFAULT_TOL
+    fast = verify.check_closure(ops, sc, tol, label="x")
+    slow = _oracle_closure(ops, sc, tol, "x")
+    assert [c[:2] for c in fast.signature()] == [c[:2] for c in slow.signature()]
+    worst = max((abs(a.residual - b.residual) for a, b in zip(fast.checks, slow.checks)),
+                default=0.0)
+    assert worst <= 1e-15
+
+
+def test_linked_blocks_of_sector_representations():
+    gens, _ = _ggm_with_constants(15)
+    blocks = verify._linked_blocks(schwinger.rep_ucnm(gens, 6, 2).ops)
+    assert [b.tolist() for b in blocks] == [fock.sector_indices(6, 2)]
+
+    gens, _ = _ggm_with_constants(10)
+    mixed = schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 5, 2, 1, 1)
+    blocks = verify._linked_blocks(mixed.ops)
+    assert [b.tolist() for b in blocks] == [
+        fock.sector_indices(5, 2), fock.sector_indices(5, 3)
+    ]
+
+
+def test_linked_blocks_merge_on_a_stray_entry():
+    gens, _ = _ggm_with_constants(3)
+    ops = list(schwinger.standard_rep(gens, 3).ops)
+    one, two = fock.sector_indices(3, 1), fock.sector_indices(3, 2)
+    assert [b.tolist() for b in verify._linked_blocks(ops)] == [one, two]
+    ops[4] = ops[4] + FockOperator.from_entries(3, {(one[0], two[2]): 1})
+    assert [b.tolist() for b in verify._linked_blocks(ops)] == [one + two]
+
+
+def test_linked_blocks_of_zero_operators_are_empty():
+    zero = FockOperator.zero(3)
+    assert verify._linked_blocks([zero, zero]) == []
+    gens, sc = _ggm_with_constants(2)
+    report = verify.check_closure([zero] * 3, sc)
+    assert report.overall and report.max_residual() == 0.0
+
+
+def test_particle_counts_are_the_total_number_diagonal():
+    for n in range(1, 9):
+        counts = verify._particle_counts(n)
+        assert counts.tolist() == fock.total_number(n).mat.diagonal().tolist()
