@@ -192,16 +192,24 @@ def _as_matrices(
     return mats, labels, dim
 
 
-def _bilinear_combination(g: np.ndarray, n: int) -> FockOperator:
-    """sum_{a,b} g[a,b] a+_a a_b for one coefficient matrix g."""
+def _bilinears(n: int) -> list[FockOperator]:
+    """The n^2 bilinears a+_a a_b, row-major."""
+    return [_bilinear(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+
+
+def _combination(
+    coeffs: np.ndarray, terms: Sequence[FockOperator], n: int
+) -> FockOperator:
+    """sum_{a,b} coeffs[a,b] terms[a*k + b] for a k x k coefficient matrix.
+
+    Terms are added row-major, skipping zero coefficients; a coefficient
+    with zero imaginary part is applied as a real scalar.
+    """
     op = FockOperator.zero(n)
-    for alpha in range(n):
-        for beta in range(n):
-            v = g[alpha, beta]
-            if v == 0:
-                continue
-            scalar = v.real if v.imag == 0 else complex(v)
-            op = op + scalar * _bilinear(n, alpha + 1, beta + 1)
+    for a in np.flatnonzero(coeffs):
+        v = coeffs.flat[a]
+        scalar = v.real if v.imag == 0 else complex(v)
+        op = op + scalar * terms[a]
     return op
 
 
@@ -216,7 +224,8 @@ def standard_rep(
     mats, labels, dim = _as_matrices(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
-    ops = tuple(_bilinear_combination(g, n) for g in mats)
+    terms = _bilinears(n)
+    ops = tuple(_combination(g, terms, n) for g in mats)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
     return RepresentationResult(ops, meta)
 
@@ -243,11 +252,11 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     conj = liealg.conjugate_rep(gens)
     f_low = eval_at_number_operator(selective_function(n, 1), n)
     f_high = eval_at_number_operator(selective_function(n, n - 1), n)
+    terms = _bilinears(n)
     ops = []
     for g, gc in zip(gens.mats, conj.mats):
         ops.append(
-            _bilinear_combination(g, n) @ f_low
-            + _bilinear_combination(gc, n) @ f_high
+            _combination(g, terms, n) @ f_low + _combination(gc, terms, n) @ f_high
         )
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
     return RepresentationResult(tuple(ops), meta)
@@ -363,21 +372,6 @@ def _element_operators(n: int, m: int) -> tuple[FockOperator, ...]:
     return tuple(left @ op for left in half for op in sector.ops)
 
 
-def _sector_combination(
-    coeffs: np.ndarray, units: Sequence[FockOperator], n: int
-) -> FockOperator:
-    k = coeffs.shape[0]
-    op = FockOperator.zero(n)
-    for a in range(k):
-        for b in range(k):
-            v = coeffs[a, b]
-            if v == 0:
-                continue
-            scalar = v.real if v.imag == 0 else complex(v)
-            op = op + scalar * units[a * k + b]
-    return op
-
-
 def rep_ucnm(
     gens: liealg.GeneratorSet | Sequence[np.ndarray], n: int, m: int
 ) -> RepresentationResult:
@@ -393,7 +387,7 @@ def rep_ucnm(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
     units = element_operators(n, m)
-    ops = tuple(_sector_combination(g, units, n) for g in mats)
+    ops = tuple(_combination(g, units, n) for g in mats)
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
     return RepresentationResult(ops, meta)
 
@@ -438,7 +432,7 @@ def mixed_rep(
     if len(gens) != len(gens2):
         raise ValueError("generator sets have different lengths")
     sc1 = liealg.structure_constants(gens, tol)
-    sc2 = liealg.structure_constants(gens2, tol)
+    sc2 = sc1 if gens2 is gens else liealg.structure_constants(gens2, tol)
     mismatch = sc1.max_difference(sc2)
     if mismatch > tol:
         raise ValidationError(
@@ -451,9 +445,9 @@ def mixed_rep(
     for g, g2 in zip(gens.mats, gens2.mats):
         op = FockOperator.zero(n)
         if units_m is not None:
-            op = op + _sector_combination(g, units_m, n)
+            op = op + _combination(g, units_m, n)
         if units_mbar is not None:
-            op = op + _sector_combination(g2, units_mbar, n)
+            op = op + _combination(g2, units_mbar, n)
         ops.append(op)
     meta = RepMeta(
         variant="mixed",

@@ -410,6 +410,26 @@ def test_mixed_rep_errors():
         schwinger.mixed_rep(gm, scaled, 3, 1, 1, 1)
 
 
+def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch):
+    calls = []
+    original = liealg.structure_constants
+
+    def counting(gens, *args, **kwargs):
+        calls.append(gens)
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(liealg, "structure_constants", counting)
+    gens = liealg.generalized_gell_mann(4)
+    schwinger.mixed_rep(gens, gens, 4, 1, 1, 1)
+    assert len(calls) == 1
+    calls.clear()
+    schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 4, 1, 1, 1)
+    assert len(calls) == 2
+    scaled = liealg.GeneratorSet.create([2 * m for m in gens.mats])
+    with pytest.raises(ValidationError):
+        schwinger.mixed_rep(gens, scaled, 4, 1, 1, 1)
+
+
 def test_representation_result_rejects_mixed_modes():
     with pytest.raises(ValueError):
         schwinger.RepresentationResult(
