@@ -174,14 +174,13 @@ def cmd_table(args) -> int:
         print(poly)
         return EXIT_OK
     gens = liealg.generalized_gell_mann(args.n)
-    sc = liealg.structure_constants(gens)
+    # the records are sorted in lexicographic (i, j, l) order
+    rec = liealg.structure_constants(gens).c
     # coefficients printed in the convention [G_i, G_j] = 2i f_ijk G_k
-    f = sc.c / 2j
-    # nonzero() lists the entries in lexicographic (i, j, l) order
-    ii, jj, ll = (abs(f) > 1e-12).nonzero()
-    upper = ii < jj
-    for i, j, l in zip(ii[upper], jj[upper], ll[upper]):
-        print(f"f[{i + 1},{j + 1},{l + 1}] = {f[i, j, l].real:.12g}")
+    f = rec["value"] / 2j
+    upper = (rec["i"] < rec["j"]) & (abs(f) > 1e-12)
+    for i, j, l, v in zip(rec["i"][upper], rec["j"][upper], rec["l"][upper], f[upper]):
+        print(f"f[{i + 1},{j + 1},{l + 1}] = {v.real:.12g}")
     print(f"{int(upper.sum())} nonzero entries (i < j)")
     return EXIT_OK
 

@@ -18,6 +18,7 @@ names and the construction parameters.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from ..fock import FockOperator
@@ -62,7 +63,10 @@ def payload_to_operator(payload: dict) -> tuple[FockOperator, dict]:
         if last is not None and (r, c) <= last:
             raise ValueError("entries must be strictly sorted by (row, col)")
         last = (r, c)
-        entries[(r, c)] = complex(float(item["re"]), float(item["im"]))
+        re, im = float(item["re"]), float(item["im"])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"entry ({r}, {c}) is not finite: re={re}, im={im}")
+        entries[(r, c)] = complex(re, im)
     return FockOperator.from_entries(modes, entries), dict(payload.get("metadata", {}))
 
 

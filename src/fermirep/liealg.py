@@ -9,16 +9,19 @@ A' = U (-A*) U+.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ClosureError, DependenceError
 
 __all__ = [
     "GeneratorSet",
+    "RECORD_DTYPE",
     "StructureConstants",
     "gell_mann",
     "generalized_gell_mann",
@@ -50,7 +53,7 @@ class GeneratorSet:
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "labels", tuple(self.labels))
         gram = _gram(mats)
-        if np.linalg.matrix_rank(gram) < len(mats):
+        if np.linalg.matrix_rank(gram, hermitian=True) < len(mats):
             raise DependenceError("generator matrices are linearly dependent")
 
     @classmethod
@@ -72,22 +75,44 @@ class GeneratorSet:
         return self.mats[k]
 
 
+# one record per stored coefficient c[i, j, l] (0-based indices)
+RECORD_DTYPE = np.dtype(
+    [("i", np.int64), ("j", np.int64), ("l", np.int64), ("value", np.complex128)]
+)
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Coefficient tensor c[i, j, l] with [G_i, G_j] = sum_l c[i, j, l] G_l."""
+    """Coefficients c[i, j, l] with [G_i, G_j] = sum_l c[i, j, l] G_l.
+
+    Only the nonzero coefficients are stored: ``c`` is a record array of
+    RECORD_DTYPE with fields i, j, l (0-based) and value, one record per
+    coefficient of every ordered pair (i, j), sorted lexicographically by
+    (i, j, l).  ``rows`` is the same data as a (size^2, size) CSR matrix
+    whose row i * size + j holds the expansion of [G_i, G_j].
+    """
 
     size: int
     c: np.ndarray
 
+    @functools.cached_property
+    def rows(self) -> sp.csr_matrix:
+        k = self.size
+        c = self.c
+        return sp.csr_matrix(
+            (c["value"], (c["i"] * k + c["j"], c["l"])), shape=(k * k, k)
+        )
+
     def max_difference(self, other: "StructureConstants") -> float:
         if other.size != self.size:
             raise ValueError("structure-constant tensors have different sizes")
-        return float(np.max(np.abs(self.c - other.c)))
+        diff = self.rows - other.rows
+        return float(np.max(np.abs(diff.data), initial=0.0))
 
 
 def _gram(mats: Sequence[np.ndarray]) -> np.ndarray:
-    stack = np.stack(mats)
-    return np.einsum("ayx,byx->ab", stack.conj(), stack)
+    flat = np.stack(mats).reshape(len(mats), -1)
+    return flat.conj() @ flat.T
 
 
 def gell_mann() -> GeneratorSet:
@@ -172,44 +197,82 @@ def gellmann_from_spin1() -> GeneratorSet:
     return GeneratorSet(3, mats, labels)
 
 
+def _projection(flat: sp.csr_matrix) -> sp.csr_matrix:
+    """G^H Gram^-1: the coefficients of a flattened matrix x are x @ proj.
+
+    The Gram matrix of a trace-orthogonal set (every Gell-Mann set) is
+    diagonal up to rounding, and its inverse is taken entrywise; any other
+    set goes through the dense inverse.
+    """
+    gram = (flat.conj() @ flat.T).tocsr()
+    diag = gram.diagonal()
+    off = gram - sp.diags(diag)
+    if np.max(np.abs(off.data), initial=0.0) <= 1e-14 * np.max(np.abs(diag)):
+        if np.any(diag == 0):
+            raise DependenceError("Gram matrix is singular")
+        return (flat.conj().T @ sp.diags(1.0 / diag)).tocsr()
+    try:
+        gram_inv = np.linalg.inv(gram.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise DependenceError("Gram matrix is singular") from exc
+    return sp.csr_matrix(flat.conj().T @ gram_inv.T)
+
+
 def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureConstants:
     """Expansion coefficients of all commutators over the generator set.
 
     Solves [G_i, G_j] = sum_l c[i, j, l] G_l by projecting with the trace
     inner product through the Gram matrix, so non-orthogonal sets are
-    handled too.  Raises ClosureError if any commutator has a component
-    outside the span (residual >= tol) and DependenceError if the Gram
-    matrix is singular.
+    handled too.  One sparse product vstack(G) @ hstack(G) holds every
+    G_i G_j as block (i, j); moving block (j, i) to (i, j) subtracts
+    G_j G_i, and the k^2 commutators, flattened to rows, are projected at
+    once.  Only the nonzero coefficients are kept (see
+    StructureConstants).  Raises ClosureError if any commutator has a
+    component outside the span (residual >= tol) and DependenceError if
+    the Gram matrix is singular.
     """
-    k = len(gens)
+    k, d = len(gens), gens.dim
     stack = np.stack(gens.mats)
-    gram = _gram(gens.mats)
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DependenceError("Gram matrix is singular") from exc
+    flat = sp.csr_matrix(stack.reshape(k, d * d))
+    proj = _projection(flat)
 
-    # coefficients of a flattened matrix x are x @ proj: the trace inner
-    # products with every generator, solved through the Gram matrix
-    flat = stack.reshape(k, -1)
-    proj = flat.conj().T @ gram_inv.T
-    c = np.zeros((k, k, k), dtype=np.complex128)
-    worst = 0.0
-    for i in range(k):
-        # all commutators [G_i, G_j] at once
-        comm = np.matmul(stack[i][None, :, :], stack) - np.matmul(stack, stack[i][None, :, :])
-        comm = comm.reshape(k, -1)
-        coeff = np.matmul(comm, proj, out=c[i])
-        comm -= coeff @ flat
-        resid = np.max(np.abs(comm), axis=1)
-        worst = max(worst, float(resid.max()))
-        if worst >= tol:
-            j = int(np.argmax(resid))
-            raise ClosureError(
-                f"commutator of generators {i + 1} and {j + 1} leaves the span "
-                f"(residual {resid[j]:.3e} >= {tol:.1e})"
-            )
-    return StructureConstants(k, c)
+    prod = sp.csr_matrix(stack.reshape(k * d, d)) @ sp.csr_matrix(
+        stack.transpose(1, 0, 2).reshape(d, k * d)
+    )
+    entries = prod.tocoo()
+    a, r = np.divmod(entries.row.astype(np.int64), d)
+    b, col = np.divmod(entries.col.astype(np.int64), d)
+    # row i * k + j of comm is [G_i, G_j] flattened: G_i G_j from block
+    # (i, j) plus -G_j G_i moved from block (j, i)
+    pos = r * d + col
+    comm = sp.csr_matrix(
+        (
+            np.concatenate([entries.data, -entries.data]),
+            (np.concatenate([a * k + b, b * k + a]), np.concatenate([pos, pos])),
+        ),
+        shape=(k * k, d * d),
+    )
+    comm.eliminate_zeros()
+    coeff = (comm @ proj).tocsr()
+    coeff.eliminate_zeros()
+
+    resid = abs(comm - coeff @ flat).max(axis=1).toarray().reshape(k, k)
+    failing = np.flatnonzero(resid.max(axis=1) >= tol)
+    if failing.size:
+        i = int(failing[0])
+        j = int(np.argmax(resid[i]))
+        raise ClosureError(
+            f"commutator of generators {i + 1} and {j + 1} leaves the span "
+            f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
+        )
+
+    coeff.sort_indices()
+    entries = coeff.tocoo()
+    records = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
+    records["i"], records["j"] = np.divmod(entries.row, k)
+    records["l"] = entries.col
+    records["value"] = entries.data
+    return StructureConstants(k, records)
 
 
 def conjugation_matrix(n: int) -> np.ndarray:

@@ -167,6 +167,21 @@ def test_verify_from_corrupted_file(tmp_path):
     assert main(["verify", "--from", str(out)]) == EXIT_CHECK_FAILED
 
 
+def test_verify_from_refuses_non_finite_entry(tmp_path, capsys):
+    out = tmp_path / "std3"
+    assert main(["build", "un-standard", "--n", "3", "--out", str(out)]) == EXIT_OK
+    target = out / "generator_002.json"
+    payload = json.loads(target.read_text())
+    payload["entries"][0]["im"] = float("nan")
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--from", str(out), "--report", str(report), "--format", "json"])
+    assert rc != EXIT_OK
+    assert "is not finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_table_selective():
     assert main(["table", "selective", "--n", "4", "--m", "2"]) == EXIT_OK
     assert main(["table", "selective", "--n", "4"]) == EXIT_USAGE
@@ -266,3 +281,16 @@ def test_payload_validation():
         matfile.payload_to_operator(
             {"dim": 2, "modes": 1, "entries": [{"row": 0, "col": 5, "re": 1.0, "im": 0.0}]}
         )
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_payload_refuses_non_finite_values(part, bad):
+    entry = {"row": 0, "col": 1, "re": 1.0, "im": 0.0}
+    entry[part] = bad
+    payload = {"dim": 2, "modes": 1, "entries": [entry]}
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+        matfile.payload_to_operator(payload)
+    # the same refusal after a trip through JSON text, which spells NaN and Infinity
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+        matfile.payload_to_operator(json.loads(json.dumps(payload)))

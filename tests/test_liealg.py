@@ -1,8 +1,11 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermirep import liealg
 from fermirep.errors import ClosureError, DependenceError
@@ -83,18 +86,27 @@ def test_gellmann_from_spin1_lambda4_entries():
     assert np.max(np.abs(lam4 - expected)) < 1e-12
 
 
+def _dense(sc):
+    """The k x k x k tensor of the stored records, for small test sets."""
+    k = sc.size
+    c = np.zeros((k, k, k), dtype=np.complex128)
+    c[sc.c["i"], sc.c["j"], sc.c["l"]] = sc.c["value"]
+    return c
+
+
 def test_structure_constants_gell_mann():
     gm = liealg.gell_mann()
     sc = liealg.structure_constants(gm)
     assert sc.size == 8
-    assert abs(sc.c[0, 1, 2] - 2j) < 1e-12
+    c = _dense(sc)
+    assert abs(c[0, 1, 2] - 2j) < 1e-12
     # antisymmetry in the first index pair and zero diagonal
-    assert np.max(np.abs(sc.c + sc.c.transpose(1, 0, 2))) < 1e-12
+    assert np.max(np.abs(c + c.transpose(1, 0, 2))) < 1e-12
     for i in range(8):
-        assert np.max(np.abs(sc.c[i, i])) < 1e-13
+        assert np.max(np.abs(c[i, i])) < 1e-13
     # for a Hermitian orthogonal set, c = 2i f with f real and totally antisymmetric
-    f = (sc.c / 2j).real
-    assert np.max(np.abs((sc.c / 2j).imag)) < 1e-12
+    f = (c / 2j).real
+    assert np.max(np.abs((c / 2j).imag)) < 1e-12
     assert np.max(np.abs(f + f.transpose(0, 2, 1))) < 1e-12
     assert np.max(np.abs(f + f.transpose(2, 1, 0))) < 1e-12
 
@@ -103,16 +115,16 @@ def test_structure_constants_pauli_half():
     g = liealg.generalized_gell_mann(2)
     half = liealg.GeneratorSet.create([m / 2 for m in g.mats])
     sc = liealg.structure_constants(half)
-    assert abs(sc.c[0, 1, 2] - 1j) < 1e-12
+    assert abs(_dense(sc)[0, 1, 2] - 1j) < 1e-12
 
 
 def test_structure_constants_non_orthogonal_set():
     # the ladder triple is not trace orthogonal; Gram projection must still work
     sp = liealg.spin1_matrices()
-    sc = liealg.structure_constants(sp)
+    c = _dense(liealg.structure_constants(sp))
     # [J+, J-] = 2 J3 and [J3, J+] = J+
-    assert abs(sc.c[0, 1, 2] - 2) < 1e-12
-    assert abs(sc.c[2, 0, 0] - 1) < 1e-12
+    assert abs(c[0, 1, 2] - 2) < 1e-12
+    assert abs(c[2, 0, 0] - 1) < 1e-12
 
 
 def test_structure_constants_closure_error():
@@ -216,7 +228,7 @@ def _mixed_gell_mann():
 def test_structure_constants_match_einsum_oracle(make):
     gens = make()
     sc = liealg.structure_constants(gens)
-    assert np.max(np.abs(sc.c - _oracle_structure_constants(gens))) <= 1e-15
+    assert np.max(np.abs(_dense(sc) - _oracle_structure_constants(gens))) <= 1e-15
 
 
 def test_mixed_gell_mann_is_not_orthogonal():
@@ -235,3 +247,57 @@ def test_structure_constants_errors_after_projection_change():
     object.__setattr__(singular, "mats", (g[0], g[0], g[2]))
     with pytest.raises(DependenceError):
         liealg.structure_constants(singular)
+
+
+# -- sparse records --------------------------------------------------------------
+
+
+def test_structure_constants_records_are_sorted_nonzero_coefficients():
+    gens = liealg.generalized_gell_mann(5)
+    rec = liealg.structure_constants(gens).c
+    assert rec.dtype == liealg.RECORD_DTYPE
+    keys = (rec["i"] * 24 + rec["j"]) * 24 + rec["l"]
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(rec["value"] != 0)
+
+
+def test_structure_constants_ggm28_sparse_and_totally_antisymmetric():
+    gens = liealg.generalized_gell_mann(28)
+    k = len(gens)
+    tracemalloc.start()
+    try:
+        sc = liealg.structure_constants(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense k^3 tensor would take 7.7 GB
+    assert peak < 100e6
+    rec = sc.c
+    assert len(rec) == 102_654
+    f = rec["value"] / 2j
+    assert np.max(np.abs(f.imag)) < 1e-12
+    keys = (rec["i"] * k + rec["j"]) * k + rec["l"]
+    # every permutation of (i, j, l) is stored, with f's sign of the permutation
+    for a, b, c in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        idx = (rec["ijl"[a]] * k + rec["ijl"[b]]) * k + rec["ijl"[c]]
+        pos = np.searchsorted(keys, idx)
+        assert np.array_equal(keys[pos], idx)
+        assert np.max(np.abs(f.real[pos] + f.real)) < 1e-12
+
+
+def _random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_structure_constants_invariant_under_unitary_conjugation(d, seed):
+    gens = liealg.generalized_gell_mann(d)
+    u = _random_unitary(d, seed)
+    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gens.mats])
+    assert min(np.count_nonzero(m) for m in rotated.mats) > d
+    sc = liealg.structure_constants(gens)
+    assert liealg.structure_constants(rotated).max_difference(sc) <= 1e-12

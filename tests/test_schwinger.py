@@ -410,6 +410,18 @@ def test_mixed_rep_errors():
         schwinger.mixed_rep(gm, scaled, 3, 1, 1, 1)
 
 
+def test_mixed_rep_rejects_sets_with_other_structure_constants():
+    gm = liealg.gell_mann()
+    # the same span in another order: closed, but with other constants
+    swapped = liealg.GeneratorSet.create([gm[1], gm[0], *gm.mats[2:]])
+    with pytest.raises(ValidationError, match="structure constants of the two sets differ"):
+        schwinger.mixed_rep(gm, swapped, 3, 1, 1, 1)
+    # a unitarily rotated set keeps them, so it is accepted
+    u = liealg.conjugation_matrix(3) @ np.diag([1, 1j, -1])
+    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gm.mats])
+    assert len(schwinger.mixed_rep(gm, rotated, 3, 1, 1, 1).ops) == 8
+
+
 def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch):
     calls = []
     original = liealg.structure_constants

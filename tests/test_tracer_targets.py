@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from fermirep import liealg
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -27,3 +29,15 @@ def test_every_traced_name_resolves():
     if tracer._lookup(importlib.import_module(modname), path) is None:
         missing.append(f"{modname}.{path}")
     assert missing == []
+
+
+def test_structure_constant_bytes_hook_reads_the_sparse_records():
+    tracer = _load_tracer()
+    name, value = tracer._value_hook("liealg", "structure_constants")
+    assert name == "liealg.sc_tensor_bytes"
+    gens = liealg.generalized_gell_mann(15)
+    result = liealg.structure_constants(gens)
+    stored = value((gens,), {}, result)
+    assert type(stored) is int
+    assert stored == len(result.c) * liealg.RECORD_DTYPE.itemsize
+    assert stored * 100 < result.size**3 * 16

@@ -209,6 +209,30 @@ def test_report_json_roundtrip_and_text():
     assert f"({len(report.checks)} checks, 0 failed)" in text
 
 
+def test_report_json_round_trip_run_suite_4():
+    report = verify.run_suite(4)
+    restored = VerificationReport.from_dict(json.loads(report.to_json()))
+    assert restored == report
+    assert restored.params == report.params
+    assert restored.timings == report.timings
+    assert [c.elapsed for c in restored.checks] == [c.elapsed for c in report.checks]
+
+
+def test_report_json_has_one_check_per_line():
+    report = verify.run_suite(3)
+    lines = report.to_json().splitlines()
+    start = lines.index('"checks": [')
+    body = lines[start + 1:start + 1 + len(report.checks)]
+    assert lines[start + 1 + len(report.checks)] == "],"
+    for line, c in zip(body, report.checks):
+        assert json.loads(line.removesuffix(",")) == {
+            "name": c.name, "passed": c.passed,
+            "residual": c.residual, "elapsed": c.elapsed,
+        }
+    empty = VerificationReport()
+    assert VerificationReport.from_dict(json.loads(empty.to_json())) == empty
+
+
 def test_report_residual_validation():
     report = VerificationReport()
     with pytest.raises(ValueError):
@@ -258,6 +282,20 @@ def test_sparse_closure_path_records_its_batch_time(monkeypatch):
     assert report.overall and len(report.checks) == 15 * 14 // 2
     assert set(report.timings) == {"x"}
     assert report.timings["x"] >= sum(c.elapsed for c in report.checks) > 0
+
+
+def test_sparse_and_dense_closure_paths_agree(monkeypatch):
+    gens = liealg.generalized_gell_mann(4)
+    sc = liealg.structure_constants(gens)
+    ops = list(schwinger.nssfr_un(gens, 4).ops)
+    ops[3] = _flip_entry(ops[3])
+    dense = verify.check_closure(ops, sc, label="x")
+    monkeypatch.setattr(verify, "_DENSE_CLOSURE_BYTES", 0)
+    sparse = verify.check_closure(ops, sc, label="x")
+    assert not sparse.overall
+    assert [c[:2] for c in sparse.signature()] == [c[:2] for c in dense.signature()]
+    assert max(abs(a.residual - b.residual)
+               for a, b in zip(sparse.checks, dense.checks)) <= 1e-15
 
 
 def test_report_extend_sums_timings():
@@ -382,7 +420,8 @@ def test_kernels_match_naive_oracle(case):
 def _oracle_closure(ops, constants, tol, label):
     """Closure residuals from dense products on the full 2^n space."""
     k = len(ops)
-    c = constants.c
+    c = np.zeros((k, k, k), dtype=np.complex128)
+    c[constants.c["i"], constants.c["j"], constants.c["l"]] = constants.c["value"]
     stack = np.stack([op.to_dense() for op in ops])
     report = VerificationReport()
     for i in range(k):
