@@ -386,10 +386,14 @@ def number_operator(n: int, i: int) -> FockOperator:
     return FockOperator.diagonal(n, [s.bits[i - 1] for s in basis.states])
 
 
+def _particle_counts(n: int) -> np.ndarray:
+    """Particle count of each basis state, in the order of FockBasis."""
+    return np.repeat(np.arange(n + 1), [math.comb(n, m) for m in range(n + 1)])
+
+
 @lru_cache(maxsize=None)
 def _total_number(n: int) -> FockOperator:
-    basis = _basis(n)
-    return FockOperator.diagonal(n, [s.particle_count() for s in basis.states])
+    return FockOperator.diagonal(n, _particle_counts(n).tolist())
 
 
 def total_number(n: int) -> FockOperator:

@@ -27,6 +27,7 @@ __all__ = [
     "generalized_gell_mann",
     "spin1_matrices",
     "gellmann_from_spin1",
+    "commutator_entries",
     "structure_constants",
     "conjugation_matrix",
     "conjugate_rep",
@@ -218,38 +219,52 @@ def _projection(flat: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix(flat.conj().T @ gram_inv.T)
 
 
+def commutator_entries(
+    tall: sp.spmatrix, wide: sp.spmatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (rows, cols, values) of the matrix with block (a, b) = [M_a, M_b].
+
+    tall = vstack(M) and wide = hstack(M) for k square d x d matrices, so
+    block (a, b) of tall @ wide is M_a M_b.  Each of its entries is
+    returned in place and, negated, at the same place of block (b, a).
+    Entries sharing a place are not summed; rows and cols are int64.
+    """
+    d = tall.shape[1]
+    entries = (tall @ wide).tocoo()
+    rows = entries.row.astype(np.int64)
+    cols = entries.col.astype(np.int64)
+    # (b - a) * d moves an entry of block (a, b) to the same place of (b, a)
+    shift = (cols // d - rows // d) * d
+    return (
+        np.concatenate([rows, rows + shift]),
+        np.concatenate([cols, cols - shift]),
+        np.concatenate([entries.data, -entries.data]),
+    )
+
+
 def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureConstants:
     """Expansion coefficients of all commutators over the generator set.
 
     Solves [G_i, G_j] = sum_l c[i, j, l] G_l by projecting with the trace
     inner product through the Gram matrix, so non-orthogonal sets are
-    handled too.  One sparse product vstack(G) @ hstack(G) holds every
-    G_i G_j as block (i, j); moving block (j, i) to (i, j) subtracts
-    G_j G_i, and the k^2 commutators, flattened to rows, are projected at
-    once.  Only the nonzero coefficients are kept (see
-    StructureConstants).  Raises ClosureError if any commutator has a
-    component outside the span (residual >= tol) and DependenceError if
-    the Gram matrix is singular.
+    handled too.  The k^2 commutators come from commutator_entries,
+    flattened to rows, and are projected at once.  Only the nonzero
+    coefficients are kept (see StructureConstants).  Raises ClosureError
+    if any commutator has a component outside the span (residual >= tol)
+    and DependenceError if the Gram matrix is singular.
     """
     k, d = len(gens), gens.dim
     stack = np.stack(gens.mats)
     flat = sp.csr_matrix(stack.reshape(k, d * d))
     proj = _projection(flat)
 
-    prod = sp.csr_matrix(stack.reshape(k * d, d)) @ sp.csr_matrix(
-        stack.transpose(1, 0, 2).reshape(d, k * d)
+    rows, cols, vals = commutator_entries(
+        sp.csr_matrix(stack.reshape(k * d, d)),
+        sp.csr_matrix(stack.transpose(1, 0, 2).reshape(d, k * d)),
     )
-    entries = prod.tocoo()
-    a, r = np.divmod(entries.row.astype(np.int64), d)
-    b, col = np.divmod(entries.col.astype(np.int64), d)
-    # row i * k + j of comm is [G_i, G_j] flattened: G_i G_j from block
-    # (i, j) plus -G_j G_i moved from block (j, i)
-    pos = r * d + col
+    # row i * k + j of comm is [G_i, G_j] flattened
     comm = sp.csr_matrix(
-        (
-            np.concatenate([entries.data, -entries.data]),
-            (np.concatenate([a * k + b, b * k + a]), np.concatenate([pos, pos])),
-        ),
+        (vals, (rows // d * k + cols // d, rows % d * d + cols % d)),
         shape=(k * k, d * d),
     )
     comm.eliminate_zeros()

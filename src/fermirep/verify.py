@@ -183,48 +183,56 @@ def check_anticommutation(
     return report
 
 
-# above this many bytes for the dense stack of the largest block, closure
-# checks fall back to sparse pairwise arithmetic instead of batched dense
-# products
-_DENSE_CLOSURE_BYTES = 400_000_000
+def _product_terms(ops: Sequence[FockOperator]) -> int:
+    """Terms of vstack(ops) @ hstack(ops), a bound on its stored entries.
 
-
-def _particle_counts(n: int) -> np.ndarray:
-    """Particle count of each basis state, without building the basis.
-
-    The basis lists the sectors in order of their count (see
-    fock.FockBasis), so this is the diagonal of fock.total_number(n).
+    Summed over t: stored entries in column t times those in row t.
     """
-    return np.repeat(np.arange(n + 1), [math.comb(n, m) for m in range(n + 1)])
+    cols = sum(np.bincount(op.mat.indices, minlength=op.dim) for op in ops)
+    rows = sum(np.diff(op.mat.indptr).astype(np.int64) for op in ops)
+    return int(np.dot(cols, rows))
 
 
-def _linked_blocks(ops: Sequence[FockOperator]) -> list[np.ndarray]:
-    """Basis index sets that no operator links to one another.
+# check_closure runs the whole-set kernel while the product it forms has at
+# most this many terms (_product_terms), and sparse pairwise arithmetic
+# above.  The kernel's traced peak is 130-140 bytes per term (standard_rep
+# at n = 8 and 10 on a 2-vCPU VM), so this is a 400 MB budget: run_suite(8)
+# and the sector builds up to ucnm (8, 2) fit, while standard_rep at n = 10
+# (2,932,792 terms) and n = 12 (23,971,064) go pairwise
+_CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
-    Particle-number sectors are merged when a stored entry (r, c) of any
-    operator joins the sector of r to that of c, and indices that no
-    operator touches are dropped.  Every operator, and so every product
-    and linear combination of them, is block diagonal over the returned
-    sets and zero elsewhere, whether the operators conserve particle
-    number or not.
+
+def _closure_residuals(
+    ops: Sequence[FockOperator], constants: StructureConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block maxima of [r_a, r_b] - sum_l c[a, b, l] r_l over all pairs a < b.
+
+    Block (a, b) of one sparse matrix over the full 2^n space sums the
+    commutator's entries from liealg.commutator_entries and, for each
+    coefficient record (a, b, l, v), -v times every stored entry of r_l.
+    Keys and maxima are as in _block_maxima with k blocks per side.
     """
-    n = ops[0].modes
-    counts = _particle_counts(n)
-    # group[m] is the smallest sector merged with sector m so far
-    group = np.arange(n + 1)
-    touched = np.zeros(1 << n, dtype=bool)
-    for op in ops:
-        mat = op.mat
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        touched[rows] = True
-        touched[mat.indices] = True
-        for link in np.unique(counts[rows] * (n + 1) + counts[mat.indices]):
-            a, b = sorted((group[link // (n + 1)], group[link % (n + 1)]))
-            group[group == b] = a
-    labels = group[counts]
-    return [
-        np.flatnonzero(touched & (labels == g)) for g in np.unique(labels[touched])
-    ]
+    k, dim = len(ops), ops[0].dim
+    tall = _stack(ops)
+    rows, cols, vals = liealg.commutator_entries(
+        tall, sp.hstack([op.mat for op in ops], format="csr")
+    )
+    upper = rows // dim < cols // dim
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+
+    rec = constants.c[constants.c["i"] < constants.c["j"]]
+    # r_l's stored entries are tall's entries first[l] to first[l + 1] - 1;
+    # record `which` is repeated once for each entry pos of its r_l
+    first = tall.indptr[::dim]
+    per = np.diff(first)[rec["l"]]
+    which = np.repeat(np.arange(len(rec)), per)
+    pos = np.arange(len(which)) + np.repeat(first[rec["l"]] - np.cumsum(per) + per, per)
+    entries = tall.tocoo()
+    rows = np.concatenate([rows, rec["i"][which] * dim + entries.row[pos] % dim])
+    cols = np.concatenate([cols, rec["j"][which] * dim + entries.col[pos]])
+    vals = np.concatenate([vals, -rec["value"][which] * entries.data[pos]])
+    diff = sp.csr_matrix((vals, (rows, cols)), shape=(k * dim, k * dim))
+    return _block_maxima(diff, dim, k)
 
 
 def check_closure(
@@ -235,13 +243,10 @@ def check_closure(
 ) -> VerificationReport:
     """Residuals of [r_i, r_j] - sum_l c[i, j, l] r_l for every pair i < j.
 
-    The residuals are computed as batched dense products on each block of
-    _linked_blocks and maximized over the blocks; outside the blocks
-    every term is zero.  When the dense stack of the largest block would
-    exceed _DENSE_CLOSURE_BYTES, each pair is computed with sparse
-    arithmetic on the full space instead.  Both paths read the
-    coefficients from constants.rows, the sparse form of the structure
-    constants.
+    All residuals come from one sparse matrix over the full 2^n space
+    (_closure_residuals), so entries joining sectors count like any other.
+    Above _CLOSURE_PRODUCT_TERMS, each pair is computed with sparse
+    pairwise arithmetic instead; both paths sum the same records.
     """
     ops = list(rep)
     k = len(ops)
@@ -250,50 +255,28 @@ def check_closure(
             f"representation has {k} operators but constants are for {constants.size}"
         )
     report = VerificationReport({"label": label, "tol": tol})
-    # row i * k + j holds the coefficients of [G_i, G_j]
-    rows = constants.rows
     t0 = time.perf_counter()
-    blocks = _linked_blocks(ops)
-    b_max = max((len(idx) for idx in blocks), default=0)
-    if k * b_max * b_max * 16 > _DENSE_CLOSURE_BYTES:
+    if _product_terms(ops) <= _CLOSURE_PRODUCT_TERMS:
+        keys, worst = _closure_residuals(ops, constants)
+        resid = np.zeros(k * k)
+        resid[keys] = worst
+        for i in range(k):
+            for j in range(i + 1, k):
+                report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", resid[i * k + j], tol)
+    else:
+        # row i * k + j holds the coefficients of [G_i, G_j]
+        rows = constants.rows
         for i in range(k):
             for j in range(i + 1, k):
                 t_pair = time.perf_counter()
                 diff = ops[i].commutator(ops[j])
                 span = slice(rows.indptr[i * k + j], rows.indptr[i * k + j + 1])
                 for l, v in zip(rows.indices[span], rows.data[span]):
-                    if abs(v) > 1e-14:
-                        diff = diff - complex(v) * ops[l]
+                    diff = diff - complex(v) * ops[l]
                 report.add(
                     f"{label}/[{i + 1:02d},{j + 1:02d}]",
                     diff.max_abs(), tol, time.perf_counter() - t_pair,
                 )
-        report.timings[label] = time.perf_counter() - t0
-        return report
-    resid = np.zeros((k, k))
-    for idx in blocks:
-        b = len(idx)
-        stack = np.stack([op.mat[idx][:, idx].toarray() for op in ops]).astype(
-            np.complex128, copy=False
-        )
-        flat = stack.reshape(k, b * b)
-        # column block j of wide and row block j of tall are r_j, so one
-        # product each gives every r_i r_j and every r_j r_i with j > i
-        wide = stack.transpose(1, 0, 2).reshape(b, k * b)
-        tall = stack.reshape(k * b, b)
-        for i in range(k - 1):
-            rest = k - i - 1
-            comm = (stack[i] @ wide[:, (i + 1) * b:]).reshape(b, rest, b).transpose(
-                1, 0, 2
-            ) - (tall[(i + 1) * b:] @ stack[i]).reshape(rest, b, b)
-            recon = (rows[i * k + i + 1:(i + 1) * k] @ flat).reshape(rest, b, b)
-            np.maximum(
-                resid[i, i + 1:], np.max(np.abs(comm - recon), axis=(1, 2)),
-                out=resid[i, i + 1:],
-            )
-    for i in range(k):
-        for j in range(i + 1, k):
-            report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", float(resid[i, j]), tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 
@@ -324,24 +307,18 @@ def _eij_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block maxima of [Q_a, Q_b] - (d_jp Q_iq - d_qi Q_pj) over all pairs.
 
-    With a = (i, j) and b = (p, q), block (a, b) of one sparse product
-    vstack(units) @ hstack(units) is Q_a Q_b, computed over the full 2^n
-    space, so an entry outside the sector shows as well.  Keys and maxima
-    are as in _block_maxima with k^2 blocks per side.
+    With a = (i, j) and b = (p, q), block (a, b) of one sparse matrix over
+    the full 2^n space sums the commutator's entries from
+    liealg.commutator_entries and the expected terms, subtracted, so an
+    entry outside the sector shows as well.  Keys and maxima are as in
+    _block_maxima with k^2 blocks per side.
     """
     size = k * k
     dim = units[0].dim
-    n_rows = size * dim
     stack = _stack(units)
-    prod = stack @ sp.hstack([u.mat for u in units], format="csr")
-    entries = prod.tocoo()
-    a, r = np.divmod(entries.row.astype(np.int64), dim)
-    b, c = np.divmod(entries.col.astype(np.int64), dim)
-    # Q_b Q_a sits in block (b, a); moving it to (a, b) gives the commutator
-    swapped = sp.csr_matrix(
-        (entries.data, (b * dim + r, a * dim + c)), shape=(n_rows, n_rows)
+    rows, cols, vals = liealg.commutator_entries(
+        stack, sp.hstack([u.mat for u in units], format="csr")
     )
-    comm = prod - swapped
 
     # unit Q_xy is the d_jp Q_iq term of every pair ((x, j), (j, y)) and the
     # d_qi Q_pj term, subtracted, of every pair ((j, y), (x, j))
@@ -351,14 +328,14 @@ def _eij_residuals(
     c = coo.col.astype(np.int64)
     j = np.arange(k)[:, None]
     rows = np.concatenate(
-        [((x * k + j) * dim + r).ravel(), ((j * k + y) * dim + r).ravel()]
+        [rows, ((x * k + j) * dim + r).ravel(), ((j * k + y) * dim + r).ravel()]
     )
     cols = np.concatenate(
-        [((j * k + y) * dim + c).ravel(), ((x * k + j) * dim + c).ravel()]
+        [cols, ((j * k + y) * dim + c).ravel(), ((x * k + j) * dim + c).ravel()]
     )
-    vals = np.concatenate([np.tile(coo.data, k), np.tile(-coo.data, k)])
-    expected = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_rows))
-    return _block_maxima(comm - expected, dim, size)
+    vals = np.concatenate([vals, np.tile(-coo.data, k), np.tile(coo.data, k)])
+    diff = sp.csr_matrix((vals, (rows, cols)), shape=(size * dim, size * dim))
+    return _block_maxima(diff, dim, size)
 
 
 def check_eij_algebra(
@@ -405,7 +382,7 @@ def check_number_commutant(
     """
     ops = list(rep)
     report = VerificationReport({"label": label, "n": n, "tol": tol})
-    counts = _particle_counts(n)
+    counts = fock._particle_counts(n)
     names = None
     if isinstance(rep, RepresentationResult) and len(rep.meta.labels) == len(ops):
         names = rep.meta.labels
@@ -435,27 +412,24 @@ class BlockDecomposition:
 def block_decompose(op: FockOperator) -> BlockDecomposition:
     """Split an operator into per-sector blocks plus an off-block norm.
 
-    The off-block norm is the largest absolute entry connecting different
-    particle-count sectors; it is zero exactly when the operator is
-    number conserving.
+    Each stored entry whose row and column lie in the same sector is
+    placed in that sector's block, at its position less the sector's
+    offset.  The off-block norm is the largest absolute entry of the
+    others; it is zero exactly when the operator is number conserving.
     """
     n = op.modes
-    basis = fock.build_basis(n)
-    counts = np.array([s.particle_count() for s in basis.states])
-    starts = {m: basis.sector_range(m).start for m in range(n + 1)}
-    blocks = {
-        m: np.zeros((math.comb(n, m), math.comb(n, m)), dtype=np.complex128)
-        for m in range(n + 1)
-    }
-    off = 0.0
+    counts = fock._particle_counts(n)
     coo = op.mat.tocoo()
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        mr, mc = int(counts[r]), int(counts[c])
-        if mr == mc:
-            blocks[mr][r - starts[mr], c - starts[mc]] = v
-        else:
-            off = max(off, abs(complex(v)))
-    return BlockDecomposition(n, blocks, off)
+    sector = counts[coo.row]
+    inside = sector == counts[coo.col]
+    blocks = {}
+    for m, start in enumerate(np.searchsorted(counts, np.arange(n + 1))):
+        size = math.comb(n, m)
+        blocks[m] = np.zeros((size, size), dtype=np.complex128)
+        mine = inside & (sector == m)
+        blocks[m][coo.row[mine] - start, coo.col[mine] - start] = coo.data[mine]
+    off = np.abs(coo.data[~inside])
+    return BlockDecomposition(n, blocks, float(np.max(off, initial=0.0)))
 
 
 def compare_ops(

@@ -275,7 +275,7 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
 
 
 def test_sparse_closure_path_records_its_batch_time(monkeypatch):
-    monkeypatch.setattr(verify, "_DENSE_CLOSURE_BYTES", 0)
+    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
     gens = liealg.generalized_gell_mann(4)
     rep = schwinger.standard_rep(gens, 4)
     report = verify.check_closure(rep, liealg.structure_constants(gens), label="x")
@@ -284,18 +284,35 @@ def test_sparse_closure_path_records_its_batch_time(monkeypatch):
     assert report.timings["x"] >= sum(c.elapsed for c in report.checks) > 0
 
 
-def test_sparse_and_dense_closure_paths_agree(monkeypatch):
+def _gell_mann_mix():
+    """G'_a = lambda_a + lambda_(a+1): a non-orthogonal basis of su(3).
+
+    Its structure constants include rounding-noise records below 1e-14.
+    """
+    gm = liealg.gell_mann().mats
+    return liealg.GeneratorSet.create([gm[a] + gm[a + 1] for a in range(7)] + [gm[7]])
+
+
+def test_whole_set_and_pairwise_closure_paths_agree(monkeypatch):
     gens = liealg.generalized_gell_mann(4)
-    sc = liealg.structure_constants(gens)
-    ops = list(schwinger.nssfr_un(gens, 4).ops)
-    ops[3] = _flip_entry(ops[3])
-    dense = verify.check_closure(ops, sc, label="x")
-    monkeypatch.setattr(verify, "_DENSE_CLOSURE_BYTES", 0)
-    sparse = verify.check_closure(ops, sc, label="x")
-    assert not sparse.overall
-    assert [c[:2] for c in sparse.signature()] == [c[:2] for c in dense.signature()]
-    assert max(abs(a.residual - b.residual)
-               for a, b in zip(sparse.checks, dense.checks)) <= 1e-15
+    flipped = list(schwinger.nssfr_un(gens, 4).ops)
+    flipped[3] = _flip_entry(flipped[3])
+    mix = _gell_mann_mix()
+    mix_sc = liealg.structure_constants(mix)
+    assert np.min(np.abs(mix_sc.c["value"])) < 1e-14
+    cases = [
+        (flipped, liealg.structure_constants(gens), False),
+        (schwinger.standard_rep(mix, 3).ops, mix_sc, True),
+    ]
+    for ops, sc, passes in cases:
+        whole = verify.check_closure(ops, sc, label="x")
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
+            pairwise = verify.check_closure(ops, sc, label="x")
+        assert pairwise.overall == passes
+        assert [c[:2] for c in pairwise.signature()] == [c[:2] for c in whole.signature()]
+        assert max(abs(a.residual - b.residual)
+                   for a, b in zip(pairwise.checks, whole.checks)) <= 1e-15
 
 
 def test_report_extend_sums_timings():
@@ -497,37 +514,52 @@ def test_block_closure_matches_full_space_oracle(case):
     assert worst <= 1e-15
 
 
-def test_linked_blocks_of_sector_representations():
-    gens, _ = _ggm_with_constants(15)
-    blocks = verify._linked_blocks(schwinger.rep_ucnm(gens, 6, 2).ops)
-    assert [b.tolist() for b in blocks] == [fock.sector_indices(6, 2)]
-
-    gens, _ = _ggm_with_constants(10)
-    mixed = schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 5, 2, 1, 1)
-    blocks = verify._linked_blocks(mixed.ops)
-    assert [b.tolist() for b in blocks] == [
-        fock.sector_indices(5, 2), fock.sector_indices(5, 3)
-    ]
-
-
-def test_linked_blocks_merge_on_a_stray_entry():
-    gens, _ = _ggm_with_constants(3)
+def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
+    gens, sc = _ggm_with_constants(3)
     ops = list(schwinger.standard_rep(gens, 3).ops)
     one, two = fock.sector_indices(3, 1), fock.sector_indices(3, 2)
-    assert [b.tolist() for b in verify._linked_blocks(ops)] == [one, two]
     ops[4] = ops[4] + FockOperator.from_entries(3, {(one[0], two[2]): 1})
-    assert [b.tolist() for b in verify._linked_blocks(ops)] == [one + two]
+    tol = verify.DEFAULT_TOL
+    fast = verify.check_closure(ops, sc, tol, label="x")
+    slow = _oracle_closure(ops, sc, tol, "x")
+    assert [c[:2] for c in fast.signature()] == [c[:2] for c in slow.signature()]
+    assert max(abs(a.residual - b.residual) for a, b in zip(fast.checks, slow.checks)) <= 1e-15
+    # a pair is affected when it holds r_5 or its expansion uses r_5
+    rec = sc.c[sc.c["l"] == 4]
+    affected = {f"x/[{i + 1:02d},{j + 1:02d}]" for i, j in zip(rec["i"], rec["j"]) if i < j}
+    affected |= {f"x/[{min(a, 4) + 1:02d},{max(a, 4) + 1:02d}]" for a in range(8) if a != 4}
+    failed = {c.name for c in fast.failed()}
+    assert failed and failed <= affected
 
 
-def test_linked_blocks_of_zero_operators_are_empty():
+def test_closure_of_zero_operators_is_zero(monkeypatch):
     zero = FockOperator.zero(3)
-    assert verify._linked_blocks([zero, zero]) == []
     gens, sc = _ggm_with_constants(2)
+    report = verify.check_closure([zero] * 3, sc)
+    assert report.overall and report.max_residual() == 0.0
+    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
     report = verify.check_closure([zero] * 3, sc)
     assert report.overall and report.max_residual() == 0.0
 
 
+def test_closure_path_selection_bound():
+    def terms(rep):
+        return verify._product_terms(list(rep.ops))
+
+    ggm = liealg.generalized_gell_mann
+    assert terms(schwinger.standard_rep(ggm(12), 12)) == 23_971_064
+    assert 23_971_064 > verify._CLOSURE_PRODUCT_TERMS
+    whole_set = [
+        terms(schwinger.rep_ucnm(ggm(15), 6, 2)),
+        terms(schwinger.mixed_rep(ggm(10), liealg.conjugate_rep(ggm(10)), 5, 2, 1, 1)),
+        terms(schwinger.rep_ucnm(ggm(28), 8, 2)),
+    ]
+    assert whole_set == [19_635, 11_100, 133_047]
+    assert max(whole_set) <= verify._CLOSURE_PRODUCT_TERMS
+
+
 def test_particle_counts_are_the_total_number_diagonal():
     for n in range(1, 9):
-        counts = verify._particle_counts(n)
+        counts = fock._particle_counts(n)
+        assert counts.tolist() == [s.particle_count() for s in fock.build_basis(n)]
         assert counts.tolist() == fock.total_number(n).mat.diagonal().tolist()
