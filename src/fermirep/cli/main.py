@@ -1,6 +1,7 @@
 """Command dispatch for the fermirep tool.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+or an operator file or manifest that reading refuses.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ PAIRINGS = ("conjugate", "same")
 
 
 def _rebuild_family(family: dict) -> liealg.GeneratorSet:
-    name = family.get("name")
-    dim = int(family.get("dim", 0))
-    if name == "generalized_gell_mann":
+    fields = family if isinstance(family, dict) else {}
+    name, dim = fields.get("name"), fields.get("dim")
+    if name == "generalized_gell_mann" and type(dim) is int:
         return liealg.generalized_gell_mann(dim)
     if name == "gell_mann":
         return liealg.gell_mann()
     if name == "spin1":
         return liealg.spin1_matrices()
-    raise ValueError(f"unknown generator family {name!r}")
+    raise ValueError(f"unknown generator family {family!r}")
 
 
 def build_variant(
@@ -122,14 +123,21 @@ def cmd_build(args) -> int:
 
 
 def _load_built(dirpath: Path):
-    manifest = matfile.read_manifest(dirpath / "manifest.json")
+    manifest_path = dirpath / "manifest.json"
+    manifest = matfile.read_manifest(manifest_path)
+    try:
+        gens = _rebuild_family(manifest.get("family"))
+    except ValueError as err:
+        raise matfile.MatfileError(f"{manifest_path}: {err}") from None
     ops = []
     for item in manifest["generators"]:
-        op, _meta = matfile.read_operator(dirpath / item["file"])
+        path = dirpath / item["file"]
+        op, _meta = matfile.read_operator(path)
         if op.modes != manifest["modes"]:
-            raise ValueError(f"{item['file']} has wrong mode count")
+            raise matfile.MatfileError(
+                f"{path}: {op.modes} modes, the manifest says {manifest['modes']!r}"
+            )
         ops.append(op)
-    gens = _rebuild_family(manifest["family"])
     meta = schwinger.RepMeta(
         variant=manifest["variant"],
         modes=manifest["modes"],
@@ -287,6 +295,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except matfile.MatfileError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     except (CapacityError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

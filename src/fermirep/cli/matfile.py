@@ -1,15 +1,37 @@
 """JSON on-disk form for operators and build manifests.
 
-Operator files hold sorted sparse entries with explicit real/imaginary
-parts plus a metadata block, so they are language neutral, diff friendly
-and bit stable:
+Operator files hold sparse entries with explicit real/imaginary parts
+plus a metadata block, so they are language neutral, diff friendly and
+bit stable:
 
     {
-      "dim": 8,
-      "modes": 3,
-      "entries": [{"row": 0, "col": 1, "re": 1.0, "im": 0.0}, ...],
-      "metadata": {...}
+     "dim": 8,
+     "modes": 3,
+     "entries": [
+      {
+       "row": 0,
+       "col": 1,
+       "re": 1.0,
+       "im": 0.0
+      },
+      ...
+     ],
+     "metadata": {...}
     }
+
+The written form is canonical: entries in strictly increasing row-major
+(row, col) order, floats as their shortest round-trip ``repr``, and the
+layout of ``json.dumps(operator_to_payload(op, metadata), indent=1)``.
+The writer formats it from the operator's CSR arrays with one fixed
+per-entry template, and refuses NaN or infinite entries before it opens
+the file.
+
+Reading is strict.  It refuses a payload whose ``modes`` lies outside
+[1, mode_capacity()] or whose ``dim`` is not 2^modes, and entries that
+are out of range, unsorted or duplicated, not finite, or of the wrong
+JSON type (``row``/``col`` must be integers, not booleans; ``re``/``im``
+must be numbers).  Every refusal raises ``MatfileError`` naming the file
+and the first offending entry, before any operator is allocated.
 
 A manifest lists the generator labels in order together with their file
 names and the construction parameters.
@@ -21,9 +43,13 @@ import json
 import math
 from pathlib import Path
 
-from ..fock import FockOperator
+import numpy as np
+import scipy.sparse as sp
+
+from ..fock import FockOperator, mode_capacity
 
 __all__ = [
+    "MatfileError",
     "operator_to_payload",
     "payload_to_operator",
     "write_operator",
@@ -31,6 +57,21 @@ __all__ = [
     "write_manifest",
     "read_manifest",
 ]
+
+# one entry of json.dumps(payload, indent=1), nested at depth 2
+_ENTRY = '\n  {\n   "row": %d,\n   "col": %d,\n   "re": %r,\n   "im": %r\n  }'
+
+# manifest fields that verify --from reads besides generators and family
+_MANIFEST_FIELDS = {
+    "variant": lambda v: type(v) is str,
+    "modes": lambda v: type(v) is int,
+    "particles": lambda v: v is None or type(v) is int,
+    "xi": lambda v: v is None or (isinstance(v, list) and len(v) == 2 and set(map(type, v)) <= {int}),
+}
+
+
+class MatfileError(ValueError):
+    """An operator file or manifest that reading refuses."""
 
 
 def operator_to_payload(op: FockOperator, metadata: dict | None = None) -> dict:
@@ -46,36 +87,129 @@ def operator_to_payload(op: FockOperator, metadata: dict | None = None) -> dict:
     }
 
 
+def _column(items: list, key: str, types: set, what: str) -> list:
+    """One field of every entry, refused unless each value's type is in types."""
+    try:
+        values = [item[key] for item in items]
+    except (KeyError, TypeError):
+        k = next(
+            k for k, item in enumerate(items) if not (isinstance(item, dict) and key in item)
+        )
+        raise MatfileError(f"entry {k} is not an object holding {key!r}") from None
+    if not set(map(type, values)) <= types:
+        k = next(k for k, v in enumerate(values) if type(v) not in types)
+        raise MatfileError(f"entry {k} has {key} {values[k]!r}, which is not {what}")
+    return values
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
+
+
 def payload_to_operator(payload: dict) -> tuple[FockOperator, dict]:
+    if not isinstance(payload, dict):
+        raise MatfileError("operator payload must be a JSON object")
     for key in ("dim", "modes", "entries"):
         if key not in payload:
-            raise ValueError(f"operator payload is missing {key!r}")
-    modes = int(payload["modes"])
-    dim = int(payload["dim"])
-    if dim != 1 << modes:
-        raise ValueError(f"dim {dim} does not equal 2^{modes}")
-    entries: dict[tuple[int, int], complex] = {}
-    last = None
-    for item in payload["entries"]:
-        r, c = int(item["row"]), int(item["col"])
-        if not (0 <= r < dim and 0 <= c < dim):
-            raise ValueError(f"entry position ({r}, {c}) outside [0, {dim})")
-        if last is not None and (r, c) <= last:
-            raise ValueError("entries must be strictly sorted by (row, col)")
-        last = (r, c)
-        re, im = float(item["re"]), float(item["im"])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"entry ({r}, {c}) is not finite: re={re}, im={im}")
-        entries[(r, c)] = complex(re, im)
-    return FockOperator.from_entries(modes, entries), dict(payload.get("metadata", {}))
+            raise MatfileError(f"operator payload is missing {key!r}")
+    modes, dim, items = payload["modes"], payload["dim"], payload["entries"]
+    metadata = payload.get("metadata", {})
+    cap = mode_capacity()
+    if type(modes) is not int or not 1 <= modes <= cap:
+        raise MatfileError(f"modes must be an integer in [1, {cap}], got {modes!r}")
+    if type(dim) is not int or dim != 1 << modes:
+        raise MatfileError(f"dim {dim!r} does not equal 2^{modes}")
+    if not isinstance(items, list):
+        raise MatfileError("entries must be a JSON array")
+    if not isinstance(metadata, dict):
+        raise MatfileError("metadata must be a JSON object")
+    rows = _column(items, "row", {int}, "an integer")
+    cols = _column(items, "col", {int}, "an integer")
+    res = _column(items, "re", {int, float}, "a JSON number")
+    ims = _column(items, "im", {int, float}, "a JSON number")
+
+    try:
+        row = np.array(rows, dtype=np.int64)
+        col = np.array(cols, dtype=np.int64)
+    except OverflowError:
+        # a position beyond int64 is out of range; find the first one in Python
+        outside = np.array([not (0 <= r < dim and 0 <= c < dim) for r, c in zip(rows, cols)])
+    else:
+        outside = (row < 0) | (row >= dim) | (col < 0) | (col >= dim)
+    if outside.any():
+        k = _first(outside)
+        raise MatfileError(f"entry {k} position ({rows[k]}, {cols[k]}) outside [0, {dim})")
+    # strictly increasing (row, col), compared lexicographically so that no
+    # row * dim + col key can overflow
+    drow, dcol = np.diff(row), np.diff(col)
+    unsorted = (drow < 0) | ((drow == 0) & (dcol <= 0))
+    if unsorted.any():
+        k = _first(unsorted) + 1
+        raise MatfileError(
+            f"entries must be strictly sorted by (row, col): entry {k} "
+            f"({rows[k]}, {cols[k]}) follows ({rows[k - 1]}, {cols[k - 1]})"
+        )
+    try:
+        re = np.array(res, dtype=np.float64)
+        im = np.array(ims, dtype=np.float64)
+    except OverflowError:
+        # an integer beyond the float range is as unrepresentable as inf
+        finite = np.array([_finite(a) and _finite(b) for a, b in zip(res, ims)])
+    else:
+        finite = np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        k = _first(~finite)
+        raise MatfileError(
+            f"entry ({rows[k]}, {cols[k]}) is not finite: re={res[k]}, im={ims[k]}"
+        )
+
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
+    data = np.empty(len(items), dtype=np.complex128)
+    data.real, data.imag = re, im
+    mat = sp.csr_matrix((data, col, indptr), shape=(dim, dim))
+    return FockOperator(modes, mat), dict(metadata)
+
+
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def write_operator(path: str | Path, op: FockOperator, metadata: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(operator_to_payload(op, metadata), indent=1))
+    """Write op in the canonical form; ValueError on a NaN or infinite entry."""
+    mat = op.mat
+    row = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
+    vals = mat.data.astype(np.complex128, copy=False)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        k = _first(~finite)
+        raise ValueError(
+            f"entry ({row[k]}, {mat.indices[k]}) is not finite: {vals[k]}; "
+            "JSON has no spelling for it"
+        )
+    body = ",".join(
+        _ENTRY % entry
+        for entry in zip(
+            row.tolist(), mat.indices.tolist(), vals.real.tolist(), vals.imag.tolist()
+        )
+    )
+    entries = f"[{body}\n ]" if body else "[]"
+    meta = json.dumps(dict(metadata or {}), indent=1).replace("\n", "\n ")
+    Path(path).write_text(
+        f'{{\n "dim": {op.dim},\n "modes": {op.modes},\n "entries": {entries},\n'
+        f' "metadata": {meta}\n}}'
+    )
 
 
 def read_operator(path: str | Path) -> tuple[FockOperator, dict]:
-    return payload_to_operator(json.loads(Path(path).read_text()))
+    path = Path(path)
+    try:
+        return payload_to_operator(json.loads(path.read_text()))
+    except (MatfileError, json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise MatfileError(f"{path}: {err}") from None
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
@@ -83,8 +217,24 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 
 def read_manifest(path: str | Path) -> dict:
-    manifest = json.loads(Path(path).read_text())
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise MatfileError(f"{path}: {err}") from None
+    if not isinstance(manifest, dict):
+        raise MatfileError(f"{path}: manifest must be a JSON object")
     for key in ("variant", "modes", "generators"):
         if key not in manifest:
-            raise ValueError(f"manifest is missing {key!r}")
+            raise MatfileError(f"{path}: manifest is missing {key!r}")
+    for key, valid in _MANIFEST_FIELDS.items():
+        if not valid(manifest.get(key)):
+            raise MatfileError(f"{path}: manifest {key} {manifest.get(key)!r} has the wrong type")
+    generators = manifest["generators"]
+    if not isinstance(generators, list) or not all(
+        isinstance(item, dict) and type(item.get("label")) is str
+        and type(item.get("file")) is str
+        for item in generators
+    ):
+        raise MatfileError(f"{path}: generators must be a list of {{label, file}} strings")
     return manifest
