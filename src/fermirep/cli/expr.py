@@ -16,9 +16,12 @@ promoted to that multiple of the identity, so e.g.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .. import fock
 from ..fock import FockOperator
@@ -220,7 +223,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Number(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprError(f"number {tok.text!r} is not finite", tok.pos)
+            return Number(value)
         if tok.kind == "(":
             self.advance()
             node = self.expr()
@@ -347,6 +353,11 @@ def evaluate(node: OperatorExpression, n: int) -> FockOperator:
     """Evaluate a tree to a single operator on the n-mode space.
 
     A purely scalar expression is returned as that multiple of the
-    identity.
+    identity.  An operator with an inf or nan entry, from finite numbers
+    that overflow, is refused with ValueError.
     """
-    return _promote(_eval(node, n), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _promote(_eval(node, n), n)
+    if not np.isfinite(op.mat.data).all():
+        raise ValueError("the expression evaluates to an operator with a non-finite entry")
+    return op

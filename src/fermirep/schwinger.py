@@ -14,6 +14,16 @@ Four families are provided:
 
 All builders return number-conserving operators and are pure functions of
 their inputs.
+
+Each generator of ``standard_rep``, ``nssfr_un``, ``rep_ucnm`` and
+``mixed_rep`` is a linear combination of one fixed term set: the
+bilinears a+_a a_b, or the sector units Q_ij.  ``_assemble`` forms a
+whole set as the row blocks of one sparse product kron(C, I) @
+vstack(terms), with one row of C per generator, in chunks of generators
+that bound the Kronecker factor.  The product sums each entry over the
+terms in ascending order, so every entry equals, to the bit, the sum of
+the terms added one at a time.  The unit operators themselves come from
+one product of the stacked O+_i |vac><vac| and the stacked O_j.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fock, liealg
 from .errors import DegeneracyError, ValidationError
@@ -166,7 +177,6 @@ class RepresentationResult:
         return self.ops[k]
 
 
-@lru_cache(maxsize=None)
 def _bilinear(n: int, alpha: int, beta: int) -> FockOperator:
     return fock.creation(n, alpha) @ fock.annihilation(n, beta)
 
@@ -192,25 +202,105 @@ def _as_matrices(
     return mats, labels, dim
 
 
-def _bilinears(n: int) -> list[FockOperator]:
-    """The n^2 bilinears a+_a a_b, row-major."""
-    return [_bilinear(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+def _coefficient_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """One row per matrix, its entries row-major: the term order of a stack."""
+    return np.stack(mats).reshape(len(mats), -1)
 
 
-def _combination(
-    coeffs: np.ndarray, terms: Sequence[FockOperator], n: int
-) -> FockOperator:
-    """sum_{a,b} coeffs[a,b] terms[a*k + b] for a k x k coefficient matrix.
+@lru_cache(maxsize=None)
+def _bilinear_stack(n: int) -> sp.csr_matrix:
+    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return sp.vstack([_bilinear(n, a, b).mat for a, b in pairs], format="csr")
 
-    Terms are added row-major, skipping zero coefficients; a coefficient
-    with zero imaginary part is applied as a real scalar.
+
+# _assemble forms kron(C, I_dim) for at most this many stored entries at a
+# time: one generator at n = 12, a whole Gell-Mann set at n <= 6.  The
+# peak RSS of build un-standard --n 12 sets export's peak; it is 70.0-70.2
+# MiB at 2^13 and at 2^15, and 100 with its 1.4 M entries formed at once
+# (70.4-70.6 MiB with term-by-term sums; 2-vCPU VM)
+_ASSEMBLY_ENTRIES = 1 << 13
+
+
+def _chunks(rows: np.ndarray, coeffs: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Consecutive pieces of rows, each forming at most _ASSEMBLY_ENTRIES
+    entries of kron(coeffs[piece], I_dim); a row over the bound is alone."""
+    ends = np.cumsum(np.count_nonzero(coeffs[rows], axis=1) * dim)
+    pieces, start = [], 0
+    while start < len(rows):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
+        pieces.append(rows[start:stop])
+        start = stop
+    return pieces
+
+
+def _stacked(coeffs: np.ndarray, terms: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+    """Row block g is sum_t coeffs[g, t] terms[t], for the row blocks of terms.
+
+    One sparse product kron(coeffs, I_dim) @ terms, over only the terms
+    some row uses: scipy converts the values of the whole right operand
+    to the result type for each product, which at n = 12 would be 2.5 MB
+    per chunk.  Row g * dim + r of the Kronecker factor holds
+    coeffs[g, t] at column t * dim + r for each nonzero coefficient, in
+    ascending t, and scipy sums each output entry over that row in stored
+    order.  So every entry is the row-major term-by-term sum, rounded the
+    same way, and exact zeros are dropped.
     """
-    op = FockOperator.zero(n)
-    for a in np.flatnonzero(coeffs):
-        v = coeffs.flat[a]
-        scalar = v.real if v.imag == 0 else complex(v)
-        op = op + scalar * terms[a]
-    return op
+    used = np.flatnonzero(np.any(coeffs, axis=0))
+    coeffs = coeffs[:, used]
+    basis = np.arange(dim)
+    cols = [(np.flatnonzero(row) * dim + basis[:, None]).ravel() for row in coeffs]
+    vals = [np.tile(row[row != 0], dim) for row in coeffs]
+    widths = np.count_nonzero(coeffs, axis=1)
+    kron = sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols),
+         np.concatenate([[0], np.cumsum(np.repeat(widths, dim))])),
+        shape=(len(coeffs) * dim, len(used) * dim),
+    )
+    product = kron @ terms[(used[:, None] * dim + basis).ravel()]
+    product.sort_indices()
+    return product
+
+
+def _split(stack: sp.csr_matrix, n: int) -> list[FockOperator]:
+    """The dim x dim row blocks of a canonical stack, one operator each.
+
+    Each block is a view cut straight from the CSR arrays (scipy's row
+    slicing costs more per block), which FockOperator copies once.
+    """
+    dim = 1 << n
+    ptr = stack.indptr
+    ops = []
+    for start in range(0, stack.shape[0], dim):
+        lo, hi = ptr[start], ptr[start + dim]
+        block = sp.csr_matrix(
+            (stack.data[lo:hi], stack.indices[lo:hi], ptr[start:start + dim + 1] - lo),
+            shape=(dim, dim),
+        )
+        ops.append(FockOperator(n, block))
+    return ops
+
+
+def _assemble(coeffs: np.ndarray, terms: sp.csr_matrix, n: int) -> tuple[FockOperator, ...]:
+    """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs.
+
+    terms holds the t-th term as its t-th dim x dim row block.  A row of
+    zeros gives the int64 zero operator, a row of real coefficients a
+    float64 operator and any other row a complex128 one: the real rows
+    are formed with real coefficients, apart from the others.
+    """
+    dim = 1 << n
+    ops = [FockOperator.zero(n)] * len(coeffs)
+    real = ~np.any(coeffs.imag, axis=1)
+    for part, values in (
+        (real & np.any(coeffs, axis=1), coeffs.real),
+        (~real, coeffs),
+    ):
+        for rows in _chunks(np.flatnonzero(part), values, dim):
+            for g, op in zip(rows, _split(_stacked(values[rows], terms, dim), n)):
+                ops[g] = op
+    return tuple(ops)
 
 
 def standard_rep(
@@ -224,8 +314,7 @@ def standard_rep(
     mats, labels, dim = _as_matrices(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
-    terms = _bilinears(n)
-    ops = tuple(_combination(g, terms, n) for g in mats)
+    ops = _assemble(_coefficient_rows(mats), _bilinear_stack(n), n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
     return RepresentationResult(ops, meta)
 
@@ -250,14 +339,19 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
                 f"generator {lbl} is not traceless (trace {np.trace(g):.3e})"
             )
     conj = liealg.conjugate_rep(gens)
-    f_low = eval_at_number_operator(selective_function(n, 1), n)
-    f_high = eval_at_number_operator(selective_function(n, n - 1), n)
-    terms = _bilinears(n)
-    ops = []
-    for g, gc in zip(gens.mats, conj.mats):
-        ops.append(
-            _combination(g, terms, n) @ f_low + _combination(gc, terms, n) @ f_high
+    f_low = eval_at_number_operator(selective_function(n, 1), n).mat
+    f_high = eval_at_number_operator(selective_function(n, n - 1), n).mat
+    terms = _bilinear_stack(n)
+    low = _coefficient_rows(gens.mats)
+    high = _coefficient_rows(conj.mats)
+    dim = 1 << n
+    ops: list[FockOperator] = []
+    for rows in _chunks(np.arange(len(low)), np.hstack([low, high]), dim):
+        stack = (
+            _stacked(low[rows], terms, dim) @ f_low
+            + _stacked(high[rows], terms, dim) @ f_high
         )
+        ops.extend(_split(stack, n))
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
     return RepresentationResult(tuple(ops), meta)
 
@@ -354,22 +448,34 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
     [Q_ij, Q_kl] = d_jk Q_il - d_li Q_kj on the C(n, m)-dimensional
     sector and vanishes on every other sector.
     """
+    return _split(_units(n, m), n)
+
+
+def _units(n: int, m: int) -> sp.csr_matrix:
+    """The unit operators of element_operators as row blocks of one matrix."""
     if not 1 <= m <= n - 1:
         raise ValueError(
             f"particle count must be in [1, {n - 1}] for unit operators, got {m}"
         )
     fock.build_basis(n)  # validates n against the capacity cap
-    return list(_element_operators(n, m))
+    return _unit_stack(n, m)
 
 
 # run_suite and mixed_rep reuse a set right after building it; the small
 # bound keeps large sets from living for the rest of the process
 @lru_cache(maxsize=4)
-def _element_operators(n: int, m: int) -> tuple[FockOperator, ...]:
+def _unit_stack(n: int, m: int) -> sp.csr_matrix:
     sector = sector_operators(n, m)
-    pvac = fock.vacuum_projector(n)
-    half = [op.dagger() @ pvac for op in sector.ops]
-    return tuple(left @ op for left in half for op in sector.ops)
+    dim, k = 1 << n, len(sector)
+    # block (i, j) of half @ lowering is Q_ij, with half_i = O+_i |vac><vac|
+    half = sp.vstack([op.dagger().mat for op in sector.ops], format="csr")
+    half = half @ fock.vacuum_projector(n).mat
+    blocks = (half @ sp.hstack([op.mat for op in sector.ops], format="csr")).tocoo()
+    i, r = np.divmod(blocks.row.astype(np.int64), dim)
+    j, c = np.divmod(blocks.col.astype(np.int64), dim)
+    return sp.csr_matrix(
+        (blocks.data, ((i * k + j) * dim + r, c)), shape=(k * k * dim, dim)
+    )
 
 
 def rep_ucnm(
@@ -386,8 +492,7 @@ def rep_ucnm(
         raise ValueError(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
-    units = element_operators(n, m)
-    ops = tuple(_combination(g, units, n) for g in mats)
+    ops = _assemble(_coefficient_rows(mats), _units(n, m), n)
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
     return RepresentationResult(ops, meta)
 
@@ -439,16 +544,11 @@ def mixed_rep(
             f"structure constants of the two sets differ by {mismatch:.3e}"
         )
 
-    ops: list[FockOperator] = []
-    units_m = element_operators(n, m) if xi_minus else None
-    units_mbar = element_operators(n, mbar) if xi_plus else None
-    for g, g2 in zip(gens.mats, gens2.mats):
-        op = FockOperator.zero(n)
-        if units_m is not None:
-            op = op + _combination(g, units_m, n)
-        if units_mbar is not None:
-            op = op + _combination(g2, units_mbar, n)
-        ops.append(op)
+    # coefficient rows [G | G2] against the units of sectors m and n - m
+    parts = [(gens, m)] * xi_minus + [(gens2, mbar)] * xi_plus
+    coeffs = np.hstack([_coefficient_rows(gs.mats) for gs, _ in parts])
+    terms = sp.vstack([_units(n, s) for _, s in parts], format="csr")
+    ops = _assemble(coeffs, terms, n)
     meta = RepMeta(
         variant="mixed",
         modes=n,
@@ -456,4 +556,4 @@ def mixed_rep(
         labels=gens.labels,
         xi=(xi_minus, xi_plus),
     )
-    return RepresentationResult(tuple(ops), meta)
+    return RepresentationResult(ops, meta)

@@ -253,6 +253,14 @@ def test_eval_usage_errors():
     assert main(["eval", "adag(1)) + a(2)", "--n", "3"]) == EXIT_USAGE
 
 
+def test_eval_non_finite_literal_or_result_exits_2(capsys):
+    assert main(["eval", "1e999*N(1)", "--n", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'1e999' is not finite at position 0" in err
+    assert main(["eval", "1e308*1e308*N(1)", "--n", "2"]) == EXIT_USAGE
+    assert "non-finite entry" in capsys.readouterr().err
+
+
 def test_round_trip_operator_payload():
     rep = schwinger.standard_rep(liealg.gell_mann(), 3)
     payload = matfile.operator_to_payload(rep[1], {"label": "lambda_2"})

@@ -139,6 +139,22 @@ def test_eval_index_out_of_range():
         evaluate(parse_expression("N(4)"), 3)
 
 
+def test_non_finite_literal_is_refused_at_its_position():
+    for source, pos in [("1e999*N(1)", 0), ("0*1e999*N(1)", 2), ("N(1) + 2E400", 7)]:
+        with pytest.raises(ExprError) as err:
+            parse_expression(source)
+        assert err.value.pos == pos
+        assert "is not finite" in err.value.message
+
+
+def test_non_finite_operator_is_refused_without_a_warning():
+    # pytest turns RuntimeWarning into an error, so none may be emitted
+    for source in ["1e308*1e308*N(1)", "1e308*N(1)*10", "i*1e308*1e308", "1e308*1e308"]:
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(parse_expression(source), 2)
+    assert evaluate(parse_expression("1e308*N(1)"), 2).max_abs() == 1e308
+
+
 def _random_tree(rng, depth):
     if depth == 0:
         return rng.choice(

@@ -200,6 +200,9 @@ _GOLDEN_CASES = {
     "un-nonstandard-n3": ["build", "un-nonstandard", "--n", "3"],
     "ucnm-n4-m2": ["build", "ucnm", "--n", "4", "--m", "2"],
     "mixed-n3-m1-same": ["build", "mixed", "--n", "3", "--m", "1", "--pairing", "same"],
+    "un-standard-n4": ["build", "un-standard", "--n", "4"],
+    "mixed-n5-m2-conjugate": ["build", "mixed", "--n", "5", "--m", "2"],
+    "ucnm-n5-m2": ["build", "ucnm", "--n", "5", "--m", "2"],
 }
 _GOLDEN_EVALS = {
     "eval/lambda.json": ["(adag(1)*a(3) + adag(3)*a(1)) * (1 - 2*N(2))", "--n", "3"],

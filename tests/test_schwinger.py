@@ -1,8 +1,11 @@
+import contextlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermirep import fock, liealg, schwinger
 from fermirep.errors import DegeneracyError, ValidationError
@@ -448,3 +451,162 @@ def test_representation_result_rejects_mixed_modes():
             (FockOperator.zero(2), FockOperator.zero(3)),
             schwinger.RepMeta(variant="x", modes=2),
         )
+
+
+# -- one-product assembly against the term-by-term sum --------------------------
+
+
+def _term_sum(coeffs, terms, n):
+    """sum_t coeffs.flat[t] terms[t], one term at a time in row-major order,
+    skipping zero coefficients and applying real ones as real scalars."""
+    op = FockOperator.zero(n)
+    for t in np.flatnonzero(coeffs):
+        v = coeffs.flat[t]
+        op = op + (v.real if v.imag == 0 else complex(v)) * terms[t]
+    return op
+
+
+def _oracle_bilinears(n):
+    return [
+        fock.creation(n, a) @ fock.annihilation(n, b)
+        for a in range(1, n + 1) for b in range(1, n + 1)
+    ]
+
+
+def _oracle_units(n, m):
+    ops = schwinger.sector_operators(n, m).ops
+    pvac = fock.vacuum_projector(n)
+    return [op_i.dagger() @ pvac @ op_j for op_i in ops for op_j in ops]
+
+
+def _assert_bitwise_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.mat.dtype == b.mat.dtype
+        assert a.nnz == b.nnz
+        assert np.array_equal(a.mat.indptr, b.mat.indptr)
+        assert np.array_equal(a.mat.indices, b.mat.indices)
+        # byte comparison, so the sign of a zero part counts too
+        assert a.mat.data.tobytes() == b.mat.data.tobytes()
+
+
+_KINDS = ("real", "complex", "imaginary", "mixed-rows", "sparse", "zero")
+
+
+def _coefficients(rng, kind, count, d):
+    """count random d x d coefficient matrices, generally not traceless."""
+    shape = (count, d, d)
+    real = rng.standard_normal(shape)
+    if kind == "real":
+        return list(real)
+    if kind == "imaginary":
+        return list(1j * real)
+    if kind == "zero":
+        mats = real * (rng.random(shape) < 0.5)
+        mats[0] = 0.0
+        return list(mats.astype(np.complex128))
+    mats = real + 1j * rng.standard_normal(shape)
+    if kind == "mixed-rows":
+        mats[::2] = mats[::2].real
+    if kind == "sparse":
+        mats *= rng.random(shape) < 0.3
+        mats.imag *= rng.random(shape) < 0.5
+    return list(mats)
+
+
+def _conjugated(gens, rng, kind):
+    """gens conjugated by a random unitary (orthogonal for real kinds) and
+    scaled by a real factor, so the conjugate set keeps its constants."""
+    d = gens.dim
+    z = rng.standard_normal((d, d))
+    if kind not in ("real", "imaginary"):
+        z = z + 1j * rng.standard_normal((d, d))
+    u, _ = np.linalg.qr(z)
+    scale = rng.choice([1.0, 0.3, -2.0])
+    return liealg.GeneratorSet.create([scale * u @ g @ u.conj().T for g in gens.mats])
+
+
+@contextlib.contextmanager
+def _chunked(small):
+    """With small, tiny chunks: several products per assembly at these sizes."""
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(schwinger, "_ASSEMBLY_ENTRIES", 16)
+        yield
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4), kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5), small=st.booleans(),
+)
+def test_standard_rep_matches_term_sum(n, kind, seed, count, small):
+    mats = _coefficients(np.random.default_rng(seed), kind, count, n)
+    with _chunked(small):
+        rep = schwinger.standard_rep(mats, n)
+    terms = _oracle_bilinears(n)
+    _assert_bitwise_equal(rep.ops, [_term_sum(g, terms, n) for g in mats])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    nm=st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]),
+    kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5), small=st.booleans(),
+)
+def test_rep_ucnm_matches_term_sum(nm, kind, seed, count, small):
+    n, m = nm
+    k = math.comb(n, m)
+    mats = _coefficients(np.random.default_rng(seed), kind, count, k)
+    with _chunked(small):
+        rep = schwinger.rep_ucnm(mats, n, m)
+    units = _oracle_units(n, m)
+    _assert_bitwise_equal(rep.ops, [_term_sum(g, units, n) for g in mats])
+    _assert_bitwise_equal(schwinger.element_operators(n, m), units)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3, 5), kind=st.sampled_from(("real", "complex", "imaginary")),
+    seed=st.integers(0, 2**32 - 1), small=st.booleans(),
+)
+def test_nssfr_un_matches_term_sum(n, kind, seed, small):
+    gens = _conjugated(liealg.generalized_gell_mann(n), np.random.default_rng(seed), kind)
+    with _chunked(small):
+        rep = schwinger.nssfr_un(gens, n)
+    terms = _oracle_bilinears(n)
+    f_low = schwinger.eval_at_number_operator(schwinger.selective_function(n, 1), n)
+    f_high = schwinger.eval_at_number_operator(schwinger.selective_function(n, n - 1), n)
+    conj = liealg.conjugate_rep(gens)
+    expected = [
+        _term_sum(g, terms, n) @ f_low + _term_sum(gc, terms, n) @ f_high
+        for g, gc in zip(gens.mats, conj.mats)
+    ]
+    _assert_bitwise_equal(rep.ops, expected)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    nm=st.sampled_from([(3, 1), (4, 1), (5, 1), (5, 4)]),
+    kind=st.sampled_from(("real", "complex", "imaginary")),
+    seed=st.integers(0, 2**32 - 1),
+    xi=st.sampled_from([(1, 1), (1, 0), (0, 1)]),
+    pairing=st.sampled_from(("same", "conjugate")), small=st.booleans(),
+)
+def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing, small):
+    n, m = nm
+    k = math.comb(n, m)
+    gens = _conjugated(liealg.generalized_gell_mann(k), np.random.default_rng(seed), kind)
+    gens2 = gens if pairing == "same" else liealg.conjugate_rep(gens)
+    with _chunked(small):
+        rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
+    units_m, units_mbar = _oracle_units(n, m), _oracle_units(n, n - m)
+    expected = []
+    for g, g2 in zip(gens.mats, gens2.mats):
+        op = FockOperator.zero(n)
+        if xi[0]:
+            op = op + _term_sum(g, units_m, n)
+        if xi[1]:
+            op = op + _term_sum(g2, units_mbar, n)
+        expected.append(op)
+    _assert_bitwise_equal(rep.ops, expected)
