@@ -26,16 +26,25 @@ GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
 PAIRINGS = ("conjugate", "same")
 
 
-def _rebuild_family(family: dict) -> liealg.GeneratorSet:
+def _rebuild_family(family: dict, size: int) -> liealg.GeneratorSet:
+    """The generator set a manifest names, refused unless it has size members.
+
+    The count is compared before anything is built, so a wrong dim is
+    refused without allocating the d^2 - 1 generators of d x d.
+    """
     fields = family if isinstance(family, dict) else {}
     name, dim = fields.get("name"), fields.get("dim")
     if name == "generalized_gell_mann" and type(dim) is int:
-        return liealg.generalized_gell_mann(dim)
-    if name == "gell_mann":
-        return liealg.gell_mann()
-    if name == "spin1":
-        return liealg.spin1_matrices()
-    raise ValueError(f"unknown generator family {family!r}")
+        count, build = dim * dim - 1, lambda: liealg.generalized_gell_mann(dim)
+    elif name == "gell_mann":
+        count, build = 8, liealg.gell_mann
+    elif name == "spin1":
+        count, build = 3, liealg.spin1_matrices
+    else:
+        raise ValueError(f"unknown generator family {family!r}")
+    if count != size:
+        raise ValueError(f"family {family!r} has {count} generators, the manifest lists {size}")
+    return build()
 
 
 def build_variant(
@@ -126,7 +135,7 @@ def _load_built(dirpath: Path):
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
     try:
-        gens = _rebuild_family(manifest.get("family"))
+        gens = _rebuild_family(manifest.get("family"), len(manifest["generators"]))
     except ValueError as err:
         raise matfile.MatfileError(f"{manifest_path}: {err}") from None
     ops = []

@@ -29,6 +29,7 @@ __all__ = [
     "gellmann_from_spin1",
     "commutator_entries",
     "structure_constants",
+    "matrix_unit_constants",
     "conjugation_matrix",
     "conjugate_rep",
 ]
@@ -220,13 +221,14 @@ def _projection(flat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def commutator_entries(
-    tall: sp.spmatrix, wide: sp.spmatrix
+    tall: sp.spmatrix, wide: sp.spmatrix, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (rows, cols, values) of the matrix with block (a, b) = [M_a, M_b].
 
     tall = vstack(M) and wide = hstack(M) for k square d x d matrices, so
     block (a, b) of tall @ wide is M_a M_b.  Each of its entries is
-    returned in place and, negated, at the same place of block (b, a).
+    returned in place and, times sign (1 or -1), at the same place of
+    block (b, a), so sign 1 gives the anticommutators {M_a, M_b} instead.
     Entries sharing a place are not summed; rows and cols are int64.
     """
     d = tall.shape[1]
@@ -238,7 +240,7 @@ def commutator_entries(
     return (
         np.concatenate([rows, rows + shift]),
         np.concatenate([cols, cols - shift]),
-        np.concatenate([entries.data, -entries.data]),
+        np.concatenate([entries.data, entries.data if sign > 0 else -entries.data]),
     )
 
 
@@ -288,6 +290,30 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     records["l"] = entries.col
     records["value"] = entries.data
     return StructureConstants(k, records)
+
+
+def matrix_unit_constants(k: int) -> StructureConstants:
+    """Structure constants of gl(k) over the k^2 matrix units e_ij.
+
+    Unit e_ij has index i * k + j (0-based), and
+    [e_ij, e_pq] = d_jp e_iq - d_qi e_pj.  The records are built per unit
+    a = (i, j) and sorted within it, so no array has more than 2k^3 entries.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    i, j, x = np.ogrid[:k, :k, :k]
+    # for every x: the d_jp term b = (j, x), l = (i, x), value 1, then the
+    # d_qi term b = (x, i), l = (x, j), value -1
+    b = np.concatenate(np.broadcast_arrays(j * k + x, x * k + i), axis=2)
+    l = np.concatenate(np.broadcast_arrays(i * k + x, x * k + j), axis=2)
+    order = np.argsort(b * k * k + l, axis=2)
+    b, l = np.take_along_axis(b, order, axis=2), np.take_along_axis(l, order, axis=2)
+    a = np.broadcast_to(i * k + j, b.shape)
+    keep = (b != a) | (i != j)  # in [e_ii, e_ii] the two terms cancel
+    records = np.empty(int(keep.sum()), dtype=RECORD_DTYPE)
+    records["i"], records["j"], records["l"] = a[keep], b[keep], l[keep]
+    records["value"] = np.where(order < k, 1, -1)[keep]
+    return StructureConstants(k * k, records)
 
 
 def conjugation_matrix(n: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,36 @@ def test_structure_constants_records_are_sorted_nonzero_coefficients():
     keys = (rec["i"] * 24 + rec["j"]) * 24 + rec["l"]
     assert np.all(np.diff(keys) > 0)
     assert np.all(rec["value"] != 0)
+
+
+def test_matrix_unit_constants_match_the_gram_projection():
+    for k in range(1, 7):
+        # row a of eye(k^2) reshaped is the unit e_ij with a = i * k + j
+        units = liealg.GeneratorSet.create(list(np.eye(k * k).reshape(k * k, k, k)))
+        ref = liealg.structure_constants(units)
+        got = liealg.matrix_unit_constants(k)
+        assert got.size == ref.size == k * k
+        assert np.array_equal(got.c, ref.c), k
+        assert got.max_difference(ref) == 0.0
+        # 2k records per unit, less the two cancelling terms of [e_ii, e_ii]
+        assert len(got.c) == 2 * k**3 - 2 * k
+    with pytest.raises(ValueError):
+        liealg.matrix_unit_constants(0)
+
+
+def test_commutator_entries_sign_one_gives_anticommutators():
+    # integer entries, so every sum is exact whatever its order
+    d = 3
+    mats = list(np.random.default_rng(0).integers(-3, 4, size=(3, d, d)).astype(float))
+    tall, wide = np.vstack(mats), np.hstack(mats)
+    for sign in (-1, 1):
+        rows, cols, vals = liealg.commutator_entries(sp.csr_matrix(tall), sp.csr_matrix(wide), sign)
+        full = np.zeros((3 * d, 3 * d))
+        np.add.at(full, (rows, cols), vals)
+        for a in range(3):
+            for b in range(3):
+                expected = mats[a] @ mats[b] + sign * mats[b] @ mats[a]
+                assert np.array_equal(full[a * d:(a + 1) * d, b * d:(b + 1) * d], expected)
 
 
 def test_structure_constants_ggm28_sparse_and_totally_antisymmetric():

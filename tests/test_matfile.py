@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermirep import liealg
 from fermirep.cli import matfile
 from fermirep.cli.main import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fermirep.fock import FockOperator, mode_capacity
@@ -284,9 +285,26 @@ def test_verify_from_read_refusal_exits_3_naming_the_file(built_std3, capsys, ed
         (lambda m: m.update(modes=4), "3 modes, the manifest says 4"),
         (lambda m: m.update(xi=5), "manifest xi 5 has the wrong type"),
         (lambda m: m.update(modes="3"), "manifest modes '3' has the wrong type"),
+        (lambda m: m.update(generators=m["generators"][:5]),
+         "manifest.json: family {'name': 'generalized_gell_mann', 'dim': 3} "
+         "has 8 generators, the manifest lists 5"),
+        (lambda m: m["family"].update(dim=100),
+         "manifest.json: family {'name': 'generalized_gell_mann', 'dim': 100} "
+         "has 9999 generators, the manifest lists 8"),
     ],
 )
-def test_verify_from_manifest_refusal_exits_3_naming_the_file(built_std3, capsys, edit, message):
+def test_verify_from_manifest_refusal_exits_3_naming_the_file(
+    built_std3, capsys, monkeypatch, edit, message
+):
+    # a refusal must come before the family is built: ggm(100) alone is 1.6 GB
+    small = liealg.generalized_gell_mann
+
+    def guarded(d, *args, **kwargs):
+        if d > 10:
+            raise AssertionError(f"generalized_gell_mann({d}) built before refusing")
+        return small(d, *args, **kwargs)
+
+    monkeypatch.setattr(liealg, "generalized_gell_mann", guarded)
     _rewrite(built_std3 / "manifest.json", edit)
     capsys.readouterr()
     assert main(["verify", "--from", str(built_std3)]) == EXIT_IO

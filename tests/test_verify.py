@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fermirep.errors import CapacityError
 from fermirep.fock import FockOperator
 from fermirep.verify import VerificationReport
 
+DATA = Path(__file__).parent / "data"
 
 def _flip_entry(op, which=0):
     mat = op.mat.copy()
@@ -254,8 +257,10 @@ def test_report_equality_ignores_elapsed():
 def test_run_suite_timings_are_batch_measurements():
     report = verify.run_suite(3)
     assert sum(report.timings.values()) > 0
-    assert {"closure/standard/n03", "eij/n03m01", "outer/n03m02"} <= set(report.timings)
-    batched = ("closure/", "eij/", "outer/")
+    assert {
+        "anticomm/n03", "closure/standard/n03", "eij/n03m01", "outer/n03m02"
+    } <= set(report.timings)
+    batched = ("anticomm/", "closure/", "eij/", "outer/")
     assert all(c.elapsed == 0.0 for c in report.checks if c.name.startswith(batched))
     restored = VerificationReport.from_dict(json.loads(report.to_json()))
     assert restored.timings == report.timings
@@ -265,6 +270,9 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
     report = verify.run_suite(6)
     assert report.overall
     assert len(report.checks) == 17_902
+    # every name, verdict and residual bit for bit as recorded in the data file
+    digest = hashlib.sha256(repr(report.signature()).encode()).hexdigest()
+    assert digest == (DATA / "run_suite6_signature.sha256").read_text().strip()
     names = [c.name for c in report.checks]
     assert not any("sampled" in name for name in names)
     for n in range(2, 7):
@@ -429,6 +437,68 @@ def test_kernels_match_naive_oracle(case):
                       _oracle_outer(units, n, m, tol, "o")))
     for fast, slow in pairs:
         assert fast.signature() == slow.signature()
+
+
+def _oracle_anticomm(n, tol, annihilation_source):
+    """The anticommutation checks as 3n^2 pairwise anticommutators."""
+    ann = [annihilation_source(n, i) for i in range(1, n + 1)]
+    cre = [a.dagger() for a in ann]
+    eye = FockOperator.identity(n)
+    report = VerificationReport()
+    for i in range(n):
+        for j in range(n):
+            pair = f"[{i + 1:02d},{j + 1:02d}]"
+            delta = eye if i == j else FockOperator.zero(n)
+            report.add(f"anticomm/n{n:02d}/aa{pair}", ann[i].anticommutator(ann[j]).max_abs(), tol)
+            report.add(f"anticomm/n{n:02d}/cc{pair}", cre[i].anticommutator(cre[j]).max_abs(), tol)
+            report.add(
+                f"anticomm/n{n:02d}/ac{pair}",
+                (ann[i].anticommutator(cre[j]) - delta).max_abs(), tol,
+            )
+    return report
+
+
+@st.composite
+def _corrupted_ladders(draw):
+    n = draw(st.integers(1, 4))
+    ann = [fock.annihilation(n, i) for i in range(1, n + 1)]
+    dim = 1 << n
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        mat = ann[i].mat.copy()
+        kind = draw(st.sampled_from(["flip", "scale", "stray", "zero"]))
+        if kind in ("flip", "scale") and mat.nnz:
+            which = draw(st.integers(0, mat.nnz - 1))
+            factor = -1 if kind == "flip" else draw(st.sampled_from([-3, -2, 0, 2, 3]))
+            mat.data[which] *= factor
+        elif kind == "stray":
+            r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+        elif kind == "zero":
+            mat = mat * 0
+        ann[i] = FockOperator(n, mat)
+    return n, ann
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_ladders())
+def test_anticommutation_kernel_matches_pairwise_oracle(case):
+    n, ann = case
+
+    def source(modes, i):
+        assert modes == n
+        return ann[i - 1]
+
+    fast = verify.check_anticommutation(n, annihilation_source=source)
+    slow = _oracle_anticomm(n, 0.0, source)
+    assert fast.signature() == slow.signature()
+    assert set(fast.timings) == {f"anticomm/n{n:02d}"}
+    assert all(c.elapsed == 0.0 for c in fast.checks)
 
 
 # -- block-wise closure against the full-space dense definition ------------------
