@@ -7,8 +7,10 @@ or an operator file or manifest that reading refuses.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .. import fock, liealg, schwinger, verify
 from ..errors import CapacityError
@@ -26,25 +28,31 @@ GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
 PAIRINGS = ("conjugate", "same")
 
 
-def _rebuild_family(family: dict, size: int) -> liealg.GeneratorSet:
-    """The generator set a manifest names, refused unless it has size members.
-
-    The count is compared before anything is built, so a wrong dim is
-    refused without allocating the d^2 - 1 generators of d x d.
-    """
+def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
+    """The builder of the generator set a manifest names, refused before any
+    allocation unless the set has one member per listed generator and the
+    dimension its variant needs: the mode count, or C(modes, particles)."""
+    family, size = manifest.get("family"), len(manifest["generators"])
     fields = family if isinstance(family, dict) else {}
     name, dim = fields.get("name"), fields.get("dim")
     if name == "generalized_gell_mann" and type(dim) is int:
         count, build = dim * dim - 1, lambda: liealg.generalized_gell_mann(dim)
     elif name == "gell_mann":
-        count, build = 8, liealg.gell_mann
+        dim, count, build = 3, 8, liealg.gell_mann
     elif name == "spin1":
-        count, build = 3, liealg.spin1_matrices
+        dim, count, build = 3, 3, liealg.spin1_matrices
     else:
         raise ValueError(f"unknown generator family {family!r}")
     if count != size:
         raise ValueError(f"family {family!r} has {count} generators, the manifest lists {size}")
-    return build()
+    variant, modes, m = manifest["variant"], manifest["modes"], manifest.get("particles")
+    if variant in ("standard", "nssfr") and dim != modes:
+        raise ValueError(f"family {family!r} acts on {dim} modes, the manifest says {modes}")
+    if variant in ("ucnm", "mixed") and not (m and 0 < m < modes and math.comb(modes, m) == dim):
+        raise ValueError(f"family {family!r} is {dim} x {dim}, not sector {m} of {modes} modes")
+    if variant not in ("standard", "nssfr", "ucnm", "mixed"):
+        raise ValueError(f"variant {variant!r} is not one that build writes")
+    return build
 
 
 def build_variant(
@@ -90,7 +98,7 @@ def representation_report(
     sc = liealg.structure_constants(gens)
     report = verify.VerificationReport({"tol": tol, "variant": rep.meta.variant})
     report.extend(verify.check_closure(rep, sc, tol, label="closure"))
-    report.extend(verify.check_number_commutant(rep, rep.ops[0].modes, tol, label="numcomm"))
+    report.extend(verify.check_number_commutant(rep, rep.modes, tol, label="numcomm"))
     return report
 
 
@@ -102,59 +110,47 @@ def cmd_build(args) -> int:
     pairing = {"pairing": args.pairing} if mixed else {}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    meta = rep.meta
+    # the fields every file and the manifest open with, in this order
+    xi = list(meta.xi) if meta.xi else None
+    head = {"variant": meta.variant, "modes": meta.modes, "particles": meta.particles, "xi": xi}
     generators = []
-    for idx, (op, label) in enumerate(zip(rep.ops, rep.meta.labels), start=1):
+    for idx, label in enumerate(meta.labels, start=1):
         fname = f"generator_{idx:03d}.json"
-        metadata = {
-            "variant": rep.meta.variant,
-            "modes": rep.meta.modes,
-            "particles": rep.meta.particles,
-            "xi": list(rep.meta.xi) if rep.meta.xi else None,
-            "index": idx,
-            "label": label,
-            "family": family,
-            **pairing,
-        }
-        matfile.write_operator(out / fname, op, metadata)
+        metadata = {**head, "index": idx, "label": label, "family": family, **pairing}
+        matfile.write_operator(out / fname, rep[idx - 1], metadata)
         generators.append({"label": label, "file": fname})
-    manifest = {
-        "variant": rep.meta.variant,
-        "modes": rep.meta.modes,
-        "particles": rep.meta.particles,
-        "xi": list(rep.meta.xi) if rep.meta.xi else None,
-        "family": family,
-        **pairing,
-        "generators": generators,
-    }
+    manifest = {**head, "family": family, **pairing, "generators": generators}
     matfile.write_manifest(out / "manifest.json", manifest)
     print(f"wrote {len(generators)} generator files to {out}")
     return EXIT_OK
 
 
 def _load_built(dirpath: Path):
+    """The representation a build wrote, stacked file by file, and its generator set."""
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
+    items, modes = manifest["generators"], manifest["modes"]
     try:
-        gens = _rebuild_family(manifest.get("family"), len(manifest["generators"]))
+        build = _rebuild_family(manifest)
     except ValueError as err:
         raise matfile.MatfileError(f"{manifest_path}: {err}") from None
-    ops = []
-    for item in manifest["generators"]:
-        path = dirpath / item["file"]
-        op, _meta = matfile.read_operator(path)
-        if op.modes != manifest["modes"]:
-            raise matfile.MatfileError(
-                f"{path}: {op.modes} modes, the manifest says {manifest['modes']!r}"
-            )
-        ops.append(op)
+
+    def operators():
+        for path in (dirpath / item["file"] for item in items):
+            op, _meta = matfile.read_operator(path)
+            if op.modes != modes:
+                raise matfile.MatfileError(f"{path}: {op.modes} modes, the manifest says {modes!r}")
+            yield op
+
     meta = schwinger.RepMeta(
         variant=manifest["variant"],
-        modes=manifest["modes"],
+        modes=modes,
         particles=manifest.get("particles"),
-        labels=tuple(item["label"] for item in manifest["generators"]),
+        labels=tuple(item["label"] for item in items),
         xi=tuple(manifest["xi"]) if manifest.get("xi") else None,
     )
-    return schwinger.RepresentationResult(tuple(ops), meta), gens
+    return schwinger.RepresentationResult.from_ops(operators(), meta, len(items)), build()
 
 
 def cmd_verify(args) -> int:

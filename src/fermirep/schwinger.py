@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +54,7 @@ __all__ = [
     "nssfr_un",
     "sector_operators",
     "element_operators",
+    "unit_set",
     "rep_ucnm",
     "mixed_rep",
 ]
@@ -156,25 +157,83 @@ class RepMeta:
 
 @dataclass(frozen=True, eq=False)
 class RepresentationResult:
-    """Ordered operators realizing a generator set on the occupation space."""
+    """Ordered operators realizing a generator set on the occupation space.
 
-    ops: tuple[FockOperator, ...]
+    Operator g is row block g (dim x dim) of the canonical CSR ``stack``
+    and has value type ``dtypes[g]`` on its own (int64 for the zero
+    operator, float64 for a real one).  Indexing, and iteration through
+    it, cut a fresh FockOperator from the stack on each call.
+    """
+
+    stack: sp.csr_matrix
+    dtypes: tuple[np.dtype, ...]
     meta: RepMeta
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-        modes = {op.modes for op in self.ops}
-        if len(modes) > 1:
-            raise ValueError("operators have mixed mode counts")
+        if self.stack.shape != (len(self) << self.modes, 1 << self.modes):
+            raise ValueError(f"stack {self.stack.shape} is not {len(self)} operators")
+
+    @classmethod
+    def from_ops(
+        cls, ops: Iterable[FockOperator], meta: RepMeta, count: int | None = None
+    ) -> "RepresentationResult":
+        """The operators stacked in order; an iterator of them comes with its count."""
+        count = len(ops) if count is None else count
+        return cls(*_concatenate((op.mat for op in ops), count, 1 << meta.modes), meta)
+
+    @property
+    def modes(self) -> int:
+        return self.meta.modes
+
+    @property
+    def ops(self) -> tuple[FockOperator, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.dtypes)
 
-    def __iter__(self) -> Iterator[FockOperator]:
-        return iter(self.ops)
+    def __getitem__(self, g: int) -> FockOperator:
+        g, dim = range(len(self))[g], 1 << self.modes
+        block = self.stack[g * dim:(g + 1) * dim]
+        values = block if self.dtypes[g].kind == "c" else block.real
+        return FockOperator(self.modes, values.astype(self.dtypes[g]))
 
-    def __getitem__(self, k: int) -> FockOperator:
-        return self.ops[k]
+
+def _concatenate(
+    blocks: Iterable[sp.csr_matrix], count: int, dim: int, capacity: int = 0
+) -> tuple[sp.csr_matrix, tuple[np.dtype, ...]]:
+    """CSR blocks of dim columns, count * dim rows in all, as one canonical
+    complex128 stack, each block dropped once copied in; and their dtypes.
+
+    The entry arrays start with room for capacity entries and double when
+    full.  Pages of np.empty never written stay out of the resident set.
+    """
+    index = np.int32 if count * dim < 2**31 else np.int64
+    data, indices = np.empty(capacity, np.complex128), np.empty(capacity, index)
+    indptr = np.zeros(count * dim + 1, index)
+    end, row, dtypes = 0, 0, []
+    for block in blocks:
+        dtypes.append(block.dtype)
+        if block.shape[1] != dim:
+            raise ValueError(f"a block of width {block.shape[1]} among operators of {dim}")
+        block.sort_indices()
+        start, end = end, end + block.nnz
+        if end > len(data):
+            data, indices = _grown(data, start, end), _grown(indices, start, end)
+        data[start:end], indices[start:end] = block.data, block.indices
+        indptr[row + 1:row + block.shape[0] + 1] = block.indptr[1:] + start
+        row += block.shape[0]
+    # trimmed in place: the constructor copies a slice of a much larger array
+    data.resize(end, refcheck=False)
+    indices.resize(end, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(count * dim, dim)), tuple(dtypes)
+
+
+def _grown(values: np.ndarray, used: int, need: int) -> np.ndarray:
+    """Room for need entries, at least double; only used ones are written."""
+    grown = np.empty(max(need, 2 * len(values)), values.dtype)
+    grown[:used] = values[:used]
+    return grown
 
 
 def _bilinear(n: int, alpha: int, beta: int) -> FockOperator:
@@ -222,15 +281,15 @@ def _bilinear_stack(n: int) -> sp.csr_matrix:
 _ASSEMBLY_ENTRIES = 1 << 13
 
 
-def _chunks(rows: np.ndarray, coeffs: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Consecutive pieces of rows, each forming at most _ASSEMBLY_ENTRIES
-    entries of kron(coeffs[piece], I_dim); a row over the bound is alone."""
-    ends = np.cumsum(np.count_nonzero(coeffs[rows], axis=1) * dim)
+def _chunks(coeffs: np.ndarray, dim: int) -> list[slice]:
+    """Consecutive rows of coeffs, each run forming at most _ASSEMBLY_ENTRIES
+    entries of kron(coeffs[run], I_dim); a row over the bound is alone."""
+    ends = np.cumsum(np.count_nonzero(coeffs, axis=1) * dim)
     pieces, start = [], 0
-    while start < len(rows):
+    while start < len(coeffs):
         base = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
-        pieces.append(rows[start:stop])
+        pieces.append(slice(start, stop))
         start = stop
     return pieces
 
@@ -263,44 +322,21 @@ def _stacked(coeffs: np.ndarray, terms: sp.csr_matrix, dim: int) -> sp.csr_matri
     return product
 
 
-def _split(stack: sp.csr_matrix, n: int) -> list[FockOperator]:
-    """The dim x dim row blocks of a canonical stack, one operator each.
-
-    Each block is a view cut straight from the CSR arrays (scipy's row
-    slicing costs more per block), which FockOperator copies once.
-    """
-    dim = 1 << n
-    ptr = stack.indptr
-    ops = []
-    for start in range(0, stack.shape[0], dim):
-        lo, hi = ptr[start], ptr[start + dim]
-        block = sp.csr_matrix(
-            (stack.data[lo:hi], stack.indices[lo:hi], ptr[start:start + dim + 1] - lo),
-            shape=(dim, dim),
-        )
-        ops.append(FockOperator(n, block))
-    return ops
-
-
-def _assemble(coeffs: np.ndarray, terms: sp.csr_matrix, n: int) -> tuple[FockOperator, ...]:
+def _assemble(coeffs: np.ndarray, terms: sp.csr_matrix, meta: RepMeta) -> RepresentationResult:
     """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs.
 
-    terms holds the t-th term as its t-th dim x dim row block.  A row of
-    zeros gives the int64 zero operator, a row of real coefficients a
-    float64 operator and any other row a complex128 one: the real rows
-    are formed with real coefficients, apart from the others.
+    terms holds the t-th term as its t-th dim x dim row block.  Rows are
+    formed with complex coefficients, so a real row gets imaginary parts of
+    zero and, to the bit, the real parts of a real product; it is a float64
+    operator, a row of zeros the int64 zero operator, any other complex128.
     """
-    dim = 1 << n
-    ops = [FockOperator.zero(n)] * len(coeffs)
+    dim = 1 << meta.modes
+    bound = int(np.count_nonzero(coeffs, axis=0) @ np.diff(terms.indptr[::dim]))
+    pieces = (_stacked(coeffs[r], terms, dim) for r in _chunks(coeffs, dim))
+    stack, _ = _concatenate(pieces, len(coeffs), dim, bound)
     real = ~np.any(coeffs.imag, axis=1)
-    for part, values in (
-        (real & np.any(coeffs, axis=1), coeffs.real),
-        (~real, coeffs),
-    ):
-        for rows in _chunks(np.flatnonzero(part), values, dim):
-            for g, op in zip(rows, _split(_stacked(values[rows], terms, dim), n)):
-                ops[g] = op
-    return tuple(ops)
+    kinds = np.where(real, np.where(np.any(coeffs, axis=1), "f8", "i8"), "c16")
+    return RepresentationResult(stack, tuple(map(np.dtype, kinds)), meta)
 
 
 def standard_rep(
@@ -314,9 +350,8 @@ def standard_rep(
     mats, labels, dim = _as_matrices(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
-    ops = _assemble(_coefficient_rows(mats), _bilinear_stack(n), n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    return RepresentationResult(ops, meta)
+    return _assemble(_coefficient_rows(mats), _bilinear_stack(n), meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -345,15 +380,13 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     low = _coefficient_rows(gens.mats)
     high = _coefficient_rows(conj.mats)
     dim = 1 << n
-    ops: list[FockOperator] = []
-    for rows in _chunks(np.arange(len(low)), np.hstack([low, high]), dim):
-        stack = (
-            _stacked(low[rows], terms, dim) @ f_low
-            + _stacked(high[rows], terms, dim) @ f_high
-        )
-        ops.extend(_split(stack, n))
+    pieces = (
+        _stacked(low[r], terms, dim) @ f_low + _stacked(high[r], terms, dim) @ f_high
+        for r in _chunks(np.hstack([low, high]), dim)
+    )
+    stack, _ = _concatenate(pieces, len(low), dim)
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
-    return RepresentationResult(tuple(ops), meta)
+    return RepresentationResult(stack, (np.dtype(np.complex128),) * len(low), meta)
 
 
 def nssfr_u3_explicit() -> RepresentationResult:
@@ -397,7 +430,7 @@ def nssfr_u3_explicit() -> RepresentationResult:
     ops = (lam1, lam2, lam3, lam4, lam5, lam6, lam7, lam8)
     labels = tuple(f"lambda_{a}" for a in range(1, 9))
     meta = RepMeta(variant="nssfr-u3-explicit", modes=3, labels=labels)
-    return RepresentationResult(ops, meta)
+    return RepresentationResult.from_ops(ops, meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,17 +481,18 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
     [Q_ij, Q_kl] = d_jk Q_il - d_li Q_kj on the C(n, m)-dimensional
     sector and vanishes on every other sector.
     """
-    return _split(_units(n, m), n)
+    return list(unit_set(n, m))
 
 
-def _units(n: int, m: int) -> sp.csr_matrix:
-    """The unit operators of element_operators as row blocks of one matrix."""
+def unit_set(n: int, m: int) -> RepresentationResult:
+    """The operators of element_operators on the cached stack, not to be modified."""
     if not 1 <= m <= n - 1:
         raise ValueError(
             f"particle count must be in [1, {n - 1}] for unit operators, got {m}"
         )
     fock.build_basis(n)  # validates n against the capacity cap
-    return _unit_stack(n, m)
+    k, meta = math.comb(n, m), RepMeta("units", n, m)
+    return RepresentationResult(_unit_stack(n, m), (np.dtype(np.int64),) * k * k, meta)
 
 
 # run_suite and mixed_rep reuse a set right after building it; the small
@@ -492,9 +526,8 @@ def rep_ucnm(
         raise ValueError(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
-    ops = _assemble(_coefficient_rows(mats), _units(n, m), n)
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return RepresentationResult(ops, meta)
+    return _assemble(_coefficient_rows(mats), unit_set(n, m).stack, meta)
 
 
 def mixed_rep(
@@ -547,8 +580,7 @@ def mixed_rep(
     # coefficient rows [G | G2] against the units of sectors m and n - m
     parts = [(gens, m)] * xi_minus + [(gens2, mbar)] * xi_plus
     coeffs = np.hstack([_coefficient_rows(gs.mats) for gs, _ in parts])
-    terms = sp.vstack([_units(n, s) for _, s in parts], format="csr")
-    ops = _assemble(coeffs, terms, n)
+    terms = sp.vstack([unit_set(n, s).stack for _, s in parts], format="csr")
     meta = RepMeta(
         variant="mixed",
         modes=n,
@@ -556,4 +588,4 @@ def mixed_rep(
         labels=gens.labels,
         xi=(xi_minus, xi_plus),
     )
-    return RepresentationResult(ops, meta)
+    return _assemble(coeffs, terms, meta)

@@ -166,7 +166,7 @@ def check_anticommutation(
     report = VerificationReport({"n": n, "tol": tol})
     name = f"anticomm/n{n:02d}"
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(ops, StructureConstants(k, rec), sign=1)
+    keys, worst = _closure_residuals(_stack_of(ops), StructureConstants(k, rec), sign=1)
     resid = np.zeros(k * k)
     resid[keys] = worst
     for i in range(n):
@@ -181,13 +181,21 @@ def check_anticommutation(
     return report
 
 
-def _product_terms(ops: Sequence[FockOperator]) -> int:
-    """Terms of vstack(ops) @ hstack(ops), a bound on its stored entries.
+def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sp.csr_matrix:
+    """Operator a as row block a: a representation's own stack, or a list stacked once."""
+    if isinstance(ops, RepresentationResult):
+        return ops.stack
+    return sp.vstack([op.mat for op in ops], format="csr")
+
+
+def _product_terms(stack: sp.csr_matrix) -> int:
+    """Terms of stack @ hstack(ops) for its row blocks ops, a bound on its stored entries.
 
     Summed over t: stored entries in column t times those in row t.
     """
-    cols = sum(np.bincount(op.mat.indices, minlength=op.dim) for op in ops)
-    rows = sum(np.diff(op.mat.indptr).astype(np.int64) for op in ops)
+    dim = stack.shape[1]
+    cols = np.bincount(stack.indices, minlength=dim)
+    rows = np.diff(stack.indptr).reshape(-1, dim).sum(axis=0, dtype=np.int64)
     return int(np.dot(cols, rows))
 
 
@@ -201,22 +209,26 @@ _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 
 def _closure_residuals(
-    ops: Sequence[FockOperator], constants: StructureConstants, sign: int = -1
+    tall: sp.csr_matrix, constants: StructureConstants, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block maxima of [r_a, r_b] - sum_l c[a, b, l] r_l over all pairs a < b.
 
     Block (a, b) of one sparse matrix over the full 2^n space sums the
     commutator's entries from liealg.commutator_entries and, for each
-    coefficient record (a, b, l, v), -v times every stored entry of r_l.
-    With sign 1 the anticommutator {r_a, r_b} takes the commutator's
-    place, and the pairs a = b are included.  Keys and maxima are as in
-    _block_maxima with k blocks per side.
+    coefficient record (a, b, l, v), -v times every stored entry of r_l,
+    the row blocks of tall.  With sign 1 the anticommutator {r_a, r_b}
+    takes the commutator's place, and the pairs a = b are included.  Keys
+    and maxima are as in _block_maxima with k blocks per side.
     """
-    k, dim = len(ops), ops[0].dim
-    tall = _stack(ops)
-    rows, cols, vals = liealg.commutator_entries(
-        tall, sp.hstack([op.mat for op in ops], format="csr"), sign
+    dim = tall.shape[1]
+    k = tall.shape[0] // dim
+    entries = tall.tocoo()
+    # hstack(r): entry (r, c) of r_a at (r, a * dim + c)
+    wide = sp.csr_matrix(
+        (entries.data, (entries.row % dim, entries.row // dim * dim + entries.col)),
+        shape=(dim, k * dim),
     )
+    rows, cols, vals = liealg.commutator_entries(tall, wide, sign)
     upper = rows // dim < cols // dim + (sign > 0)
     rows, cols, vals = rows[upper], cols[upper], vals[upper]
 
@@ -228,7 +240,6 @@ def _closure_residuals(
     per = np.diff(first)[c["l"][chosen]]
     which = np.repeat(chosen, per)
     pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
-    entries = tall.tocoo()
     rows = np.concatenate([rows, c["i"][which] * dim + entries.row[pos] % dim])
     cols = np.concatenate([cols, c["j"][which] * dim + entries.col[pos]])
     vals = np.concatenate([vals, -c["value"][which] * entries.data[pos]])
@@ -252,26 +263,25 @@ def check_closure(
     Above _CLOSURE_PRODUCT_TERMS, each pair is computed with sparse
     pairwise arithmetic instead; both paths sum the same records.
     """
-    ops = list(rep)
-    k = len(ops)
+    stack = _stack_of(rep)
+    k = stack.shape[0] // stack.shape[1]
     if constants.size != k:
         raise ValueError(
             f"representation has {k} operators but constants are for {constants.size}"
         )
     report = VerificationReport({"label": label, "tol": tol})
     t0 = time.perf_counter()
-    if _product_terms(ops) <= _CLOSURE_PRODUCT_TERMS:
-        keys, worst = _closure_residuals(ops, constants)
+    if _product_terms(stack) <= _CLOSURE_PRODUCT_TERMS:
+        keys, worst = _closure_residuals(stack, constants)
         resid = np.zeros(k * k)
         resid[keys] = worst
         for i in range(k):
             for j in range(i + 1, k):
                 report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", resid[i * k + j], tol)
     else:
-        # row i * k + j holds the coefficients of [G_i, G_j]; the arithmetic
-        # is on the CSR matrices, without an operator wrapper per step
+        # row i * k + j holds the coefficients of [G_i, G_j]
         rows = constants.rows
-        mats = [op.mat for op in ops]
+        mats = _row_blocks(stack)
         for i in range(k):
             for j in range(i + 1, k):
                 t_pair = time.perf_counter()
@@ -288,9 +298,18 @@ def check_closure(
     return report
 
 
-def _stack(ops: Sequence[FockOperator]) -> sp.csr_matrix:
-    """Operators as row blocks: row a * dim + r is row r of ops[a]."""
-    return sp.vstack([op.mat for op in ops], format="csr")
+def _row_blocks(stack: sp.csr_matrix) -> list[sp.csr_matrix]:
+    """The dim x dim row blocks of stack, sharing its entry arrays: they are
+    set after construction, as the constructor copies a slice of a larger one."""
+    dim, ptr = stack.shape[1], stack.indptr
+    blocks = []
+    for s in range(0, stack.shape[0], dim):
+        block = sp.csr_matrix((dim, dim), dtype=stack.dtype)
+        entries = slice(ptr[s], ptr[s + dim])
+        block.data, block.indices = stack.data[entries], stack.indices[entries]
+        block.indptr = ptr[s:s + dim + 1] - ptr[s]
+        blocks.append(block)
+    return blocks
 
 
 def _block_maxima(
@@ -307,6 +326,22 @@ def _block_maxima(
     worst = np.zeros(len(keys))
     np.maximum.at(worst, inverse, np.abs(coo.data))
     return keys, worst
+
+
+def _operator_checks(
+    diff: sp.spmatrix, tol: float, label: str, t0: float, tags: Sequence[str] = ()
+) -> VerificationReport:
+    """One check per row block of diff, its largest absolute entry, named by
+    tags if there is one per block, else by number, and timed from t0."""
+    keys, worst = _block_maxima(diff, diff.shape[1], 1)
+    resid = np.zeros(diff.shape[0] // diff.shape[1])
+    resid[keys] = worst
+    report = VerificationReport({"label": label, "tol": tol})
+    for a, r in enumerate(resid):
+        tag = tags[a] if len(tags) == len(resid) else f"{a + 1:03d}"
+        report.add(f"{label}/{tag}", r, tol)
+    report.timings[label] = time.perf_counter() - t0
+    return report
 
 
 def check_eij_algebra(
@@ -328,7 +363,7 @@ def check_eij_algebra(
     report = VerificationReport({"label": label, "k": k, "tol": tol})
     size = k * k
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(units, liealg.matrix_unit_constants(k))
+    keys, worst = _closure_residuals(_stack_of(units), liealg.matrix_unit_constants(k))
     # the kernel keeps blocks (a, b) with a < b; block (b, a) is its negative
     row_worst = np.zeros(size)
     np.maximum.at(row_worst, keys // size, worst)
@@ -349,27 +384,25 @@ def check_number_commutant(
     """Residual of [op, N_total] for every operator.
 
     N_total is diagonal with entries d, so entry (r, c) of the commutator
-    is v * d[c] - d[r] * v for each stored entry v of op: the residual
-    comes from op's own entries, without a sparse product.  Operators are
-    taken one at a time so that memory stays at one operator's entries.
+    is v * d[c] - d[r] * v for each stored entry v of op: the residuals
+    come from the stacked operators' own entries in one pass, without a
+    sparse product.
     """
-    ops = list(rep)
-    report = VerificationReport({"label": label, "n": n, "tol": tol})
-    counts = fock._particle_counts(n)
-    names = None
-    if isinstance(rep, RepresentationResult) and len(rep.meta.labels) == len(ops):
-        names = rep.meta.labels
-    for a, op in enumerate(ops):
-        if op.modes != n:
-            raise ValueError(f"operator {a} acts on {op.modes} modes, expected {n}")
-        t0 = time.perf_counter()
-        coo = op.mat.tocoo()
-        diff = coo.data * counts[coo.col] - counts[coo.row] * coo.data
-        tag = names[a] if names else f"{a + 1:03d}"
-        report.add(
-            f"{label}/{tag}", np.max(np.abs(diff), initial=0.0), tol,
-            time.perf_counter() - t0,
-        )
+    stack = _stack_of(rep)
+    dim = 1 << n
+    if stack.shape[1] != dim:
+        raise ValueError(f"operators of {stack.shape[1]} states are not on {n} modes")
+    tags = rep.meta.labels if isinstance(rep, RepresentationResult) else ()
+    t0 = time.perf_counter()
+    counts = fock._particle_counts(n).astype(np.int8)
+    coo = stack.tocoo()
+    # an entry within one sector gives v * d - d * v = 0; only the others are formed
+    moved = counts[coo.row % dim] != counts[coo.col]
+    rows, cols, v = coo.row[moved], coo.col[moved], coo.data[moved]
+    diff = v * counts[cols] - counts[rows % dim] * v
+    commutator = sp.coo_matrix((diff, (rows, cols)), shape=stack.shape)
+    report = _operator_checks(commutator, tol, label, t0, tags)
+    report.params["n"] = n
     return report
 
 
@@ -412,16 +445,11 @@ def compare_ops(
     label: str = "compare",
 ) -> VerificationReport:
     """Entrywise difference between two equal-length operator lists."""
-    ops_a, ops_b = list(a), list(b)
-    if len(ops_a) != len(ops_b):
-        raise ValueError(f"lengths differ: {len(ops_a)} vs {len(ops_b)}")
-    report = VerificationReport({"label": label, "tol": tol})
-    for k, (x, y) in enumerate(zip(ops_a, ops_b)):
-        if x.modes != y.modes:
-            raise ValueError(f"operator {k} mode counts differ: {x.modes} vs {y.modes}")
-        t0 = time.perf_counter()
-        report.add(f"{label}/{k + 1:03d}", x.diff_max(y), tol, time.perf_counter() - t0)
-    return report
+    stack_a, stack_b = _stack_of(a), _stack_of(b)
+    if stack_a.shape != stack_b.shape:
+        raise ValueError(f"stacks differ: {stack_a.shape} vs {stack_b.shape}")
+    t0 = time.perf_counter()
+    return _operator_checks(stack_a - stack_b, tol, label, t0)
 
 
 def _block_equality_checks(
@@ -436,33 +464,40 @@ def _block_equality_checks(
 
     Blocks listed in expected_blocks are compared entrywise, sectors in
     must_vanish must be zero, other sectors are unconstrained; off-block
-    entries count against every operator.
+    entries count against every operator.  The checked entries and the
+    expected matrices, negated, are summed in one sparse matrix.
     """
-    vanish = set(must_vanish)
-    report = VerificationReport({"label": label, "tol": tol})
-    for a, op in enumerate(rep):
-        t0 = time.perf_counter()
-        dec = block_decompose(op)
-        worst = dec.off_block_norm
-        for m in range(n + 1):
-            block = dec.blocks[m]
-            if m in expected_blocks:
-                worst = max(worst, float(np.max(np.abs(block - expected_blocks[m][a]))))
-            elif m in vanish and block.size:
-                worst = max(worst, float(np.max(np.abs(block))))
-        report.add(f"{label}/{a + 1:03d}", worst, tol, time.perf_counter() - t0)
-    return report
+    stack = _stack_of(rep)
+    dim = 1 << n
+    t0 = time.perf_counter()
+    counts = fock._particle_counts(n)
+    coo = stack.tocoo()
+    sector = counts[coo.row % dim]
+    checked = (sector != counts[coo.col]) | np.isin(sector, [*expected_blocks, *must_vanish])
+    rows, cols, vals = [coo.row[checked]], [coo.col[checked]], [coo.data[checked]]
+    for m, mats in expected_blocks.items():
+        expected = np.stack(mats)
+        g, i, j = np.nonzero(expected)
+        start = np.searchsorted(counts, m)
+        rows.append(g * dim + start + i)
+        cols.append(start + j)
+        vals.append(-expected[g, i, j])
+    diff = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=stack.shape
+    )
+    diff.sum_duplicates()
+    return _operator_checks(diff, tol, label, t0)
 
 
 def _outer_product_check(
-    units: Sequence[FockOperator], n: int, m: int, tol: float, label: str
+    units: RepresentationResult | Sequence[FockOperator], n: int, m: int, tol: float, label: str
 ) -> VerificationReport:
     """Each unit operator against the literal basis outer product."""
     report = VerificationReport({"label": label, "tol": tol})
     idx = np.array(fock.sector_indices(n, m))
     k = len(idx)
     t0 = time.perf_counter()
-    stack = _stack(units)
+    stack = _stack_of(units)
     a = np.arange(k * k)
     i, j = np.divmod(a, k)
     expected = sp.csr_matrix(
@@ -475,12 +510,10 @@ def _outer_product_check(
     return report
 
 
-# run_suite builds the generalized Gell-Mann set ggm(k) of a sector of
-# dimension k = C(n, m) for its closure and block checks only up to this k.
-# The bound is for run time, not memory: without it run_suite(6) also checks
-# rep_ucnm on the sectors with k = 15, 15 and 20, which takes 148,102 checks
-# instead of 17,902, 1.5-2.7 s instead of 0.58-0.74 s and 107 MiB of peak
-# RSS instead of 62 MiB on a 2-vCPU VM
+# run_suite checks rep_ucnm on the sectors of dimension k = C(n, m) up to
+# this k.  Without it run_suite(6) also checks k = 15, 15 and 20: 148,102
+# checks instead of 17,902, 0.41-0.94 s instead of 0.15-0.24 s and 107 MiB of
+# peak RSS instead of 62 MiB on a 2-vCPU VM
 _MAX_SECTOR_REP_DIM = 10
 
 
@@ -527,106 +560,45 @@ def run_suite(
     for n in range(2, n_max + 1):
         gens, sc = gell_mann_set(n)
         conj = liealg.conjugate_rep(gens)
-
-        std = schwinger.standard_rep(gens, n)
-        report.extend(check_closure(std, sc, tol, label=f"closure/standard/n{n:02d}"))
-        report.extend(
-            check_number_commutant(std, n, tol, label=f"numcomm/standard/n{n:02d}")
-        )
-        report.extend(
-            _block_equality_checks(
-                std,
-                {1: gens.mats, n - 1: conj.mats} if n > 2 else {1: gens.mats},
-                (0, n),
-                n,
-                tol,
-                label=f"block/standard/n{n:02d}",
-            )
-        )
-
+        # closure, number commutant, and the sector blocks: expected matrices
+        # and sectors that must vanish (at n = 2 sector n - 1 is sector 1)
+        standard = {1: gens.mats, n - 1: conj.mats if n > 2 else gens.mats}
+        reps = [("standard", schwinger.standard_rep(gens, n), standard, (0, n))]
         if n >= 3:
-            nssfr = schwinger.nssfr_un(gens, n)
-            report.extend(
-                check_closure(nssfr, sc, tol, label=f"closure/nssfr/n{n:02d}")
-            )
-            report.extend(
-                check_number_commutant(nssfr, n, tol, label=f"numcomm/nssfr/n{n:02d}")
-            )
-            report.extend(
-                _block_equality_checks(
-                    nssfr,
-                    {1: gens.mats, n - 1: gens.mats},
-                    (m for m in range(n + 1) if m not in (1, n - 1)),
-                    n,
-                    tol,
-                    label=f"block/nssfr/n{n:02d}",
-                )
-            )
+            selective = {1: gens.mats, n - 1: gens.mats}
+            others = [m for m in range(n + 1) if m not in (1, n - 1)]
+            reps.append(("nssfr", schwinger.nssfr_un(gens, n), selective, others))
+        for name, rep, expected, vanish in reps:
+            tag = f"{name}/n{n:02d}"
+            report.extend(check_closure(rep, sc, tol, label=f"closure/{tag}"))
+            report.extend(check_number_commutant(rep, n, tol, label=f"numcomm/{tag}"))
+            report.extend(_block_equality_checks(rep, expected, vanish, n, tol, f"block/{tag}"))
 
         if n == 3:
             gm = liealg.gell_mann()
             rebuilt = liealg.gellmann_from_spin1()
-            rec = VerificationReport()
             t0 = time.perf_counter()
-            worst = max(
-                float(np.max(np.abs(a - b)))
-                for a, b in zip(rebuilt.mats, gm.mats)
-            )
-            rec.add("reconstruct/spin1-quadratic", worst, tol, time.perf_counter() - t0)
-            report.extend(rec)
-            report.extend(
-                compare_ops(
-                    schwinger.nssfr_u3_explicit(),
-                    schwinger.nssfr_un(gm, 3),
-                    tol,
-                    label="compare/u3-explicit-vs-uniform",
-                )
-            )
-            report.extend(
-                check_closure(
-                    schwinger.nssfr_u3_explicit(),
-                    liealg.structure_constants(gm),
-                    tol,
-                    label="closure/u3-explicit",
-                )
-            )
+            worst = max(float(np.max(np.abs(a - b))) for a, b in zip(rebuilt.mats, gm.mats))
+            report.add("reconstruct/spin1-quadratic", worst, tol, time.perf_counter() - t0)
+            explicit, gm_sc = schwinger.nssfr_u3_explicit(), liealg.structure_constants(gm)
+            uniform = schwinger.nssfr_un(gm, 3)
+            report.extend(compare_ops(explicit, uniform, tol, "compare/u3-explicit-vs-uniform"))
+            report.extend(check_closure(explicit, gm_sc, tol, label="closure/u3-explicit"))
 
         for m in range(1, n):
             kdim = fock.sector_dimension(n, m)
-            units = schwinger.element_operators(n, m)
-            report.extend(
-                _outer_product_check(
-                    units, n, m, tol, label=f"outer/n{n:02d}m{m:02d}"
-                )
-            )
-            report.extend(
-                check_number_commutant(
-                    units, n, tol, label=f"numcomm/sector/n{n:02d}m{m:02d}"
-                )
-            )
-            report.extend(
-                check_eij_algebra(units, kdim, tol, label=f"eij/n{n:02d}m{m:02d}")
-            )
+            units = schwinger.unit_set(n, m)
+            tag = f"n{n:02d}m{m:02d}"
+            report.extend(_outer_product_check(units, n, m, tol, label=f"outer/{tag}"))
+            report.extend(check_number_commutant(units, n, tol, label=f"numcomm/sector/{tag}"))
+            report.extend(check_eij_algebra(units, kdim, tol, label=f"eij/{tag}"))
             if kdim <= _MAX_SECTOR_REP_DIM:
                 sector_gens, sector_sc = gell_mann_set(kdim)
-                sector_rep = schwinger.rep_ucnm(sector_gens, n, m)
+                rep = schwinger.rep_ucnm(sector_gens, n, m)
+                expected, others = {m: sector_gens.mats}, [s for s in range(n + 1) if s != m]
+                report.extend(check_closure(rep, sector_sc, tol, f"closure/sector/{tag}"))
                 report.extend(
-                    check_closure(
-                        sector_rep,
-                        sector_sc,
-                        tol,
-                        label=f"closure/sector/n{n:02d}m{m:02d}",
-                    )
-                )
-                report.extend(
-                    _block_equality_checks(
-                        sector_rep,
-                        {m: sector_gens.mats},
-                        (s for s in range(n + 1) if s != m),
-                        n,
-                        tol,
-                        label=f"block/sector/n{n:02d}m{m:02d}",
-                    )
+                    _block_equality_checks(rep, expected, others, n, tol, f"block/sector/{tag}")
                 )
     report.sort_by_name()
     return report

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermirep import fock
+from fermirep import fock, schwinger
 from fermirep.cli.expr import (
     Add,
     Adjoint,
@@ -193,3 +196,27 @@ def test_roundtrip_preserves_value():
         a = evaluate(tree, 3)
         b = evaluate(parse_expression(source), 3)
         assert a.diff_max(b) == 0.0
+
+
+# small dyadic values: every sum of a few of them is exact in any order
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _coefficient_matrix(draw):
+    n = draw(st.integers(1, 5))
+    re = draw(st.lists(_DYADIC, min_size=n * n, max_size=n * n))
+    im = draw(st.lists(_DYADIC, min_size=n * n, max_size=n * n))
+    return n, (np.array(re) + 1j * np.array(im)).reshape(n, n)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=_coefficient_matrix())
+def test_eval_bilinear_sum_equals_standard_rep(case):
+    n, c = case
+    terms = [
+        f"({float(c[a, b].real)!r} + {float(c[a, b].imag)!r}*i)*adag({a + 1})*a({b + 1})"
+        for a in range(n) for b in range(n) if c[a, b] != 0
+    ]
+    op = evaluate(parse_expression(" + ".join(terms) or "0"), n)
+    assert op.diff_max(schwinger.standard_rep([c], n)[0]) == 0.0

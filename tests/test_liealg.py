@@ -177,10 +177,10 @@ def test_conjugate_rep_preserves_structure_constants():
 
 
 def test_conjugate_rep_involution():
-    gm = liealg.gell_mann()
-    twice = liealg.conjugate_rep(liealg.conjugate_rep(gm))
-    for a, b in zip(twice, gm):
-        assert np.max(np.abs(a - b)) < 1e-14
+    for gens in [liealg.gell_mann()] + [liealg.generalized_gell_mann(d) for d in range(2, 7)]:
+        twice = liealg.conjugate_rep(liealg.conjugate_rep(gens))
+        for a, b in zip(twice, gens):
+            assert np.max(np.abs(a - b)) < 1e-14
 
 
 def test_conjugate_rep_imaginary_antisymmetric_fixed_up_to_basis():

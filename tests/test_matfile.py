@@ -312,6 +312,54 @@ def test_verify_from_manifest_refusal_exits_3_naming_the_file(
     assert str(built_std3) in err and message in err
 
 
+def _never_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator family built")
+
+    monkeypatch.setattr(liealg, "generalized_gell_mann", refuse)
+
+
+def test_verify_from_refuses_a_large_family_before_reading_any_file(built_std3, capsys, monkeypatch):
+    # ggm(100) has 9,999 generators, so the count matches: the dimension refuses it
+    _never_build(monkeypatch)
+    _rewrite(built_std3 / "manifest.json", lambda m: m.update(
+        family={"name": "generalized_gell_mann", "dim": 100},
+        generators=[{"label": f"g{k}", "file": f"missing_{k}.json"} for k in range(9999)],
+    ))
+    capsys.readouterr()
+    assert main(["verify", "--from", str(built_std3)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "acts on 100 modes, the manifest says 3" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(particles=1), "is 6 x 6, not sector 1 of 4 modes"),
+        (lambda m: m.update(particles=None), "is 6 x 6, not sector None of 4 modes"),
+        (lambda m: m.update(variant="other"), "variant 'other' is not one that build writes"),
+    ],
+)
+def test_verify_from_refuses_a_sector_family_of_the_wrong_dimension(
+    tmp_path, capsys, monkeypatch, edit, message
+):
+    out = tmp_path / "ucnm42"
+    assert main(["build", "ucnm", "--n", "4", "--m", "2", "--out", str(out)]) == EXIT_OK
+    _never_build(monkeypatch)
+    _rewrite(out / "manifest.json", edit)
+    capsys.readouterr()
+    assert main(["verify", "--from", str(out)]) == EXIT_IO
+    assert message in capsys.readouterr().err
+
+
+def test_verify_from_builds_the_family_after_reading_every_file(built_std3, capsys, monkeypatch):
+    _never_build(monkeypatch)
+    (built_std3 / "generator_008.json").unlink()
+    capsys.readouterr()
+    assert main(["verify", "--from", str(built_std3)]) == EXIT_IO
+    assert "generator_008.json" in capsys.readouterr().err
+
+
 def test_eval_check_read_refusal_exits_3_naming_the_file(built_std3, capsys):
     target = built_std3 / "generator_001.json"
     target.write_text(target.read_text()[:-40])

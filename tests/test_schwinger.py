@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -447,10 +448,13 @@ def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch)
 
 def test_representation_result_rejects_mixed_modes():
     with pytest.raises(ValueError):
-        schwinger.RepresentationResult(
+        schwinger.RepresentationResult.from_ops(
             (FockOperator.zero(2), FockOperator.zero(3)),
             schwinger.RepMeta(variant="x", modes=2),
         )
+    stack = sp.csr_matrix((3 * 4, 4))
+    with pytest.raises(ValueError):
+        schwinger.RepresentationResult(stack, (np.dtype(np.int64),) * 2, schwinger.RepMeta("x", 2))
 
 
 # -- one-product assembly against the term-by-term sum --------------------------
@@ -610,3 +614,58 @@ def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing, small):
             op = op + _term_sum(g2, units_mbar, n)
         expected.append(op)
     _assert_bitwise_equal(rep.ops, expected)
+
+
+# -- both mixed pairings at random (n, m) ------------------------------------------
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    nm=st.sampled_from([(n, m) for n in range(3, 7) for m in range(1, n) if 2 * m != n]),
+    pairing=st.sampled_from(("same", "conjugate")), seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_rep_sector_blocks_of_both_pairings(nm, pairing, seed):
+    n, m = nm
+    k = math.comb(n, m)
+    gens = liealg.generalized_gell_mann(k)
+    if k <= 6:
+        # a rotated set is dense, and its k^3 constants grow fast beyond this
+        gens = _conjugated(gens, np.random.default_rng(seed), "complex")
+    second = gens if pairing == "same" else liealg.conjugate_rep(gens)
+    rep = schwinger.mixed_rep(gens, second, n, m, 1, 1)
+    basis = fock.build_basis(n)
+    low, high = basis.sector_range(m), basis.sector_range(n - m)
+    for op, g, g2 in zip(rep, gens.mats, second.mats):
+        dense = op.to_dense()
+        assert np.max(np.abs(dense[np.ix_(low, low)] - g)) < 1e-12
+        assert np.max(np.abs(dense[np.ix_(high, high)] - g2)) < 1e-12
+        dense[np.ix_(low, low)] = 0
+        dense[np.ix_(high, high)] = 0
+        # every other sector block and every entry between sectors
+        assert not dense.any()
+    if m == 1 and pairing == "same":
+        assert _max_diff(rep, schwinger.nssfr_un(gens, n)) < 1e-12
+
+
+def test_representation_views_are_fresh_copies_of_row_blocks():
+    rep = schwinger.standard_rep(liealg.gell_mann(), 3)
+    dim = 8
+    assert len(rep) == 8 and rep.modes == 3
+    assert rep[-1] == rep[7] and rep.ops[2] == rep[2]
+    with pytest.raises(IndexError):
+        rep[8]
+    first = rep[0]
+    first.mat.data[:] = 0
+    assert rep[0] != first
+    for g, op in enumerate(rep):
+        assert (op.mat != rep.stack[g * dim:(g + 1) * dim]).nnz == 0
+    # the gell-mann set has real, imaginary and diagonal members
+    assert {op.mat.dtype for op in rep} == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
+def test_unit_set_is_the_element_operator_list():
+    units = schwinger.unit_set(4, 2)
+    assert len(units) == 36 and units.meta.particles == 2
+    assert all(a == b for a, b in zip(units, schwinger.element_operators(4, 2)))
+    with pytest.raises(ValueError):
+        schwinger.unit_set(4, 4)

@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from fermirep import liealg
+from fermirep import liealg, schwinger
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -41,3 +41,16 @@ def test_structure_constant_bytes_hook_reads_the_sparse_records():
     assert type(stored) is int
     assert stored == len(result.c) * liealg.RECORD_DTYPE.itemsize
     assert stored * 100 < result.size**3 * 16
+
+
+def test_nnz_hook_reads_the_per_operator_view_as_the_stack():
+    tracer = _load_tracer()
+    name, value = tracer._value_hook("schwinger", "standard_rep")
+    assert name == "schwinger.nnz_out"
+    ggm = liealg.generalized_gell_mann
+    for rep in (
+        schwinger.standard_rep(ggm(4), 4),
+        schwinger.nssfr_un(ggm(4), 4),
+        schwinger.rep_ucnm(ggm(6), 4, 2),
+    ):
+        assert value((), {}, rep) == rep.stack.nnz > 0

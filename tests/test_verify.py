@@ -614,7 +614,7 @@ def test_closure_of_zero_operators_is_zero(monkeypatch):
 
 def test_closure_path_selection_bound():
     def terms(rep):
-        return verify._product_terms(list(rep.ops))
+        return verify._product_terms(rep.stack)
 
     ggm = liealg.generalized_gell_mann
     assert terms(schwinger.standard_rep(ggm(12), 12)) == 23_971_064
@@ -633,3 +633,114 @@ def test_particle_counts_are_the_total_number_diagonal():
         counts = fock._particle_counts(n)
         assert counts.tolist() == [s.particle_count() for s in fock.build_basis(n)]
         assert counts.tolist() == fock.total_number(n).mat.diagonal().tolist()
+
+
+def test_run_suite_makes_few_operator_objects(monkeypatch):
+    # the suite reads each generator set as one stack; the parent of this
+    # test made 2,721 FockOperators here, 1,837 of them by cutting stacks
+    calls = []
+    init = FockOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockOperator, "__init__", counting)
+    assert verify.run_suite(6).overall
+    assert len(calls) < 1000
+
+
+def test_numcomm_block_and_compare_checks_are_timed_as_batches():
+    gens = liealg.generalized_gell_mann(3)
+    rep = schwinger.standard_rep(gens, 3)
+    reports = [
+        verify.check_number_commutant(rep, 3, label="x"),
+        verify._block_equality_checks(rep, {1: gens.mats}, (0, 3), 3, 1e-10, "x"),
+        verify.compare_ops(rep, rep, label="x"),
+    ]
+    for report in reports:
+        assert len(report.checks) == 8 and report.overall
+        assert set(report.timings) == {"x"} and report.timings["x"] > 0
+        assert all(c.elapsed == 0.0 for c in report.checks)
+
+
+def test_checks_read_an_operator_list_like_its_stack():
+    gens, sc = _ggm_with_constants(3)
+    rep = schwinger.nssfr_un(gens, 3)
+    ops = list(rep)
+    # a stray entry from the vacuum to the full state breaks all three
+    ops[2] = ops[2] + FockOperator.from_entries(3, {(0, 7): 0.5})
+    broken = schwinger.RepresentationResult.from_ops(ops, rep.meta)
+    pairs = [
+        (verify.check_closure(ops, sc), verify.check_closure(broken, sc)),
+        (verify.compare_ops(ops, rep), verify.compare_ops(broken, rep)),
+        (verify.check_number_commutant(ops, 3), verify.check_number_commutant(list(broken), 3)),
+    ]
+    for from_list, from_stack in pairs:
+        assert not from_list.overall
+        assert from_list.signature() == from_stack.signature()
+
+
+def test_block_check_counts_entries_leaving_an_unconstrained_sector():
+    # standard_rep at n = 4 constrains sectors 0, 1, 3 and 4 but not 2; an
+    # entry from a sector-2 row to a sector-1 column still joins two sectors
+    gens = liealg.generalized_gell_mann(4)
+    conj = liealg.conjugate_rep(gens)
+    ops = list(schwinger.standard_rep(gens, 4))
+    row, col = fock.sector_indices(4, 2)[0], fock.sector_indices(4, 1)[0]
+    ops[5] = ops[5] + FockOperator.from_entries(4, {(row, col): 0.25})
+    rep = schwinger.RepresentationResult.from_ops(ops, schwinger.RepMeta("standard", 4))
+    report = verify._block_equality_checks(rep, {1: gens.mats, 3: conj.mats}, (0, 4), 4, 1e-10, "b")
+    assert [c.name for c in report.failed()] == ["b/006"]
+    assert report.failed()[0].residual == 0.25
+
+
+def _oracle_blocks(ops, expected_blocks, must_vanish, n, tol, label):
+    """The per-operator block check: each operator's block_decompose."""
+    report = VerificationReport()
+    for a, op in enumerate(ops):
+        dec = verify.block_decompose(op)
+        worst = dec.off_block_norm
+        for m in range(n + 1):
+            if m in expected_blocks:
+                worst = max(worst, float(np.max(np.abs(dec.blocks[m] - expected_blocks[m][a]))))
+            elif m in must_vanish:
+                worst = max(worst, float(np.max(np.abs(dec.blocks[m]))))
+        report.add(f"{label}/{a + 1:03d}", worst, tol)
+    return report
+
+
+def _oracle_numcomm(ops, n, tol, label):
+    """The per-operator number commutant, from each operator's entries."""
+    counts = fock._particle_counts(n)
+    report = VerificationReport()
+    for a, op in enumerate(ops):
+        coo = op.mat.tocoo()
+        diff = coo.data * counts[coo.col] - counts[coo.row] * coo.data
+        report.add(f"{label}/{a + 1:03d}", np.max(np.abs(diff), initial=0.0), tol)
+    return report
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_representations(), st.integers(0, 2**32 - 1), st.data())
+def test_stack_checks_match_per_operator_oracles(case, seed, data):
+    ops, _sc = case
+    n, tol = ops[0].modes, verify.DEFAULT_TOL
+    rng = np.random.default_rng(seed)
+    sectors = data.draw(st.permutations(range(n + 1)))
+    split = data.draw(st.integers(0, n + 1)), data.draw(st.integers(0, n + 1))
+    expected = {
+        m: list(rng.integers(-2, 3, (len(ops), math.comb(n, m), math.comb(n, m))) / 4 + 0j)
+        for m in sectors[:min(split)]
+    }
+    vanish = sectors[min(split):max(split)]
+    rep = schwinger.RepresentationResult.from_ops(ops, schwinger.RepMeta("x", n))
+    fast = verify._block_equality_checks(rep, expected, vanish, n, tol, "b")
+    assert fast.signature() == _oracle_blocks(ops, expected, vanish, n, tol, "b").signature()
+    fast = verify.check_number_commutant(ops, n, tol, label="c")
+    assert fast.signature() == _oracle_numcomm(ops, n, tol, "c").signature()
