@@ -392,6 +392,17 @@ def _particle_counts(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _state_positions(n: int) -> np.ndarray:
+    """Basis position of each occupation bitmask, with mode i at bit i - 1."""
+    masks = [
+        sum(1 << a for a in occ) for m in range(n + 1) for occ in combinations(range(n), m)
+    ]
+    positions = np.empty(1 << n, dtype=np.int32)
+    positions[masks] = np.arange(1 << n, dtype=np.int32)
+    return positions
+
+
+@lru_cache(maxsize=None)
 def _total_number(n: int) -> FockOperator:
     return FockOperator.diagonal(n, _particle_counts(n).tolist())
 

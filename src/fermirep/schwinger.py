@@ -266,11 +266,41 @@ def _coefficient_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(mats).reshape(len(mats), -1)
 
 
-@lru_cache(maxsize=None)
-def _bilinear_stack(n: int) -> sp.csr_matrix:
-    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix."""
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    return sp.vstack([_bilinear(n, a, b).mat for a, b in pairs], format="csr")
+def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sp.csr_matrix:
+    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix;
+    or, given terms, bilinear t = a * n + b (0-based) as block number i
+    for the i-th t of terms.
+
+    Computed on occupation bitmasks, with no basis objects or ladder
+    products: a+_a a_b takes each state S that holds mode b, and holds no
+    mode a once b is removed, to S - b + a with the sign of a_b (modes
+    held below b) times that of a+_a (modes held below a in S - b).
+    Every row holds at most one entry, an int64 +-1; a = b gives the
+    number operator.  These are the entries of the ladder products.
+    """
+    fock._require_modes(n)
+    dim = 1 << n
+    position, states = fock._state_positions(n), np.arange(dim, dtype=np.int32)
+    terms = range(n * n) if terms is None else terms
+    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
+    for block, t in enumerate(terms):
+        a, b = divmod(int(t), n)
+        held = states[(states >> b & 1 == 1) & ((states ^ 1 << b) >> a & 1 == 0)]
+        removed = held ^ 1 << b
+        parity = np.bitwise_count(held & (1 << b) - 1) + np.bitwise_count(removed & (1 << a) - 1)
+        row = position[removed | 1 << a]
+        order = np.argsort(row)
+        rows.append(block * dim + row[order])
+        cols.append(position[held][order])
+        vals.append(1 - 2 * (parity[order] & 1).astype(np.int64))
+    # one entry per listed row: the row pointer counts them up
+    indptr = np.zeros(len(terms) * dim + 1, dtype=np.int32)
+    indptr[np.concatenate(rows) + 1] = 1
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), indptr),
+        shape=(len(terms) * dim, dim),
+    )
 
 
 # _assemble forms kron(C, I_dim) for at most this many stored entries at a

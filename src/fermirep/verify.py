@@ -200,11 +200,14 @@ def _product_terms(stack: sp.csr_matrix) -> int:
 
 
 # check_closure runs the whole-set kernel while the product it forms has at
-# most this many terms (_product_terms), and sparse pairwise arithmetic
-# above.  The kernel's traced peak is 130-140 bytes per term (standard_rep
-# at n = 8 and 10 on a 2-vCPU VM), so this is a 400 MB budget: run_suite(8)
-# and the sector builds up to ucnm (8, 2) fit, while standard_rep at n = 10
-# (2,932,792 terms) and n = 12 (23,971,064) go pairwise
+# most this many terms (_product_terms).  The kernel's traced peak is
+# 130-140 bytes per term (standard_rep at n = 8 and 10 on a 2-vCPU VM), so
+# this is a 400 MB budget: run_suite(8), standard_rep up to n = 9 (970,190
+# terms) and the sector builds up to ucnm (8, 2) (133,047) fit.  Above it
+# a standard representation takes the factored path (_one_body_closure),
+# as standard_rep does at n = 10 (2,932,792 terms) and n = 12 (23,971,064;
+# 0.43-0.51 s in-process, and verify --from peaks at 72.2-72.6 MiB RSS, as
+# low as build); any other input raises CapacityError (CLI exit 2)
 _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 
@@ -258,10 +261,12 @@ def check_closure(
 ) -> VerificationReport:
     """Residuals of [r_i, r_j] - sum_l c[i, j, l] r_l for every pair i < j.
 
-    All residuals come from one sparse matrix over the full 2^n space
-    (_closure_residuals), so entries joining sectors count like any other.
-    Above _CLOSURE_PRODUCT_TERMS, each pair is computed with sparse
-    pairwise arithmetic instead; both paths sum the same records.
+    Inputs up to _CLOSURE_PRODUCT_TERMS take one sparse matrix over the
+    full 2^n space (_closure_residuals), so entries joining sectors count
+    like any other.  Above it, a standard representation is checked from
+    its one-particle blocks (_one_body_closure), which adds one
+    <label>/span/NNN check per operator, and any other input raises
+    CapacityError before the kernel allocates.
     """
     stack = _stack_of(rep)
     k = stack.shape[0] // stack.shape[1]
@@ -269,47 +274,83 @@ def check_closure(
         raise ValueError(
             f"representation has {k} operators but constants are for {constants.size}"
         )
+    terms = _product_terms(stack)
+    factored = terms > _CLOSURE_PRODUCT_TERMS
+    if factored and not (isinstance(rep, RepresentationResult) and rep.meta.variant == "standard"):
+        raise CapacityError(
+            f"closure of {k} operators forms {terms:,} product terms, over the bound "
+            f"of {_CLOSURE_PRODUCT_TERMS:,} that only standard representations may pass"
+        )
     report = VerificationReport({"label": label, "tol": tol})
     t0 = time.perf_counter()
-    if _product_terms(stack) <= _CLOSURE_PRODUCT_TERMS:
-        keys, worst = _closure_residuals(stack, constants)
-        resid = np.zeros(k * k)
-        resid[keys] = worst
-        for i in range(k):
-            for j in range(i + 1, k):
-                report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", resid[i * k + j], tol)
+    if factored:
+        resid, span = _one_body_closure(stack, rep.modes, constants)
     else:
-        # row i * k + j holds the coefficients of [G_i, G_j]
-        rows = constants.rows
-        mats = _row_blocks(stack)
-        for i in range(k):
-            for j in range(i + 1, k):
-                t_pair = time.perf_counter()
-                diff = mats[i] @ mats[j] - mats[j] @ mats[i]
-                span = slice(rows.indptr[i * k + j], rows.indptr[i * k + j + 1])
-                for l, v in zip(rows.indices[span], rows.data[span]):
-                    diff = diff - complex(v) * mats[l]
-                report.add(
-                    f"{label}/[{i + 1:02d},{j + 1:02d}]",
-                    np.max(np.abs(diff.data), initial=0.0), tol,
-                    time.perf_counter() - t_pair,
-                )
+        keys, worst = _closure_residuals(stack, constants)
+        resid, span = np.zeros(k * k), ()
+        resid[keys] = worst
+    for i in range(k):
+        for j in range(i + 1, k):
+            report.add(f"{label}/[{i + 1:02d},{j + 1:02d}]", resid[i * k + j], tol)
+    for g, r in enumerate(span):
+        report.add(f"{label}/span/{g + 1:03d}", r, tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 
 
-def _row_blocks(stack: sp.csr_matrix) -> list[sp.csr_matrix]:
-    """The dim x dim row blocks of stack, sharing its entry arrays: they are
-    set after construction, as the constructor copies a slice of a larger one."""
-    dim, ptr = stack.shape[1], stack.indptr
-    blocks = []
-    for s in range(0, stack.shape[0], dim):
-        block = sp.csr_matrix((dim, dim), dtype=stack.dtype)
-        entries = slice(ptr[s], ptr[s + dim])
-        block.data, block.indices = stack.data[entries], stack.indices[entries]
-        block.indptr = ptr[s:s + dim + 1] - ptr[s]
-        blocks.append(block)
-    return blocks
+# _one_body_closure sums the diagonals of this many pairs over every
+# occupied set at a time: 4096 x 16 complex entries (1 MiB) at n = 12
+_DIAGONAL_PAIRS = 16
+
+
+def _one_body_closure(
+    stack: sp.csr_matrix, n: int, constants: StructureConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closure residuals of bilinear operators r_g = rho(C_g) from their n x n C_g.
+
+    C_g is read exactly as operator g's one-particle block (basis states
+    1..n), and rho(C_g) = sum_ab C_g[a, b] a+_a a_b is rebuilt by the
+    builder's own schwinger._stacked; span[g] is max |r_g - rho(C_g)|.
+    By the CAR, [rho(X), rho(Y)] = rho([X, Y]), so where span is 0 the
+    residual of pair (i, j) is the largest entry of rho(R) for the n x n
+    R = [C_i, C_j] - sum_l c[i, j, l] C_l: the largest |R[a, b]| with
+    a != b, or |sum_{a in S} R[a, a]| over occupied sets S.  Returns the
+    residuals at i * k + j for i < j (zero elsewhere) and span.
+    """
+    dim, k = 1 << n, stack.shape[0] >> n
+    one = (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel()
+    coeffs = stack[one][:, 1:n + 1].toarray().reshape(k, n * n).astype(np.complex128)
+    span = np.zeros(k)
+    for r in schwinger._chunks(coeffs, dim):
+        # only the bilinears these rows use: the whole set adds 5 MiB at n = 12
+        used = np.flatnonzero(np.any(coeffs[r], axis=0))
+        rebuilt = schwinger._stacked(coeffs[r, used], schwinger._bilinear_stack(n, used), dim)
+        diff = stack[r.start * dim:r.stop * dim] - rebuilt
+        keys, worst = _block_maxima(diff, dim, 1)
+        span[r.start + keys] = worst
+
+    mats, rows = coeffs.reshape(k, n, n), constants.rows
+    resid, off = np.zeros(k * k), ~np.eye(n, dtype=bool)
+    # the pairs whose R has a nonzero diagonal, and those diagonals
+    live_pairs, diagonals = [np.zeros(0, np.int64)], [np.zeros((0, n), np.complex128)]
+    for i in range(k - 1):
+        pairs = slice(i * k + i + 1, (i + 1) * k)
+        comm = (mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).reshape(-1, n * n)
+        remainder = (comm - rows[pairs] @ coeffs).reshape(-1, n, n)
+        resid[pairs] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
+        diag = np.diagonal(remainder, axis1=1, axis2=2)
+        live = np.flatnonzero(np.any(diag, axis=1))
+        live_pairs.append(pairs.start + live)
+        diagonals.append(diag[live])
+    live_pairs, diagonals = np.concatenate(live_pairs), np.concatenate(diagonals)
+    # occupied[a, s] = 1 when mode a is occupied in the state with bits s
+    occupied = (np.arange(dim) >> np.arange(n)[:, None] & 1).astype(np.complex128)
+    for p in range(0, len(live_pairs), _DIAGONAL_PAIRS):
+        batch = slice(p, p + _DIAGONAL_PAIRS)
+        worst = np.max(np.abs(diagonals[batch] @ occupied), axis=1)
+        at = live_pairs[batch]
+        resid[at] = np.maximum(resid[at], worst)
+    return resid, span
 
 
 def _block_maxima(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fermirep import liealg, schwinger
+from fermirep import liealg, schwinger, verify
 from fermirep.cli import matfile
 from fermirep.cli.main import (
     EXIT_CHECK_FAILED,
@@ -165,6 +166,43 @@ def test_verify_from_corrupted_file(tmp_path):
     payload["entries"][0]["re"] += 0.5
     target.write_text(json.dumps(payload))
     assert main(["verify", "--from", str(out)]) == EXIT_CHECK_FAILED
+
+
+def test_verify_from_checks_n10_bilinears_from_their_one_particle_blocks(tmp_path):
+    out = tmp_path / "std10"
+    assert main(["build", "un-standard", "--n", "10", "--out", str(out)]) == EXIT_OK
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--from", str(out), "--report", str(report_path), "--format", "json"]
+    assert main(args) == EXIT_OK
+    payload = json.loads(report_path.read_text())
+    rep, gens, _family = build_variant("un-standard", 10, None, None)
+    mem = representation_report(rep, gens, 1e-10)
+    assert tuple((c["name"], c["passed"], c["residual"]) for c in payload["checks"]) == (
+        mem.signature()
+    )
+    spans = [c for c in payload["checks"] if c["name"].startswith("closure/span/")]
+    assert [c["name"] for c in spans] == [f"closure/span/{g:03d}" for g in range(1, 100)]
+    assert all(c["passed"] for c in spans)
+
+    # one entry between two five-particle states of generator 7
+    five = range(sum(math.comb(10, m) for m in range(5)), sum(math.comb(10, m) for m in range(6)))
+    target = out / "generator_007.json"
+    corrupted = json.loads(target.read_text())
+    entry = next(e for e in corrupted["entries"] if e["row"] in five and e["col"] in five)
+    entry["re"] += 0.25
+    target.write_text(json.dumps(corrupted))
+    assert main(args) == EXIT_CHECK_FAILED
+    failed = {c["name"] for c in json.loads(report_path.read_text())["checks"] if not c["passed"]}
+    assert "closure/span/007" in failed
+
+
+def test_verify_from_refuses_sector_build_over_the_closure_bound(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "ucnm42"
+    assert main(["build", "ucnm", "--n", "4", "--m", "2", "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
+    capsys.readouterr()
+    assert main(["verify", "--from", str(out)]) == EXIT_USAGE
+    assert "product terms, over the bound of 0" in capsys.readouterr().err
 
 
 def test_verify_from_refuses_non_finite_entry(tmp_path, capsys):

@@ -39,6 +39,13 @@ def test_basis_four_mode_pair_sector():
     assert pairs == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
+def test_state_positions_index_the_basis_by_bitmask():
+    for n in range(1, 8):
+        basis = fock.build_basis(n)
+        masks = [sum(bit << i for i, bit in enumerate(s.bits)) for s in basis.states]
+        assert fock._state_positions(n)[masks].tolist() == list(range(basis.dim))
+
+
 def test_basis_states_unique():
     basis = fock.build_basis(5)
     assert len({s.bits for s in basis}) == 2**5

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermirep import fock, liealg, schwinger
-from fermirep.errors import DegeneracyError, ValidationError
+from fermirep.errors import CapacityError, DegeneracyError, ValidationError
 from fermirep.fock import FockOperator
 
 
@@ -116,6 +116,28 @@ def test_standard_rep_spin1_three_modes():
 def test_standard_rep_zero_generator():
     rep = schwinger.standard_rep([np.zeros((3, 3))], 3)
     assert rep[0].nnz == 0
+
+
+def test_bilinear_stack_equals_the_ladder_products():
+    for n in range(1, 8):
+        modes = range(1, n + 1)
+        products = [schwinger._bilinear(n, a, b).mat for a in modes for b in modes]
+        terms = [n * n - 1, 0, n + 1] if n > 1 else [0]
+        for got, want in [
+            (schwinger._bilinear_stack(n), sp.vstack(products, format="csr")),
+            (schwinger._bilinear_stack(n, terms), sp.vstack([products[t] for t in terms], "csr")),
+        ]:
+            assert got.dtype == want.dtype == np.int64
+            assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
+    assert schwinger._bilinear_stack(3, []).shape == (0, 8)
+
+
+def test_standard_rep_refuses_modes_over_the_cap(monkeypatch):
+    monkeypatch.setenv(fock.CAP_ENV_VAR, "3")
+    with pytest.raises(CapacityError):
+        schwinger.standard_rep(liealg.generalized_gell_mann(4), 4)
 
 
 def test_standard_rep_dimension_mismatch():

@@ -282,14 +282,17 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
             assert count == math.comb(n, m) ** 2, (n, m)
 
 
-def test_sparse_closure_path_records_its_batch_time(monkeypatch):
+def test_factored_closure_path_records_its_batch_time(monkeypatch):
     monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
     gens = liealg.generalized_gell_mann(4)
     rep = schwinger.standard_rep(gens, 4)
     report = verify.check_closure(rep, liealg.structure_constants(gens), label="x")
-    assert report.overall and len(report.checks) == 15 * 14 // 2
-    assert set(report.timings) == {"x"}
-    assert report.timings["x"] >= sum(c.elapsed for c in report.checks) > 0
+    assert report.overall and len(report.checks) == 15 * 14 // 2 + 15
+    spans = [c for c in report.checks if c.name.startswith("x/span/")]
+    assert [c.name for c in spans] == [f"x/span/{g:03d}" for g in range(1, 16)]
+    assert all(c.residual == 0.0 for c in spans)
+    assert set(report.timings) == {"x"} and report.timings["x"] > 0
+    assert all(c.elapsed == 0.0 for c in report.checks)
 
 
 def _gell_mann_mix():
@@ -301,26 +304,59 @@ def _gell_mann_mix():
     return liealg.GeneratorSet.create([gm[a] + gm[a + 1] for a in range(7)] + [gm[7]])
 
 
-def test_whole_set_and_pairwise_closure_paths_agree(monkeypatch):
-    gens = liealg.generalized_gell_mann(4)
-    flipped = list(schwinger.nssfr_un(gens, 4).ops)
-    flipped[3] = _flip_entry(flipped[3])
+def _factored_closure(ops, sc, tol=verify.DEFAULT_TOL, label="x"):
+    """check_closure on the factored path: ops as a standard representation,
+    split into its pair checks and its span checks."""
+    rep = schwinger.RepresentationResult.from_ops(
+        ops, schwinger.RepMeta("standard", ops[0].modes)
+    )
+    with pytest.MonkeyPatch.context() as m:
+        # below 0, so that zero operators (no product terms) are over it too
+        m.setattr(verify, "_CLOSURE_PRODUCT_TERMS", -1)
+        report = verify.check_closure(rep, sc, tol, label=label)
+    pairs = [c for c in report.checks if "/span/" not in c.name]
+    spans = [c for c in report.checks if "/span/" in c.name]
+    assert [c.name for c in spans] == [f"{label}/span/{g:03d}" for g in range(1, len(ops) + 1)]
+    return report, pairs, spans
+
+
+def test_whole_set_and_factored_closure_paths_agree():
     mix = _gell_mann_mix()
     mix_sc = liealg.structure_constants(mix)
     assert np.min(np.abs(mix_sc.c["value"])) < 1e-14
-    cases = [
-        (flipped, liealg.structure_constants(gens), False),
-        (schwinger.standard_rep(mix, 3).ops, mix_sc, True),
-    ]
-    for ops, sc, passes in cases:
-        whole = verify.check_closure(ops, sc, label="x")
-        with monkeypatch.context() as m:
-            m.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
-            pairwise = verify.check_closure(ops, sc, label="x")
-        assert pairwise.overall == passes
-        assert [c[:2] for c in pairwise.signature()] == [c[:2] for c in whole.signature()]
-        assert max(abs(a.residual - b.residual)
-                   for a, b in zip(pairwise.checks, whole.checks)) <= 1e-15
+    gens, sc = _ggm_with_constants(4)
+    for ops, constants in [(list(schwinger.standard_rep(mix, 3)), mix_sc),
+                           (list(schwinger.standard_rep(gens, 4)), sc)]:
+        whole = verify.check_closure(ops, constants, label="x")
+        factored, pairs, spans = _factored_closure(ops, constants)
+        assert whole.overall and factored.overall
+        assert all(c.residual == 0.0 for c in spans)
+        assert [c[:2] for c in whole.signature()] == [(c.name, c.passed) for c in pairs]
+        assert max(abs(a.residual - b.residual) for a, b in zip(pairs, whole.checks)) <= 1e-15
+
+    # a flipped entry of a two-particle state leaves the one-particle block
+    # alone, so only the span check of that operator can see it
+    ops = list(schwinger.standard_rep(gens, 4))
+    two = fock.sector_indices(4, 2)
+    entry = np.flatnonzero(np.isin(ops[3].mat.tocoo().row, two))[0]
+    ops[3] = _flip_entry(ops[3], entry)
+    assert not verify.check_closure(ops, sc, label="x").overall
+    factored, pairs, spans = _factored_closure(ops, sc)
+    assert [c.name for c in factored.failed()] == ["x/span/004"]
+    assert spans[3].residual == 2 * abs(ops[3].mat.data[entry])
+
+
+def test_factored_closure_refuses_other_inputs_over_the_bound(monkeypatch):
+    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
+    gens, sc = _ggm_with_constants(6)
+    ucnm = schwinger.rep_ucnm(gens, 4, 2)
+    terms = verify._product_terms(ucnm.stack)
+    with pytest.raises(CapacityError, match=f"{terms:,} product terms.* bound of 0"):
+        verify.check_closure(ucnm, sc)
+    gens, sc = _ggm_with_constants(3)
+    ops = list(schwinger.standard_rep(gens, 3))
+    with pytest.raises(CapacityError, match="product terms"):
+        verify.check_closure(ops, sc)
 
 
 def test_report_extend_sums_timings():
@@ -529,8 +565,8 @@ def _ggm_with_constants(d):
 
 
 @st.composite
-def _corrupted_representations(draw):
-    kind = draw(st.sampled_from(["ucnm", "mixed", "standard"]))
+def _corrupted_representations(draw, kinds=("ucnm", "mixed", "standard")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "standard":
         n = draw(st.integers(2, 5))
         gens, sc = _ggm_with_constants(n)
@@ -584,6 +620,30 @@ def test_block_closure_matches_full_space_oracle(case):
     assert worst <= 1e-15
 
 
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_representations(kinds=("standard",)))
+def test_factored_closure_matches_full_space_oracle(case):
+    ops, sc = case
+    tol = verify.DEFAULT_TOL
+    factored, pairs, spans = _factored_closure(ops, sc, tol)
+    slow = _oracle_closure(ops, sc, tol, "x")
+    if all(c.residual == 0.0 for c in spans):
+        # the operators are rho(C) of their one-particle blocks C
+        assert [c[:2] for c in slow.signature()] == [(c.name, c.passed) for c in pairs]
+        worst = max((abs(a.residual - b.residual) for a, b in zip(pairs, slow.checks)),
+                    default=0.0)
+        assert worst <= 1e-15
+    else:
+        assert not factored.overall
+    if not slow.overall:
+        assert not factored.overall
+
+
 def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
     gens, sc = _ggm_with_constants(3)
     ops = list(schwinger.standard_rep(gens, 3).ops)
@@ -602,14 +662,14 @@ def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
     assert failed and failed <= affected
 
 
-def test_closure_of_zero_operators_is_zero(monkeypatch):
+def test_closure_of_zero_operators_is_zero():
     zero = FockOperator.zero(3)
     gens, sc = _ggm_with_constants(2)
     report = verify.check_closure([zero] * 3, sc)
     assert report.overall and report.max_residual() == 0.0
-    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
-    report = verify.check_closure([zero] * 3, sc)
+    report, pairs, spans = _factored_closure([zero] * 3, sc, label="closure")
     assert report.overall and report.max_residual() == 0.0
+    assert [c.name for c in pairs] == [c.name for c in verify.check_closure([zero] * 3, sc).checks]
 
 
 def test_closure_path_selection_bound():
@@ -617,8 +677,11 @@ def test_closure_path_selection_bound():
         return verify._product_terms(rep.stack)
 
     ggm = liealg.generalized_gell_mann
-    assert terms(schwinger.standard_rep(ggm(12), 12)) == 23_971_064
-    assert 23_971_064 > verify._CLOSURE_PRODUCT_TERMS
+    # standard_rep takes the kernel up to n = 9 and the factored path above
+    assert terms(schwinger.standard_rep(ggm(9), 9)) == 970_190 <= verify._CLOSURE_PRODUCT_TERMS
+    factored = [terms(schwinger.standard_rep(ggm(n), n)) for n in (10, 12)]
+    assert factored == [2_932_792, 23_971_064]
+    assert min(factored) > verify._CLOSURE_PRODUCT_TERMS
     whole_set = [
         terms(schwinger.rep_ucnm(ggm(15), 6, 2)),
         terms(schwinger.mixed_rep(ggm(10), liealg.conjugate_rep(ggm(10)), 5, 2, 1, 1)),
@@ -626,6 +689,14 @@ def test_closure_path_selection_bound():
     ]
     assert whole_set == [19_635, 11_100, 133_047]
     assert max(whole_set) <= verify._CLOSURE_PRODUCT_TERMS
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_anticommutation_exact_where_closure_is_factored(n):
+    # the factored closure path rests on these relations at its mode counts
+    report = verify.check_anticommutation(n)
+    assert len(report.checks) == 3 * n * n
+    assert report.overall and all(c.residual == 0.0 for c in report.checks)
 
 
 def test_particle_counts_are_the_total_number_diagonal():
