@@ -166,12 +166,13 @@ def cmd_verify(args) -> int:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
-            path.write_text(report.to_json())
+            with path.open("w") as fh:
+                report.write_json(fh)
         else:
             path.write_text(report.to_text())
     failed = report.failed()
     print(
-        f"{len(report.checks)} checks, {len(failed)} failed, "
+        f"{len(report.names)} checks, {len(failed)} failed, "
         f"max residual {report.max_residual():.3e}"
     )
     for c in failed[:20]:

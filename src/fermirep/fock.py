@@ -335,21 +335,16 @@ class FockOperator:
 
 @lru_cache(maxsize=None)
 def _annihilation(n: int, i: int) -> FockOperator:
-    basis = _basis(n)
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        if not state.bits[i - 1]:
-            continue
-        # sign convention: (-1)^(number of occupied modes below i)
-        phase = -1 if sum(state.bits[: i - 1]) % 2 else 1
-        removed = list(state.bits)
-        removed[i - 1] = 0
-        rows.append(basis.index_of(tuple(removed)))
-        cols.append(col)
-        vals.append(phase)
+    # each bitmask with mode i occupied goes to the mask with it cleared, with
+    # sign (-1)^(number of occupied modes below i), the particle count of the
+    # state whose mask keeps only those modes
+    bit = 1 << (i - 1)
+    masks = np.flatnonzero(np.arange(1 << n) & bit)
+    positions = _state_positions(n)
+    below = _particle_counts(n)[positions[masks & (bit - 1)]]
+    signs = (1 - 2 * (below & 1)).astype(np.int64)
     mat = sp.csr_matrix(
-        (np.array(vals, dtype=np.int64), (rows, cols)),
-        shape=(basis.dim, basis.dim),
+        (signs, (positions[masks ^ bit], positions[masks])), shape=(1 << n, 1 << n)
     )
     return FockOperator(n, mat)
 

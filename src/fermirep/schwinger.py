@@ -529,16 +529,15 @@ def unit_set(n: int, m: int) -> RepresentationResult:
 # bound keeps large sets from living for the rest of the process
 @lru_cache(maxsize=4)
 def _unit_stack(n: int, m: int) -> sp.csr_matrix:
-    sector = sector_operators(n, m)
-    dim, k = 1 << n, len(sector)
-    # block (i, j) of half @ lowering is Q_ij, with half_i = O+_i |vac><vac|
-    half = sp.vstack([op.dagger().mat for op in sector.ops], format="csr")
-    half = half @ fock.vacuum_projector(n).mat
-    blocks = (half @ sp.hstack([op.mat for op in sector.ops], format="csr")).tocoo()
-    i, r = np.divmod(blocks.row.astype(np.int64), dim)
-    j, c = np.divmod(blocks.col.astype(np.int64), dim)
+    """Q_ij as the basis outer product e_{s+i, s+j}, s the sector's first index.
+
+    It equals the product O+_i |vac><vac| O_j of sector_operators entry for entry.
+    """
+    dim, k, s = 1 << n, math.comb(n, m), sum(math.comb(n, q) for q in range(m))
+    i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
     return sp.csr_matrix(
-        (blocks.data, ((i * k + j) * dim + r, c)), shape=(k * k * dim, dim)
+        (np.ones(k * k, dtype=np.int64), ((i * k + j) * dim + s + i, s + j)),
+        shape=(k * k * dim, dim),
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,30 @@ def test_verify_from_files_matches_memory(tmp_path):
         (c["name"], c["passed"], c["residual"]) for c in payload["checks"]
     )
     assert file_sig == mem.signature()
+
+
+def _untimed(text):
+    """A JSON report with its timings and the one separately timed check's elapsed masked."""
+    text = re.sub(r'^"timings": .*$', '"timings": {}', text, flags=re.M)
+    return re.sub(
+        r'("name": "reconstruct/spin1-quadratic", .*"elapsed": )[^}]*', r"\g<1>0.0", text
+    )
+
+
+def test_verify_writes_the_in_memory_json_report(tmp_path):
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--format", "json", "--report", str(report_path)]
+    assert main([*args, "--n-max", "3"]) == EXIT_OK
+    written = report_path.read_text()
+    assert '"name": "reconstruct/spin1-quadratic"' in written
+    assert _untimed(written) == _untimed(verify.run_suite(3).to_json())
+
+    out = tmp_path / "std4"
+    assert main(["build", "un-standard", "--n", "4", "--out", str(out)]) == EXIT_OK
+    assert main([*args, "--from", str(out)]) == EXIT_OK
+    rep, gens, _family = build_variant("un-standard", 4, None, None)
+    expected = representation_report(rep, gens, 1e-10).to_json()
+    assert _untimed(report_path.read_text()) == _untimed(expected)
 
 
 def test_verify_from_corrupted_file(tmp_path):

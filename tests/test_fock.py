@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fermirep import fock
 from fermirep.errors import CapacityError
@@ -44,6 +45,31 @@ def test_state_positions_index_the_basis_by_bitmask():
         basis = fock.build_basis(n)
         masks = [sum(bit << i for i, bit in enumerate(s.bits)) for s in basis.states]
         assert fock._state_positions(n)[masks].tolist() == list(range(basis.dim))
+
+
+def _annihilation_over_basis_states(n, i):
+    """a_i built state by state from the FockBasis objects."""
+    basis = fock.build_basis(n)
+    rows, cols, vals = [], [], []
+    for col, state in enumerate(basis.states):
+        if state.bits[i - 1]:
+            removed = list(state.bits)
+            removed[i - 1] = 0
+            rows.append(basis.index_of(tuple(removed)))
+            cols.append(col)
+            vals.append(-1 if sum(state.bits[: i - 1]) % 2 else 1)
+    mat = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(basis.dim,) * 2)
+    return FockOperator(n, mat)
+
+
+def test_ladders_from_bitmasks_equal_the_basis_state_loop():
+    for n in range(1, 13):
+        for i in range(1, n + 1):
+            got, want = fock.annihilation(n, i).mat, _annihilation_over_basis_states(n, i).mat
+            assert got.dtype == want.dtype == np.int64
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, i, field)
 
 
 def test_basis_states_unique():

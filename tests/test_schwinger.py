@@ -685,6 +685,28 @@ def test_representation_views_are_fresh_copies_of_row_blocks():
     assert {op.mat.dtype for op in rep} == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
+def _unit_stack_from_sector_operators(n, m):
+    """Q_ij = O+_i |vac><vac| O_j as the sparse products of sector_operators."""
+    sector = schwinger.sector_operators(n, m)
+    dim, k = 1 << n, len(sector)
+    half = sp.vstack([op.dagger().mat for op in sector.ops], format="csr")
+    half = half @ fock.vacuum_projector(n).mat
+    blocks = (half @ sp.hstack([op.mat for op in sector.ops], format="csr")).tocoo()
+    i, r = np.divmod(blocks.row.astype(np.int64), dim)
+    j, c = np.divmod(blocks.col.astype(np.int64), dim)
+    return sp.csr_matrix((blocks.data, ((i * k + j) * dim + r, c)), shape=(k * k * dim, dim))
+
+
+def test_unit_stack_equals_the_sector_operator_products():
+    for n in range(2, 9):
+        for m in range(1, n):
+            got, want = schwinger._unit_stack(n, m), _unit_stack_from_sector_operators(n, m)
+            assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, m, field)
+
+
 def test_unit_set_is_the_element_operator_list():
     units = schwinger.unit_set(4, 2)
     assert len(units) == 36 and units.meta.particles == 2

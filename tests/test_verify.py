@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -366,6 +367,111 @@ def test_report_extend_sums_timings():
     b.timings.update({"batch": 0.5, "other": 2.0})
     a.extend(b)
     assert a.timings == {"batch": 1.5, "other": 2.0}
+
+
+# -- the streamed JSON report against the per-check json.dumps encoder -----------
+
+
+def _json_per_check(report):
+    """The report as json.dumps writes it, one check at a time."""
+    checks = ",".join(
+        "\n" + json.dumps(
+            {"name": c.name, "passed": c.passed, "residual": c.residual, "elapsed": c.elapsed}
+        )
+        for c in report.checks
+    )
+    return (
+        f'{{\n"params": {json.dumps(report.params)},\n'
+        f'"overall": {json.dumps(report.overall)},\n'
+        f'"checks": [{checks}\n],\n'
+        f'"timings": {json.dumps(report.timings)}\n}}\n'
+    )
+
+
+_TOL = 1e-10
+_NAMES = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'), st.characters()),
+    max_size=12,
+)
+_RESIDUALS = st.one_of(
+    st.sampled_from([
+        0.0, 5e-324, 1e300, _TOL, math.nextafter(_TOL, 0.0), math.nextafter(_TOL, 1.0), 0.1 + 0.2,
+    ]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+_CHUNK = verify._JSON_CHUNK
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    checks=st.lists(st.tuples(_NAMES, _RESIDUALS), min_size=1, max_size=8),
+    single=st.lists(st.tuples(_NAMES, _RESIDUALS, _RESIDUALS), max_size=3),
+    length=st.sampled_from([0, 1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    params=st.dictionaries(_NAMES, st.one_of(st.integers(), _RESIDUALS, _NAMES), max_size=3),
+    timings=st.dictionaries(_NAMES, _RESIDUALS, max_size=3),
+)
+def test_streamed_report_equals_the_per_check_encoder(checks, single, length, params, timings):
+    report = VerificationReport(params)
+    drawn = [checks[a % len(checks)] for a in range(length)]
+    report.add_batch([name for name, _ in drawn], np.array([r for _, r in drawn]), _TOL)
+    for name, residual, elapsed in single:
+        report.add(name, residual, _TOL, elapsed)
+    report.timings.update(timings)
+
+    text = report.to_json()
+    assert text == _json_per_check(report)
+    buffer = io.StringIO()
+    report.write_json(buffer)
+    assert buffer.getvalue() == text
+    restored = VerificationReport.from_dict(json.loads(text))
+    assert restored == report
+    assert restored.elapsed == report.elapsed and restored.timings == report.timings
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -5e-324])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_add_batch_refuses_a_bad_residual_and_records_nothing(bad, at):
+    with pytest.raises(ValueError) as single:
+        VerificationReport().add("x", bad, 1e-10)
+    report = VerificationReport()
+    report.add("kept", 0.5, 1e-10, elapsed=0.25)
+    report.add_batch(["a", "b"], np.array([0.0, 1.0]), 1e-10)
+    before = [list(col) for col in (report.names, report.passed, report.residuals, report.elapsed)]
+    residuals = np.array([0.0, 1e-12, 2.0, 5e-324, 3.0])
+    residuals[at] = bad
+    with pytest.raises(ValueError) as batch:
+        report.add_batch([f"new{a}" for a in range(5)], residuals, 1e-10)
+    assert str(batch.value) == str(single.value)
+    after = [report.names, report.passed, report.residuals, report.elapsed]
+    assert after == before
+
+
+def test_checks_are_built_only_for_failures(monkeypatch, tmp_path):
+    from fermirep.cli.main import main
+
+    made, real = [], verify.CheckResult
+
+    def counting(*args):
+        made.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "CheckResult", counting)
+    assert verify.run_suite(6).overall
+    assert made == []
+
+    report = tmp_path / "report.json"
+    assert main(["verify", "--n-max", "3", "--format", "json", "--report", str(report)]) == 0
+    assert made == []
+
+    out = tmp_path / "std3"
+    assert main(["build", "un-standard", "--n", "3", "--out", str(out)]) == 0
+    target = out / "generator_001.json"
+    payload = json.loads(target.read_text())
+    payload["entries"][0]["re"] += 0.5
+    target.write_text(json.dumps(payload))
+    assert main(["verify", "--from", str(out), "--format", "json", "--report", str(report)]) == 1
+    failed = [c["name"] for c in json.loads(report.read_text())["checks"] if not c["passed"]]
+    assert failed and made == failed
 
 
 # -- whole-set kernels against the per-quadruple and per-unit definitions --------
