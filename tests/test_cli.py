@@ -167,20 +167,64 @@ def _untimed(text):
     )
 
 
-def test_verify_writes_the_in_memory_json_report(tmp_path):
-    report_path = tmp_path / "report.json"
-    args = ["verify", "--format", "json", "--report", str(report_path)]
-    assert main([*args, "--n-max", "3"]) == EXIT_OK
-    written = report_path.read_text()
-    assert '"name": "reconstruct/spin1-quadratic"' in written
-    assert _untimed(written) == _untimed(verify.run_suite(3).to_json())
+def _child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    # a child's stdout is then block-buffered, as into any pipe, so a lost flush shows
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
-    out = tmp_path / "std4"
-    assert main(["build", "un-standard", "--n", "4", "--out", str(out)]) == EXIT_OK
-    assert main([*args, "--from", str(out)]) == EXIT_OK
+
+def _in_process(capsys):
+    def run(args):
+        rc = main(args)
+        return rc, capsys.readouterr().out
+    return run
+
+
+def _child(args):
+    """``python -m fermirep.cli.main ARGS`` in a fresh interpreter: its exit code and stdout."""
+    out = subprocess.run(
+        [sys.executable, "-m", "fermirep.cli.main", *args], capture_output=True, text=True,
+        env=_child_env(),
+    )
+    return out.returncode, out.stdout
+
+
+def _summary(report):
+    return (
+        f"{len(report.names)} checks, 0 failed, max residual {report.max_residual():.3e}\n"
+    )
+
+
+def test_verify_writes_the_in_memory_json_report(tmp_path, capsys):
+    # in this process, and in a child whose files must survive a real interpreter exit
+    suite = verify.run_suite(3)
     rep, gens, _family = build_variant("un-standard", 4, None, None)
-    expected = representation_report(rep, gens, 1e-10).to_json()
-    assert _untimed(report_path.read_text()) == _untimed(expected)
+    expected = representation_report(rep, gens, 1e-10)
+    builds = {}
+    for label, run in (("in-process", _in_process(capsys)), ("child", _child)):
+        work = tmp_path / label
+        report_path = work / "report.json"
+        args = ["verify", "--format", "json", "--report", str(report_path)]
+        assert run([*args, "--n-max", "3"]) == (EXIT_OK, _summary(suite))
+        written = report_path.read_text()
+        json.loads(written)
+        assert '"name": "reconstruct/spin1-quadratic"' in written
+        assert _untimed(written) == _untimed(suite.to_json())
+
+        out = builds[label] = work / "std4"
+        rc, _ = run(["build", "un-standard", "--n", "4", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert run([*args, "--from", str(out)]) == (EXIT_OK, _summary(expected))
+        written = report_path.read_text()
+        json.loads(written)
+        assert _untimed(written) == _untimed(expected.to_json())
+    files = sorted(p.name for p in builds["in-process"].iterdir())
+    assert files == sorted(p.name for p in builds["child"].iterdir())
+    assert "manifest.json" in files and len(files) == 16
+    for name in files:
+        assert (builds["child"] / name).read_bytes() == (builds["in-process"] / name).read_bytes()
 
 
 def test_verify_from_corrupted_file(tmp_path):
@@ -277,12 +321,32 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=_child_env(),
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_main_freezes_the_import_heap():
+    # the collection at interpreter exit must skip every object the imports made;
+    # the list holds them, so none is freed while main runs and the count is exact
+    code = (
+        "import gc, fermirep.cli.main as cli\n"
+        "imported = gc.get_objects()\n"
+        "rc = cli.main(['table', 'selective', '--n', '4', '--m', '2'])\n"
+        "young = {id(o) for o in gc.get_objects()}\n"
+        "print(rc, len(imported), gc.get_freeze_count(), sum(id(o) in young for o in imported))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=_child_env(),
+    )
+    rc, imported, frozen, unfrozen = map(int, out.stdout.splitlines()[-1].split())
+    assert rc == EXIT_OK
+    assert imported > 10_000
+    assert frozen >= imported
+    assert unfrozen == 0
 
 
 def test_eval_prints_matrix(capsys):

@@ -220,3 +220,29 @@ def test_eval_bilinear_sum_equals_standard_rep(case):
     ]
     op = evaluate(parse_expression(" + ".join(terms) or "0"), n)
     assert op.diff_max(schwinger.standard_rep([c], n)[0]) == 0.0
+
+
+@st.composite
+def _selective_sector(draw):
+    n = draw(st.integers(2, 6))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=_selective_sector())
+def test_eval_selective_polynomial_equals_number_operator_factor(case):
+    # the grammar has no division, so the rational coefficients enter as floats
+    n, m = case
+    p = schwinger.selective_function(n, m)
+    terms = [
+        "*".join([f"({float(c)!r})"] + ["N"] * power)
+        for power, c in enumerate(p.coeffs) if c != 0
+    ]
+    op = evaluate(parse_expression(" + ".join(terms)), n)
+    assert op.diff_max(schwinger.eval_at_number_operator(p, n)) <= 1e-9
+    counts = [s.particle_count() for s in fock.build_basis(n)]
+    diagonal = np.rint(op.to_dense().diagonal().real)
+    # 1 on sector m, 0 on the other sectors the polynomial selects among, and its
+    # exact values, which are integers, on the end sectors 0 and n
+    expected = [int(k == m) if 0 < k < n else p.evaluate(k) for k in counts]
+    assert diagonal.tolist() == expected
