@@ -14,9 +14,7 @@ from .errors import (
     ValidationError,
 )
 from .fock import (
-    FockBasis,
     FockOperator,
-    OccupationState,
     annihilation,
     build_basis,
     creation,

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +29,6 @@ __all__ = [
     "DEFAULT_MODE_CAP",
     "CAP_ENV_VAR",
     "mode_capacity",
-    "OccupationState",
-    "FockBasis",
     "FockOperator",
     "build_basis",
     "annihilation",
@@ -72,103 +69,27 @@ def _require_mode_index(n: int, i: int) -> None:
         raise ValueError(f"mode index must be in [1, {n}], got {i}")
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """Occupancies (zeta_1, ..., zeta_n) of n fermionic modes, each 0 or 1."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"occupancies must be 0 or 1, got {self.bits}")
-
-    @classmethod
-    def from_occupied(cls, n: int, occupied: Iterable[int]) -> "OccupationState":
-        """State of n modes with the given 1-based mode indices occupied."""
-        bits = [0] * n
-        for i in occupied:
-            if not 1 <= i <= n:
-                raise ValueError(f"occupied index {i} outside [1, {n}]")
-            if bits[i - 1]:
-                raise ValueError(f"mode {i} listed twice")
-            bits[i - 1] = 1
-        return cls(tuple(bits))
-
-    @property
-    def modes(self) -> int:
-        return len(self.bits)
-
-    def particle_count(self) -> int:
-        return sum(self.bits)
-
-    def occupied(self) -> tuple[int, ...]:
-        """1-based indices of the occupied modes, ascending."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
-    def binary_value(self) -> int:
-        """The bits read as a binary number with zeta_1 most significant."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
-
-    def __str__(self) -> str:
-        return "|" + "".join(str(b) for b in self.bits) + ">"
+@lru_cache(maxsize=None)
+def _masks(n: int) -> np.ndarray:
+    # the one definition of the basis order; mode i is bit i - 1
+    masks = np.array(
+        [sum(1 << a for a in occ) for m in range(n + 1) for occ in combinations(range(n), m)],
+        dtype=np.int64,
+    )
+    masks.flags.writeable = False
+    return masks
 
 
-class FockBasis:
-    """Ordered occupation basis: vacuum first, fully occupied state last.
+def build_basis(n: int) -> np.ndarray:
+    """Occupation bitmasks of the 2^n basis states, in basis order; read-only.
 
-    States are grouped by particle count; inside a sector they follow the
+    State k has mode i occupied iff bit i - 1 of entry k is set.  States
+    are grouped by particle count; inside a sector they follow the
     ascending lexicographic order of their occupied-index tuples, e.g. for
     n = 3:  {}, {1}, {2}, {3}, {1,2}, {1,3}, {2,3}, {1,2,3}.
     """
-
-    def __init__(self, modes: int, states: Iterable[OccupationState]):
-        self.modes = modes
-        self.states = tuple(states)
-        if len(self.states) != 1 << modes:
-            raise ValueError("basis must contain exactly 2^n states")
-        self._index = {s.bits: k for k, s in enumerate(self.states)}
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.modes
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[OccupationState]:
-        return iter(self.states)
-
-    def __getitem__(self, k: int) -> OccupationState:
-        return self.states[k]
-
-    def index_of(self, state: OccupationState | tuple[int, ...]) -> int:
-        bits = state.bits if isinstance(state, OccupationState) else tuple(state)
-        return self._index[bits]
-
-    def sector_range(self, m: int) -> range:
-        """Contiguous index range of the particle-count-m sector."""
-        if not 0 <= m <= self.modes:
-            raise ValueError(f"particle count must be in [0, {self.modes}], got {m}")
-        start = sum(math.comb(self.modes, k) for k in range(m))
-        return range(start, start + math.comb(self.modes, m))
-
-
-@lru_cache(maxsize=None)
-def _basis(n: int) -> FockBasis:
-    states = []
-    for m in range(n + 1):
-        for occ in combinations(range(1, n + 1), m):
-            states.append(OccupationState.from_occupied(n, occ))
-    return FockBasis(n, states)
-
-
-def build_basis(n: int) -> FockBasis:
-    """Canonical ordered basis of the 2^n-dimensional occupation space."""
     _require_modes(n)
-    return _basis(n)
+    return _masks(n)
 
 
 class FockOperator:
@@ -377,24 +298,27 @@ def number_operator(n: int, i: int) -> FockOperator:
     """Diagonal occupancy readout for mode i."""
     _require_modes(n)
     _require_mode_index(n, i)
-    basis = _basis(n)
-    return FockOperator.diagonal(n, [s.bits[i - 1] for s in basis.states])
+    # a list of Python ints keeps the diagonal int64
+    return FockOperator.diagonal(n, ((_masks(n) >> (i - 1)) & 1).tolist())
 
 
 def _particle_counts(n: int) -> np.ndarray:
-    """Particle count of each basis state, in the order of FockBasis."""
+    """Particle count of each basis state, in basis order."""
     return np.repeat(np.arange(n + 1), [math.comb(n, m) for m in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
 def _state_positions(n: int) -> np.ndarray:
-    """Basis position of each occupation bitmask, with mode i at bit i - 1."""
-    masks = [
-        sum(1 << a for a in occ) for m in range(n + 1) for occ in combinations(range(n), m)
-    ]
+    """Basis position of each occupation bitmask: the inverse of build_basis; read-only."""
     positions = np.empty(1 << n, dtype=np.int32)
-    positions[masks] = np.arange(1 << n, dtype=np.int32)
+    positions[_masks(n)] = np.arange(1 << n, dtype=np.int32)
+    positions.flags.writeable = False
     return positions
+
+
+def _sector_start(n: int, m: int) -> int:
+    """Basis index of the first state with particle count m."""
+    return sum(math.comb(n, q) for q in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -418,7 +342,8 @@ def sector_dimension(n: int, m: int) -> int:
 def sector_indices(n: int, m: int) -> list[int]:
     """Basis indices with particle count m (a contiguous ascending run)."""
     _require_modes(n)
-    return list(build_basis(n).sector_range(m))
+    start = _sector_start(n, m)
+    return list(range(start, start + sector_dimension(n, m)))
 
 
 def vacuum_projector(n: int) -> FockOperator:

@@ -3,8 +3,8 @@
 Provides the standard 3x3 Gell-Mann matrices, their d-dimensional
 generalization, the spin-1 ladder triple, the quadratic construction of
 the Gell-Mann set from spin-1 matrices, structure-constant extraction by
-Gram projection, and the signed-antidiagonal conjugation
-A' = U (-A*) U+.
+Gram projection, and the conjugation A' = U (-A^T) U^T by the signed
+antidiagonal U.
 """
 
 from __future__ import annotations
@@ -327,14 +327,16 @@ def conjugation_matrix(n: int) -> np.ndarray:
 
 
 def conjugate_rep(gens: GeneratorSet, n: int | None = None) -> GeneratorSet:
-    """Apply A' = U (-A*) U+ to every generator.
+    """Apply A' = U (-A^T) U^T to every generator.
 
-    The output satisfies the same commutation relations as the input;
-    applying the map twice returns the original set.
+    A -> -A^T, the dual representation, is a linear Lie algebra
+    automorphism, so the output satisfies the same commutation relations
+    as the input for any set, Hermitian or not; applying the map twice
+    returns the original set.  On a Hermitian set it equals U (-A*) U+.
     """
     if n is not None and n != gens.dim:
         raise ValueError(f"dimension mismatch: generators are {gens.dim}, got n={n}")
     u = conjugation_matrix(gens.dim)
-    mats = tuple(u @ (-m.conj()) @ u.T for m in gens.mats)
+    mats = tuple(u @ (-m.T) @ u.T for m in gens.mats)
     labels = tuple(f"{lbl}_conj" for lbl in gens.labels)
     return GeneratorSet(gens.dim, mats, labels)

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ import scipy.sparse as sp
 
 from . import fock, liealg
 from .errors import DegeneracyError, ValidationError
-from .fock import FockOperator, OccupationState
+from .fock import FockOperator
 
 __all__ = [
     "SelectivePolynomial",
@@ -136,12 +135,16 @@ def selective_function(n: int, m: int) -> SelectivePolynomial:
 
 
 def eval_at_number_operator(p: SelectivePolynomial, n: int) -> FockOperator:
-    """Diagonal operator applying p to each state's particle count."""
+    """Diagonal operator applying p to each state's particle count.
+
+    p is evaluated exactly once per count m = 0..n, and each value fills
+    the C(n, m) states of sector m.
+    """
     if p.modes != n:
         raise ValueError(f"polynomial is for {p.modes} modes, got n={n}")
-    basis = fock.build_basis(n)
-    values = [float(p.evaluate(s.particle_count())) for s in basis]
-    return FockOperator.diagonal(n, values)
+    fock._require_modes(n)
+    values = [float(p.evaluate(m)) for m in range(n + 1)]
+    return FockOperator.diagonal(n, [values[c] for c in fock._particle_counts(n).tolist()])
 
 
 @dataclass(frozen=True)
@@ -271,23 +274,25 @@ def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sp.csr_matrix
     or, given terms, bilinear t = a * n + b (0-based) as block number i
     for the i-th t of terms.
 
-    Computed on occupation bitmasks, with no basis objects or ladder
-    products: a+_a a_b takes each state S that holds mode b, and holds no
-    mode a once b is removed, to S - b + a with the sign of a_b (modes
-    held below b) times that of a+_a (modes held below a in S - b).
+    Computed on occupation bitmasks, with no ladder products: a+_a a_b
+    takes each state S that holds mode b, and holds no mode a once b is
+    removed, to S - b + a with the sign of a_b (modes held below b)
+    times that of a+_a (modes held below a in S - b).
     Every row holds at most one entry, an int64 +-1; a = b gives the
     number operator.  These are the entries of the ladder products.
     """
     fock._require_modes(n)
     dim = 1 << n
     position, states = fock._state_positions(n), np.arange(dim, dtype=np.int32)
+    popcount = fock._particle_counts(n)[position]  # indexed by bitmask
     terms = range(n * n) if terms is None else terms
     rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
     for block, t in enumerate(terms):
         a, b = divmod(int(t), n)
         held = states[(states >> b & 1 == 1) & ((states ^ 1 << b) >> a & 1 == 0)]
         removed = held ^ 1 << b
-        parity = np.bitwise_count(held & (1 << b) - 1) + np.bitwise_count(removed & (1 << a) - 1)
+        # modes held below b in S, and below a in S - b
+        parity = popcount[held & (1 << b) - 1] + popcount[removed & (1 << a) - 1]
         row = position[removed | 1 << a]
         order = np.argsort(row)
         rows.append(block * dim + row[order])
@@ -467,18 +472,17 @@ def nssfr_u3_explicit() -> RepresentationResult:
 class SectorOperatorSet:
     """Sector lowering operators O_i and their defining occupancy vectors.
 
-    The zeta vectors of weight m are sorted descending when read as binary
-    numbers with zeta_1 most significant, which for equal weight coincides
-    with the ascending lexicographic order of occupied-index sets used by
-    the canonical basis.  O_i is the product of the selected annihilators
-    with mode indices descending, so O+_i applied to the vacuum gives the
-    i-th sector basis state with amplitude +1.
+    zetas[i] is the occupancy tuple (zeta_1, ..., zeta_n) of the i-th
+    state of sector m in basis order, which is descending binary value
+    with zeta_1 most significant.  O_i is the product of the selected
+    annihilators with mode indices descending, so O+_i applied to the
+    vacuum gives the i-th sector basis state with amplitude +1.
     """
 
     modes: int
     particles: int
     ops: tuple[FockOperator, ...]
-    zetas: tuple[OccupationState, ...]
+    zetas: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -486,21 +490,16 @@ class SectorOperatorSet:
 
 def sector_operators(n: int, m: int) -> SectorOperatorSet:
     """The C(n, m) sector lowering operators for particle count m."""
-    fock.build_basis(n)  # validates n against the capacity cap
-    if not 0 <= m <= n:
-        raise ValueError(f"particle count must be in [0, {n}], got {m}")
-    zetas = [
-        OccupationState.from_occupied(n, occ)
-        for occ in combinations(range(1, n + 1), m)
-    ]
-    zetas.sort(key=lambda z: z.binary_value(), reverse=True)
+    masks = fock.build_basis(n)[fock.sector_indices(n, m)].tolist()
+    zetas = tuple(tuple(mask >> i & 1 for i in range(n)) for mask in masks)
     ops = []
     for z in zetas:
         op = FockOperator.identity(n)
-        for i in sorted(z.occupied(), reverse=True):
-            op = op @ fock.annihilation(n, i)
+        for i in range(n, 0, -1):
+            if z[i - 1]:
+                op = op @ fock.annihilation(n, i)
         ops.append(op)
-    return SectorOperatorSet(n, m, tuple(ops), tuple(zetas))
+    return SectorOperatorSet(n, m, tuple(ops), zetas)
 
 
 def element_operators(n: int, m: int) -> list[FockOperator]:
@@ -520,7 +519,7 @@ def unit_set(n: int, m: int) -> RepresentationResult:
         raise ValueError(
             f"particle count must be in [1, {n - 1}] for unit operators, got {m}"
         )
-    fock.build_basis(n)  # validates n against the capacity cap
+    fock._require_modes(n)
     k, meta = math.comb(n, m), RepMeta("units", n, m)
     return RepresentationResult(_unit_stack(n, m), (np.dtype(np.int64),) * k * k, meta)
 
@@ -533,7 +532,7 @@ def _unit_stack(n: int, m: int) -> sp.csr_matrix:
 
     It equals the product O+_i |vac><vac| O_j of sector_operators entry for entry.
     """
-    dim, k, s = 1 << n, math.comb(n, m), sum(math.comb(n, q) for q in range(m))
+    dim, k, s = 1 << n, math.comb(n, m), fock._sector_start(n, m)
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
     return sp.csr_matrix(
         (np.ones(k * k, dtype=np.int64), ((i * k + j) * dim + s + i, s + j)),
@@ -575,9 +574,11 @@ def mixed_rep(
     constants (checked within tol); closure of the sum then follows
     sector by sector.  With xi = (1, 0) this reduces to rep_ucnm(gens).
 
-    With m = 1 and xi = (1, 1), gens2 = gens gives nssfr_un(gens, n)
-    (G on both the single-particle and the single-hole sector).  The
-    conjugate pairing gens2 = conjugate_rep(gens) gives
+    The conjugate set conjugate_rep(gens), U (-G^T) U^T, shares the
+    structure constants of any set gens, Hermitian or not.  With m = 1
+    and xi = (1, 1), gens2 = gens gives nssfr_un(gens, n) (G on both the
+    single-particle and the single-hole sector).  The conjugate pairing
+    gens2 = conjugate_rep(gens) gives
     standard_rep(gens, 3) only at n = 3; for n >= 4 the bilinear
     representation is also nonzero on the middle sectors.
     """

@@ -546,8 +546,8 @@ def block_decompose(op: FockOperator) -> BlockDecomposition:
     sector = counts[coo.row]
     inside = sector == counts[coo.col]
     blocks = {}
-    for m, start in enumerate(np.searchsorted(counts, np.arange(n + 1))):
-        size = math.comb(n, m)
+    for m in range(n + 1):
+        start, size = fock._sector_start(n, m), math.comb(n, m)
         blocks[m] = np.zeros((size, size), dtype=np.complex128)
         mine = inside & (sector == m)
         blocks[m][coo.row[mine] - start, coo.col[mine] - start] = coo.data[mine]
@@ -595,7 +595,7 @@ def _block_equality_checks(
     for m, mats in expected_blocks.items():
         expected = np.stack(mats)
         g, i, j = np.nonzero(expected)
-        start = np.searchsorted(counts, m)
+        start = fock._sector_start(n, m)
         rows.append(g * dim + start + i)
         cols.append(start + j)
         vals.append(-expected[g, i, j])
@@ -611,14 +611,13 @@ def _outer_product_check(
 ) -> VerificationReport:
     """Each unit operator against the literal basis outer product."""
     report = VerificationReport({"label": label, "tol": tol})
-    idx = np.array(fock.sector_indices(n, m))
-    k = len(idx)
+    s, k = fock._sector_start(n, m), fock.sector_dimension(n, m)
     t0 = time.perf_counter()
     stack = _stack_of(units)
     a = np.arange(k * k)
     i, j = np.divmod(a, k)
     expected = sp.csr_matrix(
-        (np.ones(k * k, dtype=np.int64), (a * (1 << n) + idx[i], idx[j])),
+        (np.ones(k * k, dtype=np.int64), (a * (1 << n) + s + i, s + j)),
         shape=stack.shape,
     )
     diff = stack - expected

@@ -184,7 +184,7 @@ def test_10_sector_representation_closure():
     sc = liealg.structure_constants(gens)
     rep = schwinger.rep_ucnm(gens, 4, 2)
     closure = verify.check_closure(rep, sc, tol=1e-10)
-    rng = fock.build_basis(4).sector_range(2)
+    rng = fock.sector_indices(4, 2)
     worst_block = max(
         float(np.max(np.abs(op.to_dense()[np.ix_(rng, rng)] - g)))
         for op, g in zip(rep, gens)
@@ -239,7 +239,7 @@ def test_11b_mixed_conjugate_pairing_reproduces_number_selective():
     same_diff = max(a.diff_max(b) for a, b in zip(same, nssfr))
     conj_diff = max(a.diff_max(b) for a, b in zip(conj, bilinear))
 
-    two = fock.build_basis(3).sector_range(2)
+    two = fock.sector_indices(3, 2)
 
     def cubic_trace(rep):
         block = rep[7].to_dense()[np.ix_(two, two)]

@@ -1,17 +1,35 @@
+import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermirep import fock
 from fermirep.errors import CapacityError
-from fermirep.fock import FockOperator, OccupationState
+from fermirep.fock import FockOperator
+
+
+def _oracle_masks(n):
+    """The basis order by its definition, apart from fock: sectors by particle
+    count, each in ascending lexicographic order of occupied modes."""
+    return [
+        sum(1 << (i - 1) for i in occ)
+        for m in range(n + 1)
+        for occ in combinations(range(1, n + 1), m)
+    ]
+
+
+def _occupied(mask, n):
+    return tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
 
 
 def test_basis_ordering_three_modes():
     basis = fock.build_basis(3)
-    assert [s.occupied() for s in basis] == [
+    assert [_occupied(mask, 3) for mask in basis.tolist()] == [
         (),
         (1,),
         (2,),
@@ -24,41 +42,59 @@ def test_basis_ordering_three_modes():
 
 
 def test_basis_single_mode():
-    basis = fock.build_basis(1)
-    assert [s.bits for s in basis] == [(0,), (1,)]
+    assert fock.build_basis(1).tolist() == [0, 1]
 
 
 def test_basis_endpoints():
     basis = fock.build_basis(5)
-    assert basis[0].particle_count() == 0
-    assert basis[2**5 - 1].particle_count() == 5
+    assert basis[0] == 0
+    assert basis[2**5 - 1] == 2**5 - 1
 
 
 def test_basis_four_mode_pair_sector():
-    basis = fock.build_basis(4)
-    pairs = [basis[k].occupied() for k in basis.sector_range(2)]
+    masks = fock.build_basis(4)[fock.sector_indices(4, 2)].tolist()
+    pairs = [_occupied(mask, 4) for mask in masks]
     assert pairs == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=10))
+def test_basis_array_is_the_one_bitmask_table(n):
+    masks = fock.build_basis(n)
+    assert masks.dtype == np.int64
+    assert masks.tolist() == _oracle_masks(n)
+    positions = fock._state_positions(n)
+    assert positions[masks].tolist() == list(range(1 << n))
+    counts = fock._particle_counts(n)
+    assert counts.tolist() == [bin(mask).count("1") for mask in masks.tolist()]
+    for m in range(n + 1):
+        # the states of count m, which must be one contiguous run
+        run = np.flatnonzero(counts == m).tolist()
+        assert run == list(range(run[0], run[0] + math.comb(n, m)))
+        assert fock.sector_indices(n, m) == run
+    for cached in (masks, positions):
+        with pytest.raises(ValueError):
+            cached[0] = cached[0]
 
 
 def test_state_positions_index_the_basis_by_bitmask():
     for n in range(1, 8):
-        basis = fock.build_basis(n)
-        masks = [sum(bit << i for i, bit in enumerate(s.bits)) for s in basis.states]
-        assert fock._state_positions(n)[masks].tolist() == list(range(basis.dim))
+        masks = fock.build_basis(n)
+        assert fock._state_positions(n)[masks].tolist() == list(range(1 << n))
 
 
 def _annihilation_over_basis_states(n, i):
-    """a_i built state by state from the FockBasis objects."""
-    basis = fock.build_basis(n)
+    """a_i built state by state from the oracle's bitmask list."""
+    masks = _oracle_masks(n)
+    index = {mask: k for k, mask in enumerate(masks)}
+    bit = 1 << (i - 1)
     rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        if state.bits[i - 1]:
-            removed = list(state.bits)
-            removed[i - 1] = 0
-            rows.append(basis.index_of(tuple(removed)))
+    for col, mask in enumerate(masks):
+        if mask & bit:
+            rows.append(index[mask ^ bit])
             cols.append(col)
-            vals.append(-1 if sum(state.bits[: i - 1]) % 2 else 1)
-    mat = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(basis.dim,) * 2)
+            vals.append(-1 if bin(mask & (bit - 1)).count("1") % 2 else 1)
+    mat = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(1 << n,) * 2)
     return FockOperator(n, mat)
 
 
@@ -74,7 +110,7 @@ def test_ladders_from_bitmasks_equal_the_basis_state_loop():
 
 def test_basis_states_unique():
     basis = fock.build_basis(5)
-    assert len({s.bits for s in basis}) == 2**5
+    assert len(set(basis.tolist())) == 2**5
 
 
 def test_capacity_errors(monkeypatch):
@@ -85,21 +121,10 @@ def test_capacity_errors(monkeypatch):
     monkeypatch.setenv(fock.CAP_ENV_VAR, "4")
     with pytest.raises(CapacityError):
         fock.build_basis(5)
-    assert fock.build_basis(4).modes == 4
+    assert len(fock.build_basis(4)) == 2**4
     monkeypatch.setenv(fock.CAP_ENV_VAR, "junk")
     with pytest.raises(CapacityError):
         fock.build_basis(2)
-
-
-def test_occupation_state_validation():
-    with pytest.raises(ValueError):
-        OccupationState((0, 2))
-    with pytest.raises(ValueError):
-        OccupationState.from_occupied(3, [1, 1])
-    s = OccupationState.from_occupied(4, [2, 4])
-    assert s.bits == (0, 1, 0, 1)
-    assert s.particle_count() == 2
-    assert str(s) == "|0101>"
 
 
 def test_annihilation_single_mode():
@@ -109,10 +134,10 @@ def test_annihilation_single_mode():
 
 def test_annihilation_sign_two_modes():
     # a_2 on the doubly occupied state passes one occupied mode: sign -1
-    basis = fock.build_basis(2)
+    basis = fock.build_basis(2).tolist()
     a2 = fock.annihilation(2, 2)
-    col = basis.index_of((1, 1))
-    row = basis.index_of((1, 0))
+    col = basis.index(0b11)
+    row = basis.index(0b01)
     assert a2.entries()[(row, col)] == -1
 
 
@@ -131,9 +156,9 @@ def test_creation_is_adjoint():
 
 
 def test_creation_on_vacuum():
-    basis = fock.build_basis(2)
+    basis = fock.build_basis(2).tolist()
     col = fock.creation(2, 1).to_dense()[:, 0]
-    assert col[basis.index_of((1, 0))] == 1
+    assert col[basis.index(0b01)] == 1
     assert np.count_nonzero(col) == 1
 
 
@@ -220,8 +245,7 @@ def test_sector_index_errors():
 
 def test_number_conserving_block_pattern():
     # with the canonical ordering, bilinears connect only equal-count states
-    basis = fock.build_basis(4)
-    counts = [s.particle_count() for s in basis]
+    counts = [bin(mask).count("1") for mask in fock.build_basis(4).tolist()]
     q = fock.creation(4, 2) @ fock.annihilation(4, 3)
     for (r, c), _ in q.entries().items():
         assert counts[r] == counts[c]

@@ -92,12 +92,13 @@ def test_eval_at_number_operator_mode_mismatch():
 def test_standard_rep_pauli_half_two_modes():
     g = liealg.generalized_gell_mann(2)
     rep = schwinger.standard_rep([m / 2 for m in g.mats], 2)
-    b = fock.build_basis(2)
+    # basis position of the state with mode 1 occupied (mask 1), and mode 2 (mask 2)
+    one, two = (fock.build_basis(2).tolist().index(mask) for mask in (1, 2))
     j3 = rep[2].to_dense()
     assert np.allclose(np.diag(j3), [0, 0.5, -0.5, 0])
     j1 = rep[0].to_dense()
-    assert j1[b.index_of((1, 0)), b.index_of((0, 1))] == 0.5
-    assert j1[b.index_of((0, 1)), b.index_of((1, 0))] == 0.5
+    assert j1[one, two] == 0.5
+    assert j1[two, one] == 0.5
 
 
 def test_standard_rep_spin1_three_modes():
@@ -134,6 +135,18 @@ def test_bilinear_stack_equals_the_ladder_products():
     assert schwinger._bilinear_stack(3, []).shape == (0, 8)
 
 
+def test_bilinear_stack_needs_no_numpy_2_popcount(monkeypatch):
+    # pyproject.toml admits numpy 1.x, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count")
+    for n in range(1, 9):
+        modes = range(1, n + 1)
+        products = [(fock.creation(n, a) @ fock.annihilation(n, b)).mat for a in modes for b in modes]
+        got, want = schwinger._bilinear_stack(n), sp.vstack(products, format="csr")
+        assert got.dtype == want.dtype == np.int64
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
+
+
 def test_standard_rep_refuses_modes_over_the_cap(monkeypatch):
     monkeypatch.setenv(fock.CAP_ENV_VAR, "3")
     with pytest.raises(CapacityError):
@@ -162,7 +175,7 @@ def test_standard_rep_hermiticity_inherited():
 def test_nssfr_explicit_single_particle_block():
     rep = schwinger.nssfr_u3_explicit()
     gm = liealg.gell_mann()
-    rng = fock.build_basis(3).sector_range(1)
+    rng = fock.sector_indices(3, 1)
     for op, lam in zip(rep, gm):
         block = op.to_dense()[np.ix_(rng, rng)]
         assert np.max(np.abs(block - lam)) < 1e-13
@@ -223,9 +236,14 @@ def test_nssfr_dimension_mismatch():
 # -- sector operators ----------------------------------------------------------
 
 
+def _occupied(zeta):
+    """1-based indices of the occupied modes of an occupancy tuple."""
+    return tuple(i + 1 for i, bit in enumerate(zeta) if bit)
+
+
 def test_sector_operators_listing_four_two():
     so = schwinger.sector_operators(4, 2)
-    assert [z.occupied() for z in so.zetas] == [
+    assert [_occupied(z) for z in so.zetas] == [
         (1, 2),
         (1, 3),
         (1, 4),
@@ -249,13 +267,13 @@ def test_sector_operators_single_particle():
 def test_sector_zeta_order_is_descending_binary():
     for n, m in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         so = schwinger.sector_operators(n, m)
-        values = [z.binary_value() for z in so.zetas]
+        # zeta read as a binary number, zeta_1 most significant
+        values = [int("".join(map(str, z)), 2) for z in so.zetas]
         assert values == sorted(values, reverse=True)
-        assert so.zetas[0].occupied() == tuple(range(1, m + 1))
+        assert _occupied(so.zetas[0]) == tuple(range(1, m + 1))
         # descending binary order coincides with the canonical sector order
-        idx = fock.sector_indices(n, m)
-        basis = fock.build_basis(n)
-        assert [z.occupied() for z in so.zetas] == [basis[k].occupied() for k in idx]
+        masks = fock.build_basis(n)[fock.sector_indices(n, m)].tolist()
+        assert [sum(bit << i for i, bit in enumerate(z)) for z in so.zetas] == masks
 
 
 def test_sector_vacuum_images_orthonormal():
@@ -345,8 +363,7 @@ def test_number_composition_leaves_full_state_remnant():
 def test_rep_ucnm_restriction_and_support():
     gens = liealg.generalized_gell_mann(6)
     rep = schwinger.rep_ucnm(gens, 4, 2)
-    basis = fock.build_basis(4)
-    rng = basis.sector_range(2)
+    rng = fock.sector_indices(4, 2)
     for op, g in zip(rep, gens):
         dense = op.to_dense()
         assert np.max(np.abs(dense[np.ix_(rng, rng)] - g)) < 1e-13
@@ -409,11 +426,34 @@ def test_mixed_rep_five_modes_closes():
     assert report.overall
 
 
+def _chevalley(d):
+    """sl(d) in its Chevalley basis: E_ij for i != j, and H_i = E_ii - E_{i+1,i+1}.
+
+    Real and traceless, but not Hermitian.
+    """
+    units = np.eye(d * d).reshape(d * d, d, d)
+    mats = [units[i * d + j] for i in range(d) for j in range(d) if i != j]
+    mats += [units[i * (d + 1)] - units[(i + 1) * (d + 1)] for i in range(d - 1)]
+    return liealg.GeneratorSet.create(mats)
+
+
+def test_conjugate_constructions_close_on_a_non_hermitian_set():
+    from fermirep import verify
+
+    for n, m in [(3, 1), (4, 1), (5, 1), (5, 2)]:
+        gens = _chevalley(math.comb(n, m))
+        sc = liealg.structure_constants(gens)
+        reps = [schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), n, m, 1, 1)]
+        if m == 1:
+            reps.append(schwinger.nssfr_un(gens, n))
+        for rep in reps:
+            assert verify.check_closure(rep, sc, tol=1e-10).overall, (n, m, rep.meta.variant)
+
+
 def test_mixed_rep_supported_on_two_sectors():
     gens = liealg.generalized_gell_mann(10)
     rep = schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 5, 2, 1, 1)
-    basis = fock.build_basis(5)
-    r2, r3 = basis.sector_range(2), basis.sector_range(3)
+    r2, r3 = fock.sector_indices(5, 2), fock.sector_indices(5, 3)
     for op in rep.ops[:5]:
         dense = op.to_dense()
         outside = dense.copy()
@@ -655,8 +695,7 @@ def test_mixed_rep_sector_blocks_of_both_pairings(nm, pairing, seed):
         gens = _conjugated(gens, np.random.default_rng(seed), "complex")
     second = gens if pairing == "same" else liealg.conjugate_rep(gens)
     rep = schwinger.mixed_rep(gens, second, n, m, 1, 1)
-    basis = fock.build_basis(n)
-    low, high = basis.sector_range(m), basis.sector_range(n - m)
+    low, high = fock.sector_indices(n, m), fock.sector_indices(n, n - m)
     for op, g, g2 in zip(rep, gens.mats, second.mats):
         dense = op.to_dense()
         assert np.max(np.abs(dense[np.ix_(low, low)] - g)) < 1e-12
