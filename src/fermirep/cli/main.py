@@ -171,12 +171,11 @@ def cmd_verify(args) -> int:
                 report.write_json(fh)
         else:
             path.write_text(report.to_text())
-    failed = report.failed()
     print(
-        f"{len(report.names)} checks, {len(failed)} failed, "
+        f"{len(report)} checks, {report.failed_count()} failed, "
         f"max residual {report.max_residual():.3e}"
     )
-    for c in failed[:20]:
+    for c in report.failed(limit=20):
         print(f"FAIL {c.name} residual={c.residual:.3e}")
     return EXIT_OK if report.overall else EXIT_CHECK_FAILED
 

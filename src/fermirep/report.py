@@ -1,0 +1,291 @@
+"""Check results: the report every check family records into.
+
+A report holds its checks in batches of numpy arrays, with the names of
+the pair families as patterns generated on demand, and writes itself as
+streamed JSON or text.
+"""
+
+from __future__ import annotations
+
+import io
+import itertools
+import json
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, NamedTuple, Sequence, TextIO
+
+import numpy as np
+
+__all__ = ["CheckResult", "VerificationReport"]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    residual: float
+    elapsed: float = 0.0
+
+
+# write_json formats this many checks at a time
+_JSON_CHUNK = 1024
+_JSON_CHECK = '{"name": %s, "passed": %s, "residual": %r, "elapsed": %r}'
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first NaN, infinite or negative value."""
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        value = float(values[bad.argmax()])
+        raise ValueError(f"{what} must be finite and nonnegative, got {value}")
+
+
+@dataclass(frozen=True)
+class _PairNames:
+    """Check names of index pairs, generated on iteration instead of held.
+
+    Pairs (a, b) run over the 1-based index tags 01..k row by row: a < b
+    when upper, else every ordered pair.  Each pair is named
+    prefix + kind + [a,b] for every kind in turn, and span names
+    prefix + span/001 .. prefix + span/<span> follow the pairs.
+    """
+
+    prefix: str
+    k: int
+    upper: bool
+    kinds: tuple[str, ...] = ("",)
+    span: int = 0
+
+    def __len__(self) -> int:
+        pairs = self.k * (self.k - 1) // 2 if self.upper else self.k * self.k
+        return pairs * len(self.kinds) + self.span
+
+    def __iter__(self) -> Iterator[str]:
+        tags = [f"{a:02d}" for a in range(1, self.k + 1)]
+        p = self.prefix
+        for i, a in enumerate(tags):
+            row = tags[i + 1:] if self.upper else tags
+            yield from [f"{p}{kind}[{a},{b}]" for b in row for kind in self.kinds]
+        yield from [f"{p}span/{g:03d}" for g in range(1, self.span + 1)]
+
+
+class _Batch(NamedTuple):
+    """Checks recorded together: one name per check and aligned arrays."""
+
+    names: Sequence[str]  # a list, or _PairNames for the pair families
+    residuals: np.ndarray  # float64
+    passed: np.ndarray  # bool
+    elapsed: np.ndarray | None  # float64; None when every check's is 0.0
+
+
+class VerificationReport:
+    """Accumulated check results with an overall verdict.
+
+    Checks are held as a list of batches, one per add or add_batch call:
+    each batch keeps its residuals and verdicts as numpy arrays and its
+    names as a list, or, for the pair families, as a pattern that
+    generates them.  Names are generated only by ``checks``, ``failed()``,
+    ``signature()``, ``sort_by_name()`` and the writers.  ``names``,
+    ``passed``, ``residuals`` and ``elapsed`` build lists of the whole
+    report on demand.  Checks computed together as one batch carry
+    elapsed = 0.0; the batch's measured wall time is in ``timings`` under
+    the batch label.  Neither timing takes part in ``signature()`` or
+    equality.
+    """
+
+    def __init__(self, params: dict | None = None):
+        self.params: dict = dict(params or {})
+        self.timings: dict[str, float] = {}
+        self._batches: list[_Batch] = []
+
+    def __len__(self) -> int:
+        return sum(len(b.residuals) for b in self._batches)
+
+    @property
+    def names(self) -> list[str]:
+        return list(itertools.chain.from_iterable(b.names for b in self._batches))
+
+    @property
+    def passed(self) -> list[bool]:
+        return self._column("passed").tolist()
+
+    @property
+    def residuals(self) -> list[float]:
+        return self._column("residuals").tolist()
+
+    @property
+    def elapsed(self) -> list[float]:
+        return self._column("elapsed").tolist()
+
+    def _column(self, field: str) -> np.ndarray:
+        """One field of every batch as one array, elapsed 0.0 where a batch holds none."""
+        parts = [
+            np.zeros(len(b.residuals)) if getattr(b, field) is None else getattr(b, field)
+            for b in self._batches
+        ]
+        return np.concatenate([np.zeros(0, bool if field == "passed" else np.float64), *parts])
+
+    @property
+    def checks(self) -> tuple[CheckResult, ...]:
+        return tuple(map(CheckResult, self.names, self.passed, self.residuals, self.elapsed))
+
+    @property
+    def overall(self) -> bool:
+        return all(b.passed.all() for b in self._batches)
+
+    def add(self, name: str, residual: float, tol: float, elapsed: float = 0.0) -> None:
+        """Record one check, timed on its own."""
+        elapsed = np.array([float(elapsed)])
+        _require_finite_nonnegative(elapsed, "elapsed")
+        self._append([name], np.array([float(residual)]), tol, elapsed)
+
+    def add_batch(
+        self, names: Sequence[str], residuals: np.ndarray | Sequence[float], tol: float
+    ) -> None:
+        """Record one check per name, all computed as one batch (elapsed 0.0).
+
+        Nothing is recorded unless every residual is finite and nonnegative.
+        """
+        names = names if isinstance(names, _PairNames) else list(names)
+        self._append(names, np.array(residuals, dtype=np.float64), tol, None)
+
+    def _append(
+        self, names: Sequence[str], values: np.ndarray, tol: float, elapsed: np.ndarray | None
+    ) -> None:
+        if len(names) != len(values):
+            raise ValueError(f"{len(names)} names for {len(values)} residuals")
+        _require_finite_nonnegative(values, "residual")
+        if elapsed is not None and not elapsed.any():
+            elapsed = None
+        self._batches.append(_Batch(names, values, values <= tol, elapsed))
+
+    def extend(self, other: "VerificationReport") -> None:
+        # batches are never changed in place, so both reports may hold them
+        self._batches.extend(other._batches)
+        for label, seconds in other.timings.items():
+            self.timings[label] = self.timings.get(label, 0.0) + seconds
+
+    def sort_by_name(self) -> None:
+        """Order the checks by name; checks of equal name keep their order."""
+        names = self.names
+        order = sorted(range(len(names)), key=names.__getitem__)
+        timed = any(b.elapsed is not None for b in self._batches)
+        self._batches = [_Batch(
+            [names[a] for a in order],
+            self._column("residuals")[order],
+            self._column("passed")[order],
+            self._column("elapsed")[order] if timed else None,
+        )]
+
+    def _rows(self) -> Iterator[tuple[list, list, list, list]]:
+        """Names, verdicts, residuals and elapsed times as lists, at most
+        _JSON_CHUNK checks at a time and never an empty chunk."""
+        for b in self._batches:
+            names = iter(b.names)
+            for s in range(0, len(b.residuals), _JSON_CHUNK):
+                part = slice(s, s + _JSON_CHUNK)
+                passed = b.passed[part].tolist()
+                yield (
+                    list(itertools.islice(names, _JSON_CHUNK)),
+                    passed,
+                    b.residuals[part].tolist(),
+                    [0.0] * len(passed) if b.elapsed is None else b.elapsed[part].tolist(),
+                )
+
+    def _failures(self) -> Iterator[CheckResult]:
+        for b in self._batches:
+            bad = ~b.passed
+            # indices first: a batch without failures generates no name
+            for a, name in zip(np.flatnonzero(bad).tolist(), itertools.compress(b.names, bad)):
+                elapsed = 0.0 if b.elapsed is None else float(b.elapsed[a])
+                yield CheckResult(name, False, float(b.residuals[a]), elapsed)
+
+    def failed(self, limit: int | None = None) -> list[CheckResult]:
+        """The failing checks in order, or the first limit of them."""
+        return list(itertools.islice(self._failures(), limit))
+
+    def failed_count(self) -> int:
+        return sum(len(b.passed) - int(np.count_nonzero(b.passed)) for b in self._batches)
+
+    def max_residual(self) -> float:
+        return max((float(b.residuals.max()) for b in self._batches if len(b.residuals)),
+                   default=0.0)
+
+    def signature(self) -> tuple:
+        """Deterministic identity of the report: names, verdicts, residuals."""
+        return tuple(row for names, ok, r, _ in self._rows() for row in zip(names, ok, r))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self.signature() == other.signature()
+
+    __hash__ = None
+
+    def write_json(self, fh: TextIO) -> None:
+        """Write the report as a JSON object with one check per line.
+
+        Checks are formatted _JSON_CHUNK at a time, so neither the text
+        nor a dict of the whole report is held.  The spelling is json's:
+        names through its ASCII string encoder and floats by repr, which
+        is json's float form for the finite values a report holds.
+        from_dict(json.load(fh)) rebuilds the report.
+        """
+        fh.write(
+            f'{{\n"params": {json.dumps(self.params)},\n'
+            f'"overall": {json.dumps(self.overall)},\n"checks": ['
+        )
+        separator = "\n"
+        for names, passed, residuals, elapsed in self._rows():
+            rows = zip(map(encode_basestring_ascii, names), map(_JSON_BOOL.__getitem__, passed),
+                       residuals, elapsed)
+            fh.write(separator + ",\n".join([_JSON_CHECK % row for row in rows]))
+            separator = ",\n"
+        fh.write(f'\n],\n"timings": {json.dumps(self.timings)}\n}}\n')
+
+    def to_json(self) -> str:
+        """The text write_json writes."""
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "VerificationReport":
+        """The report a write_json payload describes.
+
+        Raises ValueError unless every check's name is a string, its
+        passed a boolean, and its residual and elapsed finite and
+        nonnegative.
+        """
+        report = cls(payload.get("params", {}))
+        checks = payload["checks"]
+        for a, c in enumerate(checks):
+            if not (isinstance(c["name"], str) and isinstance(c["passed"], bool)):
+                raise ValueError(
+                    f"check {a}: name must be a string and passed a boolean, "
+                    f"got {c['name']!r} and {c['passed']!r}"
+                )
+        residuals = np.array([float(c["residual"]) for c in checks])
+        elapsed = np.array([float(c.get("elapsed", 0.0)) for c in checks])
+        _require_finite_nonnegative(residuals, "residual")
+        _require_finite_nonnegative(elapsed, "elapsed")
+        passed = np.array([c["passed"] for c in checks], dtype=bool)
+        names = [c["name"] for c in checks]
+        report._batches.append(_Batch(names, residuals, passed, elapsed if elapsed.any() else None))
+        report.timings = {
+            str(k): float(v) for k, v in payload.get("timings", {}).items()
+        }
+        return report
+
+    def to_text(self) -> str:
+        lines = [
+            f"{'PASS' if ok else 'FAIL'}  {name}  residual={r:.3e}"
+            for names, passed, residuals, _ in self._rows()
+            for name, ok, r in zip(names, passed, residuals)
+        ]
+        lines.append(
+            f"overall: {'PASS' if self.overall else 'FAIL'} "
+            f"({len(self)} checks, {self.failed_count()} failed)"
+        )
+        return "\n".join(lines)

@@ -8,14 +8,10 @@ its results ordered by check name.
 
 from __future__ import annotations
 
-import io
-import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +20,7 @@ from . import fock, liealg, schwinger
 from .errors import CapacityError
 from .fock import FockOperator
 from .liealg import StructureConstants
+from .report import CheckResult, VerificationReport, _PairNames
 from .schwinger import RepresentationResult
 
 __all__ = [
@@ -40,177 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    elapsed: float = 0.0
-
-
-# write_json formats this many checks at a time
-_JSON_CHUNK = 1024
-_JSON_CHECK = '{"name": %s, "passed": %s, "residual": %r, "elapsed": %r}'
-
-
-def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first NaN, infinite or negative value."""
-    bad = ~(np.isfinite(values) & (values >= 0))
-    if bad.any():
-        value = float(values[bad.argmax()])
-        raise ValueError(f"{what} must be finite and nonnegative, got {value}")
-
-
-class VerificationReport:
-    """Accumulated check results with an overall verdict.
-
-    Checks are held as four parallel columns of Python values: ``names``,
-    ``passed``, ``residuals`` and ``elapsed``; ``checks`` builds a
-    CheckResult per check on demand.  Checks computed together as one
-    batch carry elapsed = 0.0; the batch's measured wall time is in
-    ``timings`` under the batch label.  Neither timing takes part in
-    ``signature()`` or equality.
-    """
-
-    def __init__(self, params: dict | None = None):
-        self.params: dict = dict(params or {})
-        self.names: list[str] = []
-        self.passed: list[bool] = []
-        self.residuals: list[float] = []
-        self.elapsed: list[float] = []
-        self.timings: dict[str, float] = {}
-
-    @property
-    def checks(self) -> tuple[CheckResult, ...]:
-        return tuple(map(CheckResult, self.names, self.passed, self.residuals, self.elapsed))
-
-    @property
-    def overall(self) -> bool:
-        return all(self.passed)
-
-    def add(self, name: str, residual: float, tol: float, elapsed: float = 0.0) -> None:
-        """Record one check, timed on its own."""
-        elapsed = float(elapsed)
-        _require_finite_nonnegative(np.array([elapsed]), "elapsed")
-        self._append([name], np.array([float(residual)]), tol, [elapsed])
-
-    def add_batch(
-        self, names: Sequence[str], residuals: np.ndarray | Sequence[float], tol: float
-    ) -> None:
-        """Record one check per name, all computed as one batch (elapsed 0.0).
-
-        Nothing is recorded unless every residual is finite and nonnegative.
-        """
-        values = np.asarray(residuals, dtype=np.float64)
-        self._append(names, values, tol, [0.0] * len(values))
-
-    def _append(self, names: Sequence[str], values: np.ndarray, tol: float, elapsed: list) -> None:
-        if len(names) != len(values):
-            raise ValueError(f"{len(names)} names for {len(values)} residuals")
-        _require_finite_nonnegative(values, "residual")
-        self.names.extend(names)
-        self.passed.extend((values <= tol).tolist())
-        self.residuals.extend(values.tolist())
-        self.elapsed.extend(elapsed)
-
-    def extend(self, other: "VerificationReport") -> None:
-        self.names.extend(other.names)
-        self.passed.extend(other.passed)
-        self.residuals.extend(other.residuals)
-        self.elapsed.extend(other.elapsed)
-        for label, seconds in other.timings.items():
-            self.timings[label] = self.timings.get(label, 0.0) + seconds
-
-    def sort_by_name(self) -> None:
-        """Order the checks by name; checks of equal name keep their order."""
-        order = sorted(range(len(self.names)), key=self.names.__getitem__)
-        for column in (self.names, self.passed, self.residuals, self.elapsed):
-            column[:] = [column[a] for a in order]
-
-    def failed(self) -> list[CheckResult]:
-        return [
-            CheckResult(self.names[a], False, self.residuals[a], self.elapsed[a])
-            for a, ok in enumerate(self.passed) if not ok
-        ]
-
-    def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
-
-    def signature(self) -> tuple:
-        """Deterministic identity of the report: names, verdicts, residuals."""
-        return tuple(zip(self.names, self.passed, self.residuals))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.passed == other.passed
-            and self.residuals == other.residuals
-        )
-
-    __hash__ = None
-
-    def write_json(self, fh: TextIO) -> None:
-        """Write the report as a JSON object with one check per line.
-
-        Checks are formatted _JSON_CHUNK at a time, so neither the text
-        nor a dict of the whole report is held.  The spelling is json's:
-        names through its ASCII string encoder and floats by repr, which
-        is json's float form for the finite values a report holds.
-        from_dict(json.load(fh)) rebuilds the report.
-        """
-        fh.write(
-            f'{{\n"params": {json.dumps(self.params)},\n'
-            f'"overall": {json.dumps(self.overall)},\n"checks": ['
-        )
-        rows = zip(
-            map(encode_basestring_ascii, self.names),
-            map({True: "true", False: "false"}.__getitem__, self.passed),
-            self.residuals,
-            self.elapsed,
-        )
-        separator = "\n"
-        for _ in range(0, len(self.names), _JSON_CHUNK):
-            chunk = [_JSON_CHECK % row for row in itertools.islice(rows, _JSON_CHUNK)]
-            fh.write(separator + ",\n".join(chunk))
-            separator = ",\n"
-        fh.write(f'\n],\n"timings": {json.dumps(self.timings)}\n}}\n')
-
-    def to_json(self) -> str:
-        """The text write_json writes."""
-        buffer = io.StringIO()
-        self.write_json(buffer)
-        return buffer.getvalue()
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "VerificationReport":
-        report = cls(payload.get("params", {}))
-        checks = payload["checks"]
-        report.names = [c["name"] for c in checks]
-        report.passed = [bool(c["passed"]) for c in checks]
-        residuals = np.array([float(c["residual"]) for c in checks])
-        elapsed = np.array([float(c.get("elapsed", 0.0)) for c in checks])
-        _require_finite_nonnegative(residuals, "residual")
-        _require_finite_nonnegative(elapsed, "elapsed")
-        report.residuals, report.elapsed = residuals.tolist(), elapsed.tolist()
-        report.timings = {
-            str(k): float(v) for k, v in payload.get("timings", {}).items()
-        }
-        return report
-
-    def to_text(self) -> str:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {name}  residual={r:.3e}"
-            for name, ok, r in zip(self.names, self.passed, self.residuals)
-        ]
-        lines.append(
-            f"overall: {'PASS' if self.overall else 'FAIL'} "
-            f"({len(self.names)} checks, {self.passed.count(False)} failed)"
-        )
-        return "\n".join(lines)
 
 
 def check_anticommutation(
@@ -243,19 +69,9 @@ def check_anticommutation(
     # the kernel fills blocks (a, b) with a <= b only, and {x, y} = {y, x}
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     values = np.stack([resid[lo * k + hi], resid[(n + lo) * k + n + hi], resid[i * k + n + j]], 1)
-    tags = _index_tags(n)
-    report.add_batch(
-        [f"{name}/{kind}[{a},{b}]" for a in tags for b in tags for kind in ("aa", "cc", "ac")],
-        values.ravel(),
-        tol,
-    )
+    report.add_batch(_PairNames(f"{name}/", n, False, ("aa", "cc", "ac")), values.ravel(), tol)
     report.timings[name] = time.perf_counter() - t0
     return report
-
-
-def _index_tags(k: int) -> list[str]:
-    """The 1-based indices 01, 02, ..., k that check names carry."""
-    return [f"{a:02d}" for a in range(1, k + 1)]
 
 
 def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sp.csr_matrix:
@@ -366,10 +182,8 @@ def check_closure(
         keys, worst = _closure_residuals(stack, constants)
         resid, span = np.zeros(k * k), ()
         resid[keys] = worst
-    tags = _index_tags(k)
-    names = [f"{label}/[{a},{b}]" for i, a in enumerate(tags) for b in tags[i + 1:]]
-    names += [f"{label}/span/{g:03d}" for g in range(1, len(span) + 1)]
     i, j = np.triu_indices(k, 1)
+    names = _PairNames(f"{label}/", k, True, span=len(span))
     report.add_batch(names, np.concatenate([resid[i * k + j], span]), tol)
     report.timings[label] = time.perf_counter() - t0
     return report
@@ -486,8 +300,7 @@ def check_eij_algebra(
     row_worst = np.zeros(size)
     np.maximum.at(row_worst, keys // size, worst)
     np.maximum.at(row_worst, keys % size, worst)
-    tags = _index_tags(k)
-    report.add_batch([f"{label}/[{a},{b}]" for a in tags for b in tags], row_worst, tol)
+    report.add_batch(_PairNames(f"{label}/", k, False), row_worst, tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 

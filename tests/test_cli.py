@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -235,6 +236,46 @@ def test_verify_from_corrupted_file(tmp_path):
     payload["entries"][0]["re"] += 0.5
     target.write_text(json.dumps(payload))
     assert main(["verify", "--from", str(out)]) == EXIT_CHECK_FAILED
+
+
+def test_verify_from_a_corrupted_build_prints_the_first_20_failures(tmp_path, capsys):
+    out = tmp_path / "ucnm42"
+    assert main(["build", "ucnm", "--n", "4", "--m", "2", "--out", str(out)]) == EXIT_OK
+    target = out / "generator_001.json"
+    payload = json.loads(target.read_text())
+    for entry in payload["entries"]:
+        entry["re"], entry["im"] = 2 * entry["re"], 2 * entry["im"]
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--from", str(out), "--format", "json", "--report", str(report_path)]
+    assert main(args) == EXIT_CHECK_FAILED
+
+    # the summary as printed from the whole list of failures
+    checks = json.loads(report_path.read_text())["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert len(failed) > 20
+    worst = max(c["residual"] for c in checks)
+    expected = [f"{len(checks)} checks, {len(failed)} failed, max residual {worst:.3e}"]
+    expected += [f"FAIL {c['name']} residual={c['residual']:.3e}" for c in failed[:20]]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def _pinned_reports():
+    for line in (DATA / "verify_from_sha256.txt").read_text().splitlines():
+        digest, build = line.split("  ", 1)
+        yield pytest.param(build.split(), digest, id=build)
+
+
+@pytest.mark.parametrize(("build", "digest"), list(_pinned_reports()))
+def test_verify_from_writes_the_pinned_json_report(tmp_path, build, digest):
+    out = tmp_path / "built"
+    assert main(["build", *build, "--out", str(out)]) == EXIT_OK
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--from", str(out), "--format", "json", "--report", str(report_path)]
+    assert main(args) == EXIT_OK
+    text = _untimed(report_path.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_from_checks_n10_bilinears_from_their_one_particle_blocks(tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fermirep.report
 from fermirep import fock, liealg, schwinger, verify
 from fermirep.errors import CapacityError
 from fermirep.fock import FockOperator
@@ -399,7 +401,7 @@ _RESIDUALS = st.one_of(
     ]),
     st.floats(min_value=0.0, allow_infinity=False),
 )
-_CHUNK = verify._JSON_CHUNK
+_CHUNK = fermirep.report._JSON_CHUNK
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -455,7 +457,7 @@ def test_checks_are_built_only_for_failures(monkeypatch, tmp_path):
         made.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(verify, "CheckResult", counting)
+    monkeypatch.setattr(fermirep.report, "CheckResult", counting)
     assert verify.run_suite(6).overall
     assert made == []
 
@@ -472,6 +474,118 @@ def test_checks_are_built_only_for_failures(monkeypatch, tmp_path):
     assert main(["verify", "--from", str(out), "--format", "json", "--report", str(report)]) == 1
     failed = [c["name"] for c in json.loads(report.read_text())["checks"] if not c["passed"]]
     assert failed and made == failed
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "x", "passed": "false", "residual": 5.0},
+    {"name": "x", "passed": 0, "residual": 5.0},
+    {"name": "x", "passed": None, "residual": 0.0},
+    {"name": 7, "passed": True, "residual": 0.0},
+    {"name": ["x"], "passed": False, "residual": 0.0},
+])
+def test_from_dict_refuses_a_non_boolean_verdict_or_a_non_string_name(check):
+    good = {"name": "ok", "passed": True, "residual": 0.0, "elapsed": 0.0}
+    with pytest.raises(ValueError, match="check 1"):
+        VerificationReport.from_dict({"params": {}, "checks": [good, check], "timings": {}})
+
+
+def test_a_report_holds_a_pair_batch_in_at_most_16_bytes_per_check():
+    # closure of 775 zero operators records 299,925 pair checks in one batch
+    k = 775
+    ops = [FockOperator.zero(1)] * k
+    sc = liealg.StructureConstants(k, np.zeros(0, dtype=liealg.RECORD_DTYPE))
+    verify.check_closure(ops[:3], liealg.StructureConstants(3, sc.c))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify.check_closure(ops, sc)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report) == k * (k - 1) // 2 and report.overall
+    assert held / len(report) <= 16
+
+
+def test_failed_generates_names_only_up_to_the_failures_it_returns():
+    made = []
+
+    class Counted(fermirep.report._PairNames):
+        def __iter__(self):
+            for name in super().__iter__():
+                made.append(name)
+                yield name
+
+    residuals = np.zeros(45)
+    residuals[[5, 40]] = 1.0
+    report = VerificationReport()
+    report.add_batch(Counted("clean/", 10, True), np.zeros(45), _TOL)
+    report.add_batch(Counted("x/", 10, True), residuals, _TOL)
+    assert report.failed_count() == 2 and not report.overall and made == []
+    assert [c.name for c in report.failed(limit=1)] == ["x/[01,07]"]
+    assert made == ["x/[01,02]", "x/[01,03]", "x/[01,04]", "x/[01,05]", "x/[01,06]", "x/[01,07]"]
+
+
+@st.composite
+def _batches(draw):
+    """One recording step: ("add", name, residual, elapsed), ("batch", names,
+    residuals) with a list or a pair pattern of names, or ("sub", steps)."""
+    kind = draw(st.sampled_from(["add", "list", "pattern"]))
+    if kind == "add":
+        return ("add", draw(_NAMES), draw(_RESIDUALS), draw(_RESIDUALS))
+    if kind == "list":
+        names = draw(st.lists(_NAMES, max_size=6))
+    else:
+        names = fermirep.report._PairNames(
+            draw(st.sampled_from(["", "x/", "closure/"])),
+            draw(st.integers(0, 5)),
+            draw(st.booleans()),
+            draw(st.sampled_from([("",), ("aa", "cc", "ac")])),
+            draw(st.integers(0, 3)),
+        )
+    pool = draw(st.lists(_RESIDUALS, min_size=1, max_size=4))
+    return ("batch", names, [pool[a % len(pool)] for a in range(len(names))])
+
+
+def _record(report, steps):
+    for step in steps:
+        if step[0] == "add":
+            report.add(step[1], step[2], _TOL, step[3])
+        elif step[0] == "batch":
+            report.add_batch(step[1], np.array(step[2]), _TOL)
+        else:
+            sub = VerificationReport()
+            _record(sub, step[1])
+            report.extend(sub)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(_batches(), st.tuples(st.just("sub"), st.lists(_batches(), max_size=3))),
+                max_size=6),
+       st.integers(0, 5))
+def test_batched_report_equals_its_materialized_columns(steps, limit):
+    report = VerificationReport()
+    _record(report, steps)
+    columns = list(zip(report.names, report.passed, report.residuals, report.elapsed))
+    assert report.checks == tuple(verify.CheckResult(*c) for c in columns)
+    assert len(report) == len(columns)
+    assert report.signature() == tuple(c[:3] for c in columns)
+    failures = [c for c in report.checks if not c.passed]
+    assert report.failed() == failures and report.failed(limit) == failures[:limit]
+    assert report.failed_count() == len(failures)
+    assert report.overall == (not failures)
+    assert report.max_residual() == max(report.residuals, default=0.0)
+
+    restored = VerificationReport.from_dict(json.loads(report.to_json()))
+    assert restored.signature() == report.signature()
+    assert restored.elapsed == report.elapsed
+
+    report.sort_by_name()
+    assert list(zip(report.names, report.passed, report.residuals, report.elapsed)) == sorted(
+        columns, key=lambda c: c[0]
+    )
+    assert report.failed() == [c for c in report.checks if not c.passed]
+    restored.sort_by_name()
+    assert restored == report and restored.to_json() == report.to_json()
 
 
 # -- whole-set kernels against the per-quadruple and per-unit definitions --------
