@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -150,12 +150,18 @@ def _tokenize(source: str) -> list[_Token]:
 
 # -- parser ------------------------------------------------------------------
 
+# parentheses and unary minus nest at most this deep: each level costs the
+# recursive-descent parser up to five Python frames, and 100 levels keep it
+# well inside the interpreter's default limit of 1,000
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -196,9 +202,17 @@ class _Parser:
 
     def factor(self) -> OperatorExpression:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+            self._enter(self.advance())
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         return self.postfix()
+
+    def _enter(self, tok: _Token) -> None:
+        """One more level of nesting, opened by tok, refused past _MAX_NESTING."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprError(f"nesting deeper than {_MAX_NESTING} levels", tok.pos)
 
     def postfix(self) -> OperatorExpression:
         node = self.atom()
@@ -228,9 +242,10 @@ class _Parser:
                 raise ExprError(f"number {tok.text!r} is not finite", tok.pos)
             return Number(value)
         if tok.kind == "(":
-            self.advance()
+            self._enter(self.advance())
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "ident":
             self.advance()
@@ -254,24 +269,51 @@ def parse_expression(source: str) -> OperatorExpression:
     return _Parser(source).parse()
 
 
+# -- tree walk ---------------------------------------------------------------
+
+
+def _children(node: OperatorExpression) -> tuple[OperatorExpression, ...]:
+    if isinstance(node, (Neg, Adjoint)):
+        return (node.operand,)
+    if isinstance(node, (Add, Sub, Mul)):
+        return (node.left, node.right)
+    return ()
+
+
+def _fold(node: OperatorExpression, visit: Callable[[OperatorExpression, list], Any]) -> Any:
+    """visit(node, its children's results in order) for every node, children first.
+
+    The walk keeps its own stack instead of recursing, so the left-deep
+    tree of a long chain such as 1 + 1 + ... + 1, or a long run of
+    adjoints, is folded at any length.
+    """
+    pending: list[tuple[OperatorExpression, bool]] = [(node, False)]
+    results: list = []
+    while pending:
+        node, ready = pending.pop()
+        kids = _children(node)
+        if ready or not kids:
+            start = len(results) - len(kids)
+            results[start:] = [visit(node, results[start:])]
+        else:
+            pending.append((node, True))
+            pending.extend((kid, False) for kid in reversed(kids))
+    return results[0]
+
+
 # -- pretty printer ----------------------------------------------------------
 
 _PREC = {Add: 10, Sub: 10, Mul: 20, Neg: 30, Adjoint: 40}
 
 
-def _prec(node: OperatorExpression) -> int:
-    return _PREC.get(type(node), 50)
-
-
-def _wrap(node: OperatorExpression, min_prec: int) -> str:
-    text = to_source(node)
-    if _prec(node) < min_prec:
+def _wrap(node: OperatorExpression, text: str, min_prec: int) -> str:
+    if _PREC.get(type(node), 50) < min_prec:
         return f"({text})"
     return text
 
 
-def to_source(node: OperatorExpression) -> str:
-    """Canonical source form; parsing it back yields an identical tree."""
+def _source(node: OperatorExpression, texts: list[str]) -> str:
+    """Canonical source of node, given its children's."""
     if isinstance(node, Number):
         v = node.value
         return str(int(v)) if v.is_integer() else repr(v)
@@ -284,16 +326,21 @@ def to_source(node: OperatorExpression) -> str:
     if isinstance(node, TotalNumber):
         return "N"
     if isinstance(node, Neg):
-        return f"-{_wrap(node.operand, _PREC[Neg])}"
+        return f"-{_wrap(node.operand, texts[0], _PREC[Neg])}"
     if isinstance(node, Adjoint):
-        return f"{_wrap(node.operand, _PREC[Adjoint])}'"
+        return f"{_wrap(node.operand, texts[0], _PREC[Adjoint])}'"
     if isinstance(node, Add):
-        return f"{_wrap(node.left, 10)} + {_wrap(node.right, 11)}"
+        return f"{_wrap(node.left, texts[0], 10)} + {_wrap(node.right, texts[1], 11)}"
     if isinstance(node, Sub):
-        return f"{_wrap(node.left, 10)} - {_wrap(node.right, 11)}"
+        return f"{_wrap(node.left, texts[0], 10)} - {_wrap(node.right, texts[1], 11)}"
     if isinstance(node, Mul):
-        return f"{_wrap(node.left, 20)} * {_wrap(node.right, 21)}"
+        return f"{_wrap(node.left, texts[0], 20)} * {_wrap(node.right, texts[1], 21)}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def to_source(node: OperatorExpression) -> str:
+    """Canonical source form; parsing it back yields an identical tree."""
+    return _fold(node, _source)
 
 
 # -- evaluator ---------------------------------------------------------------
@@ -312,7 +359,8 @@ def _promote(value: _Value, n: int) -> FockOperator:
     return value * FockOperator.identity(n)
 
 
-def _eval(node: OperatorExpression, n: int) -> _Value:
+def _value(node: OperatorExpression, args: list[_Value], n: int) -> _Value:
+    """Value of node on n modes, given its children's."""
     if isinstance(node, Number):
         return complex(node.value)
     if isinstance(node, ImagUnit):
@@ -326,19 +374,17 @@ def _eval(node: OperatorExpression, n: int) -> _Value:
     if isinstance(node, TotalNumber):
         return fock.total_number(n)
     if isinstance(node, Neg):
-        return -_eval(node.operand, n)
+        return -args[0]
     if isinstance(node, Adjoint):
-        value = _eval(node.operand, n)
+        value = args[0]
         return value.dagger() if isinstance(value, FockOperator) else value.conjugate()
     if isinstance(node, (Add, Sub)):
-        left = _eval(node.left, n)
-        right = _eval(node.right, n)
+        left, right = args
         if isinstance(left, FockOperator) or isinstance(right, FockOperator):
             left, right = _promote(left, n), _promote(right, n)
         return left + right if isinstance(node, Add) else left - right
     if isinstance(node, Mul):
-        left = _eval(node.left, n)
-        right = _eval(node.right, n)
+        left, right = args
         if isinstance(left, FockOperator) and isinstance(right, FockOperator):
             return left @ right
         if isinstance(left, FockOperator):
@@ -357,7 +403,7 @@ def evaluate(node: OperatorExpression, n: int) -> FockOperator:
     that overflow, is refused with ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        op = _promote(_eval(node, n), n)
+        op = _promote(_fold(node, lambda node, args: _value(node, args, n)), n)
     if not np.isfinite(op.mat.data).all():
         raise ValueError("the expression evaluates to an operator with a non-finite entry")
     return op

@@ -311,6 +311,11 @@ def main(argv=None) -> int:
     except (CapacityError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as err:
+        # a request too large for this machine, such as the generator array
+        # of a huge family, refused where it is allocated
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -37,35 +37,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Ordered list of same-dimension square complex matrices with labels."""
+    """Ordered same-dimension square complex matrices with labels.
+
+    ``mats`` is one read-only complex128 array of shape (k, dim, dim),
+    copied once from the matrices given (a sequence or an array), so a
+    caller's array is neither aliased nor made read-only.
+    """
 
     dim: int
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        mats = tuple(np.array(m, dtype=np.complex128) for m in self.mats)
-        for m in mats:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"generator shape {m.shape} does not match dim {self.dim}"
-                )
+        mats = np.array(self.mats, dtype=np.complex128)
+        if mats.ndim != 3 or mats.shape[1:] != (self.dim, self.dim):
+            raise ValueError(
+                f"generator array shape {mats.shape} is not (k, {self.dim}, {self.dim})"
+            )
         if len(self.labels) != len(mats):
             raise ValueError("labels and matrices must have equal length")
+        mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "labels", tuple(self.labels))
-        gram = _gram(mats)
-        if np.linalg.matrix_rank(gram, hermitian=True) < len(mats):
+        flat = mats.reshape(len(mats), -1)
+        if np.linalg.matrix_rank(flat.conj() @ flat.T, hermitian=True) < len(mats):
             raise DependenceError("generator matrices are linearly dependent")
 
     @classmethod
     def create(cls, mats: Sequence[np.ndarray], labels: Sequence[str] | None = None):
-        mats = [np.asarray(m) for m in mats]
-        if not mats:
+        if len(mats) == 0:
             raise ValueError("a generator set needs at least one matrix")
         if labels is None:
             labels = [f"g_{k}" for k in range(1, len(mats) + 1)]
-        return cls(mats[0].shape[0], tuple(mats), tuple(labels))
+        return cls(len(mats[0]), mats, tuple(labels))
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -112,11 +116,6 @@ class StructureConstants:
         return float(np.max(np.abs(diff.data), initial=0.0))
 
 
-def _gram(mats: Sequence[np.ndarray]) -> np.ndarray:
-    flat = np.stack(mats).reshape(len(mats), -1)
-    return flat.conj() @ flat.T
-
-
 def gell_mann() -> GeneratorSet:
     """The eight standard 3x3 Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab."""
     return generalized_gell_mann(3, label_prefix="lambda")
@@ -133,25 +132,19 @@ def generalized_gell_mann(d: int, label_prefix: str = "g") -> GeneratorSet:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    mats: list[np.ndarray] = []
-    for k in range(2, d + 1):
-        for j in range(1, k):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[j - 1, k - 1] = 1
-            sym[k - 1, j - 1] = 1
-            mats.append(sym)
-            asym = np.zeros((d, d), dtype=np.complex128)
-            asym[j - 1, k - 1] = -1j
-            asym[k - 1, j - 1] = 1j
-            mats.append(asym)
-        l = k - 1
-        diag = np.zeros((d, d), dtype=np.complex128)
-        for r in range(l):
-            diag[r, r] = 1
-        diag[l, l] = -l
-        mats.append(diag * math.sqrt(2.0 / (l * (l + 1))))
+    mats = np.zeros((d * d - 1, d, d), dtype=np.complex128)
+    # entry (j, c), j < c (0-based), lies in the pair members number
+    # c^2 - 1 + 2j and c^2 + 2j and in diagonal member (c + 1)^2 - 2
+    j, c = np.triu_indices(d, 1)
+    sym = c * c - 1 + 2 * j
+    mats[sym, j, c] = mats[sym, c, j] = 1
+    mats[sym + 1, j, c], mats[sym + 1, c, j] = -1j, 1j
+    l = np.arange(1, d)
+    scale = np.sqrt(2.0 / (l * (l + 1)))
+    mats[(c + 1) ** 2 - 2, j, j] = scale[c - 1]
+    mats[(l + 1) ** 2 - 2, l, l] = -l * scale
     labels = tuple(f"{label_prefix}_{a}" for a in range(1, d * d))
-    return GeneratorSet(d, tuple(mats), labels)
+    return GeneratorSet(d, mats, labels)
 
 
 def spin1_matrices() -> GeneratorSet:
@@ -256,13 +249,12 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     and DependenceError if the Gram matrix is singular.
     """
     k, d = len(gens), gens.dim
-    stack = np.stack(gens.mats)
-    flat = sp.csr_matrix(stack.reshape(k, d * d))
+    flat = sp.csr_matrix(gens.mats.reshape(k, d * d))
     proj = _projection(flat)
 
     rows, cols, vals = commutator_entries(
-        sp.csr_matrix(stack.reshape(k * d, d)),
-        sp.csr_matrix(stack.transpose(1, 0, 2).reshape(d, k * d)),
+        sp.csr_matrix(gens.mats.reshape(k * d, d)),
+        sp.csr_matrix(gens.mats.transpose(1, 0, 2).reshape(d, k * d)),
     )
     # row i * k + j of comm is [G_i, G_j] flattened
     comm = sp.csr_matrix(
@@ -337,6 +329,6 @@ def conjugate_rep(gens: GeneratorSet, n: int | None = None) -> GeneratorSet:
     if n is not None and n != gens.dim:
         raise ValueError(f"dimension mismatch: generators are {gens.dim}, got n={n}")
     u = conjugation_matrix(gens.dim)
-    mats = tuple(u @ (-m.T) @ u.T for m in gens.mats)
+    mats = u @ -gens.mats.transpose(0, 2, 1) @ u.T
     labels = tuple(f"{lbl}_conj" for lbl in gens.labels)
     return GeneratorSet(gens.dim, mats, labels)

@@ -243,30 +243,25 @@ def _bilinear(n: int, alpha: int, beta: int) -> FockOperator:
     return fock.creation(n, alpha) @ fock.annihilation(n, beta)
 
 
-def _as_matrices(
+def _coefficient_rows(
     gens: liealg.GeneratorSet | Sequence[np.ndarray],
-) -> tuple[list[np.ndarray], tuple[str, ...], int]:
-    """Coefficient matrices, labels and dimension of a generator argument.
+) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """Coefficient rows, labels and dimension of a generator argument.
 
+    Row g holds matrix g's entries row-major: the term order of a stack.
     Plain matrix sequences are accepted as well; unlike GeneratorSet they
     may be linearly dependent (e.g. contain zero matrices).
     """
     if isinstance(gens, liealg.GeneratorSet):
-        return list(gens.mats), gens.labels, gens.dim
-    mats = [np.asarray(m, dtype=np.complex128) for m in gens]
-    if not mats:
-        raise ValueError("need at least one coefficient matrix")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
+        mats, labels = gens.mats, gens.labels
+    else:
+        mats = np.asarray(gens, dtype=np.complex128)
+        if len(mats) == 0:
+            raise ValueError("need at least one coefficient matrix")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("coefficient matrices must be square with equal dimension")
-    labels = tuple(f"g_{k}" for k in range(1, len(mats) + 1))
-    return mats, labels, dim
-
-
-def _coefficient_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """One row per matrix, its entries row-major: the term order of a stack."""
-    return np.stack(mats).reshape(len(mats), -1)
+        labels = tuple(f"g_{k}" for k in range(1, len(mats) + 1))
+    return mats.reshape(len(mats), -1), labels, mats.shape[1]
 
 
 def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sp.csr_matrix:
@@ -382,11 +377,11 @@ def standard_rep(
     Requires the generator dimension to equal the mode count.  Every
     output operator commutes with the total number operator.
     """
-    mats, labels, dim = _as_matrices(gens)
+    coeffs, labels, dim = _coefficient_rows(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    return _assemble(_coefficient_rows(mats), _bilinear_stack(n), meta)
+    return _assemble(coeffs, _bilinear_stack(n), meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -403,17 +398,17 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
         raise ValueError(f"number-selective construction needs n >= 3, got {n}")
     if gens.dim != n:
         raise ValueError(f"generator dimension {gens.dim} does not match n={n}")
-    for lbl, g in zip(gens.labels, gens.mats):
-        if abs(np.trace(g)) > TRACELESS_TOL:
-            raise ValidationError(
-                f"generator {lbl} is not traceless (trace {np.trace(g):.3e})"
-            )
+    traces = np.trace(gens.mats, axis1=1, axis2=2)
+    g = int(np.argmax(np.abs(traces) > TRACELESS_TOL))  # the first, if any
+    if abs(traces[g]) > TRACELESS_TOL:
+        raise ValidationError(
+            f"generator {gens.labels[g]} is not traceless (trace {traces[g]:.3e})"
+        )
     conj = liealg.conjugate_rep(gens)
     f_low = eval_at_number_operator(selective_function(n, 1), n).mat
     f_high = eval_at_number_operator(selective_function(n, n - 1), n).mat
     terms = _bilinear_stack(n)
-    low = _coefficient_rows(gens.mats)
-    high = _coefficient_rows(conj.mats)
+    low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
     dim = 1 << n
     pieces = (
         _stacked(low[r], terms, dim) @ f_low + _stacked(high[r], terms, dim) @ f_high
@@ -549,13 +544,13 @@ def rep_ucnm(
     sector block equals G_i and it vanishes on every other sector.
     """
     k = fock.sector_dimension(n, m)
-    mats, labels, dim = _as_matrices(gens)
+    coeffs, labels, dim = _coefficient_rows(gens)
     if dim != k:
         raise ValueError(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return _assemble(_coefficient_rows(mats), unit_set(n, m).stack, meta)
+    return _assemble(coeffs, unit_set(n, m).stack, meta)
 
 
 def mixed_rep(
@@ -609,7 +604,7 @@ def mixed_rep(
 
     # coefficient rows [G | G2] against the units of sectors m and n - m
     parts = [(gens, m)] * xi_minus + [(gens2, mbar)] * xi_plus
-    coeffs = np.hstack([_coefficient_rows(gs.mats) for gs, _ in parts])
+    coeffs = np.hstack([gs.mats.reshape(len(gs), -1) for gs, _ in parts])
     terms = sp.vstack([unit_set(n, s).stack for _, s in parts], format="csr")
     meta = RepMeta(
         variant="mixed",

@@ -421,6 +421,41 @@ def test_eval_usage_errors():
     assert main(["eval", "adag(1)) + a(2)", "--n", "3"]) == EXIT_USAGE
 
 
+def test_eval_of_a_long_sum_and_of_deep_nesting(capsys):
+    assert main(["eval", "+".join(["1"] * 5000), "--n", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.split() == ["5000", "0", "0", "5000"]
+    source = "(" * 5000 + "1" + ")" * 5000
+    assert main(["eval", source, "--n", "1"]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "parse error: nesting deeper than 100 levels at position 100"
+    assert lines[2] == " " * 102 + "^"
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "structure", "--n", "200"],  # a 23.8 GiB generator array
+    ["build", "ucnm", "--n", "14", "--m", "7"],  # 1.97 PiB
+])
+def test_a_request_over_the_memory_limit_exits_2(tmp_path, args):
+    limit = 3 << 30
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from fermirep.cli.main import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    if args[0] == "build":
+        args = [*args, "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=_child_env(), timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_eval_non_finite_literal_or_result_exits_2(capsys):
     assert main(["eval", "1e999*N(1)", "--n", "2"]) == EXIT_USAGE
     err = capsys.readouterr().err

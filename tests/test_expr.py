@@ -81,6 +81,29 @@ def test_error_annotation_points_at_offence():
     assert lines[2].index("^") == 2 + err.value.pos
 
 
+def test_long_flat_chains_evaluate_and_print_without_recursion():
+    # the parser builds each chain as a left-deep tree 2,000 to 5,000 nodes tall
+    source = " + ".join(["1"] * 5000)
+    tree = parse_expression(source)
+    assert evaluate(tree, 2).diff_max(5000 * fock.FockOperator.identity(2)) == 0.0
+    assert to_source(tree) == source
+    number = fock.number_operator(1, 1)
+    assert evaluate(parse_expression("*".join(["N"] * 2000)), 1).diff_max(number) == 0.0
+    adjoints = "a(1)" + "'" * 2000
+    assert evaluate(parse_expression(adjoints), 1).diff_max(fock.annihilation(1, 1)) == 0.0
+    assert to_source(parse_expression(adjoints)) == adjoints
+
+
+def test_nesting_past_the_bound_is_refused_at_the_opening_token():
+    assert evaluate(parse_expression("(" * 100 + "1" + ")" * 100), 1).diff_max(
+        fock.FockOperator.identity(1)
+    ) == 0.0
+    for source in ("(" * 101 + "1" + ")" * 101, "-" * 101 + "1", "-(" * 51 + "1" + ")" * 51):
+        with pytest.raises(ExprError, match="nesting deeper than 100") as err:
+            parse_expression(source)
+        assert err.value.pos == 100
+
+
 def test_eval_bilinear():
     op = evaluate(parse_expression("adag(1)*a(2) + adag(2)*a(1)"), 2)
     expected = (

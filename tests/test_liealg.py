@@ -58,6 +58,60 @@ def test_generalized_bad_dimension():
         liealg.generalized_gell_mann(1)
 
 
+def test_generator_set_holds_one_read_only_array_copied_from_its_input():
+    g = liealg.generalized_gell_mann(4)
+    assert g.mats.shape == (15, 4, 4) and g.mats.dtype == np.complex128
+    assert not g.mats.flags.writeable
+    with pytest.raises(ValueError):
+        g.mats[0, 0, 0] = 1
+    arr = np.array(g.mats)
+    for given in (arr, tuple(arr), list(arr)):
+        copy = liealg.GeneratorSet.create(given)
+        assert copy.mats.shape == (15, 4, 4) and not copy.mats.flags.writeable
+        assert not np.shares_memory(copy.mats, arr)
+        assert np.array_equal(copy.mats, g.mats)
+        assert len(copy) == 15 and np.array_equal(copy[3], g[3])
+        assert all(np.array_equal(a, b) for a, b in zip(copy, g))
+    assert arr.flags.writeable
+
+
+def _ggm_reference(d):
+    """generalized_gell_mann(d)'s matrices, built one at a time."""
+    mats = []
+    for k in range(2, d + 1):
+        for j in range(1, k):
+            sym = np.zeros((d, d), dtype=np.complex128)
+            sym[j - 1, k - 1] = 1
+            sym[k - 1, j - 1] = 1
+            mats.append(sym)
+            asym = np.zeros((d, d), dtype=np.complex128)
+            asym[j - 1, k - 1] = -1j
+            asym[k - 1, j - 1] = 1j
+            mats.append(asym)
+        l = k - 1
+        diag = np.zeros((d, d), dtype=np.complex128)
+        for r in range(l):
+            diag[r, r] = 1
+        diag[l, l] = -l
+        mats.append(diag * math.sqrt(2.0 / (l * (l + 1))))
+    return mats
+
+
+def _bits(mats):
+    # real and imaginary parts as raw words, so a zero's sign bit counts too
+    return np.asarray(mats, dtype=np.complex128).view(np.uint64)
+
+
+def test_generator_arrays_match_the_per_matrix_construction_bit_for_bit():
+    for d in range(2, 25):
+        gens = liealg.generalized_gell_mann(d)
+        reference = _ggm_reference(d)
+        assert np.array_equal(_bits(gens.mats), _bits(reference)), d
+        u = liealg.conjugation_matrix(d)
+        conj = [u @ (-m.T) @ u.T for m in reference]
+        assert np.array_equal(_bits(liealg.conjugate_rep(gens).mats), _bits(conj)), d
+
+
 def test_spin1_matrices_exact():
     jp, jm, j3 = liealg.spin1_matrices().mats
     s = math.sqrt(2)
@@ -245,7 +299,7 @@ def test_structure_constants_errors_after_projection_change():
     # GeneratorSet rejects a dependent set itself, so the duplicate is put in
     # afterwards to reach the Gram inversion inside structure_constants
     singular = liealg.GeneratorSet.create([g[0], g[1], g[2]])
-    object.__setattr__(singular, "mats", (g[0], g[0], g[2]))
+    object.__setattr__(singular, "mats", np.stack((g[0], g[0], g[2])))
     with pytest.raises(DependenceError):
         liealg.structure_constants(singular)
 

@@ -489,8 +489,9 @@ def test_from_dict_refuses_a_non_boolean_verdict_or_a_non_string_name(check):
         VerificationReport.from_dict({"params": {}, "checks": [good, check], "timings": {}})
 
 
-def test_a_report_holds_a_pair_batch_in_at_most_16_bytes_per_check():
-    # closure of 775 zero operators records 299,925 pair checks in one batch
+def _closure_of_zero_operators():
+    """check_closure of 775 zero operators, 299,925 pair checks in one batch,
+    with the bytes its report holds and the call's traced peak."""
     k = 775
     ops = [FockOperator.zero(1)] * k
     sc = liealg.StructureConstants(k, np.zeros(0, dtype=liealg.RECORD_DTYPE))
@@ -499,11 +500,22 @@ def test_a_report_holds_a_pair_batch_in_at_most_16_bytes_per_check():
     try:
         before = tracemalloc.get_traced_memory()[0]
         report = verify.check_closure(ops, sc)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(report) == k * (k - 1) // 2 and report.overall
+    return report, held, peak
+
+
+def test_a_report_holds_a_pair_batch_in_at_most_16_bytes_per_check():
+    report, held, _ = _closure_of_zero_operators()
     assert held / len(report) <= 16
+
+
+def test_closure_places_the_pair_residuals_within_24_bytes_per_pair():
+    # the pair-ordered residuals, add_batch's copy of them and the verdicts
+    report, _, peak = _closure_of_zero_operators()
+    assert peak / len(report) <= 24
 
 
 def test_failed_generates_names_only_up_to_the_failures_it_returns():
