@@ -283,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_eval = sub.add_parser("eval", help="evaluate a typed operator expression")
-    p_eval.add_argument("expression")
+    # optional only to argparse: _parse_args requires it, and takes one that
+    # starts with '-', such as -a(1), which argparse leaves over as an option
+    p_eval.add_argument("expression", nargs="?")
     p_eval.add_argument("--n", type=int, required=True, help="mode count")
     p_eval.add_argument("--out", default=None, help="write the matrix as JSON")
     p_eval.add_argument("--check", default=None, help="compare against an operator file")
@@ -293,6 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "eval" and args.expression is None:
+        if not extra:
+            parser.error("eval: the following arguments are required: expression")
+        args.expression, extra = extra[0], extra[1:]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     # Move the import heap (numpy, scipy: ~40k objects) to the permanent
     # generation, so the full collection at interpreter exit skips it and
@@ -300,7 +313,7 @@ def main(argv=None) -> int:
     gc.freeze()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -44,8 +44,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
+from .. import sparse
 from ..fock import FockOperator, mode_capacity
 
 __all__ = [
@@ -167,8 +167,7 @@ def payload_to_operator(payload: dict) -> tuple[FockOperator, dict]:
     np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
     data = np.empty(len(items), dtype=np.complex128)
     data.real, data.imag = re, im
-    mat = sp.csr_matrix((data, col, indptr), shape=(dim, dim))
-    return FockOperator(modes, mat), dict(metadata)
+    return FockOperator(modes, sparse.CSR(data, col, indptr, (dim, dim))), dict(metadata)
 
 
 def _finite(x: int | float) -> bool:

@@ -21,8 +21,8 @@ from itertools import combinations
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import sparse
 from .errors import CapacityError
 
 __all__ = [
@@ -95,34 +95,29 @@ def build_basis(n: int) -> np.ndarray:
 class FockOperator:
     """Sparse operator on the 2^n-dimensional occupation space.
 
-    A thin wrapper around a CSR matrix carrying the mode count.  Stored
-    entries are kept in canonical form (no explicit zeros).  Instances are
-    immutable by convention: every arithmetic method returns a new
-    operator and nothing mutates the wrapped matrix after construction.
+    A thin wrapper around a read-only sparse.CSR record carrying the mode
+    count, with its stored zeros dropped.  Every arithmetic method returns
+    a new operator.
     """
 
     __slots__ = ("modes", "mat")
 
-    def __init__(self, modes: int, mat):
+    def __init__(self, modes: int, mat: sparse.CSR):
         dim = 1 << modes
-        mat = sp.csr_matrix(mat, copy=True)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match 2^{modes}")
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
         self.modes = modes
-        self.mat = mat
+        self.mat = sparse.pruned(mat)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, modes: int) -> "FockOperator":
-        dim = 1 << modes
-        return cls(modes, sp.csr_matrix((dim, dim), dtype=np.int64))
+        return cls(modes, sparse.identity(1 << modes, np.zeros(1 << modes, np.int64)))
 
     @classmethod
     def identity(cls, modes: int) -> "FockOperator":
-        return cls(modes, sp.identity(1 << modes, dtype=np.int64, format="csr"))
+        return cls(modes, sparse.identity(1 << modes))
 
     @classmethod
     def from_entries(
@@ -138,10 +133,7 @@ class FockOperator:
             cols.append(c)
             vals.append(v)
         dtype = np.int64 if all(isinstance(v, int) for v in vals) else np.complex128
-        mat = sp.csr_matrix(
-            (np.array(vals, dtype=dtype), (rows, cols)), shape=(dim, dim)
-        )
-        return cls(modes, mat)
+        return cls(modes, sparse.from_triplets(rows, cols, np.array(vals, dtype), (dim, dim)))
 
     @classmethod
     def diagonal(cls, modes: int, values) -> "FockOperator":
@@ -150,12 +142,7 @@ class FockOperator:
         if len(values) != dim:
             raise ValueError(f"need {dim} diagonal values, got {len(values)}")
         dtype = np.int64 if all(isinstance(v, int) for v in values) else np.complex128
-        # built as CSR directly: sp.diags would cast an int64 diagonal to float64
-        mat = sp.csr_matrix(
-            (np.array(values, dtype=dtype), np.arange(dim), np.arange(dim + 1)),
-            shape=(dim, dim),
-        )
-        return cls(modes, mat)
+        return cls(modes, sparse.identity(dim, np.array(values, dtype=dtype)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -169,17 +156,17 @@ class FockOperator:
 
     def entries(self) -> dict[tuple[int, int], complex]:
         """Stored entries as a {(row, col): value} map with Python scalars."""
-        coo = self.mat.tocoo()
+        mat = self.mat
         return {
             (int(r), int(c)): complex(v)
-            for r, c, v in zip(coo.row, coo.col, coo.data)
+            for r, c, v in zip(sparse.coo_rows(mat), mat.indices, mat.data)
         }
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.mat.todense(), dtype=np.complex128)
+        return sparse.toarray(self.mat).astype(np.complex128)
 
     def trace(self) -> complex:
-        return complex(self.mat.diagonal().sum())
+        return complex(sparse.diagonal(self.mat).sum())
 
     def max_abs(self) -> float:
         """Largest absolute entry (Chebyshev norm); 0.0 for the zero operator."""
@@ -199,19 +186,19 @@ class FockOperator:
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._require_same_modes(other)
-        return FockOperator(self.modes, self.mat + other.mat)
+        return FockOperator(self.modes, sparse.add(self.mat, other.mat))
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
         self._require_same_modes(other)
-        return FockOperator(self.modes, self.mat - other.mat)
+        return FockOperator(self.modes, sparse.subtract(self.mat, other.mat))
 
     def __neg__(self) -> "FockOperator":
-        return FockOperator(self.modes, -self.mat)
+        return FockOperator(self.modes, sparse.with_data(self.mat, -self.mat.data))
 
     def __mul__(self, scalar) -> "FockOperator":
         if isinstance(scalar, FockOperator):
             raise TypeError("use @ for operator composition")
-        return FockOperator(self.modes, self.mat * scalar)
+        return FockOperator(self.modes, sparse.with_data(self.mat, self.mat.data * scalar))
 
     __rmul__ = __mul__
 
@@ -220,19 +207,17 @@ class FockOperator:
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._require_same_modes(other)
-        return FockOperator(self.modes, self.mat @ other.mat)
+        return FockOperator(self.modes, sparse.matmul(self.mat, other.mat))
 
     def dagger(self) -> "FockOperator":
         """Conjugate transpose."""
-        return FockOperator(self.modes, self.mat.conj().T.tocsr())
+        return FockOperator(self.modes, sparse.conj_transpose(self.mat))
 
     def commutator(self, other: "FockOperator") -> "FockOperator":
-        self._require_same_modes(other)
-        return FockOperator(self.modes, self.mat @ other.mat - other.mat @ self.mat)
+        return self @ other - other @ self
 
     def anticommutator(self, other: "FockOperator") -> "FockOperator":
-        self._require_same_modes(other)
-        return FockOperator(self.modes, self.mat @ other.mat + other.mat @ self.mat)
+        return self @ other + other @ self
 
     def diff_max(self, other: "FockOperator") -> float:
         """Largest absolute entrywise difference."""
@@ -241,7 +226,7 @@ class FockOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockOperator):
             return NotImplemented
-        return self.modes == other.modes and (self.mat - other.mat).nnz == 0
+        return self.modes == other.modes and (self - other).nnz == 0
 
     __hash__ = None
 
@@ -264,9 +249,7 @@ def _annihilation(n: int, i: int) -> FockOperator:
     positions = _state_positions(n)
     below = _particle_counts(n)[positions[masks & (bit - 1)]]
     signs = (1 - 2 * (below & 1)).astype(np.int64)
-    mat = sp.csr_matrix(
-        (signs, (positions[masks ^ bit], positions[masks])), shape=(1 << n, 1 << n)
-    )
+    mat = sparse.from_triplets(positions[masks ^ bit], positions[masks], signs, (1 << n, 1 << n))
     return FockOperator(n, mat)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import sparse
 from .errors import ClosureError, DependenceError
 
 __all__ = [
@@ -102,17 +102,15 @@ class StructureConstants:
     c: np.ndarray
 
     @functools.cached_property
-    def rows(self) -> sp.csr_matrix:
+    def rows(self) -> sparse.CSR:
         k = self.size
         c = self.c
-        return sp.csr_matrix(
-            (c["value"], (c["i"] * k + c["j"], c["l"])), shape=(k * k, k)
-        )
+        return sparse.from_triplets(c["i"] * k + c["j"], c["l"], c["value"], (k * k, k))
 
     def max_difference(self, other: "StructureConstants") -> float:
         if other.size != self.size:
             raise ValueError("structure-constant tensors have different sizes")
-        diff = self.rows - other.rows
+        diff = sparse.subtract(self.rows, other.rows)
         return float(np.max(np.abs(diff.data), initial=0.0))
 
 
@@ -192,29 +190,30 @@ def gellmann_from_spin1() -> GeneratorSet:
     return GeneratorSet(3, mats, labels)
 
 
-def _projection(flat: sp.csr_matrix) -> sp.csr_matrix:
+def _projection(flat: sparse.CSR) -> sparse.CSR:
     """G^H Gram^-1: the coefficients of a flattened matrix x are x @ proj.
 
     The Gram matrix of a trace-orthogonal set (every Gell-Mann set) is
     diagonal up to rounding, and its inverse is taken entrywise; any other
     set goes through the dense inverse.
     """
-    gram = (flat.conj() @ flat.T).tocsr()
-    diag = gram.diagonal()
-    off = gram - sp.diags(diag)
-    if np.max(np.abs(off.data), initial=0.0) <= 1e-14 * np.max(np.abs(diag)):
+    conj = sparse.with_data(flat, flat.data.conj())
+    gram, adjoint = sparse.matmul(conj, sparse.conj_transpose(conj)), sparse.conj_transpose(flat)
+    diag = sparse.diagonal(gram)
+    off = sparse.coo_rows(gram) != gram.indices
+    if np.max(np.abs(gram.data[off]), initial=0.0) <= 1e-14 * np.max(np.abs(diag)):
         if np.any(diag == 0):
             raise DependenceError("Gram matrix is singular")
-        return (flat.conj().T @ sp.diags(1.0 / diag)).tocsr()
+        return sparse.matmul(adjoint, sparse.identity(len(diag), 1.0 / diag))
     try:
-        gram_inv = np.linalg.inv(gram.toarray())
+        gram_inv = np.linalg.inv(sparse.toarray(gram))
     except np.linalg.LinAlgError as exc:
         raise DependenceError("Gram matrix is singular") from exc
-    return sp.csr_matrix(flat.conj().T @ gram_inv.T)
+    return sparse.matmul(adjoint, sparse.from_dense(gram_inv.T))
 
 
 def commutator_entries(
-    tall: sp.spmatrix, wide: sp.spmatrix, sign: int = -1
+    tall: sparse.CSR, wide: sparse.CSR, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (rows, cols, values) of the matrix with block (a, b) = [M_a, M_b].
 
@@ -225,9 +224,8 @@ def commutator_entries(
     Entries sharing a place are not summed; rows and cols are int64.
     """
     d = tall.shape[1]
-    entries = (tall @ wide).tocoo()
-    rows = entries.row.astype(np.int64)
-    cols = entries.col.astype(np.int64)
+    entries = sparse.matmul(tall, wide)
+    rows, cols = sparse.coo_rows(entries), entries.indices.astype(np.int64)
     # (b - a) * d moves an entry of block (a, b) to the same place of (b, a)
     shift = (cols // d - rows // d) * d
     return (
@@ -249,23 +247,23 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     and DependenceError if the Gram matrix is singular.
     """
     k, d = len(gens), gens.dim
-    flat = sp.csr_matrix(gens.mats.reshape(k, d * d))
+    flat = sparse.from_dense(gens.mats.reshape(k, d * d))
     proj = _projection(flat)
 
     rows, cols, vals = commutator_entries(
-        sp.csr_matrix(gens.mats.reshape(k * d, d)),
-        sp.csr_matrix(gens.mats.transpose(1, 0, 2).reshape(d, k * d)),
+        sparse.from_dense(gens.mats.reshape(k * d, d)),
+        sparse.from_dense(gens.mats.transpose(1, 0, 2).reshape(d, k * d)),
     )
     # row i * k + j of comm is [G_i, G_j] flattened
-    comm = sp.csr_matrix(
-        (vals, (rows // d * k + cols // d, rows % d * d + cols % d)),
-        shape=(k * k, d * d),
+    comm = sparse.from_triplets(
+        rows // d * k + cols // d, rows % d * d + cols % d, vals, (k * k, d * d)
     )
-    comm.eliminate_zeros()
-    coeff = (comm @ proj).tocsr()
-    coeff.eliminate_zeros()
+    coeff = sparse.matmul(comm, proj)
 
-    resid = abs(comm - coeff @ flat).max(axis=1).toarray().reshape(k, k)
+    diff = sparse.subtract(comm, sparse.matmul(coeff, flat))
+    resid = np.zeros(k * k)
+    np.maximum.at(resid, sparse.coo_rows(diff), np.abs(diff.data))
+    resid = resid.reshape(k, k)
     failing = np.flatnonzero(resid.max(axis=1) >= tol)
     if failing.size:
         i = int(failing[0])
@@ -275,12 +273,10 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
             f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
         )
 
-    coeff.sort_indices()
-    entries = coeff.tocoo()
     records = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
-    records["i"], records["j"] = np.divmod(entries.row, k)
-    records["l"] = entries.col
-    records["value"] = entries.data
+    records["i"], records["j"] = np.divmod(sparse.coo_rows(coeff), k)
+    records["l"] = coeff.indices
+    records["value"] = coeff.data
     return StructureConstants(k, records)
 
 

@@ -20,9 +20,9 @@ Each generator of ``standard_rep``, ``nssfr_un``, ``rep_ucnm`` and
 bilinears a+_a a_b, or the sector units Q_ij.  ``_assemble`` forms a
 whole set as the row blocks of one sparse product kron(C, I) @
 vstack(terms), with one row of C per generator, in chunks of generators
-that bound the Kronecker factor.  The product sums each entry over the
-terms in ascending order, so every entry equals, to the bit, the sum of
-the terms added one at a time.  The unit operators themselves come from
+that bound the Kronecker factor.  The product (sparse.matmul) sums each
+entry over the terms in ascending order, so every entry equals, to the
+bit, the sum of the terms added one at a time.  The unit operators themselves come from
 one product of the stacked O+_i |vac><vac| and the stacked O_j.
 """
 
@@ -35,9 +35,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fock, liealg
+from . import fock, liealg, sparse
 from .errors import DegeneracyError, ValidationError
 from .fock import FockOperator
 
@@ -168,7 +167,7 @@ class RepresentationResult:
     it, cut a fresh FockOperator from the stack on each call.
     """
 
-    stack: sp.csr_matrix
+    stack: sparse.CSR
     dtypes: tuple[np.dtype, ...]
     meta: RepMeta
 
@@ -197,14 +196,14 @@ class RepresentationResult:
 
     def __getitem__(self, g: int) -> FockOperator:
         g, dim = range(len(self))[g], 1 << self.modes
-        block = self.stack[g * dim:(g + 1) * dim]
-        values = block if self.dtypes[g].kind == "c" else block.real
-        return FockOperator(self.modes, values.astype(self.dtypes[g]))
+        block = sparse.take_rows(self.stack, slice(g * dim, (g + 1) * dim))
+        values = block.data if self.dtypes[g].kind == "c" else block.data.real
+        return FockOperator(self.modes, sparse.with_data(block, values.astype(self.dtypes[g])))
 
 
 def _concatenate(
-    blocks: Iterable[sp.csr_matrix], count: int, dim: int, capacity: int = 0
-) -> tuple[sp.csr_matrix, tuple[np.dtype, ...]]:
+    blocks: Iterable[sparse.CSR], count: int, dim: int, capacity: int = 0
+) -> tuple[sparse.CSR, tuple[np.dtype, ...]]:
     """CSR blocks of dim columns, count * dim rows in all, as one canonical
     complex128 stack, each block dropped once copied in; and their dtypes.
 
@@ -219,7 +218,6 @@ def _concatenate(
         dtypes.append(block.dtype)
         if block.shape[1] != dim:
             raise ValueError(f"a block of width {block.shape[1]} among operators of {dim}")
-        block.sort_indices()
         start, end = end, end + block.nnz
         if end > len(data):
             data, indices = _grown(data, start, end), _grown(indices, start, end)
@@ -229,7 +227,7 @@ def _concatenate(
     # trimmed in place: the constructor copies a slice of a much larger array
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(count * dim, dim)), tuple(dtypes)
+    return sparse.CSR(data, indices, indptr, (count * dim, dim)), tuple(dtypes)
 
 
 def _grown(values: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -264,7 +262,7 @@ def _coefficient_rows(
     return mats.reshape(len(mats), -1), labels, mats.shape[1]
 
 
-def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sp.csr_matrix:
+def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sparse.CSR:
     """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix;
     or, given terms, bilinear t = a * n + b (0-based) as block number i
     for the i-th t of terms.
@@ -297,10 +295,7 @@ def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sp.csr_matrix
     indptr = np.zeros(len(terms) * dim + 1, dtype=np.int32)
     indptr[np.concatenate(rows) + 1] = 1
     np.cumsum(indptr, out=indptr)
-    return sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols), indptr),
-        shape=(len(terms) * dim, dim),
-    )
+    return sparse.CSR(np.concatenate(vals), np.concatenate(cols), indptr, (len(terms) * dim, dim))
 
 
 # _assemble forms kron(C, I_dim) for at most this many stored entries at a
@@ -324,17 +319,15 @@ def _chunks(coeffs: np.ndarray, dim: int) -> list[slice]:
     return pieces
 
 
-def _stacked(coeffs: np.ndarray, terms: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+def _stacked(coeffs: np.ndarray, terms: sparse.CSR, dim: int) -> sparse.CSR:
     """Row block g is sum_t coeffs[g, t] terms[t], for the row blocks of terms.
 
     One sparse product kron(coeffs, I_dim) @ terms, over only the terms
-    some row uses: scipy converts the values of the whole right operand
-    to the result type for each product, which at n = 12 would be 2.5 MB
-    per chunk.  Row g * dim + r of the Kronecker factor holds
+    some row uses.  Row g * dim + r of the Kronecker factor holds
     coeffs[g, t] at column t * dim + r for each nonzero coefficient, in
-    ascending t, and scipy sums each output entry over that row in stored
-    order.  So every entry is the row-major term-by-term sum, rounded the
-    same way, and exact zeros are dropped.
+    ascending t, and sparse.matmul sums each output entry over that row
+    in stored order.  So every entry is the row-major term-by-term sum,
+    rounded the same way, and exact zeros are dropped.
     """
     used = np.flatnonzero(np.any(coeffs, axis=0))
     coeffs = coeffs[:, used]
@@ -342,17 +335,15 @@ def _stacked(coeffs: np.ndarray, terms: sp.csr_matrix, dim: int) -> sp.csr_matri
     cols = [(np.flatnonzero(row) * dim + basis[:, None]).ravel() for row in coeffs]
     vals = [np.tile(row[row != 0], dim) for row in coeffs]
     widths = np.count_nonzero(coeffs, axis=1)
-    kron = sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols),
-         np.concatenate([[0], np.cumsum(np.repeat(widths, dim))])),
-        shape=(len(coeffs) * dim, len(used) * dim),
+    kron = sparse.CSR(
+        np.concatenate(vals), np.concatenate(cols),
+        np.concatenate([[0], np.cumsum(np.repeat(widths, dim))]),
+        (len(coeffs) * dim, len(used) * dim),
     )
-    product = kron @ terms[(used[:, None] * dim + basis).ravel()]
-    product.sort_indices()
-    return product
+    return sparse.matmul(kron, sparse.take_rows(terms, (used[:, None] * dim + basis).ravel()))
 
 
-def _assemble(coeffs: np.ndarray, terms: sp.csr_matrix, meta: RepMeta) -> RepresentationResult:
+def _assemble(coeffs: np.ndarray, terms: sparse.CSR, meta: RepMeta) -> RepresentationResult:
     """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs.
 
     terms holds the t-th term as its t-th dim x dim row block.  Rows are
@@ -411,7 +402,10 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
     dim = 1 << n
     pieces = (
-        _stacked(low[r], terms, dim) @ f_low + _stacked(high[r], terms, dim) @ f_high
+        sparse.add(
+            sparse.matmul(_stacked(low[r], terms, dim), f_low),
+            sparse.matmul(_stacked(high[r], terms, dim), f_high),
+        )
         for r in _chunks(np.hstack([low, high]), dim)
     )
     stack, _ = _concatenate(pieces, len(low), dim)
@@ -522,16 +516,15 @@ def unit_set(n: int, m: int) -> RepresentationResult:
 # run_suite and mixed_rep reuse a set right after building it; the small
 # bound keeps large sets from living for the rest of the process
 @lru_cache(maxsize=4)
-def _unit_stack(n: int, m: int) -> sp.csr_matrix:
+def _unit_stack(n: int, m: int) -> sparse.CSR:
     """Q_ij as the basis outer product e_{s+i, s+j}, s the sector's first index.
 
     It equals the product O+_i |vac><vac| O_j of sector_operators entry for entry.
     """
     dim, k, s = 1 << n, math.comb(n, m), fock._sector_start(n, m)
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
-    return sp.csr_matrix(
-        (np.ones(k * k, dtype=np.int64), ((i * k + j) * dim + s + i, s + j)),
-        shape=(k * k * dim, dim),
+    return sparse.from_triplets(
+        (i * k + j) * dim + s + i, s + j, np.ones(k * k, dtype=np.int64), (k * k * dim, dim)
     )
 
 
@@ -605,7 +598,7 @@ def mixed_rep(
     # coefficient rows [G | G2] against the units of sectors m and n - m
     parts = [(gens, m)] * xi_minus + [(gens2, mbar)] * xi_plus
     coeffs = np.hstack([gs.mats.reshape(len(gs), -1) for gs, _ in parts])
-    terms = sp.vstack([unit_set(n, s).stack for _, s in parts], format="csr")
+    terms = sparse.vstack([unit_set(n, s).stack for _, s in parts])
     meta = RepMeta(
         variant="mixed",
         modes=n,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fock, liealg, schwinger
+from . import fock, liealg, schwinger, sparse
 from .errors import CapacityError
 from .fock import FockOperator
 from .liealg import StructureConstants
@@ -74,14 +73,14 @@ def check_anticommutation(
     return report
 
 
-def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sp.csr_matrix:
+def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sparse.CSR:
     """Operator a as row block a: a representation's own stack, or a list stacked once."""
     if isinstance(ops, RepresentationResult):
         return ops.stack
-    return sp.vstack([op.mat for op in ops], format="csr")
+    return sparse.vstack([op.mat for op in ops])
 
 
-def _product_terms(stack: sp.csr_matrix) -> int:
+def _product_terms(stack: sparse.CSR) -> int:
     """Terms of stack @ hstack(ops) for its row blocks ops, a bound on its stored entries.
 
     Summed over t: stored entries in column t times those in row t.
@@ -105,7 +104,7 @@ _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 
 def _closure_residuals(
-    tall: sp.csr_matrix, constants: StructureConstants, sign: int = -1
+    tall: sparse.CSR, constants: StructureConstants, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block maxima of [r_a, r_b] - sum_l c[a, b, l] r_l over all pairs a < b.
 
@@ -118,11 +117,10 @@ def _closure_residuals(
     """
     dim = tall.shape[1]
     k = tall.shape[0] // dim
-    entries = tall.tocoo()
+    tall_rows = sparse.coo_rows(tall)
     # hstack(r): entry (r, c) of r_a at (r, a * dim + c)
-    wide = sp.csr_matrix(
-        (entries.data, (entries.row % dim, entries.row // dim * dim + entries.col)),
-        shape=(dim, k * dim),
+    wide = sparse.from_triplets(
+        tall_rows % dim, tall_rows // dim * dim + tall.indices, tall.data, (dim, k * dim)
     )
     rows, cols, vals = liealg.commutator_entries(tall, wide, sign)
     upper = rows // dim < cols // dim + (sign > 0)
@@ -136,10 +134,10 @@ def _closure_residuals(
     per = np.diff(first)[c["l"][chosen]]
     which = np.repeat(chosen, per)
     pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
-    rows = np.concatenate([rows, c["i"][which] * dim + entries.row[pos] % dim])
-    cols = np.concatenate([cols, c["j"][which] * dim + entries.col[pos]])
-    vals = np.concatenate([vals, -c["value"][which] * entries.data[pos]])
-    diff = sp.csr_matrix((vals, (rows, cols)), shape=(k * dim, k * dim))
+    rows = np.concatenate([rows, c["i"][which] * dim + tall_rows[pos] % dim])
+    cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
+    vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
+    diff = sparse.from_triplets(rows, cols, vals, (k * dim, k * dim))
     # freed before _block_maxima copies diff: for the 4,900 units of sector
     # (8, 4) the traced peak is 85 MiB instead of 100 MiB
     del rows, cols, vals
@@ -197,7 +195,7 @@ _DIAGONAL_PAIRS = 16
 
 
 def _one_body_closure(
-    stack: sp.csr_matrix, n: int, constants: StructureConstants
+    stack: sparse.CSR, n: int, constants: StructureConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closure residuals of bilinear operators r_g = rho(C_g) from their n x n C_g.
 
@@ -211,25 +209,30 @@ def _one_body_closure(
     residuals at i * k + j for i < j (zero elsewhere) and span.
     """
     dim, k = 1 << n, stack.shape[0] >> n
-    one = (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel()
-    coeffs = stack[one][:, 1:n + 1].toarray().reshape(k, n * n).astype(np.complex128)
+    one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
+    rows, cols = sparse.coo_rows(one), one.indices
+    inside = (cols >= 1) & (cols <= n)
+    coeffs = np.zeros((k * n, n), dtype=np.complex128)
+    coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
+    coeffs = coeffs.reshape(k, n * n)
     span = np.zeros(k)
     for r in schwinger._chunks(coeffs, dim):
         # only the bilinears these rows use: the whole set adds 5 MiB at n = 12
         used = np.flatnonzero(np.any(coeffs[r], axis=0))
         rebuilt = schwinger._stacked(coeffs[r, used], schwinger._bilinear_stack(n, used), dim)
-        diff = stack[r.start * dim:r.stop * dim] - rebuilt
+        diff = sparse.subtract(sparse.take_rows(stack, slice(r.start * dim, r.stop * dim)), rebuilt)
         keys, worst = _block_maxima(diff, dim, 1)
         span[r.start + keys] = worst
 
-    mats, rows = coeffs.reshape(k, n, n), constants.rows
+    mats, rows, flat = coeffs.reshape(k, n, n), constants.rows, sparse.from_dense(coeffs)
     resid, off = np.zeros(k * k), ~np.eye(n, dtype=bool)
     # the pairs whose R has a nonzero diagonal, and those diagonals
     live_pairs, diagonals = [np.zeros(0, np.int64)], [np.zeros((0, n), np.complex128)]
     for i in range(k - 1):
         pairs = slice(i * k + i + 1, (i + 1) * k)
         comm = (mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).reshape(-1, n * n)
-        remainder = (comm - rows[pairs] @ coeffs).reshape(-1, n, n)
+        expansion = sparse.matmul(sparse.take_rows(rows, pairs), flat)
+        remainder = (comm - sparse.toarray(expansion)).reshape(-1, n, n)
         resid[pairs] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
         diag = np.diagonal(remainder, axis1=1, axis2=2)
         live = np.flatnonzero(np.any(diag, axis=1))
@@ -247,23 +250,22 @@ def _one_body_closure(
 
 
 def _block_maxima(
-    mat: sp.spmatrix, dim: int, blocks: int
+    mat: sparse.CSR, dim: int, blocks: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest absolute entry of each nonzero dim x dim block of mat.
 
     Returns the sorted keys a * blocks + b of the blocks (a, b) holding a
     nonzero entry and, aligned with them, each block's maximum.
     """
-    coo = mat.tocoo()
-    keys = (coo.row.astype(np.int64) // dim) * blocks + coo.col // dim
+    keys = sparse.coo_rows(mat) // dim * blocks + mat.indices // dim
     keys, inverse = np.unique(keys, return_inverse=True)
     worst = np.zeros(len(keys))
-    np.maximum.at(worst, inverse, np.abs(coo.data))
+    np.maximum.at(worst, inverse.reshape(-1), np.abs(mat.data))
     return keys, worst
 
 
 def _operator_checks(
-    diff: sp.spmatrix, tol: float, label: str, t0: float, tags: Sequence[str] = ()
+    diff: sparse.CSR, tol: float, label: str, t0: float, tags: Sequence[str] = ()
 ) -> VerificationReport:
     """One check per row block of diff, its largest absolute entry, named by
     tags if there is one per block, else by number, and timed from t0."""
@@ -327,12 +329,12 @@ def check_number_commutant(
     tags = rep.meta.labels if isinstance(rep, RepresentationResult) else ()
     t0 = time.perf_counter()
     counts = fock._particle_counts(n).astype(np.int8)
-    coo = stack.tocoo()
+    rows = sparse.coo_rows(stack)
     # an entry within one sector gives v * d - d * v = 0; only the others are formed
-    moved = counts[coo.row % dim] != counts[coo.col]
-    rows, cols, v = coo.row[moved], coo.col[moved], coo.data[moved]
+    moved = counts[rows % dim] != counts[stack.indices]
+    rows, cols, v = rows[moved], stack.indices[moved], stack.data[moved]
     diff = v * counts[cols] - counts[rows % dim] * v
-    commutator = sp.coo_matrix((diff, (rows, cols)), shape=stack.shape)
+    commutator = sparse.from_triplets(rows, cols, diff, stack.shape)
     report = _operator_checks(commutator, tol, label, t0, tags)
     report.params["n"] = n
     return report
@@ -357,16 +359,17 @@ def block_decompose(op: FockOperator) -> BlockDecomposition:
     """
     n = op.modes
     counts = fock._particle_counts(n)
-    coo = op.mat.tocoo()
-    sector = counts[coo.row]
-    inside = sector == counts[coo.col]
+    mat = op.mat
+    rows, cols = sparse.coo_rows(mat), mat.indices
+    sector = counts[rows]
+    inside = sector == counts[cols]
     blocks = {}
     for m in range(n + 1):
         start, size = fock._sector_start(n, m), math.comb(n, m)
         blocks[m] = np.zeros((size, size), dtype=np.complex128)
         mine = inside & (sector == m)
-        blocks[m][coo.row[mine] - start, coo.col[mine] - start] = coo.data[mine]
-    off = np.abs(coo.data[~inside])
+        blocks[m][rows[mine] - start, cols[mine] - start] = mat.data[mine]
+    off = np.abs(mat.data[~inside])
     return BlockDecomposition(n, blocks, float(np.max(off, initial=0.0)))
 
 
@@ -381,7 +384,7 @@ def compare_ops(
     if stack_a.shape != stack_b.shape:
         raise ValueError(f"stacks differ: {stack_a.shape} vs {stack_b.shape}")
     t0 = time.perf_counter()
-    return _operator_checks(stack_a - stack_b, tol, label, t0)
+    return _operator_checks(sparse.subtract(stack_a, stack_b), tol, label, t0)
 
 
 def _block_equality_checks(
@@ -403,10 +406,10 @@ def _block_equality_checks(
     dim = 1 << n
     t0 = time.perf_counter()
     counts = fock._particle_counts(n)
-    coo = stack.tocoo()
-    sector = counts[coo.row % dim]
-    checked = (sector != counts[coo.col]) | np.isin(sector, [*expected_blocks, *must_vanish])
-    rows, cols, vals = [coo.row[checked]], [coo.col[checked]], [coo.data[checked]]
+    row = sparse.coo_rows(stack)
+    sector = counts[row % dim]
+    checked = (sector != counts[stack.indices]) | np.isin(sector, [*expected_blocks, *must_vanish])
+    rows, cols, vals = [row[checked]], [stack.indices[checked]], [stack.data[checked]]
     for m, mats in expected_blocks.items():
         expected = np.asarray(mats)
         g, i, j = np.nonzero(expected)
@@ -414,10 +417,9 @@ def _block_equality_checks(
         rows.append(g * dim + start + i)
         cols.append(start + j)
         vals.append(-expected[g, i, j])
-    diff = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=stack.shape
+    diff = sparse.from_triplets(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), stack.shape
     )
-    diff.sum_duplicates()
     return _operator_checks(diff, tol, label, t0)
 
 
@@ -431,11 +433,10 @@ def _outer_product_check(
     stack = _stack_of(units)
     a = np.arange(k * k)
     i, j = np.divmod(a, k)
-    expected = sp.csr_matrix(
-        (np.ones(k * k, dtype=np.int64), (a * (1 << n) + s + i, s + j)),
-        shape=stack.shape,
+    expected = sparse.from_triplets(
+        a * (1 << n) + s + i, s + j, np.ones(k * k, dtype=np.int64), stack.shape
     )
-    diff = stack - expected
+    diff = sparse.subtract(stack, expected)
     report.add_batch([label], [np.max(np.abs(diff.data), initial=0.0)], tol)
     report.timings[label] = time.perf_counter() - t0
     return report

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fermirep import fock, liealg, schwinger, verify
+from fermirep import fock, liealg, schwinger, sparse, verify
 from fermirep.cli import matfile
 from fermirep.cli.main import build_variant, main, representation_report
 
@@ -267,10 +267,9 @@ def test_12_fault_sensitivity():
     def corrupted(n, i):
         op = fock.annihilation(n, i)
         if (n, i) == (2, 1):
-            mat = op.mat.copy()
-            mat.data = mat.data.copy()
-            mat.data[0] = -mat.data[0]
-            return fock.FockOperator(n, mat)
+            data = op.mat.data.copy()
+            data[0] = -data[0]
+            return fock.FockOperator(n, sparse.with_data(op.mat, data))
         return op
 
     clean = verify.run_suite(4)

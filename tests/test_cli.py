@@ -355,18 +355,33 @@ def test_table_structure_golden_text(capsys, n):
     assert capsys.readouterr().out == expected
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # both cost start-up time on every command and nothing in the CLI needs them
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # they cost start-up time on every command and nothing in the CLI needs
+    # them: the package reads numpy alone, and numpy.f2py and numpy.testing
+    # are what scipy.sparse's import used to pull in
     code = (
-        "import sys, fermirep.cli.main\n"
+        "import json, sys, fermirep.cli.main as cli\n"
         "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(args) for args in (\n"
+        "    ['table', 'selective', '--n', '4', '--m', '2'],\n"
+        "    ['build', 'ucnm', '--n', '4', '--m', '2', '--out', out + '/b'],\n"
+        "    ['verify', '--from', out + '/b'],\n"
+        "    ['eval', 'N(1)+N(2)', '--n', '4', '--out', out + '/e.json'],\n"
+        "    ['eval', 'N(2)+N(1)', '--n', '4', '--check', out + '/e.json'],\n"
+        ")]\n"
+        "unused = ('numpy.f2py', 'numpy.testing')\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m in unused]\n"
+        "print(json.dumps([codes, sorted(loaded)]))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=_child_env(),
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+        check=True, env=_child_env(),
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert json.loads(lines[-1]) == [[EXIT_OK] * 5, []]
 
 
 def test_cli_main_freezes_the_import_heap():
@@ -414,6 +429,21 @@ def test_eval_check_against_built_generator(tmp_path):
     assert main(
         ["eval", LAMBDA_H4, "--n", "3", "--check", str(gen5)]
     ) == EXIT_CHECK_FAILED
+
+
+def test_eval_reads_an_expression_that_starts_with_a_minus(capsys):
+    # argparse alone reads "-a(1)" as an unknown option and exits 2
+    assert main(["eval", "-a(1)", "--n", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "0  -1\n0  0\n"
+    assert main(["eval", "--n", "1", "-a(1)+adag(1)"]) == EXIT_OK
+    assert capsys.readouterr().out == "0  -1\n1  0\n"
+    assert main(["eval", "--n", "1", "--", "-a(1)"]) == EXIT_OK
+    assert capsys.readouterr().out == "0  -1\n0  0\n"
+    assert main(["eval", "--n", "1"]) == EXIT_USAGE
+    assert "required: expression" in capsys.readouterr().err
+    assert main(["eval", "-a(1)", "-q", "--n", "1"]) == EXIT_USAGE
+    assert "unrecognized arguments: -q" in capsys.readouterr().err
+    assert main(["table", "selective", "--n", "4", "--m", "2", "-q"]) == EXIT_USAGE
 
 
 def test_eval_usage_errors():

@@ -4,11 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermirep import fock
+from fermirep import fock, sparse
 from fermirep.errors import CapacityError
 from fermirep.fock import FockOperator
 
@@ -94,7 +93,7 @@ def _annihilation_over_basis_states(n, i):
             rows.append(index[mask ^ bit])
             cols.append(col)
             vals.append(-1 if bin(mask & (bit - 1)).count("1") % 2 else 1)
-    mat = sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape=(1 << n,) * 2)
+    mat = sparse.from_triplets(rows, cols, np.array(vals, dtype=np.int64), (1 << n,) * 2)
     return FockOperator(n, mat)
 
 

@@ -4,11 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermirep import liealg
+from fermirep import liealg, sparse
 from fermirep.errors import ClosureError, DependenceError
 
 
@@ -337,7 +336,7 @@ def test_commutator_entries_sign_one_gives_anticommutators():
     mats = list(np.random.default_rng(0).integers(-3, 4, size=(3, d, d)).astype(float))
     tall, wide = np.vstack(mats), np.hstack(mats)
     for sign in (-1, 1):
-        rows, cols, vals = liealg.commutator_entries(sp.csr_matrix(tall), sp.csr_matrix(wide), sign)
+        rows, cols, vals = liealg.commutator_entries(sparse.from_dense(tall), sparse.from_dense(wide), sign)
         full = np.zeros((3 * d, 3 * d))
         np.add.at(full, (rows, cols), vals)
         for a in range(3):

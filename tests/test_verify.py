@@ -13,18 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fermirep.report
-from fermirep import fock, liealg, schwinger, verify
+from fermirep import fock, liealg, schwinger, sparse, verify
 from fermirep.errors import CapacityError
 from fermirep.fock import FockOperator
 from fermirep.verify import VerificationReport
 
 DATA = Path(__file__).parent / "data"
 
+def _scaled_entry(op, which, factor):
+    data = op.mat.data.copy()
+    data[which] *= factor
+    return FockOperator(op.modes, sparse.with_data(op.mat, data))
+
+
 def _flip_entry(op, which=0):
-    mat = op.mat.copy()
-    mat.data = mat.data.copy()
-    mat.data[which] = -mat.data[which]
-    return FockOperator(op.modes, mat)
+    return _scaled_entry(op, which, -1)
 
 
 def test_check_anticommutation_counts_and_exactness():
@@ -135,8 +138,11 @@ def test_block_decompose_roundtrip():
         dec = verify.block_decompose(op)
         assert dec.off_block_norm == 0.0
         # the basis lists the sectors in order of their particle count
-        placed = sp.block_diag([dec.blocks[m] for m in range(4)], format="csr")
-        assert abs(placed - op.mat).max() == 0.0
+        placed = np.zeros((8, 8), dtype=np.complex128)
+        for m in range(4):
+            start, size = fock._sector_start(3, m), math.comb(3, m)
+            placed[start:start + size, start:start + size] = dec.blocks[m]
+        assert np.array_equal(placed, op.to_dense())
 
 
 def test_block_decompose_blocks_match_sectors():
@@ -273,7 +279,11 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
     report = verify.run_suite(6)
     assert report.overall
     assert len(report.checks) == 17_902
-    # every name, verdict and residual bit for bit as recorded in the data file
+    # every name and verdict as the scipy.sparse kernels gave them, and every
+    # residual bit as the numpy kernels give them (within 1e-15 of scipy's,
+    # test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6)
+    verdicts = hashlib.sha256(repr(tuple(c[:2] for c in report.signature())).encode())
+    assert verdicts.hexdigest() == (DATA / "run_suite6_verdicts.sha256").read_text().strip()
     digest = hashlib.sha256(repr(report.signature()).encode()).hexdigest()
     assert digest == (DATA / "run_suite6_signature.sha256").read_text().strip()
     names = [c.name for c in report.checks]
@@ -341,7 +351,7 @@ def test_whole_set_and_factored_closure_paths_agree():
     # alone, so only the span check of that operator can see it
     ops = list(schwinger.standard_rep(gens, 4))
     two = fock.sector_indices(4, 2)
-    entry = np.flatnonzero(np.isin(ops[3].mat.tocoo().row, two))[0]
+    entry = np.flatnonzero(np.isin(sparse.coo_rows(ops[3].mat), two))[0]
     ops[3] = _flip_entry(ops[3], entry)
     assert not verify.check_closure(ops, sc, label="x").overall
     factored, pairs, spans = _factored_closure(ops, sc)
@@ -668,18 +678,18 @@ def _corrupted_unit_sets(draw):
     dim = 1 << n
     for _ in range(draw(st.integers(0, 3))):
         a = draw(st.integers(0, len(units) - 1))
-        mat = units[a].mat.copy()
+        op = units[a]
         kind = draw(st.sampled_from(["flip", "scale", "stray", "zero"]))
-        if kind in ("flip", "scale") and mat.nnz:
-            which = draw(st.integers(0, mat.nnz - 1))
+        if kind in ("flip", "scale") and op.nnz:
+            which = draw(st.integers(0, op.nnz - 1))
             factor = -1 if kind == "flip" else draw(st.sampled_from([-3, -2, 0, 2, 3]))
-            mat.data[which] *= factor
+            op = _scaled_entry(op, which, factor)
         elif kind == "stray":
             r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+            op = op + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))})
         elif kind == "zero":
-            mat = mat * 0
-        units[a] = FockOperator(n, mat)
+            op = op * 0
+        units[a] = op
     return n, m, units
 
 
@@ -733,18 +743,18 @@ def _corrupted_ladders(draw):
     dim = 1 << n
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, n - 1))
-        mat = ann[i].mat.copy()
+        op = ann[i]
         kind = draw(st.sampled_from(["flip", "scale", "stray", "zero"]))
-        if kind in ("flip", "scale") and mat.nnz:
-            which = draw(st.integers(0, mat.nnz - 1))
+        if kind in ("flip", "scale") and op.nnz:
+            which = draw(st.integers(0, op.nnz - 1))
             factor = -1 if kind == "flip" else draw(st.sampled_from([-3, -2, 0, 2, 3]))
-            mat.data[which] *= factor
+            op = _scaled_entry(op, which, factor)
         elif kind == "stray":
             r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+            op = op + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))})
         elif kind == "zero":
-            mat = mat * 0
-        ann[i] = FockOperator(n, mat)
+            op = op * 0
+        ann[i] = op
     return n, ann
 
 
@@ -813,24 +823,25 @@ def _corrupted_representations(draw, kinds=("ucnm", "mixed", "standard")):
             gens2 = gens if draw(st.booleans()) else liealg.conjugate_rep(gens)
             ops = list(schwinger.mixed_rep(gens, gens2, n, m, 1, 1).ops)
     dim = 1 << n
-    counts = fock.total_number(n).mat.diagonal()
+    counts = fock._particle_counts(n)
     for _ in range(draw(st.integers(0, 3))):
         a = draw(st.integers(0, len(ops) - 1))
-        mat = ops[a].mat.astype(np.complex128)
+        op = ops[a]
+        op = FockOperator(n, sparse.with_data(op.mat, op.mat.data.astype(np.complex128)))
         what = draw(st.sampled_from(["link", "edge", "flip", "zero"]))
         if what == "link":
             s, t = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
             r = draw(st.sampled_from(np.flatnonzero(counts == s).tolist()))
             c = draw(st.sampled_from(np.flatnonzero(counts == t).tolist()))
-            mat = mat + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))}).mat
+            op = op + FockOperator.from_entries(n, {(r, c): draw(st.integers(1, 3))})
         elif what == "edge":
             r, c = draw(st.sampled_from([(0, 0), (dim - 1, dim - 1), (0, dim - 1)]))
-            mat = mat + FockOperator.from_entries(n, {(r, c): 1.5 - 0.5j}).mat
-        elif what == "flip" and mat.nnz:
-            mat.data[draw(st.integers(0, mat.nnz - 1))] *= -1
+            op = op + FockOperator.from_entries(n, {(r, c): 1.5 - 0.5j})
+        elif what == "flip" and op.nnz:
+            op = _flip_entry(op, draw(st.integers(0, op.nnz - 1)))
         elif what == "zero":
-            mat = mat * 0
-        ops[a] = FockOperator(n, mat)
+            op = op * 0
+        ops[a] = op
     return ops, sc
 
 
@@ -874,6 +885,82 @@ def test_factored_closure_matches_full_space_oracle(case):
         assert not factored.overall
     if not slow.overall:
         assert not factored.overall
+
+
+# -- the closure kernel against the scipy.sparse kernel it replaced --------------
+
+
+def _scipy_closure_residuals(tall, constants, sign=-1):
+    """_closure_residuals as written on scipy.sparse: the same terms, with the
+    terms at one place summed in the order of scipy's unstable per-row sort."""
+    tall = sp.csr_matrix((tall.data, tall.indices, tall.indptr), shape=tall.shape)
+    dim = tall.shape[1]
+    k = tall.shape[0] // dim
+    entries = tall.tocoo()
+    wide = sp.csr_matrix(
+        (entries.data, (entries.row % dim, entries.row // dim * dim + entries.col)),
+        shape=(dim, k * dim),
+    )
+    product = (tall @ wide).tocoo()
+    rows, cols = product.row.astype(np.int64), product.col.astype(np.int64)
+    shift = (cols // dim - rows // dim) * dim
+    rows, cols = np.concatenate([rows, rows + shift]), np.concatenate([cols, cols - shift])
+    vals = np.concatenate([product.data, product.data if sign > 0 else -product.data])
+    upper = rows // dim < cols // dim + (sign > 0)
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    c = constants.c
+    chosen = np.flatnonzero(c["i"] < c["j"] + (sign > 0))
+    first = tall.indptr[::dim]
+    per = np.diff(first)[c["l"][chosen]]
+    which = np.repeat(chosen, per)
+    pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
+    rows = np.concatenate([rows, c["i"][which] * dim + entries.row[pos] % dim])
+    cols = np.concatenate([cols, c["j"][which] * dim + entries.col[pos]])
+    vals = np.concatenate([vals, -c["value"][which] * entries.data[pos]])
+    diff = sp.csr_matrix((vals, (rows, cols)), shape=(k * dim, k * dim)).tocoo()
+    keys = diff.row.astype(np.int64) // dim * k + diff.col // dim
+    keys, inverse = np.unique(keys, return_inverse=True)
+    worst = np.zeros(len(keys))
+    np.maximum.at(worst, inverse.reshape(-1), np.abs(diff.data))
+    return keys, worst
+
+
+def _scipy_kernel_gap(tall, constants, sign, keys, worst):
+    """Largest difference between the block maxima keys, worst and scipy's."""
+    k = tall.shape[0] // tall.shape[1]
+    got, want = np.zeros(k * k), np.zeros(k * k)
+    got[keys] = worst
+    keys, worst = _scipy_closure_residuals(tall, constants, sign)
+    want[keys] = worst
+    return float(np.max(np.abs(got - want), initial=0.0))
+
+
+def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monkeypatch):
+    # every anticomm, closure and eij family of the suite goes through the kernel
+    kernel, gaps = verify._closure_residuals, []
+
+    def compared(tall, constants, sign=-1):
+        keys, worst = kernel(tall, constants, sign)
+        gaps.append(_scipy_kernel_gap(tall, constants, sign, keys, worst))
+        return keys, worst
+
+    monkeypatch.setattr(verify, "_closure_residuals", compared)
+    assert len(verify.run_suite(6).checks) == 17_902
+    assert len(gaps) == 43 and max(gaps) <= 1e-15
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_corrupted_representations())
+def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_corrupted_sets(case):
+    ops, sc = case
+    tall = verify._stack_of(ops)
+    keys, worst = verify._closure_residuals(tall, sc)
+    assert _scipy_kernel_gap(tall, sc, -1, keys, worst) <= 1e-15
 
 
 def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
@@ -935,7 +1022,7 @@ def test_particle_counts_are_the_total_number_diagonal():
     for n in range(1, 9):
         counts = fock._particle_counts(n)
         assert counts.tolist() == [bin(mask).count("1") for mask in fock.build_basis(n).tolist()]
-        assert counts.tolist() == fock.total_number(n).mat.diagonal().tolist()
+        assert counts.tolist() == sparse.diagonal(fock.total_number(n).mat).tolist()
 
 
 def test_run_suite_makes_few_operator_objects(monkeypatch):
@@ -1018,8 +1105,8 @@ def _oracle_numcomm(ops, n, tol, label):
     counts = fock._particle_counts(n)
     report = VerificationReport()
     for a, op in enumerate(ops):
-        coo = op.mat.tocoo()
-        diff = coo.data * counts[coo.col] - counts[coo.row] * coo.data
+        rows, cols, data = sparse.coo_rows(op.mat), op.mat.indices, op.mat.data
+        diff = data * counts[cols] - counts[rows] * data
         report.add(f"{label}/{a + 1:03d}", np.max(np.abs(diff), initial=0.0), tol)
     return report
 
