@@ -307,7 +307,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # Move the import heap (numpy, scipy: ~40k objects) to the permanent
+    # Move the import heap (numpy and fermirep: ~22k objects) to the permanent
     # generation, so the full collection at interpreter exit skips it and
     # the OS reclaims it with the process, not one object at a time.
     gc.freeze()

@@ -213,17 +213,22 @@ def _projection(flat: sparse.CSR) -> sparse.CSR:
 
 
 def commutator_entries(
-    tall: sparse.CSR, wide: sparse.CSR, sign: int = -1
+    tall: sparse.CSR, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (rows, cols, values) of the matrix with block (a, b) = [M_a, M_b].
 
-    tall = vstack(M) and wide = hstack(M) for k square d x d matrices, so
-    block (a, b) of tall @ wide is M_a M_b.  Each of its entries is
-    returned in place and, times sign (1 or -1), at the same place of
-    block (b, a), so sign 1 gives the anticommutators {M_a, M_b} instead.
-    Entries sharing a place are not summed; rows and cols are int64.
+    tall = vstack(M) for k square d x d matrices, and block (a, b) of
+    tall @ hstack(M) is M_a M_b.  Each of its entries is returned in place
+    and, times sign (1 or -1), at the same place of block (b, a), so sign 1
+    gives the anticommutators {M_a, M_b} instead.  Entries sharing a place
+    are not summed; rows and cols are int64.
     """
     d = tall.shape[1]
+    rows = sparse.coo_rows(tall)
+    # hstack(M): entry (r, c) of M_a at (r, a * d + c)
+    wide = sparse.from_triplets(
+        rows % d, rows // d * d + tall.indices, tall.data, (d, tall.shape[0])
+    )
     entries = sparse.matmul(tall, wide)
     rows, cols = sparse.coo_rows(entries), entries.indices.astype(np.int64)
     # (b - a) * d moves an entry of block (a, b) to the same place of (b, a)
@@ -250,19 +255,18 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     flat = sparse.from_dense(gens.mats.reshape(k, d * d))
     proj = _projection(flat)
 
-    rows, cols, vals = commutator_entries(
-        sparse.from_dense(gens.mats.reshape(k * d, d)),
-        sparse.from_dense(gens.mats.transpose(1, 0, 2).reshape(d, k * d)),
-    )
-    # row i * k + j of comm is [G_i, G_j] flattened
-    comm = sparse.from_triplets(
-        rows // d * k + cols // d, rows % d * d + cols % d, vals, (k * k, d * d)
-    )
+    rows, cols, vals = commutator_entries(sparse.from_dense(gens.mats.reshape(k * d, d)))
+    # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j
+    # with a nonzero commutator: a row per pair would make every index
+    # pointer k^2 long
+    pairs, row = np.unique(rows // d * k + cols // d, return_inverse=True)
+    comm = sparse.from_triplets(row, rows % d * d + cols % d, vals, (len(pairs), d * d))
+    del rows, cols, vals, row  # freed before the products, which set the peak
     coeff = sparse.matmul(comm, proj)
 
     diff = sparse.subtract(comm, sparse.matmul(coeff, flat))
     resid = np.zeros(k * k)
-    np.maximum.at(resid, sparse.coo_rows(diff), np.abs(diff.data))
+    np.maximum.at(resid, pairs[sparse.coo_rows(diff)], np.abs(diff.data))
     resid = resid.reshape(k, k)
     failing = np.flatnonzero(resid.max(axis=1) >= tol)
     if failing.size:
@@ -274,7 +278,7 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
         )
 
     records = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
-    records["i"], records["j"] = np.divmod(sparse.coo_rows(coeff), k)
+    records["i"], records["j"] = np.divmod(pairs[sparse.coo_rows(coeff)], k)
     records["l"] = coeff.indices
     records["value"] = coeff.data
     return StructureConstants(k, records)

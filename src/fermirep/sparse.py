@@ -73,19 +73,38 @@ class CSR:
 
 def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of the values at each, in input order."""
-    places, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0 shaped it like keys
-    if vals.dtype.kind == "c":
-        sums = np.empty(len(places), vals.dtype)
-        sums.real = np.bincount(inverse, vals.real, len(places))
-        sums.imag = np.bincount(inverse, vals.imag, len(places))
-    elif vals.dtype.kind == "f":
-        sums = np.bincount(inverse, vals, len(places)).astype(vals.dtype, copy=False)
+    count = len(keys)
+    if count == 0:
+        return keys.astype(np.int64), vals
+    shift = (count - 1).bit_length()
+    if int(keys.max()) < 1 << (63 - shift):
+        # one sort of each key with its position in the low bits: equal keys
+        # keep their input order, at about half the time of a stable argsort
+        # (in place: this sort sets the peak of the closure kernel)
+        keys = keys << shift
+        keys |= np.arange(count)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
     else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    vals = vals[order]
+    del order
+    first = np.ones(count, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    if vals.dtype.kind in "iub":
         # integer sums are exact in any order
-        sums = np.zeros(len(places), vals.dtype)
-        np.add.at(sums, inverse, vals)
-    return places, sums
+        return keys[first], np.add.reduceat(vals, np.flatnonzero(first))
+    group = np.cumsum(first)
+    group -= 1
+    size = int(group[-1]) + 1
+    if vals.dtype.kind == "f":
+        return keys[first], np.bincount(group, vals, size)
+    sums = np.empty(size, vals.dtype)
+    sums.real = np.bincount(group, vals.real, size)
+    sums.imag = np.bincount(group, vals.imag, size)
+    return keys[first], sums
 
 
 def from_triplets(rows, cols, vals, shape: tuple[int, int]) -> CSR:
@@ -151,7 +170,11 @@ def _combined(a: CSR, b: CSR, op) -> CSR:
         raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
     ncols = a.shape[1]
     keys = [coo_rows(m) * ncols + m.indices for m in (a, b)]
-    places = np.union1d(*keys)
+    # distinct by a sort: np.unique would hash, ten times slower here (numpy 2.4)
+    places = np.sort(np.concatenate(keys))
+    first = np.ones(len(places), dtype=bool)
+    first[1:] = places[1:] != places[:-1]
+    places = places[first]
     dtype = np.result_type(a.dtype, b.dtype)
     sides = []
     for m, k in zip((a, b), keys):
@@ -239,6 +262,9 @@ def conj_transpose(a: CSR) -> CSR:
 
 def coo_rows(a: CSR) -> np.ndarray:
     """The row of each stored entry, aligned with a.indices and a.data."""
+    if a.nnz < a.shape[0]:
+        # a unit stack has one entry per dim rows: search rather than walk every row
+        return np.searchsorted(a.indptr, np.arange(a.nnz), side="right") - 1
     return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
 
 

@@ -117,12 +117,7 @@ def _closure_residuals(
     """
     dim = tall.shape[1]
     k = tall.shape[0] // dim
-    tall_rows = sparse.coo_rows(tall)
-    # hstack(r): entry (r, c) of r_a at (r, a * dim + c)
-    wide = sparse.from_triplets(
-        tall_rows % dim, tall_rows // dim * dim + tall.indices, tall.data, (dim, k * dim)
-    )
-    rows, cols, vals = liealg.commutator_entries(tall, wide, sign)
+    rows, cols, vals = liealg.commutator_entries(tall, sign)
     upper = rows // dim < cols // dim + (sign > 0)
     rows, cols, vals = rows[upper], cols[upper], vals[upper]
 
@@ -134,7 +129,7 @@ def _closure_residuals(
     per = np.diff(first)[c["l"][chosen]]
     which = np.repeat(chosen, per)
     pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
-    rows = np.concatenate([rows, c["i"][which] * dim + tall_rows[pos] % dim])
+    rows = np.concatenate([rows, c["i"][which] * dim + sparse.coo_rows(tall)[pos] % dim])
     cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
     vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
     diff = sparse.from_triplets(rows, cols, vals, (k * dim, k * dim))

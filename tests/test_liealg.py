@@ -334,9 +334,8 @@ def test_commutator_entries_sign_one_gives_anticommutators():
     # integer entries, so every sum is exact whatever its order
     d = 3
     mats = list(np.random.default_rng(0).integers(-3, 4, size=(3, d, d)).astype(float))
-    tall, wide = np.vstack(mats), np.hstack(mats)
     for sign in (-1, 1):
-        rows, cols, vals = liealg.commutator_entries(sparse.from_dense(tall), sparse.from_dense(wide), sign)
+        rows, cols, vals = liealg.commutator_entries(sparse.from_dense(np.vstack(mats)), sign)
         full = np.zeros((3 * d, 3 * d))
         np.add.at(full, (rows, cols), vals)
         for a in range(3):
