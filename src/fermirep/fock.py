@@ -113,11 +113,11 @@ class FockOperator:
 
     @classmethod
     def zero(cls, modes: int) -> "FockOperator":
-        return cls(modes, sparse.identity(1 << modes, np.zeros(1 << modes, np.int64)))
+        return cls(modes, sparse.diags(np.zeros(1 << modes, np.int64)))
 
     @classmethod
     def identity(cls, modes: int) -> "FockOperator":
-        return cls(modes, sparse.identity(1 << modes))
+        return cls(modes, sparse.diags(np.ones(1 << modes, np.int64)))
 
     @classmethod
     def from_entries(
@@ -142,7 +142,7 @@ class FockOperator:
         if len(values) != dim:
             raise ValueError(f"need {dim} diagonal values, got {len(values)}")
         dtype = np.int64 if all(isinstance(v, int) for v in values) else np.complex128
-        return cls(modes, sparse.identity(dim, np.array(values, dtype=dtype)))
+        return cls(modes, sparse.diags(np.array(values, dtype=dtype)))
 
     # -- basic queries -----------------------------------------------------
 

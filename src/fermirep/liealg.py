@@ -204,7 +204,7 @@ def _projection(flat: sparse.CSR) -> sparse.CSR:
     if np.max(np.abs(gram.data[off]), initial=0.0) <= 1e-14 * np.max(np.abs(diag)):
         if np.any(diag == 0):
             raise DependenceError("Gram matrix is singular")
-        return sparse.matmul(adjoint, sparse.identity(len(diag), 1.0 / diag))
+        return sparse.matmul(adjoint, sparse.diags(1.0 / diag))
     try:
         gram_inv = np.linalg.inv(sparse.toarray(gram))
     except np.linalg.LinAlgError as exc:

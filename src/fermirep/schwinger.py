@@ -22,8 +22,9 @@ whole set as the row blocks of one sparse product kron(C, I) @
 vstack(terms), with one row of C per generator, in chunks of generators
 that bound the Kronecker factor.  The product (sparse.matmul) sums each
 entry over the terms in ascending order, so every entry equals, to the
-bit, the sum of the terms added one at a time.  The unit operators themselves come from
-one product of the stacked O+_i |vac><vac| and the stacked O_j.
+bit, the sum of the terms added one at a time.  The unit operators
+themselves come from one product of the stacked O+_i |vac><vac| and the
+stacked O_j.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ __all__ = [
     "CSR",
     "from_triplets",
     "from_dense",
-    "identity",
+    "diags",
     "pruned",
     "with_data",
     "add",
@@ -72,16 +72,17 @@ class CSR:
 
 
 def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of the values at each, in input order."""
+    """The distinct int64 keys, ascending, and the sum of the values at each,
+    in input order; keys is overwritten."""
     count = len(keys)
     if count == 0:
-        return keys.astype(np.int64), vals
+        return keys, vals
     shift = (count - 1).bit_length()
     if int(keys.max()) < 1 << (63 - shift):
         # one sort of each key with its position in the low bits: equal keys
-        # keep their input order, at about half the time of a stable argsort
-        # (in place: this sort sets the peak of the closure kernel)
-        keys = keys << shift
+        # keep their input order, at about half the time of a stable argsort;
+        # in place, since this sort sets the peak of the closure kernel
+        keys <<= shift
         keys |= np.arange(count)
         keys.sort()
         order = keys & ((1 << shift) - 1)
@@ -89,53 +90,57 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-    vals = vals[order]
-    del order
     first = np.ones(count, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    if vals.dtype.kind in "iub":
+    if vals.dtype.kind in "iu":
         # integer sums are exact in any order
-        return keys[first], np.add.reduceat(vals, np.flatnonzero(first))
+        return keys[first], np.add.reduceat(vals[order], np.flatnonzero(first))
     group = np.cumsum(first)
     group -= 1
     size = int(group[-1]) + 1
     if vals.dtype.kind == "f":
-        return keys[first], np.bincount(group, vals, size)
+        return keys[first], np.bincount(group, vals[order], size)
     sums = np.empty(size, vals.dtype)
-    sums.real = np.bincount(group, vals.real, size)
-    sums.imag = np.bincount(group, vals.imag, size)
+    sums.real = np.bincount(group, vals.real[order], size)
+    sums.imag = np.bincount(group, vals.imag[order], size)
     return keys[first], sums
 
 
 def from_triplets(rows, cols, vals, shape: tuple[int, int]) -> CSR:
     """The matrix holding vals[t] at (rows[t], cols[t]), with the values at
     one place summed in input order and zero sums dropped."""
-    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
-    ncols = shape[1]
-    places, sums = _summed(rows.astype(np.int64) * ncols + cols.astype(np.int64), vals)
+    keys = np.asarray(rows, dtype=np.int64) * shape[1]
+    keys += np.asarray(cols, dtype=np.int64)
+    places, sums = _summed(keys, np.asarray(vals))
     keep = sums != 0
     return _from_places(places[keep], sums[keep], shape)
 
 
 def _from_places(places: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> CSR:
     """The matrix holding vals at the ascending row-major places row * shape[1] + col."""
-    indptr = np.zeros(shape[0] + 1, np.int64)
-    np.cumsum(np.bincount(places // shape[1], minlength=shape[0]), out=indptr[1:])
-    return CSR(vals, places % shape[1], indptr, shape)
+    counts = np.bincount(places // shape[1], minlength=shape[0])
+    return CSR(vals, places % shape[1], _pointer(counts), shape)
+
+
+def _pointer(counts: np.ndarray) -> np.ndarray:
+    """The row pointer of rows holding counts entries each."""
+    indptr = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
 def from_dense(array: np.ndarray) -> CSR:
     """The nonzero entries of a 2-D array."""
     array = np.asarray(array)
     rows, cols = np.nonzero(array)
-    indptr = np.zeros(array.shape[0] + 1, np.int64)
-    np.cumsum(np.bincount(rows, minlength=array.shape[0]), out=indptr[1:])
-    return CSR(array[rows, cols], cols, indptr, array.shape)
+    counts = np.bincount(rows, minlength=array.shape[0])
+    return CSR(array[rows, cols], cols, _pointer(counts), array.shape)
 
 
-def identity(dim: int, values=None) -> CSR:
-    """The dim x dim diagonal matrix of values (int64 ones by default)."""
-    values = np.ones(dim, np.int64) if values is None else np.asarray(values)
+def diags(values) -> CSR:
+    """The square diagonal matrix of values, without its zeros."""
+    values = np.asarray(values)
+    dim = len(values)
     return pruned(CSR(values, np.arange(dim), np.arange(dim + 1), (dim, dim)))
 
 
@@ -201,7 +206,8 @@ def matmul(a: CSR, b: CSR) -> CSR:
     lengths = b.indptr[a.indices + 1] - starts
     pos = _spans(starts, lengths)
     rows = np.repeat(coo_rows(a), lengths)
-    vals = _times(np.repeat(a.data, lengths).astype(dtype), b.data[pos].astype(dtype))
+    vals = _times(np.repeat(a.data, lengths).astype(dtype, copy=False),
+                  b.data[pos].astype(dtype, copy=False))
     return from_triplets(rows, b.indices[pos], vals, (a.shape[0], b.shape[1]))
 
 
@@ -211,8 +217,10 @@ def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.dtype.kind != "c":
         return x * y
     product = np.empty(len(x), x.dtype)
-    product.real = x.real * y.real - x.imag * y.imag
-    product.imag = x.real * y.imag + x.imag * y.real
+    np.multiply(x.real, y.real, out=product.real)
+    product.real -= x.imag * y.imag
+    np.multiply(x.real, y.imag, out=product.imag)
+    product.imag += x.imag * y.real
     return product
 
 
@@ -247,17 +255,14 @@ def take_rows(a: CSR, rows) -> CSR:
     starts = a.indptr[rows]
     lengths = a.indptr[rows + 1] - starts
     pos = _spans(starts, lengths)
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return CSR(a.data[pos], a.indices[pos], indptr, (len(rows), a.shape[1]))
+    return CSR(a.data[pos], a.indices[pos], _pointer(lengths), (len(rows), a.shape[1]))
 
 
 def conj_transpose(a: CSR) -> CSR:
     """The conjugate transpose of a."""
     order = np.argsort(a.indices, kind="stable")
-    indptr = np.zeros(a.shape[1] + 1, np.int64)
-    np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=indptr[1:])
-    return CSR(a.data[order].conj(), coo_rows(a)[order], indptr, a.shape[::-1])
+    counts = np.bincount(a.indices, minlength=a.shape[1])
+    return CSR(a.data[order].conj(), coo_rows(a)[order], _pointer(counts), a.shape[::-1])
 
 
 def coo_rows(a: CSR) -> np.ndarray:

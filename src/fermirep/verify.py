@@ -93,13 +93,14 @@ def _product_terms(stack: sparse.CSR) -> int:
 
 # check_closure runs the whole-set kernel while the product it forms has at
 # most this many terms (_product_terms).  The kernel's traced peak is
-# 130-140 bytes per term (standard_rep at n = 8 and 10 on a 2-vCPU VM), so
-# this is a 400 MB budget: run_suite(8), standard_rep up to n = 9 (970,190
-# terms) and the sector builds up to ucnm (8, 2) (133,047) fit.  Above it
-# a standard representation takes the factored path (_one_body_closure),
-# as standard_rep does at n = 10 (2,932,792 terms) and n = 12 (23,971,064;
-# 0.43-0.51 s in-process, and verify --from peaks at 72.2-72.6 MiB RSS, as
-# low as build); any other input raises CapacityError (CLI exit 2)
+# 128.7-129.1 bytes per term (standard_rep at n = 8, 9 and 10 on a 2-vCPU
+# VM; 128.4-128.7 on scipy.sparse), so this is a 400 MB budget:
+# run_suite(8), standard_rep up to n = 9 (970,190 terms) and the sector
+# builds up to ucnm (8, 2) (133,047) fit.  Above it a standard
+# representation takes the factored path (_one_body_closure), as
+# standard_rep does at n = 10 (2,932,792 terms) and n = 12 (23,971,064;
+# 0.24 s in-process, and verify --from peaks at 60 MiB RSS, below build);
+# any other input raises CapacityError (CLI exit 2)
 _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 

@@ -154,6 +154,12 @@ def test_from_triplets_sums_from_zero_in_input_order():
     assert got.data.tolist() == [functools.reduce(operator.add, vals.tolist(), 0.0)] == [1e16]
     # -0.0 alone sums to +0.0 and is dropped
     assert sparse.from_triplets([0], [0], np.array([-0.0]), (1, 1)).nnz == 0
+    # keys too large to carry their positions in the low bits take the
+    # stable argsort, with the same order of summation
+    keys = np.array([2**62, 3, 2**62, 3, 2**62])
+    vals = np.array([1e16, 1.0, 1.0, 2.0, 1.0])
+    places, sums = sparse._summed(keys.copy(), vals)
+    assert places.tolist() == [3, 2**62] and sums.tolist() == [3.0, 1e16]
 
 
 def test_records_are_read_only_views():
