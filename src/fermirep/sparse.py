@@ -118,14 +118,21 @@ def from_triplets(rows, cols, vals, shape: tuple[int, int]) -> CSR:
 
 def _from_places(places: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> CSR:
     """The matrix holding vals at the ascending row-major places row * shape[1] + col."""
-    counts = np.bincount(places // shape[1], minlength=shape[0])
-    return CSR(vals, places % shape[1], _pointer(counts), shape)
+    return CSR(vals, places % shape[1], _pointer(places // shape[1], shape[0]), shape)
 
 
-def _pointer(counts: np.ndarray) -> np.ndarray:
-    """The row pointer of rows holding counts entries each."""
-    indptr = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
+def _pointer(rows: np.ndarray, count: int) -> np.ndarray:
+    """The row pointer of count rows for entries in the ascending rows.
+
+    Each row's last entry sets the pointer past it, which then carries
+    over the empty rows: no second array as long as the pointer, which a
+    unit stack's k^2 dim rows make the largest one; for that reason it is
+    int32 while the entries allow, as scipy made it.
+    """
+    last = np.flatnonzero(np.diff(rows, append=count))
+    indptr = np.zeros(count + 1, np.int32 if len(rows) < 2**31 else np.int64)
+    indptr[rows[last] + 1] = last + 1
+    np.maximum.accumulate(indptr, out=indptr)
     return indptr
 
 
@@ -133,8 +140,7 @@ def from_dense(array: np.ndarray) -> CSR:
     """The nonzero entries of a 2-D array."""
     array = np.asarray(array)
     rows, cols = np.nonzero(array)
-    counts = np.bincount(rows, minlength=array.shape[0])
-    return CSR(array[rows, cols], cols, _pointer(counts), array.shape)
+    return CSR(array[rows, cols], cols, _pointer(rows, array.shape[0]), array.shape)
 
 
 def diags(values) -> CSR:
@@ -255,21 +261,24 @@ def take_rows(a: CSR, rows) -> CSR:
     starts = a.indptr[rows]
     lengths = a.indptr[rows + 1] - starts
     pos = _spans(starts, lengths)
-    return CSR(a.data[pos], a.indices[pos], _pointer(lengths), (len(rows), a.shape[1]))
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return CSR(a.data[pos], a.indices[pos], indptr, (len(rows), a.shape[1]))
 
 
 def conj_transpose(a: CSR) -> CSR:
     """The conjugate transpose of a."""
     order = np.argsort(a.indices, kind="stable")
-    counts = np.bincount(a.indices, minlength=a.shape[1])
-    return CSR(a.data[order].conj(), coo_rows(a)[order], _pointer(counts), a.shape[::-1])
+    indptr = _pointer(a.indices[order], a.shape[1])
+    return CSR(a.data[order].conj(), coo_rows(a)[order], indptr, a.shape[::-1])
 
 
 def coo_rows(a: CSR) -> np.ndarray:
     """The row of each stored entry, aligned with a.indices and a.data."""
     if a.nnz < a.shape[0]:
         # a unit stack has one entry per dim rows: search rather than walk every row
-        return np.searchsorted(a.indptr, np.arange(a.nnz), side="right") - 1
+        # (positions of the pointer's own type, or searchsorted copies it)
+        return np.searchsorted(a.indptr, np.arange(a.nnz, dtype=a.indptr.dtype), "right") - 1
     return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
 
 

@@ -128,6 +128,8 @@ def test_bilinear_stack_equals_the_ladder_products():
             (schwinger._bilinear_stack(n, terms), sparse.vstack([products[t] for t in terms])),
         ]:
             assert got.dtype == want.dtype == np.int64
+            # int32 index arrays, as scipy chose them: half the int64 default's bytes
+            assert got.indptr.dtype == got.indices.dtype == np.int32
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
     assert schwinger._bilinear_stack(3, []).shape == (0, 8)
