@@ -122,12 +122,12 @@ def _from_places(places: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -
 
 
 def _pointer(rows: np.ndarray, count: int) -> np.ndarray:
-    """The row pointer of count rows for entries in the ascending rows.
+    """The row pointer of count rows holding entries in the ascending rows.
 
-    Each row's last entry sets the pointer past it, which then carries
-    over the empty rows: no second array as long as the pointer, which a
-    unit stack's k^2 dim rows make the largest one; for that reason it is
-    int32 while the entries allow, as scipy made it.
+    Each row's last entry sets the pointer past it, and a running maximum
+    carries that over the empty rows, so no other array is as long as the
+    pointer, the largest one for a unit stack's k^2 dim rows.  It is int32
+    while the entries allow, as scipy made it.
     """
     last = np.flatnonzero(np.diff(rows, append=count))
     indptr = np.zeros(count + 1, np.int32 if len(rows) < 2**31 else np.int64)
