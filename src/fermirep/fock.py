@@ -104,6 +104,8 @@ class FockOperator:
 
     def __init__(self, modes: int, mat: sparse.CSR):
         dim = 1 << modes
+        if not isinstance(mat, sparse.CSR):
+            raise TypeError(f"expected a sparse.CSR record, got {type(mat).__name__}")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match 2^{modes}")
         self.modes = modes

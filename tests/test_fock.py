@@ -259,6 +259,8 @@ def test_operator_mode_mismatch():
         _ = a @ b
     with pytest.raises(TypeError):
         _ = a * b
+    with pytest.raises(TypeError, match="sparse.CSR"):
+        FockOperator(1, np.eye(2))
 
 
 def test_from_entries_validation():
