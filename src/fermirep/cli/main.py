@@ -24,9 +24,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
-# second set of the mixed group on sector n - m: the conjugate set, or the
-# set itself (which rebuilds the number-selective representation at m = 1)
-PAIRINGS = ("conjugate", "same")
 
 
 def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
@@ -82,7 +79,7 @@ def build_variant(
     if group == "ucnm":
         rep = schwinger.rep_ucnm(gens, n, m)
     else:
-        if pairing not in PAIRINGS:
+        if pairing not in matfile.PAIRINGS:
             raise ValueError(f"unknown pairing {pairing!r}")
         xi = xi or (1, 1)
         gens2 = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
@@ -91,16 +88,11 @@ def build_variant(
 
 
 def representation_report(
-    rep: schwinger.RepresentationResult,
-    gens: liealg.GeneratorSet,
-    tol: float,
+    rep: schwinger.RepresentationResult, gens: liealg.GeneratorSet, tol: float,
+    second: liealg.GeneratorSet,
 ) -> verify.VerificationReport:
-    """Closure and number-commutant checks for one representation."""
-    sc = liealg.structure_constants(gens)
-    report = verify.VerificationReport({"tol": tol, "variant": rep.meta.variant})
-    report.extend(verify.check_closure(rep, sc, tol, label="closure"))
-    report.extend(verify.check_number_commutant(rep, rep.modes, tol, label="numcomm"))
-    return report
+    """verify.representation_checks of a built representation, under its set's constants."""
+    return verify.representation_checks(rep, gens, liealg.structure_constants(gens), tol, second)
 
 
 def cmd_build(args) -> int:
@@ -128,7 +120,8 @@ def cmd_build(args) -> int:
 
 
 def _load_built(dirpath: Path):
-    """The representation a build wrote, stacked file by file, and its generator set."""
+    """The representation a build wrote, stacked file by file, its generator
+    set, and the set a mixed build pairs with it (gens itself otherwise)."""
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
     items, modes = manifest["generators"], manifest["modes"]
@@ -151,13 +144,14 @@ def _load_built(dirpath: Path):
         labels=tuple(item["label"] for item in items),
         xi=tuple(manifest["xi"]) if manifest.get("xi") else None,
     )
-    return schwinger.RepresentationResult.from_ops(operators(), meta, len(items)), build()
+    rep, gens = schwinger.RepresentationResult.from_ops(operators(), meta, len(items)), build()
+    return rep, gens, liealg.conjugate_rep(gens) if manifest.get("pairing") == "conjugate" else gens
 
 
 def cmd_verify(args) -> int:
     if args.from_dir:
-        rep, gens = _load_built(Path(args.from_dir))
-        report = representation_report(rep, gens, args.tol)
+        rep, gens, second = _load_built(Path(args.from_dir))
+        report = representation_report(rep, gens, args.tol, second)
     else:
         if args.n_max is None:
             raise ValueError("either --n-max or --from is required")
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--xi-minus", type=int, default=1, choices=(0, 1))
     p_build.add_argument("--xi-plus", type=int, default=1, choices=(0, 1))
     p_build.add_argument(
-        "--pairing", choices=PAIRINGS, default="conjugate",
+        "--pairing", choices=matfile.PAIRINGS, default="conjugate",
         help="mixed only: second set on sector n - m is the conjugate set or the same set",
     )
     p_build.add_argument("--out", required=True, help="output directory")

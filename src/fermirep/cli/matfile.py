@@ -34,7 +34,8 @@ must be numbers).  Every refusal raises ``MatfileError`` naming the file
 and the first offending entry, before any operator is allocated.
 
 A manifest lists the generator labels in order together with their file
-names and the construction parameters.
+names and the construction parameters; a mixed one also its xi and its
+pairing.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .. import sparse
 from ..fock import FockOperator, mode_capacity
 
 __all__ = [
+    "PAIRINGS",
     "MatfileError",
     "operator_to_payload",
     "payload_to_operator",
@@ -60,6 +62,10 @@ __all__ = [
 
 # one entry of json.dumps(payload, indent=1), nested at depth 2
 _ENTRY = '\n  {\n   "row": %d,\n   "col": %d,\n   "re": %r,\n   "im": %r\n  }'
+
+# second set of a mixed build on sector n - m: the conjugate set, or the
+# set itself (which rebuilds the number-selective representation at m = 1)
+PAIRINGS = ("conjugate", "same")
 
 # manifest fields that verify --from reads besides generators and family
 _MANIFEST_FIELDS = {
@@ -229,6 +235,10 @@ def read_manifest(path: str | Path) -> dict:
     for key, valid in _MANIFEST_FIELDS.items():
         if not valid(manifest.get(key)):
             raise MatfileError(f"{path}: manifest {key} {manifest.get(key)!r} has the wrong type")
+    xi, pairing = manifest.get("xi"), manifest.get("pairing")
+    if manifest["variant"] == "mixed" and (xi is None or pairing not in PAIRINGS):
+        raise MatfileError(f"{path}: mixed manifest needs xi and a pairing in {PAIRINGS}, "
+                           f"got {xi!r} and {pairing!r}")
     generators = manifest["generators"]
     if not isinstance(generators, list) or not all(
         isinstance(item, dict) and type(item.get("label")) is str

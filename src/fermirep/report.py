@@ -47,19 +47,17 @@ class _PairNames:
 
     Pairs (a, b) run over the 1-based index tags 01..k row by row: a < b
     when upper, else every ordered pair.  Each pair is named
-    prefix + kind + [a,b] for every kind in turn, and span names
-    prefix + span/001 .. prefix + span/<span> follow the pairs.
+    prefix + kind + [a,b] for every kind in turn.
     """
 
     prefix: str
     k: int
     upper: bool
     kinds: tuple[str, ...] = ("",)
-    span: int = 0
 
     def __len__(self) -> int:
         pairs = self.k * (self.k - 1) // 2 if self.upper else self.k * self.k
-        return pairs * len(self.kinds) + self.span
+        return pairs * len(self.kinds)
 
     def __iter__(self) -> Iterator[str]:
         tags = [f"{a:02d}" for a in range(1, self.k + 1)]
@@ -67,7 +65,6 @@ class _PairNames:
         for i, a in enumerate(tags):
             row = tags[i + 1:] if self.upper else tags
             yield from [f"{p}{kind}[{a},{b}]" for b in row for kind in self.kinds]
-        yield from [f"{p}span/{g:03d}" for g in range(1, self.span + 1)]
 
 
 class _Batch(NamedTuple):

@@ -32,6 +32,7 @@ __all__ = [
     "check_number_commutant",
     "block_decompose",
     "compare_ops",
+    "representation_checks",
     "run_suite",
 ]
 
@@ -113,8 +114,9 @@ def _closure_residuals(
     commutator's entries from liealg.commutator_entries and, for each
     coefficient record (a, b, l, v), -v times every stored entry of r_l,
     the row blocks of tall.  With sign 1 the anticommutator {r_a, r_b}
-    takes the commutator's place, and the pairs a = b are included.  Keys
-    and maxima are as in _block_maxima with k blocks per side.
+    takes the commutator's place, and the pairs a = b are included.
+    Returns the sorted keys a * k + b of the blocks holding a nonzero
+    entry and, aligned with them, each block's largest absolute entry.
     """
     dim = tall.shape[1]
     k = tall.shape[0] // dim
@@ -134,10 +136,12 @@ def _closure_residuals(
     cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
     vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
     diff = sparse.from_triplets(rows, cols, vals, (k * dim, k * dim))
-    # freed before _block_maxima copies diff: for the 4,900 units of sector
+    # freed before the block keys are formed: for the 4,900 units of sector
     # (8, 4) the traced peak is 85 MiB instead of 100 MiB
     del rows, cols, vals
-    return _block_maxima(diff, dim, k)
+    keys = sparse.coo_rows(diff) // dim * k + diff.indices // dim
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, _group_maxima(inverse.reshape(-1), diff.data, len(keys))
 
 
 def check_closure(
@@ -151,9 +155,11 @@ def check_closure(
     Inputs up to _CLOSURE_PRODUCT_TERMS take one sparse matrix over the
     full 2^n space (_closure_residuals), so entries joining sectors count
     like any other.  Above it, a standard representation is checked from
-    its one-particle blocks (_one_body_closure), which adds one
-    <label>/span/NNN check per operator, and any other input raises
-    CapacityError before the kernel allocates.
+    its one-particle blocks (_one_body_closure), and any other input
+    raises CapacityError before the kernel allocates.  A standard
+    representation adds one <label>/span/NNN check per operator on both
+    paths: max |r_g - rho(C_g)| for its one-particle block C_g, which
+    pins the sectors that no block check constrains.
     """
     stack = _stack_of(rep)
     k = stack.shape[0] // stack.shape[1]
@@ -163,24 +169,27 @@ def check_closure(
         )
     terms = _product_terms(stack)
     factored = terms > _CLOSURE_PRODUCT_TERMS
-    if factored and not (isinstance(rep, RepresentationResult) and rep.meta.variant == "standard"):
+    standard = isinstance(rep, RepresentationResult) and rep.meta.variant == "standard"
+    if factored and not standard:
         raise CapacityError(
             f"closure of {k} operators forms {terms:,} product terms, over the bound "
             f"of {_CLOSURE_PRODUCT_TERMS:,} that only standard representations may pass"
         )
     report = VerificationReport({"label": label, "tol": tol})
     t0 = time.perf_counter()
+    coeffs, span = _span(stack, rep.modes) if standard else (None, None)
     if factored:
-        resid, span = _one_body_closure(stack, rep.modes, constants)
-        values = np.concatenate([resid[np.triu(np.ones((k, k), dtype=bool), 1).ravel()], span])
+        resid = _one_body_closure(coeffs, rep.modes, constants)
+        values = resid[np.triu(np.ones((k, k), dtype=bool), 1).ravel()]
     else:
         keys, worst = _closure_residuals(stack, constants)
         # key a * k + b (a < b) goes to its place among the pairs in row-major order
         a, b = np.divmod(keys, k)
-        values, span = np.zeros(k * (k - 1) // 2), ()
+        values = np.zeros(k * (k - 1) // 2)
         values[a * (2 * k - a - 3) // 2 + b - 1] = worst
-    names = _PairNames(f"{label}/", k, True, span=len(span))
-    report.add_batch(names, values, tol)
+    report.add_batch(_PairNames(f"{label}/", k, True), values, tol)
+    if standard:
+        report.add_batch([f"{label}/span/{g:03d}" for g in range(1, k + 1)], span, tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 
@@ -190,36 +199,36 @@ def check_closure(
 _DIAGONAL_PAIRS = 16
 
 
-def _one_body_closure(
-    stack: sparse.CSR, n: int, constants: StructureConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closure residuals of bilinear operators r_g = rho(C_g) from their n x n C_g.
-
-    C_g is read exactly as operator g's one-particle block (basis states
-    1..n), and rho(C_g) = sum_ab C_g[a, b] a+_a a_b is rebuilt by the
-    builder's own schwinger._stacked; span[g] is max |r_g - rho(C_g)|.
-    By the CAR, [rho(X), rho(Y)] = rho([X, Y]), so where span is 0 the
-    residual of pair (i, j) is the largest entry of rho(R) for the n x n
-    R = [C_i, C_j] - sum_l c[i, j, l] C_l: the largest |R[a, b]| with
-    a != b, or |sum_{a in S} R[a, a]| over occupied sets S.  Returns the
-    residuals at i * k + j for i < j (zero elsewhere) and span.
-    """
+def _span(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows C_g (row-major), read exactly as the one-particle blocks of
+    operators r_g, and max |r_g - rho(C_g)| with rho(C_g) = sum_ab C_g[a, b]
+    a+_a a_b rebuilt by the builder's own schwinger._stacked."""
     dim, k = 1 << n, stack.shape[0] >> n
     one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
     rows, cols = sparse.coo_rows(one), one.indices
     inside = (cols >= 1) & (cols <= n)
     coeffs = np.zeros((k * n, n), dtype=np.complex128)
     coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
-    coeffs = coeffs.reshape(k, n * n)
-    span = np.zeros(k)
+    coeffs, span = coeffs.reshape(k, n * n), np.zeros(k)
     for r in schwinger._chunks(coeffs, dim):
         # only the bilinears these rows use: the whole set adds 5 MiB at n = 12
         used = np.flatnonzero(np.any(coeffs[r], axis=0))
         rebuilt = schwinger._stacked(coeffs[r, used], schwinger._bilinear_stack(n, used), dim)
         diff = sparse.subtract(sparse.take_rows(stack, slice(r.start * dim, r.stop * dim)), rebuilt)
-        keys, worst = _block_maxima(diff, dim, 1)
-        span[r.start + keys] = worst
+        span[r] = _group_maxima(sparse.coo_rows(diff) >> n, diff.data, r.stop - r.start)
+    return coeffs, span
 
+
+def _one_body_closure(coeffs: np.ndarray, n: int, constants: StructureConstants) -> np.ndarray:
+    """Closure residuals of bilinear operators r_g = rho(C_g) from the rows C_g of coeffs.
+
+    By the CAR, [rho(X), rho(Y)] = rho([X, Y]), so where the span check
+    passes the residual of pair (i, j) is the largest entry of rho(R)
+    for the n x n R = [C_i, C_j] - sum_l c[i, j, l] C_l: the largest
+    |R[a, b]| with a != b, or |sum_{a in S} R[a, a]| over occupied sets
+    S.  Returns the residuals at i * k + j for i < j, zero elsewhere.
+    """
+    dim, k = 1 << n, len(coeffs)
     mats, rows, flat = coeffs.reshape(k, n, n), constants.rows, sparse.from_dense(coeffs)
     resid, off = np.zeros(k * k), ~np.eye(n, dtype=bool)
     # the pairs whose R has a nonzero diagonal, and those diagonals
@@ -242,32 +251,32 @@ def _one_body_closure(
         worst = np.max(np.abs(diagonals[batch] @ occupied), axis=1)
         at = live_pairs[batch]
         resid[at] = np.maximum(resid[at], worst)
-    return resid, span
+    return resid
 
 
-def _block_maxima(
-    mat: sparse.CSR, dim: int, blocks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest absolute entry of each nonzero dim x dim block of mat.
+def _group_maxima(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Largest |values[t]| in each of count groups, value t being in group groups[t]."""
+    worst = np.zeros(count)
+    np.maximum.at(worst, groups, np.abs(values))
+    return worst
 
-    Returns the sorted keys a * blocks + b of the blocks (a, b) holding a
-    nonzero entry and, aligned with them, each block's maximum.
-    """
-    keys = sparse.coo_rows(mat) // dim * blocks + mat.indices // dim
-    keys, inverse = np.unique(keys, return_inverse=True)
-    worst = np.zeros(len(keys))
-    np.maximum.at(worst, inverse.reshape(-1), np.abs(mat.data))
-    return keys, worst
+
+def _entry_sectors(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Particle counts (int8) of each stored entry's row and column in a stack
+    of operators on n modes, the rows' read from the row pointer at the first
+    row of each sector of each operator: no row index per entry is formed."""
+    dim, k = 1 << n, stack.shape[0] >> n
+    firsts = np.arange(k)[:, None] * dim + [fock._sector_start(n, m) for m in range(n + 1)]
+    sizes = np.diff(stack.indptr[np.append(firsts, k * dim)])
+    rows = np.repeat(np.tile(np.arange(n + 1, dtype=np.int8), k), sizes)
+    return rows, fock._particle_counts(n).astype(np.int8)[stack.indices]
 
 
 def _operator_checks(
-    diff: sparse.CSR, tol: float, label: str, t0: float, tags: Sequence[str] = ()
+    resid: np.ndarray, tol: float, label: str, t0: float, tags: Sequence[str] = ()
 ) -> VerificationReport:
-    """One check per row block of diff, its largest absolute entry, named by
-    tags if there is one per block, else by number, and timed from t0."""
-    keys, worst = _block_maxima(diff, diff.shape[1], 1)
-    resid = np.zeros(diff.shape[0] // diff.shape[1])
-    resid[keys] = worst
+    """One check per operator residual, named by tags if there is one per
+    operator, else by number, and timed from t0."""
     if len(tags) != len(resid):
         tags = [f"{a:03d}" for a in range(1, len(resid) + 1)]
     report = VerificationReport({"label": label, "tol": tol})
@@ -324,14 +333,12 @@ def check_number_commutant(
         raise ValueError(f"operators of {stack.shape[1]} states are not on {n} modes")
     tags = rep.meta.labels if isinstance(rep, RepresentationResult) else ()
     t0 = time.perf_counter()
-    counts = fock._particle_counts(n).astype(np.int8)
-    rows = sparse.coo_rows(stack)
+    rows, cols = _entry_sectors(stack, n)
     # an entry within one sector gives v * d - d * v = 0; only the others are formed
-    moved = counts[rows % dim] != counts[stack.indices]
-    rows, cols, v = rows[moved], stack.indices[moved], stack.data[moved]
-    diff = v * counts[cols] - counts[rows % dim] * v
-    commutator = sparse.from_triplets(rows, cols, diff, stack.shape)
-    report = _operator_checks(commutator, tol, label, t0, tags)
+    moved = np.flatnonzero(rows != cols)
+    v, ops = stack.data[moved], np.searchsorted(stack.indptr[::dim], moved, "right") - 1
+    resid = _group_maxima(ops, v * cols[moved] - rows[moved] * v, stack.shape[0] >> n)
+    report = _operator_checks(resid, tol, label, t0, tags)
     report.params["n"] = n
     return report
 
@@ -353,12 +360,9 @@ def block_decompose(op: FockOperator) -> BlockDecomposition:
     offset.  The off-block norm is the largest absolute entry of the
     others; it is zero exactly when the operator is number conserving.
     """
-    n = op.modes
-    counts = fock._particle_counts(n)
-    mat = op.mat
-    rows, cols = sparse.coo_rows(mat), mat.indices
-    sector = counts[rows]
-    inside = sector == counts[cols]
+    n, mat = op.modes, op.mat
+    sector, col_sector = _entry_sectors(mat, n)
+    rows, cols, inside = sparse.coo_rows(mat), mat.indices, sector == col_sector
     blocks = {}
     for m in range(n + 1):
         start, size = fock._sector_start(n, m), math.comb(n, m)
@@ -380,7 +384,9 @@ def compare_ops(
     if stack_a.shape != stack_b.shape:
         raise ValueError(f"stacks differ: {stack_a.shape} vs {stack_b.shape}")
     t0 = time.perf_counter()
-    return _operator_checks(sparse.subtract(stack_a, stack_b), tol, label, t0)
+    diff, dim = sparse.subtract(stack_a, stack_b), stack_a.shape[1]
+    resid = _group_maxima(sparse.coo_rows(diff) // dim, diff.data, diff.shape[0] // dim)
+    return _operator_checks(resid, tol, label, t0)
 
 
 def _block_equality_checks(
@@ -395,28 +401,26 @@ def _block_equality_checks(
 
     Blocks listed in expected_blocks are compared entrywise, sectors in
     must_vanish must be zero, other sectors are unconstrained; off-block
-    entries count against every operator.  The checked entries and the
-    expected matrices, negated, are summed in one sparse matrix.
+    entries count against every operator.  Each expected sector is
+    compared on the operators' rows in it, taken as one sparse matrix.
     """
     stack = _stack_of(rep)
-    dim = 1 << n
+    dim, k = 1 << n, stack.shape[0] >> n
     t0 = time.perf_counter()
-    counts = fock._particle_counts(n)
-    row = sparse.coo_rows(stack)
-    sector = counts[row % dim]
-    checked = (sector != counts[stack.indices]) | np.isin(sector, [*expected_blocks, *must_vanish])
-    rows, cols, vals = [row[checked]], [stack.indices[checked]], [stack.data[checked]]
+    sector, col_sector = _entry_sectors(stack, n)
+    vanishing = np.isin(np.arange(n + 1), list(must_vanish))
+    plain = np.flatnonzero((sector != col_sector) | vanishing[sector])
+    ops = np.searchsorted(stack.indptr[::dim], plain, "right") - 1
+    resid = _group_maxima(ops, stack.data[plain], k)
     for m, mats in expected_blocks.items():
-        expected = np.asarray(mats)
+        start, d, expected = fock._sector_start(n, m), math.comb(n, m), np.asarray(mats)
+        rows = np.arange(k)[:, None] * dim + start + np.arange(d)
+        taken = sparse.take_rows(stack, rows.ravel())
         g, i, j = np.nonzero(expected)
-        start = fock._sector_start(n, m)
-        rows.append(g * dim + start + i)
-        cols.append(start + j)
-        vals.append(-expected[g, i, j])
-    diff = sparse.from_triplets(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), stack.shape
-    )
-    return _operator_checks(diff, tol, label, t0)
+        expected = sparse.from_triplets(g * d + i, start + j, expected[g, i, j], taken.shape)
+        diff = sparse.subtract(taken, expected)
+        np.maximum(resid, _group_maxima(sparse.coo_rows(diff) // d, diff.data, k), out=resid)
+    return _operator_checks(resid, tol, label, t0)
 
 
 def _outer_product_check(
@@ -438,10 +442,44 @@ def _outer_product_check(
     return report
 
 
+def representation_checks(
+    rep: RepresentationResult, gens: liealg.GeneratorSet, constants: StructureConstants,
+    tol: float = DEFAULT_TOL, second: liealg.GeneratorSet | None = None,
+) -> VerificationReport:
+    """check_closure, check_number_commutant and _block_equality_checks of rep
+    for its set gens, named <family>/<variant>/nXX[mYY] after rep.meta.
+
+    Expected blocks, every other sector vanishing: standard, G on sector 1
+    and conjugate_rep(G) on n - 1, its middle sectors left to the span
+    checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, xi_minus G on m
+    and xi_plus G2 on n - m, G2 being second, the set build paired with G.
+    """
+    meta, n, mats = rep.meta, rep.modes, gens.mats
+    variant, m = meta.variant, meta.particles
+    if variant == "standard":
+        # at n = 2 sector n - 1 is sector 1
+        expected = {1: mats, n - 1: liealg.conjugate_rep(gens).mats if n > 2 else mats}
+    elif variant == "nssfr":
+        expected = {1: mats, n - 1: mats}
+    elif variant == "ucnm":
+        expected = {m: mats}
+    elif variant == "mixed":
+        expected = {m: meta.xi[0] * mats, n - m: meta.xi[1] * second.mats}
+    else:
+        raise ValueError(f"no check catalogue for variant {variant!r}")
+    vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in expected]
+    tag = f"{variant}/n{n:02d}" + (f"m{m:02d}" if m is not None else "")
+    report = VerificationReport({"tol": tol, "variant": variant})
+    report.extend(check_closure(rep, constants, tol, label=f"closure/{tag}"))
+    report.extend(check_number_commutant(rep, n, tol, label=f"numcomm/{tag}"))
+    report.extend(_block_equality_checks(rep, expected, vanish, n, tol, f"block/{tag}"))
+    return report
+
+
 # run_suite checks rep_ucnm on the sectors of dimension k = C(n, m) up to
-# this k.  Without it run_suite(6) also checks k = 15, 15 and 20: 148,102
-# checks instead of 17,902, 0.41-1.28 s instead of 0.14-0.33 s and 98-110 MiB
-# of peak RSS instead of 62 MiB on a 2-vCPU VM
+# this k.  Without it run_suite(6) also checks k = 15, 15 and 20: 149,434
+# checks instead of 18,387, 0.38-0.42 s instead of 0.12-0.26 s and 68 MiB
+# of peak RSS instead of 38 MiB on a 2-vCPU VM
 _MAX_SECTOR_REP_DIM = 10
 
 
@@ -453,14 +491,14 @@ def run_suite(
 ) -> VerificationReport:
     """Run the full identity catalogue for all mode counts up to n_max.
 
-    Covers the anticommutation relations, closure of the bilinear and
-    number-selective representations, the spin-1 quadratic
-    reconstruction, the explicit-vs-uniform three-mode comparison, the
-    sector unit-operator algebra, number-commutant checks, and the block
-    equalities.  Every sector gets the exhaustive unit-operator checks;
-    the closure and block checks of the sector representation rep_ucnm
-    run only for sectors of dimension C(n, m) <= _MAX_SECTOR_REP_DIM,
-    which bounds the suite's run time.
+    Covers the anticommutation relations, the spin-1 quadratic
+    reconstruction, the explicit-vs-uniform three-mode comparison and
+    closure, the sector unit-operator algebra (outer products, number
+    commutant and exhaustive matrix-unit identities for every sector),
+    and representation_checks of the standard, nssfr and ucnm
+    representations of the generalized Gell-Mann sets.  The ucnm
+    catalogue runs only for sectors of dimension C(n, m) <=
+    _MAX_SECTOR_REP_DIM, which bounds the suite's run time.
 
     annihilation_source replaces the builder feeding the anticommutation
     family; it exists so fault-injection tests can corrupt the input.
@@ -487,20 +525,9 @@ def run_suite(
 
     for n in range(2, n_max + 1):
         gens, sc = gell_mann_set(n)
-        conj = liealg.conjugate_rep(gens)
-        # closure, number commutant, and the sector blocks: expected matrices
-        # and sectors that must vanish (at n = 2 sector n - 1 is sector 1)
-        standard = {1: gens.mats, n - 1: conj.mats if n > 2 else gens.mats}
-        reps = [("standard", schwinger.standard_rep(gens, n), standard, (0, n))]
+        report.extend(representation_checks(schwinger.standard_rep(gens, n), gens, sc, tol))
         if n >= 3:
-            selective = {1: gens.mats, n - 1: gens.mats}
-            others = [m for m in range(n + 1) if m not in (1, n - 1)]
-            reps.append(("nssfr", schwinger.nssfr_un(gens, n), selective, others))
-        for name, rep, expected, vanish in reps:
-            tag = f"{name}/n{n:02d}"
-            report.extend(check_closure(rep, sc, tol, label=f"closure/{tag}"))
-            report.extend(check_number_commutant(rep, n, tol, label=f"numcomm/{tag}"))
-            report.extend(_block_equality_checks(rep, expected, vanish, n, tol, f"block/{tag}"))
+            report.extend(representation_checks(schwinger.nssfr_un(gens, n), gens, sc, tol))
 
         if n == 3:
             gm = liealg.gell_mann()
@@ -523,10 +550,6 @@ def run_suite(
             if kdim <= _MAX_SECTOR_REP_DIM:
                 sector_gens, sector_sc = gell_mann_set(kdim)
                 rep = schwinger.rep_ucnm(sector_gens, n, m)
-                expected, others = {m: sector_gens.mats}, [s for s in range(n + 1) if s != m]
-                report.extend(check_closure(rep, sector_sc, tol, f"closure/sector/{tag}"))
-                report.extend(
-                    _block_equality_checks(rep, expected, others, n, tol, f"block/sector/{tag}")
-                )
+                report.extend(representation_checks(rep, sector_gens, sector_sc, tol))
     report.sort_by_name()
     return report

@@ -19,7 +19,7 @@ import numpy as np
 
 from fermirep import fock, liealg, schwinger, sparse, verify
 from fermirep.cli import matfile
-from fermirep.cli.main import build_variant, main, representation_report
+from fermirep.cli.main import build_variant, main
 
 import json
 
@@ -303,7 +303,7 @@ def test_13_cli_round_trip(tmp_path):
 
     payload = json.loads(report_path.read_text())
     rep, gens, _family = build_variant("un-nonstandard", 3, None, None)
-    memory = representation_report(rep, gens, 1e-10)
+    memory = verify.representation_checks(rep, gens, liealg.structure_constants(gens), 1e-10)
     file_sig = tuple(
         (c["name"], c["passed"], c["residual"]) for c in payload["checks"]
     )

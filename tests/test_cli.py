@@ -3,11 +3,15 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermirep import liealg, schwinger, verify
 from fermirep.cli import matfile
@@ -18,12 +22,17 @@ from fermirep.cli.main import (
     EXIT_USAGE,
     build_variant,
     main,
-    representation_report,
 )
 
 DATA = Path(__file__).parent / "data"
 
 LAMBDA_H4 = "(adag(1)*a(3) + adag(3)*a(1)) * (1 - 2*N(2))"
+
+
+def _catalogue(group, n):
+    """verify.representation_checks of what build writes for group, in memory."""
+    rep, gens, _family = build_variant(group, n, None, None)
+    return verify.representation_checks(rep, gens, liealg.structure_constants(gens), 1e-10)
 
 
 def test_build_un_nonstandard(tmp_path):
@@ -152,8 +161,7 @@ def test_verify_from_files_matches_memory(tmp_path):
     payload = json.loads(report_path.read_text())
     assert payload["overall"] is True
 
-    rep, gens, _family = build_variant("un-nonstandard", 3, None, None)
-    mem = representation_report(rep, gens, 1e-10)
+    mem = _catalogue("un-nonstandard", 3)
     file_sig = tuple(
         (c["name"], c["passed"], c["residual"]) for c in payload["checks"]
     )
@@ -201,8 +209,7 @@ def _summary(report):
 def test_verify_writes_the_in_memory_json_report(tmp_path, capsys):
     # in this process, and in a child whose files must survive a real interpreter exit
     suite = verify.run_suite(3)
-    rep, gens, _family = build_variant("un-standard", 4, None, None)
-    expected = representation_report(rep, gens, 1e-10)
+    expected = _catalogue("un-standard", 4)
     builds = {}
     for label, run in (("in-process", _in_process(capsys)), ("child", _child)):
         work = tmp_path / label
@@ -285,13 +292,13 @@ def test_verify_from_checks_n10_bilinears_from_their_one_particle_blocks(tmp_pat
     args = ["verify", "--from", str(out), "--report", str(report_path), "--format", "json"]
     assert main(args) == EXIT_OK
     payload = json.loads(report_path.read_text())
-    rep, gens, _family = build_variant("un-standard", 10, None, None)
-    mem = representation_report(rep, gens, 1e-10)
+    mem = _catalogue("un-standard", 10)
     assert tuple((c["name"], c["passed"], c["residual"]) for c in payload["checks"]) == (
         mem.signature()
     )
-    spans = [c for c in payload["checks"] if c["name"].startswith("closure/span/")]
-    assert [c["name"] for c in spans] == [f"closure/span/{g:03d}" for g in range(1, 100)]
+    span = "closure/standard/n10/span/"
+    spans = [c for c in payload["checks"] if c["name"].startswith(span)]
+    assert [c["name"] for c in spans] == [f"{span}{g:03d}" for g in range(1, 100)]
     assert all(c["passed"] for c in spans)
 
     # one entry between two five-particle states of generator 7
@@ -303,7 +310,7 @@ def test_verify_from_checks_n10_bilinears_from_their_one_particle_blocks(tmp_pat
     target.write_text(json.dumps(corrupted))
     assert main(args) == EXIT_CHECK_FAILED
     failed = {c["name"] for c in json.loads(report_path.read_text())["checks"] if not c["passed"]}
-    assert "closure/span/007" in failed
+    assert "closure/standard/n10/span/007" in failed
 
 
 def test_verify_from_refuses_sector_build_over_the_closure_bound(tmp_path, monkeypatch, capsys):
@@ -328,6 +335,170 @@ def test_verify_from_refuses_non_finite_entry(tmp_path, capsys):
     assert rc != EXIT_OK
     assert "is not finite" in capsys.readouterr().err
     assert not report.exists()
+
+
+# a build of every variant at n <= 5, and the pairing of the mixed ones
+_BUILDS = (
+    [(["un-standard", "--n", str(n)], None) for n in (2, 3, 4, 5)]
+    + [(["un-nonstandard", "--n", str(n)], None) for n in (3, 4, 5)]
+    + [(["ucnm", "--n", str(n), "--m", str(m)], None) for n, m in ((2, 1), (3, 2), (4, 2), (5, 1))]
+    + [
+        (["mixed", "--n", str(n), "--m", str(m), "--pairing", pairing, *xi], pairing)
+        for n, m, xi in ((3, 1, []), (4, 3, []), (5, 2, []), (4, 1, ["--xi-plus", "0"]))
+        for pairing in ("conjugate", "same")
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A fresh copy of what build writes for some arguments, each build run once."""
+    root, done = tmp_path_factory.mktemp("builds"), {}
+
+    def copy(group, into):
+        key = " ".join(group)
+        if key not in done:
+            done[key] = root / f"b{len(done)}"
+            assert main(["build", *group, "--out", str(done[key])]) == EXIT_OK
+        return Path(shutil.copytree(done[key], into))
+
+    return copy
+
+
+def _verify_from(out):
+    return main(["verify", "--from", str(out)])
+
+
+def _generator_files(out):
+    items = matfile.read_manifest(out / "manifest.json")["generators"]
+    return [out / item["file"] for item in items]
+
+
+def _entries(path):
+    return json.loads(path.read_text())["entries"]
+
+
+def _write_entries(path, entries):
+    payload = json.loads(path.read_text())
+    payload["entries"] = sorted(entries, key=lambda e: (e["row"], e["col"]))
+    path.write_text(json.dumps(payload))
+
+
+def _sectors(n):
+    """The particle count of each basis state, in basis order."""
+    return [m for m in range(n + 1) for _ in range(math.comb(n, m))]
+
+
+def test_verify_from_passes_every_unmodified_build(built, tmp_path):
+    for a, (group, _pairing) in enumerate(_BUILDS):
+        assert _verify_from(built(group, tmp_path / f"{a}")) == EXIT_OK, group
+
+
+def _applies(kind, group, pairing):
+    """Whether corruption kind changes what a build of group wrote."""
+    n = int(group[2])
+    if kind == "other variant":
+        return group[0] in ("un-standard", "un-nonstandard") and n >= 3
+    if kind == "middle sector":
+        return group[0] == "un-standard" and n >= 4
+    if kind == "flip pairing":
+        # with xi_plus = 0 no sector carries the second set
+        return pairing is not None and "--xi-plus" not in group
+    return True
+
+
+def _corrupt(kind, out, group, pairing, built, draw):
+    """Apply corruption kind to the build of group written to out."""
+    files, n = _generator_files(out), int(group[2])
+    counts = _sectors(n)
+    pick = draw(st.integers(0, len(files) - 1))
+    if kind == "zero one":
+        _write_entries(files[pick], [])
+    elif kind == "zero all":
+        for path in files:
+            _write_entries(path, [])
+    elif kind == "swap two":
+        other = files[(pick + draw(st.integers(1, len(files) - 1))) % len(files)]
+        texts = files[pick].read_text(), other.read_text()
+        files[pick].write_text(texts[1])
+        other.write_text(texts[0])
+    elif kind == "other variant":
+        swap = {"un-standard": "un-nonstandard", "un-nonstandard": "un-standard"}[group[0]]
+        donor = built([swap, *group[1:]], out.parent / "donor")
+        for path in files:
+            _write_entries(path, _entries(donor / path.name))
+    elif kind in ("transpose", "negate"):
+        # the members with G^T = -G: in the generalized Gell-Mann sets those
+        # with imaginary entries only, so every operator entry is imaginary
+        antisymmetric = [p for p in files if not any(e["re"] for e in _entries(p))]
+        path = antisymmetric[pick % len(antisymmetric)]
+        if kind == "transpose":
+            changed = [{**e, "row": e["col"], "col": e["row"]} for e in _entries(path)]
+        else:
+            changed = [{**e, "im": -e["im"]} for e in _entries(path)]
+        _write_entries(path, changed)
+    elif kind == "off-sector entry":
+        row = draw(st.integers(0, len(counts) - 1))
+        col = draw(st.sampled_from([c for c, m in enumerate(counts) if m != counts[row]]))
+        entry = {"row": row, "col": col, "re": 1e-8, "im": 0.0}
+        _write_entries(files[pick], _entries(files[pick]) + [entry])
+    elif kind == "middle sector":
+        entries = _entries(files[pick])
+        middle = [e for e in entries if 2 <= counts[e["row"]] <= n - 2]
+        middle[draw(st.integers(0, len(middle) - 1))]["re"] += 1e-8
+        _write_entries(files[pick], entries)
+    elif kind == "flip pairing":
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["pairing"] = {"conjugate": "same", "same": "conjugate"}[pairing]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("kind", [
+    "zero one", "zero all", "swap two", "other variant", "transpose", "negate",
+    "off-sector entry", "middle sector", "flip pairing",
+])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_verify_from_fails_every_corrupted_build(built, kind, data):
+    group, pairing = data.draw(st.sampled_from([b for b in _BUILDS if _applies(kind, *b)]))
+    with tempfile.TemporaryDirectory() as work:
+        out = built(group, Path(work) / "out")
+        _corrupt(kind, out, group, pairing, built, data.draw)
+        assert _verify_from(out) == EXIT_CHECK_FAILED, (group, kind)
+
+
+def test_verify_from_fails_an_emptied_sector_build(built, tmp_path):
+    # zero operators pass both closure and the number commutant
+    out = built(["ucnm", "--n", "4", "--m", "2"], tmp_path / "ucnm42")
+    for path in _generator_files(out):
+        _write_entries(path, [])
+    assert _verify_from(out) == EXIT_CHECK_FAILED
+
+
+def test_verify_from_fails_a_nssfr_build_holding_the_bilinear_operators(built, tmp_path):
+    # both represent su(4) and conserve particle number, but not on the same sectors
+    out = built(["un-nonstandard", "--n", "4"], tmp_path / "nssfr4")
+    donor = built(["un-standard", "--n", "4"], tmp_path / "std4")
+    for path in _generator_files(out):
+        _write_entries(path, _entries(donor / path.name))
+    assert _verify_from(out) == EXIT_CHECK_FAILED
+
+
+def test_verify_from_gives_the_run_suite_checks_of_the_same_representation(built, tmp_path):
+    suite = verify.run_suite(4).signature()
+    for group, tag in (
+        (["un-standard", "--n", "4"], "standard/n04"),
+        (["un-nonstandard", "--n", "4"], "nssfr/n04"),
+        (["ucnm", "--n", "4", "--m", "2"], "ucnm/n04m02"),
+    ):
+        out = built(group, tmp_path / tag.replace("/", "-"))
+        report_path = tmp_path / f"{tag.replace('/', '-')}.json"
+        args = ["verify", "--from", str(out), "--format", "json", "--report", str(report_path)]
+        assert main(args) == EXIT_OK
+        checks = json.loads(report_path.read_text())["checks"]
+        from_files = sorted((c["name"], c["passed"], c["residual"]) for c in checks)
+        families = tuple(f"{family}/{tag}/" for family in ("closure", "numcomm", "block"))
+        assert from_files == [c for c in suite if c[0].startswith(families)]
 
 
 def test_table_selective():

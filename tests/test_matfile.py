@@ -352,6 +352,30 @@ def test_verify_from_refuses_a_sector_family_of_the_wrong_dimension(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("pairing"),
+         "mixed manifest needs xi and a pairing in ('conjugate', 'same'), got [1, 1] and None"),
+        (lambda m: m.update(pairing="other"), "got [1, 1] and 'other'"),
+        (lambda m: m.update(xi=None), "got None and 'conjugate'"),
+    ],
+)
+def test_verify_from_refuses_a_mixed_manifest_without_xi_or_pairing(
+    tmp_path, capsys, monkeypatch, edit, message
+):
+    out = tmp_path / "mixed41"
+    assert main(["build", "mixed", "--n", "4", "--m", "1", "--out", str(out)]) == EXIT_OK
+    _never_build(monkeypatch)
+    _rewrite(out / "manifest.json", edit)
+    capsys.readouterr()
+    assert main(["verify", "--from", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and message in err
+    with pytest.raises(matfile.MatfileError, match="mixed manifest needs xi and a pairing"):
+        matfile.read_manifest(out / "manifest.json")
+
+
 def test_verify_from_builds_the_family_after_reading_every_file(built_std3, capsys, monkeypatch):
     _never_build(monkeypatch)
     (built_std3 / "generator_008.json").unlink()

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -59,7 +60,8 @@ def test_check_closure_pass_and_fault():
     rep = schwinger.standard_rep(gm, 3)
     report = verify.check_closure(rep, sc)
     assert report.overall
-    assert len(report.checks) == 8 * 7 // 2
+    # the pairs, then one span check per operator of a standard representation
+    assert len(report.checks) == 8 * 7 // 2 + 8
     assert report.max_residual() < 1e-12
 
     broken = list(rep.ops)
@@ -278,13 +280,23 @@ def test_run_suite_timings_are_batch_measurements():
 def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
     report = verify.run_suite(6)
     assert report.overall
-    assert len(report.checks) == 17_902
+    assert len(report.checks) == 18_387
+    digest = hashlib.sha256(repr(report.signature()).encode()).hexdigest()
+    assert digest == (DATA / "run_suite6_catalogue.sha256").read_text().strip()
+    # the report before representation_checks: without the ucnm number
+    # commutant and the span checks, with the ucnm families named sector
+    earlier = tuple(sorted(
+        (re.sub(r"^(closure|block)/ucnm/", r"\1/sector/", name), passed, residual)
+        for name, passed, residual in report.signature()
+        if not name.startswith("numcomm/ucnm/") and "/span/" not in name
+    ))
+    assert len(earlier) == 17_902
     # every name and verdict as the scipy.sparse kernels gave them, and every
     # residual bit as the numpy kernels give them (within 1e-15 of scipy's,
     # test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6)
-    verdicts = hashlib.sha256(repr(tuple(c[:2] for c in report.signature())).encode())
+    verdicts = hashlib.sha256(repr(tuple(c[:2] for c in earlier)).encode())
     assert verdicts.hexdigest() == (DATA / "run_suite6_verdicts.sha256").read_text().strip()
-    digest = hashlib.sha256(repr(report.signature()).encode()).hexdigest()
+    digest = hashlib.sha256(repr(earlier).encode()).hexdigest()
     assert digest == (DATA / "run_suite6_signature.sha256").read_text().strip()
     names = [c.name for c in report.checks]
     assert not any("sampled" in name for name in names)
@@ -562,7 +574,6 @@ def _batches(draw):
             draw(st.integers(0, 5)),
             draw(st.booleans()),
             draw(st.sampled_from([("",), ("aa", "cc", "ac")])),
-            draw(st.integers(0, 3)),
         )
     pool = draw(st.lists(_RESIDUALS, min_size=1, max_size=4))
     return ("batch", names, [pool[a % len(pool)] for a in range(len(names))])
@@ -945,7 +956,7 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
         return keys, worst
 
     monkeypatch.setattr(verify, "_closure_residuals", compared)
-    assert len(verify.run_suite(6).checks) == 17_902
+    assert len(verify.run_suite(6).checks) == 18_387
     assert len(gaps) == 43 and max(gaps) <= 1e-15
 
 
