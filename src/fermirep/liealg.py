@@ -59,9 +59,8 @@ class GeneratorSet:
         mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "labels", tuple(self.labels))
-        flat = mats.reshape(len(mats), -1)
-        if np.linalg.matrix_rank(flat.conj() @ flat.T, hermitian=True) < len(mats):
-            raise DependenceError("generator matrices are linearly dependent")
+        flat = sparse.from_dense(mats.reshape(len(mats), -1))
+        self.__dict__.update(_flat=flat, _gram_inverse=_gram_inverse(flat))
 
     @classmethod
     def create(cls, mats: Sequence[np.ndarray], labels: Sequence[str] | None = None):
@@ -190,26 +189,25 @@ def gellmann_from_spin1() -> GeneratorSet:
     return GeneratorSet(3, mats, labels)
 
 
-def _projection(flat: sparse.CSR) -> sparse.CSR:
-    """G^H Gram^-1: the coefficients of a flattened matrix x are x @ proj.
+def _gram_inverse(flat: sparse.CSR) -> sparse.CSR:
+    """The inverse of the sparse Gram of a set's flattened matrices.
 
-    The Gram matrix of a trace-orthogonal set (every Gell-Mann set) is
-    diagonal up to rounding, and its inverse is taken entrywise; any other
-    set goes through the dense inverse.
+    Raises DependenceError if np.linalg.matrix_rank finds the Gram singular,
+    but skips that dense rank when every diagonal entry exceeds its row's
+    other magnitudes by more than its tolerance, sigma_max * k * eps, with
+    sigma_max bounded by the largest row sum (Gershgorin's circles).  A
+    diagonal Gram (a trace-orthogonal set's) is inverted entrywise, others densely.
     """
     conj = sparse.with_data(flat, flat.data.conj())
-    gram, adjoint = sparse.matmul(conj, sparse.conj_transpose(conj)), sparse.conj_transpose(flat)
-    diag = sparse.diagonal(gram)
-    off = sparse.coo_rows(gram) != gram.indices
-    if np.max(np.abs(gram.data[off]), initial=0.0) <= 1e-14 * np.max(np.abs(diag)):
-        if np.any(diag == 0):
-            raise DependenceError("Gram matrix is singular")
-        return sparse.matmul(adjoint, sparse.diags(1.0 / diag))
-    try:
-        gram_inv = np.linalg.inv(sparse.toarray(gram))
-    except np.linalg.LinAlgError as exc:
-        raise DependenceError("Gram matrix is singular") from exc
-    return sparse.matmul(adjoint, sparse.from_dense(gram_inv.T))
+    gram = sparse.matmul(conj, sparse.conj_transpose(conj))
+    k, rows, mag = gram.shape[0], sparse.coo_rows(gram), np.abs(gram.data)
+    diag, sums = sparse.diagonal(gram), np.bincount(rows, mag, k)
+    certified = np.all(2 * np.abs(diag) - sums > sums.max(initial=0.0) * k * np.finfo(float).eps)
+    if not certified and np.linalg.matrix_rank(sparse.toarray(gram), hermitian=True) < k:
+        raise DependenceError("generator matrices are linearly dependent")
+    if np.max(mag[rows != gram.indices], initial=0.0) <= 1e-14 * np.max(np.abs(diag), initial=0.0):
+        return sparse.diags(1.0 / diag)
+    return sparse.from_dense(np.linalg.inv(sparse.toarray(gram)).T)
 
 
 def commutator_entries(
@@ -248,12 +246,13 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     handled too.  The k^2 commutators come from commutator_entries,
     flattened to rows, and are projected at once.  Only the nonzero
     coefficients are kept (see StructureConstants).  Raises ClosureError
-    if any commutator has a component outside the span (residual >= tol)
-    and DependenceError if the Gram matrix is singular.
+    if any commutator has a component outside the span (residual >= tol).
+    The projection reuses the flattened set and the Gram inverse that
+    GeneratorSet formed.
     """
     k, d = len(gens), gens.dim
-    flat = sparse.from_dense(gens.mats.reshape(k, d * d))
-    proj = _projection(flat)
+    flat = gens._flat
+    proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
 
     rows, cols, vals = commutator_entries(sparse.from_dense(gens.mats.reshape(k * d, d)))
     # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j

@@ -142,10 +142,11 @@ class VerificationReport:
     ) -> None:
         """Record one check per name, all computed as one batch (elapsed 0.0).
 
+        A float64 array is kept as given, not copied; anything else is converted.
         Nothing is recorded unless every residual is finite and nonnegative.
         """
         names = names if isinstance(names, _PairNames) else list(names)
-        self._append(names, np.array(residuals, dtype=np.float64), tol, None)
+        self._append(names, np.asarray(residuals, dtype=np.float64), tol, None)
 
     def _append(
         self, names: Sequence[str], values: np.ndarray, tol: float, elapsed: np.ndarray | None

@@ -173,12 +173,22 @@ def test_structure_constants_pauli_half():
 
 
 def test_structure_constants_non_orthogonal_set():
-    # the ladder triple is not trace orthogonal; Gram projection must still work
-    sp = liealg.spin1_matrices()
-    c = _dense(liealg.structure_constants(sp))
-    # [J+, J-] = 2 J3 and [J3, J+] = J+
-    assert abs(c[0, 1, 2] - 2) < 1e-12
-    assert abs(c[2, 0, 0] - 1) < 1e-12
+    # (J+, J-, J3 + J+) spans the spin-1 algebra, but J3 + J+ overlaps J+ in
+    # the trace inner product, so the projection takes the dense inverse
+    jp, jm, j3 = liealg.spin1_matrices().mats
+    gens = liealg.GeneratorSet.create([jp, jm, j3 + jp])
+    stack = gens.mats.reshape(3, -1)
+    gram = stack.conj() @ stack.T
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 1
+    c = _dense(liealg.structure_constants(gens))
+    # with K = J3 + J+: [J+, J-] = 2 J3 = 2 K - 2 J+, [J+, K] = -J+ and
+    # [J-, K] = J- + [J-, J+] = 2 J+ + J- - 2 K
+    expected = np.zeros((3, 3, 3))
+    expected[0, 1] = -2, 0, 2
+    expected[0, 2] = -1, 0, 0
+    expected[1, 2] = 2, 1, -2
+    expected -= expected.transpose(1, 0, 2)
+    assert np.max(np.abs(c - expected)) < 1e-12
 
 
 def test_structure_constants_closure_error():
@@ -295,12 +305,9 @@ def test_structure_constants_errors_after_projection_change():
     g = liealg.generalized_gell_mann(3)
     with pytest.raises(ClosureError, match="leaves the span"):
         liealg.structure_constants(liealg.GeneratorSet.create(g.mats[:4]))
-    # GeneratorSet rejects a dependent set itself, so the duplicate is put in
-    # afterwards to reach the Gram inversion inside structure_constants
-    singular = liealg.GeneratorSet.create([g[0], g[1], g[2]])
-    object.__setattr__(singular, "mats", np.stack((g[0], g[0], g[2])))
+    # a singular Gram is refused once, when the set is built
     with pytest.raises(DependenceError):
-        liealg.structure_constants(singular)
+        liealg.GeneratorSet.create([g[0], g[0], g[2]])
 
 
 # -- sparse records --------------------------------------------------------------
@@ -384,3 +391,88 @@ def test_structure_constants_invariant_under_unitary_conjugation(d, seed):
     assert min(np.count_nonzero(m) for m in rotated.mats) > d
     sc = liealg.structure_constants(gens)
     assert liealg.structure_constants(rotated).max_difference(sc) <= 1e-12
+
+
+# -- the dependence decision against the dense rule it replaces -------------------
+
+
+def _dense_rule_dependent(mats):
+    """The rule GeneratorSet applied before its sparse certificate: the rank
+    of the dense Gram, with matrix_rank's own tolerance."""
+    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    return np.linalg.matrix_rank(flat.conj() @ flat.T, hermitian=True) < len(mats)
+
+
+def _decided_dependent(mats):
+    try:
+        liealg.GeneratorSet.create(list(mats))
+    except DependenceError:
+        return True
+    return False
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["none", "small", "copy", "rounded", "zero", "tiny"]),
+)
+def test_dependence_decision_matches_the_dense_rank(d, seed, mixed, case):
+    rng = np.random.default_rng(seed)
+    base = liealg.generalized_gell_mann(d).mats
+    k = len(base)
+    if mixed:  # an invertible complex mix: no longer trace-orthogonal
+        mix = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    else:  # rescaled members stay orthogonal, so the sparse certificate decides
+        mix = np.diag(rng.uniform(0.5, 2, k) * np.exp(2j * np.pi * rng.uniform(size=k)))
+    mats = np.einsum("ab,bxy->axy", mix, base)
+    a, b = rng.choice(k, 2, replace=False)
+    if case == "small":
+        mats[a] *= 1e-3
+    elif case == "copy":
+        mats[a] = 2 * mats[b]  # exactly dependent
+    elif case == "rounded":  # dependent up to rounding
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        coeff[a] = 0
+        mats[a] = np.einsum("b,bxy->xy", coeff, mats)
+    elif case == "zero":
+        mats[a] = 0
+    elif case == "tiny":
+        mats[a] *= 1e-20
+    expected = _dense_rule_dependent(mats)
+    assert _decided_dependent(mats) == expected
+    assert expected == (case not in ("none", "small"))
+
+
+def test_dependence_decision_on_orthogonal_and_chevalley_sets(monkeypatch):
+    from test_schwinger import _chevalley
+
+    ggm = [liealg.generalized_gell_mann(d).mats for d in range(2, 7)]
+    chevalley = [_chevalley(d).mats for d in range(2, 6)]
+    assert not any(map(_dense_rule_dependent, ggm + chevalley))
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(
+        np.linalg, "matrix_rank", lambda *a, **kw: calls.append(a[0].shape) or rank(*a, **kw)
+    )
+    # the sparse certificate decides every Gell-Mann set without a dense rank
+    assert not any(map(_decided_dependent, ggm)) and calls == []
+    # the H_i of a Chevalley set have the tridiagonal Gram (2, -1), which is
+    # not strictly diagonally dominant from three H_i on: from d = 4 the set
+    # takes the dense k x k rank
+    assert not any(map(_decided_dependent, chevalley))
+    assert calls == [(15, 15), (24, 24)]
+    assert _decided_dependent([*chevalley[-1][:-1], chevalley[-1][0] + chevalley[-1][-2]])
+
+
+def test_generator_set_peak_memory_stays_near_its_array():
+    ggm32 = liealg.generalized_gell_mann(32)
+    tracemalloc.start()
+    try:
+        liealg.GeneratorSet(32, ggm32.mats, ggm32.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one copy of the matrices, and no dense k x k Gram beside it
+    assert peak <= 1.2 * ggm32.mats.nbytes

@@ -255,6 +255,22 @@ def test_report_residual_validation():
         report.add("x", -1.0, 1e-10)
 
 
+def test_report_keeps_a_float64_batch_and_converts_anything_else():
+    report = VerificationReport()
+    given = np.array([0.0, 1e-12, 2.0])
+    report.add_batch(["a", "b", "c"], given, 1e-10)
+    assert np.shares_memory(report._batches[-1].residuals, given)
+    for other in (given.astype(np.float32), [0.0, 1e-12, 2.0], np.array([0, 0, 2])):
+        report.add_batch(["a", "b", "c"], other, 1e-10)
+        kept = report._batches[-1].residuals
+        assert kept.dtype == np.float64 and not np.shares_memory(kept, given)
+    assert list(report.passed) == [True, True, False] * 4
+    # a rejected batch records nothing
+    with pytest.raises(ValueError):
+        report.add_batch(["a", "b"], np.array([0.0, np.nan]), 1e-10)
+    assert len(report.names) == 12
+
+
 def test_report_equality_ignores_elapsed():
     a = VerificationReport()
     a.add("x", 0.0, 1e-10, elapsed=1.0)
