@@ -11,12 +11,15 @@ import gc
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .. import fock, liealg, schwinger, verify
+from .. import fock
 from ..errors import CapacityError
-from . import expr as expr_mod
 from . import matfile
+
+# the commands import liealg, schwinger, verify and expr: each pays for its own
+if TYPE_CHECKING:
+    from .. import liealg, schwinger, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -30,6 +33,7 @@ def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
     """The builder of the generator set a manifest names, refused before any
     allocation unless the set has one member per listed generator and the
     dimension its variant needs: the mode count, or C(modes, particles)."""
+    from .. import liealg
     family, size = manifest.get("family"), len(manifest["generators"])
     fields = family if isinstance(family, dict) else {}
     name, dim = fields.get("name"), fields.get("dim")
@@ -61,6 +65,7 @@ def build_variant(
     pairing: str = "conjugate",
 ):
     """Construct the requested representation plus its generator set."""
+    from .. import liealg, schwinger
     if group in ("un-standard", "un-nonstandard"):
         gens = liealg.generalized_gell_mann(n)
         family = {"name": "generalized_gell_mann", "dim": n}
@@ -92,6 +97,7 @@ def representation_report(
     second: liealg.GeneratorSet,
 ) -> verify.VerificationReport:
     """verify.representation_checks of a built representation, under its set's constants."""
+    from .. import liealg, verify
     return verify.representation_checks(rep, gens, liealg.structure_constants(gens), tol, second)
 
 
@@ -122,6 +128,7 @@ def cmd_build(args) -> int:
 def _load_built(dirpath: Path):
     """The representation a build wrote, stacked file by file, its generator
     set, and the set a mixed build pairs with it (gens itself otherwise)."""
+    from .. import liealg, schwinger
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
     items, modes = manifest["generators"], manifest["modes"]
@@ -149,6 +156,7 @@ def _load_built(dirpath: Path):
 
 
 def cmd_verify(args) -> int:
+    from .. import verify
     if args.from_dir:
         rep, gens, second = _load_built(Path(args.from_dir))
         report = representation_report(rep, gens, args.tol, second)
@@ -175,6 +183,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .. import liealg, schwinger
     if args.what == "selective":
         if args.m is None:
             raise ValueError("table selective requires --m")
@@ -202,6 +211,7 @@ def _format_complex(v: complex) -> str:
 
 
 def cmd_eval(args) -> int:
+    from . import expr as expr_mod
     try:
         tree = expr_mod.parse_expression(args.expression)
         op = expr_mod.evaluate(tree, args.n)
@@ -301,9 +311,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # Move the import heap (numpy and fermirep: ~22k objects) to the permanent
+    # Move the import heap (numpy and the CLI: ~21.5k objects) to the permanent
     # generation, so the full collection at interpreter exit skips it and
-    # the OS reclaims it with the process, not one object at a time.
+    # the OS reclaims it with the process, not one object at a time.  The
+    # modules a command imports after this add about 1k objects at most.
     gc.freeze()
     parser = build_parser()
     try:

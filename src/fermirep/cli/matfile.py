@@ -22,9 +22,10 @@ bit stable:
 The written form is canonical: entries in strictly increasing row-major
 (row, col) order, floats as their shortest round-trip ``repr``, and the
 layout of ``json.dumps(operator_to_payload(op, metadata), indent=1)``.
-The writer formats it from the operator's CSR arrays with one fixed
-per-entry template, and refuses NaN or infinite entries before it opens
-the file.
+The writer fills one fixed per-entry template from value tables: the
+decimal spelling of each index, cached per dimension, and the ``repr``
+of each distinct float, keyed by its bit pattern so that -0.0 and 0.0
+stay apart.  It refuses NaN or infinite entries before it opens the file.
 
 Reading is strict.  It refuses a payload whose ``modes`` lies outside
 [1, mode_capacity()] or whose ``dim`` is not 2^modes, and entries that
@@ -42,11 +43,13 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .. import sparse
+from .._text import float_reprs, joined
 from ..fock import FockOperator, mode_capacity
 
 __all__ = [
@@ -60,8 +63,9 @@ __all__ = [
     "read_manifest",
 ]
 
-# one entry of json.dumps(payload, indent=1), nested at depth 2
-_ENTRY = '\n  {\n   "row": %d,\n   "col": %d,\n   "re": %r,\n   "im": %r\n  }'
+# the text of json.dumps(payload, indent=1) around an entry's row, col, re
+# and im, nested at depth 2 and led by the comma that follows an entry
+_ENTRY = (',\n  {\n   "row": ', ',\n   "col": ', ',\n   "re": ', ',\n   "im": ', '\n  }')
 
 # second set of a mixed build on sector n - m: the conjugate set, or the
 # set itself (which rebuilds the number-selective representation at m = 1)
@@ -195,18 +199,25 @@ def write_operator(path: str | Path, op: FockOperator, metadata: dict | None = N
             f"entry ({row[k]}, {mat.indices[k]}) is not finite: {vals[k]}; "
             "JSON has no spelling for it"
         )
-    body = ",".join(
-        _ENTRY % entry
-        for entry in zip(
-            row.tolist(), mat.indices.tolist(), vals.real.tolist(), vals.imag.tolist()
-        )
-    )
+    decimals, reprs = _decimals(op.dim), float_reprs(np.stack([vals.real, vals.imag], 1))
+    body = joined([
+        _ENTRY[0], decimals[row], _ENTRY[1], decimals[mat.indices],
+        _ENTRY[2], reprs[:, 0], _ENTRY[3], reprs[:, 1], _ENTRY[4],
+    ])[1:]
     entries = f"[{body}\n ]" if body else "[]"
     meta = json.dumps(dict(metadata or {}), indent=1).replace("\n", "\n ")
     Path(path).write_text(
         f'{{\n "dim": {op.dim},\n "modes": {op.modes},\n "entries": {entries},\n'
         f' "metadata": {meta}\n}}'
     )
+
+
+@lru_cache(maxsize=None)
+def _decimals(count: int) -> np.ndarray:
+    """str(i) for i in range(count), as a read-only object array."""
+    table = np.array([str(i) for i in range(count)], dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def read_operator(path: str | Path) -> tuple[FockOperator, dict]:

@@ -7,6 +7,7 @@ streamed JSON or text.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -15,6 +16,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
+
+from ._text import float_reprs, joined
 
 __all__ = ["CheckResult", "VerificationReport"]
 
@@ -29,8 +32,7 @@ class CheckResult:
 
 # write_json formats this many checks at a time
 _JSON_CHUNK = 1024
-_JSON_CHECK = '{"name": %s, "passed": %s, "residual": %r, "elapsed": %r}'
-_JSON_BOOL = {True: "true", False: "false"}
+_JSON_BOOL = np.array(["false", "true"], dtype=object)
 
 
 def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
@@ -65,6 +67,23 @@ class _PairNames:
         for i, a in enumerate(tags):
             row = tags[i + 1:] if self.upper else tags
             yield from [f"{p}{kind}[{a},{b}]" for b in row for kind in self.kinds]
+
+    @functools.cached_property
+    def _tags(self) -> np.ndarray:
+        return np.array([f"{a:02d}" for a in range(1, self.k + 1)], dtype=object)
+
+    def json_columns(self, part: slice) -> list:
+        """The names in part as JSON strings, in columns of pieces for _text.joined."""
+        pair, kind = np.divmod(np.arange(*part.indices(len(self))), len(self.kinds))
+        if self.upper:
+            # row a of the pairs a < b starts at pair a * (2k - a - 1) / 2
+            starts = np.arange(self.k) * (2 * self.k - np.arange(self.k) - 1) // 2
+            a = np.searchsorted(starts, pair, "right") - 1
+            b = pair - starts[a] + a + 1
+        else:
+            a, b = np.divmod(pair, self.k)
+        heads = [encode_basestring_ascii(self.prefix + kind)[:-1] + "[" for kind in self.kinds]
+        return [np.array(heads, dtype=object)[kind], self._tags[a], ",", self._tags[b], ']"']
 
 
 class _Batch(NamedTuple):
@@ -176,21 +195,6 @@ class VerificationReport:
             self._column("elapsed")[order] if timed else None,
         )]
 
-    def _rows(self) -> Iterator[tuple[list, list, list, list]]:
-        """Names, verdicts, residuals and elapsed times as lists, at most
-        _JSON_CHUNK checks at a time and never an empty chunk."""
-        for b in self._batches:
-            names = iter(b.names)
-            for s in range(0, len(b.residuals), _JSON_CHUNK):
-                part = slice(s, s + _JSON_CHUNK)
-                passed = b.passed[part].tolist()
-                yield (
-                    list(itertools.islice(names, _JSON_CHUNK)),
-                    passed,
-                    b.residuals[part].tolist(),
-                    [0.0] * len(passed) if b.elapsed is None else b.elapsed[part].tolist(),
-                )
-
     def _failures(self) -> Iterator[CheckResult]:
         for b in self._batches:
             bad = ~b.passed
@@ -212,7 +216,8 @@ class VerificationReport:
 
     def signature(self) -> tuple:
         """Deterministic identity of the report: names, verdicts, residuals."""
-        return tuple(row for names, ok, r, _ in self._rows() for row in zip(names, ok, r))
+        return tuple(row for b in self._batches
+                     for row in zip(b.names, b.passed.tolist(), b.residuals.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VerificationReport):
@@ -234,12 +239,17 @@ class VerificationReport:
             f'{{\n"params": {json.dumps(self.params)},\n'
             f'"overall": {json.dumps(self.overall)},\n"checks": ['
         )
-        separator = "\n"
-        for names, passed, residuals, elapsed in self._rows():
-            rows = zip(map(encode_basestring_ascii, names), map(_JSON_BOOL.__getitem__, passed),
-                       residuals, elapsed)
-            fh.write(separator + ",\n".join([_JSON_CHECK % row for row in rows]))
-            separator = ",\n"
+        lead = 1  # the comma before the first check is dropped
+        for b in self._batches:
+            for s in range(0, len(b.residuals), _JSON_CHUNK):
+                part = slice(s, s + _JSON_CHUNK)
+                names = (b.names.json_columns(part) if isinstance(b.names, _PairNames)
+                         else [np.array(list(map(encode_basestring_ascii, b.names[part])), object)])
+                passed, residual = _JSON_BOOL[b.passed[part].view(np.int8)], b.residuals[part]
+                elapsed = "0.0" if b.elapsed is None else float_reprs(b.elapsed[part])
+                fh.write(joined([',\n{"name": ', *names, ', "passed": ', passed, ', "residual": ',
+                                 float_reprs(residual), ', "elapsed": ', elapsed, "}"])[lead:])
+                lead = 0
         fh.write(f'\n],\n"timings": {json.dumps(self.timings)}\n}}\n')
 
     def to_json(self) -> str:
@@ -279,8 +289,8 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [
             f"{'PASS' if ok else 'FAIL'}  {name}  residual={r:.3e}"
-            for names, passed, residuals, _ in self._rows()
-            for name, ok, r in zip(names, passed, residuals)
+            for b in self._batches
+            for name, ok, r in zip(b.names, b.passed, b.residuals)
         ]
         lines.append(
             f"overall: {'PASS' if self.overall else 'FAIL'} "

@@ -263,10 +263,8 @@ def _coefficient_rows(
     return mats.reshape(len(mats), -1), labels, mats.shape[1]
 
 
-def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sparse.CSR:
-    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix;
-    or, given terms, bilinear t = a * n + b (0-based) as block number i
-    for the i-th t of terms.
+def _bilinear_stack(n: int) -> sparse.CSR:
+    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix.
 
     Computed on occupation bitmasks, with no ladder products: a+_a a_b
     takes each state S that holds mode b, and holds no mode a once b is
@@ -279,24 +277,23 @@ def _bilinear_stack(n: int, terms: Iterable[int] | None = None) -> sparse.CSR:
     dim = 1 << n
     position, states = fock._state_positions(n), np.arange(dim, dtype=np.int32)
     popcount = fock._particle_counts(n)[position]  # indexed by bitmask
-    terms = range(n * n) if terms is None else terms
     rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
-    for block, t in enumerate(terms):
-        a, b = divmod(int(t), n)
+    for t in range(n * n):
+        a, b = divmod(t, n)
         held = states[(states >> b & 1 == 1) & ((states ^ 1 << b) >> a & 1 == 0)]
         removed = held ^ 1 << b
         # modes held below b in S, and below a in S - b
         parity = popcount[held & (1 << b) - 1] + popcount[removed & (1 << a) - 1]
         row = position[removed | 1 << a]
         order = np.argsort(row)
-        rows.append(block * dim + row[order])
+        rows.append(t * dim + row[order])
         cols.append(position[held][order])
         vals.append(1 - 2 * (parity[order] & 1).astype(np.int64))
     # one entry per listed row: the row pointer counts them up
-    indptr = np.zeros(len(terms) * dim + 1, dtype=np.int32)
+    indptr = np.zeros(n * n * dim + 1, dtype=np.int32)
     indptr[np.concatenate(rows) + 1] = 1
     np.cumsum(indptr, out=indptr)
-    return sparse.CSR(np.concatenate(vals), np.concatenate(cols), indptr, (len(terms) * dim, dim))
+    return sparse.CSR(np.concatenate(vals), np.concatenate(cols), indptr, (n * n * dim, dim))
 
 
 # _assemble forms kron(C, I_dim) for at most this many stored entries at a

@@ -194,15 +194,25 @@ def check_closure(
     return report
 
 
-# _one_body_closure sums the diagonals of this many pairs over every
-# occupied set at a time: 4096 x 16 complex entries (1 MiB) at n = 12
+# _one_body_closure forms the n x n blocks of the pairs this many bytes of
+# them at a time (113 pairs at n = 12, traced peak 1.9 MiB), and sums the
+# diagonals of this many pairs over every occupied set at a time (4096 x
+# 16 complex entries, 1 MiB, at n = 12)
+_CLOSURE_PAIR_BYTES = 1 << 18
 _DIAGONAL_PAIRS = 16
+# _span takes about this many stored entries and states (dim per operator) at a time
+_SPAN_ENTRIES = 1 << 15
 
 
 def _span(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows C_g (row-major), read exactly as the one-particle blocks of
     operators r_g, and max |r_g - rho(C_g)| with rho(C_g) = sum_ab C_g[a, b]
-    a+_a a_b rebuilt by the builder's own schwinger._stacked."""
+    a+_a a_b, read from r_g's stored entries: at (S', S) rho(C_g) holds the
+    sum of C_g[a, a] over a in S (ascending, as the builder adds it) if S'
+    = S, C_g[a, b] signed as a+_a a_b signs it if S' = S - b + a, else 0.
+    The places it fills and r_g lacks are counted: each C_g[a, b] != 0
+    (a != b) fills 2^(n-2), and each nonzero diagonal sum one.
+    """
     dim, k = 1 << n, stack.shape[0] >> n
     one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
     rows, cols = sparse.coo_rows(one), one.indices
@@ -210,12 +220,28 @@ def _span(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
     coeffs = np.zeros((k * n, n), dtype=np.complex128)
     coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
     coeffs, span = coeffs.reshape(k, n * n), np.zeros(k)
-    for r in schwinger._chunks(coeffs, dim):
-        # only the bilinears these rows use: the whole set adds 5 MiB at n = 12
-        used = np.flatnonzero(np.any(coeffs[r], axis=0))
-        rebuilt = schwinger._stacked(coeffs[r, used], schwinger._bilinear_stack(n, used), dim)
-        diff = sparse.subtract(sparse.take_rows(stack, slice(r.start * dim, r.stop * dim)), rebuilt)
-        span[r] = _group_maxima(sparse.coo_rows(diff) >> n, diff.data, r.stop - r.start)
+    # popcount[S] counts the modes in bitmask S, so popcount[(1 << a) - 1] = a
+    masks, popcount = fock._masks(n), fock._particle_counts(n)[fock._state_positions(n)]
+    cost = np.cumsum(np.diff(stack.indptr[::dim]) + dim)
+    starts = np.unique(cost // _SPAN_ENTRIES, return_index=True)[1]
+    for start, stop in zip(starts, [*starts[1:], k]):
+        block, part = sparse.take_rows(stack, slice(start * dim, stop * dim)), coeffs[start:stop]
+        local = sparse.coo_rows(block)
+        g, source, target = local >> n, masks[block.indices], masks[local & dim - 1]
+        gained, lost = target & ~source, source & ~target
+        move, same = (popcount[gained] == 1) & (popcount[lost] == 1), target == source
+        sums = _subset_sums(part[:, ::n + 1])  # rho(C_g)'s diagonal, by bitmask
+        expected = np.where(same, sums[g, source], 0)
+        held, gained, lost = source[move], gained[move], lost[move]
+        parity = popcount[held & lost - 1] + popcount[(held ^ lost) & gained - 1]
+        term = popcount[gained - 1] * n + popcount[lost - 1]  # a * n + b
+        value = part[g[move], term]
+        expected[move] = np.where(parity & 1, -value, value)
+        stored = np.bincount(g[move] * n * n + term, minlength=part.size).reshape(part.shape)
+        lacking = (stored < dim >> 2) & (part != 0) & ~np.eye(n, dtype=bool).ravel()
+        sums[g[same], source[same]] = 0
+        worst = _group_maxima(g, block.data - expected, stop - start)[:, None]
+        span[start:stop] = np.max(np.abs(np.hstack([part * lacking, sums, worst])), axis=1)
     return coeffs, span
 
 
@@ -228,30 +254,35 @@ def _one_body_closure(coeffs: np.ndarray, n: int, constants: StructureConstants)
     |R[a, b]| with a != b, or |sum_{a in S} R[a, a]| over occupied sets
     S.  Returns the residuals at i * k + j for i < j, zero elsewhere.
     """
-    dim, k = 1 << n, len(coeffs)
+    k = len(coeffs)
     mats, rows, flat = coeffs.reshape(k, n, n), constants.rows, sparse.from_dense(coeffs)
     resid, off = np.zeros(k * k), ~np.eye(n, dtype=bool)
-    # the pairs whose R has a nonzero diagonal, and those diagonals
-    live_pairs, diagonals = [np.zeros(0, np.int64)], [np.zeros((0, n), np.complex128)]
-    for i in range(k - 1):
-        pairs = slice(i * k + i + 1, (i + 1) * k)
-        comm = (mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).reshape(-1, n * n)
+    first, second = np.triu_indices(k, 1)
+    step = max(1, _CLOSURE_PAIR_BYTES // (16 * n * n))
+    for p in range(0, len(first), step):
+        i, j = first[p:p + step], second[p:p + step]
+        pairs = i * k + j
+        comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1, n * n)
         expansion = sparse.matmul(sparse.take_rows(rows, pairs), flat)
         remainder = (comm - sparse.toarray(expansion)).reshape(-1, n, n)
         resid[pairs] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
         diag = np.diagonal(remainder, axis1=1, axis2=2)
         live = np.flatnonzero(np.any(diag, axis=1))
-        live_pairs.append(pairs.start + live)
-        diagonals.append(diag[live])
-    live_pairs, diagonals = np.concatenate(live_pairs), np.concatenate(diagonals)
-    # occupied[a, s] = 1 when mode a is occupied in the state with bits s
-    occupied = (np.arange(dim) >> np.arange(n)[:, None] & 1).astype(np.complex128)
-    for p in range(0, len(live_pairs), _DIAGONAL_PAIRS):
-        batch = slice(p, p + _DIAGONAL_PAIRS)
-        worst = np.max(np.abs(diagonals[batch] @ occupied), axis=1)
-        at = live_pairs[batch]
-        resid[at] = np.maximum(resid[at], worst)
+        for at in np.split(live, range(_DIAGONAL_PAIRS, len(live), _DIAGONAL_PAIRS)):
+            worst = np.max(np.abs(_subset_sums(diag[at])), axis=1, initial=0.0)
+            resid[pairs[at]] = np.maximum(resid[pairs[at]], worst)
     return resid
+
+
+def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
+    """Entry (p, S), S an occupation bitmask, is the sum of diagonals[p, a]
+    over the modes a in S, added in ascending a starting from zero."""
+    count, n = diagonals.shape
+    sums = np.zeros((count, 1 << n), np.complex128)
+    for a in range(n):
+        # the sets whose highest mode is a: those below it, plus mode a
+        sums[:, 1 << a:2 << a] = sums[:, :1 << a] + diagonals[:, a, None]
+    return sums
 
 
 def _group_maxima(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermirep import liealg
+from fermirep import liealg, sparse
 from fermirep.cli import matfile
 from fermirep.cli.main import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fermirep.fock import FockOperator, mode_capacity
@@ -61,8 +61,21 @@ def _operators(draw):
     return FockOperator.from_entries(modes, dict(zip(cells, values)))
 
 
+# -0.0 beside 0.0 (a value table keyed by float equality would merge them),
+# exponent spellings, the smallest subnormal, a repr longer than its
+# literal, and one value in both re and im; built from the CSR arrays,
+# since from_entries sums each value onto 0.0 and so drops the sign of -0.0
+_EDGE_OPERATOR = FockOperator(2, sparse.CSR(
+    np.array([complex(-0.0, 1e-05), complex(0.0, 1e16), complex(5e-324, -0.0),
+              complex(0.30000000000000004, 0.30000000000000004), complex(1e-05, 0.0)]),
+    np.array([0, 3, 1, 2, 0]), np.array([0, 2, 3, 4, 5]), (4, 4),
+))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(op=_operators(), metadata=_METADATA)
+@example(op=_EDGE_OPERATOR, metadata=None)
+@example(op=_EDGE_OPERATOR, metadata={"re": -0.0, "im": [0.0, 1e16]})
 def test_written_bytes_equal_the_indented_json_encoder(tmp_path_factory, op, metadata):
     path = tmp_path_factory.mktemp("matfile") / "op.json"
     matfile.write_operator(path, op, metadata)

@@ -556,6 +556,26 @@ def test_closure_places_the_pair_residuals_within_24_bytes_per_pair():
     assert peak / len(report) <= 24
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    prefix=st.sampled_from(["", "closure/", 'p"\\/\u00e9\n/']),
+    k=st.sampled_from([0, 1, 2, 5, 12, 101]),
+    upper=st.booleans(),
+    kinds=st.sampled_from([("",), ("aa", "cc", "ac"), ('"', "\u2028")]),
+    chunk=st.sampled_from([1, 5, 64, fermirep.report._JSON_CHUNK]),
+)
+def test_pair_name_batches_stream_as_the_per_check_encoder(prefix, k, upper, kinds, chunk):
+    # pair names are written from tables of their pieces, chunk checks at a time
+    names = fermirep.report._PairNames(prefix, k, upper, kinds)
+    report = VerificationReport()
+    report.add("first", 0.5, _TOL, 0.25)
+    report.add_batch(names, np.arange(len(names)) * 0.1, 0.5)
+    report.add_batch(["last"], [-0.0], _TOL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fermirep.report, "_JSON_CHUNK", chunk)
+        assert report.to_json() == _json_per_check(report)
+
+
 def test_failed_generates_names_only_up_to_the_failures_it_returns():
     made = []
 
@@ -872,6 +892,85 @@ def _corrupted_representations(draw, kinds=("ucnm", "mixed", "standard")):
     return ops, sc
 
 
+def _span_oracle(stack, n):
+    """The span check by rebuilding: rho(C_g) assembled as the builder
+    assembles it (schwinger._stacked over _bilinear_stack), then subtracted."""
+    dim, k = 1 << n, stack.shape[0] >> n
+    one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
+    rows, cols = sparse.coo_rows(one), one.indices
+    inside = (cols >= 1) & (cols <= n)
+    coeffs = np.zeros((k * n, n), dtype=np.complex128)
+    coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
+    coeffs, span = coeffs.reshape(k, n * n), np.zeros(k)
+    for r in schwinger._chunks(coeffs, dim):
+        rebuilt = schwinger._stacked(coeffs[r], schwinger._bilinear_stack(n), dim)
+        diff = sparse.subtract(sparse.take_rows(stack, slice(r.start * dim, r.stop * dim)), rebuilt)
+        span[r] = verify._group_maxima(sparse.coo_rows(diff) >> n, diff.data, r.stop - r.start)
+    return coeffs, span
+
+
+@st.composite
+def _spanned_stacks(draw):
+    """A standard representation's stack of random coefficient rows (zero,
+    real, diagonal-only or complex), with at most one corruption."""
+    n, k = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    coeffs[rng.random((k, n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+    for g in range(k):
+        kind = draw(st.sampled_from(["zero", "real", "diagonal", "complex", "integer"]))
+        if kind == "zero":
+            coeffs[g] = 0
+        elif kind == "real":
+            coeffs[g] = coeffs[g].real
+        elif kind == "diagonal":
+            coeffs[g] *= np.eye(n)
+        elif kind == "integer":
+            # diagonal sums that cancel exactly leave places rho(C_g) does not fill
+            coeffs[g] = np.diag(rng.integers(-1, 2, size=n))
+    stack = schwinger.standard_rep(coeffs, n).stack
+    dim, masks = 1 << n, fock.build_basis(n)
+    rows, cols, data = sparse.coo_rows(stack), stack.indices, stack.data.copy()
+    what = draw(st.sampled_from(["none", "perturb", "delete", "off-pattern", "diagonal", "flip"]))
+    e = draw(st.integers(0, max(len(data) - 1, 0)))
+    if what in ("perturb", "flip", "delete") and len(data):
+        if what == "perturb":
+            data[e] += draw(st.sampled_from([1e-3, 1e-15, 1j, -0.5]))
+        elif what == "flip":
+            data[e] = -data[e]
+        else:
+            keep = np.arange(len(data)) != e
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+    elif what in ("off-pattern", "diagonal"):
+        g = draw(st.integers(0, k - 1))
+        held = set(zip(rows.tolist(), cols.tolist()))
+        if what == "diagonal":
+            places = [(g * dim + s, s) for s in range(dim) if (g * dim + s, s) not in held]
+        else:
+            # neither the diagonal nor a one-particle move
+            places = [(g * dim + r, c) for r in range(dim) for c in range(dim)
+                      if bin(int(masks[r]) ^ int(masks[c])).count("1") not in (0, 2)
+                      or bin(int(masks[r])).count("1") != bin(int(masks[c])).count("1")]
+        if places:
+            r, c = places[draw(st.integers(0, len(places) - 1))]
+            rows, cols, data = np.append(rows, r), np.append(cols, c), np.append(data, 0.25 - 2j)
+    return sparse.from_triplets(rows, cols, data, stack.shape), n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_spanned_stacks(), st.sampled_from([1, 64, verify._SPAN_ENTRIES]))
+def test_span_from_stored_entries_equals_the_rebuilt_oracle(case, bound):
+    stack, n = case
+    with pytest.MonkeyPatch.context() as mp:
+        # small bounds take the operators in several groups
+        mp.setattr(verify, "_SPAN_ENTRIES", bound)
+        coeffs, span = verify._span(stack, n)
+    want_coeffs, want_span = _span_oracle(stack, n)
+    assert coeffs.tobytes() == want_coeffs.tobytes()
+    assert span.tobytes() == want_span.tobytes()
+
+
 @settings(
     max_examples=40,
     derandomize=True,
@@ -912,6 +1011,31 @@ def test_factored_closure_matches_full_space_oracle(case):
         assert not factored.overall
     if not slow.overall:
         assert not factored.overall
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_one_body_closure_is_the_same_in_any_batching(n, k, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(k, n * n)) + 1j * rng.normal(size=(k, n * n))
+    coeffs *= rng.random((k, n * n)) < 0.6
+    rec = np.zeros(3 * k, dtype=liealg.RECORD_DTYPE)
+    rec["i"], rec["j"], rec["l"] = rng.integers(k, size=(3, 3 * k))
+    rec["value"] = rng.normal(size=3 * k) + 1j * rng.normal(size=3 * k)
+    constants = liealg.StructureConstants(k, rec)
+    whole = verify._one_body_closure(coeffs, n, constants)
+    with pytest.MonkeyPatch.context() as mp:
+        # one pair per block batch and one per diagonal batch
+        mp.setattr(verify, "_CLOSURE_PAIR_BYTES", 1)
+        mp.setattr(verify, "_DIAGONAL_PAIRS", 1)
+        assert verify._one_body_closure(coeffs, n, constants).tobytes() == whole.tobytes()
+    # the sums over occupied sets, each added in ascending mode order from zero
+    diag = coeffs.reshape(k, n, n).diagonal(axis1=1, axis2=2)
+    sums = verify._subset_sums(diag)
+    for s in range(1 << n):
+        assert sums[:, s].tolist() == [
+            sum((row[a] for a in range(n) if s >> a & 1), 0j) for row in diag.tolist()
+        ]
 
 
 # -- the closure kernel against the scipy.sparse kernel it replaced --------------
