@@ -307,6 +307,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         args.expression, extra = extra[0], extra[1:]
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if not 0 <= getattr(args, "tol", 0) < math.inf:
+        parser.error(f"argument --tol: must be a finite number of at least 0, got {args.tol}")
     return args
 
 

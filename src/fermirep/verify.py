@@ -92,16 +92,12 @@ def _product_terms(stack: sparse.CSR) -> int:
     return int(np.dot(cols, rows))
 
 
-# check_closure runs the whole-set kernel while the product it forms has at
-# most this many terms (_product_terms).  The kernel's traced peak is
-# 128.7-129.1 bytes per term (standard_rep at n = 8, 9 and 10 on a 2-vCPU
-# VM; 128.4-128.7 on scipy.sparse), so this is a 400 MB budget:
-# run_suite(8), standard_rep up to n = 9 (970,190 terms) and the sector
-# builds up to ucnm (8, 2) (133,047) fit.  Above it a standard
-# representation takes the factored path (_one_body_closure), as
-# standard_rep does at n = 10 (2,932,792 terms) and n = 12 (23,971,064;
-# 0.24 s in-process, and verify --from peaks at 60 MiB RSS, below build);
-# any other input raises CapacityError (CLI exit 2)
+# check_closure runs the whole-set kernel on any input but a standard
+# representation only while the product it forms has at most this many
+# terms (_product_terms), and raises CapacityError (CLI exit 2) above.  At
+# 128.7-129.1 traced bytes per term (standard_rep at n = 8, 9 and 10, 2-vCPU
+# VM) this is a 400 MB budget: nssfr_un up to n = 12 (21,062 terms) and
+# ucnm (8, 2) (133,047) fit, and ucnm (9, 3) (3,700,555) is refused
 _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 
@@ -152,14 +148,13 @@ def check_closure(
 ) -> VerificationReport:
     """Residuals of [r_i, r_j] - sum_l c[i, j, l] r_l for every pair i < j.
 
-    Inputs up to _CLOSURE_PRODUCT_TERMS take one sparse matrix over the
-    full 2^n space (_closure_residuals), so entries joining sectors count
-    like any other.  Above it, a standard representation is checked from
-    its one-particle blocks (_one_body_closure), and any other input
-    raises CapacityError before the kernel allocates.  A standard
-    representation adds one <label>/span/NNN check per operator on both
-    paths: max |r_g - rho(C_g)| for its one-particle block C_g, which
-    pins the sectors that no block check constrains.
+    A standard representation is checked from its one-particle blocks C_g
+    at any size: one <label>/span/NNN check per operator records
+    max |r_g - rho(C_g)|, which pins every sector, and the pairs close on
+    the n x n blocks (_one_body_closure).  Any other input takes one sparse
+    matrix over the full 2^n space (_closure_residuals), so entries joining
+    sectors count like any other, and over _CLOSURE_PRODUCT_TERMS raises
+    CapacityError before the kernel allocates.
     """
     stack = _stack_of(rep)
     k = stack.shape[0] // stack.shape[1]
@@ -167,20 +162,18 @@ def check_closure(
         raise ValueError(
             f"representation has {k} operators but constants are for {constants.size}"
         )
-    terms = _product_terms(stack)
-    factored = terms > _CLOSURE_PRODUCT_TERMS
     standard = isinstance(rep, RepresentationResult) and rep.meta.variant == "standard"
-    if factored and not standard:
+    terms = 0 if standard else _product_terms(stack)
+    if terms > _CLOSURE_PRODUCT_TERMS:
         raise CapacityError(
             f"closure of {k} operators forms {terms:,} product terms, over the bound "
-            f"of {_CLOSURE_PRODUCT_TERMS:,} that only standard representations may pass"
+            f"of {_CLOSURE_PRODUCT_TERMS:,}"
         )
     report = VerificationReport({"label": label, "tol": tol})
     t0 = time.perf_counter()
-    coeffs, span = _span(stack, rep.modes) if standard else (None, None)
-    if factored:
-        resid = _one_body_closure(coeffs, rep.modes, constants)
-        values = resid[np.triu(np.ones((k, k), dtype=bool), 1).ravel()]
+    if standard:
+        coeffs, span = _span(stack, rep.modes)
+        values = _one_body_closure(coeffs, rep.modes, constants)
     else:
         keys, worst = _closure_residuals(stack, constants)
         # key a * k + b (a < b) goes to its place among the pairs in row-major order
@@ -252,25 +245,24 @@ def _one_body_closure(coeffs: np.ndarray, n: int, constants: StructureConstants)
     passes the residual of pair (i, j) is the largest entry of rho(R)
     for the n x n R = [C_i, C_j] - sum_l c[i, j, l] C_l: the largest
     |R[a, b]| with a != b, or |sum_{a in S} R[a, a]| over occupied sets
-    S.  Returns the residuals at i * k + j for i < j, zero elsewhere.
+    S.  Returns the residuals of the pairs i < j in row-major order.
     """
     k = len(coeffs)
     mats, rows, flat = coeffs.reshape(k, n, n), constants.rows, sparse.from_dense(coeffs)
-    resid, off = np.zeros(k * k), ~np.eye(n, dtype=bool)
     first, second = np.triu_indices(k, 1)
+    resid, off = np.zeros(len(first)), ~np.eye(n, dtype=bool)
     step = max(1, _CLOSURE_PAIR_BYTES // (16 * n * n))
     for p in range(0, len(first), step):
         i, j = first[p:p + step], second[p:p + step]
-        pairs = i * k + j
         comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1, n * n)
-        expansion = sparse.matmul(sparse.take_rows(rows, pairs), flat)
+        expansion = sparse.matmul(sparse.take_rows(rows, i * k + j), flat)
         remainder = (comm - sparse.toarray(expansion)).reshape(-1, n, n)
-        resid[pairs] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
+        resid[p:p + step] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
         diag = np.diagonal(remainder, axis1=1, axis2=2)
         live = np.flatnonzero(np.any(diag, axis=1))
         for at in np.split(live, range(_DIAGONAL_PAIRS, len(live), _DIAGONAL_PAIRS)):
             worst = np.max(np.abs(_subset_sums(diag[at])), axis=1, initial=0.0)
-            resid[pairs[at]] = np.maximum(resid[pairs[at]], worst)
+            resid[p + at] = np.maximum(resid[p + at], worst)
     return resid
 
 

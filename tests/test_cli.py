@@ -285,32 +285,34 @@ def test_verify_from_writes_the_pinned_json_report(tmp_path, build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_verify_from_checks_n10_bilinears_from_their_one_particle_blocks(tmp_path):
-    out = tmp_path / "std10"
-    assert main(["build", "un-standard", "--n", "10", "--out", str(out)]) == EXIT_OK
+@pytest.mark.parametrize("n", [6, 10])
+def test_verify_from_checks_bilinears_from_their_one_particle_blocks(tmp_path, n):
+    out = tmp_path / f"std{n}"
+    assert main(["build", "un-standard", "--n", str(n), "--out", str(out)]) == EXIT_OK
     report_path = tmp_path / "report.json"
     args = ["verify", "--from", str(out), "--report", str(report_path), "--format", "json"]
     assert main(args) == EXIT_OK
     payload = json.loads(report_path.read_text())
-    mem = _catalogue("un-standard", 10)
+    mem = _catalogue("un-standard", n)
     assert tuple((c["name"], c["passed"], c["residual"]) for c in payload["checks"]) == (
         mem.signature()
     )
-    span = "closure/standard/n10/span/"
+    span = f"closure/standard/n{n:02d}/span/"
     spans = [c for c in payload["checks"] if c["name"].startswith(span)]
-    assert [c["name"] for c in spans] == [f"{span}{g:03d}" for g in range(1, 100)]
+    assert [c["name"] for c in spans] == [f"{span}{g:03d}" for g in range(1, n * n)]
     assert all(c["passed"] for c in spans)
 
-    # one entry between two five-particle states of generator 7
-    five = range(sum(math.comb(10, m) for m in range(5)), sum(math.comb(10, m) for m in range(6)))
+    # one entry between two states of the middle sector of generator 7
+    start = sum(math.comb(n, m) for m in range(n // 2))
+    middle = range(start, start + math.comb(n, n // 2))
     target = out / "generator_007.json"
     corrupted = json.loads(target.read_text())
-    entry = next(e for e in corrupted["entries"] if e["row"] in five and e["col"] in five)
+    entry = next(e for e in corrupted["entries"] if e["row"] in middle and e["col"] in middle)
     entry["re"] += 0.25
     target.write_text(json.dumps(corrupted))
     assert main(args) == EXIT_CHECK_FAILED
     failed = {c["name"] for c in json.loads(report_path.read_text())["checks"] if not c["passed"]}
-    assert "closure/standard/n10/span/007" in failed
+    assert f"{span}007" in failed
 
 
 def test_verify_from_refuses_sector_build_over_the_closure_bound(tmp_path, monkeypatch, capsys):
@@ -655,6 +657,14 @@ def test_a_request_over_the_memory_limit_exits_2(tmp_path, args):
     assert done.stderr.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["verify", "--n-max", "3"], ["eval", "a(1)", "--n", "2"]])
+def test_a_negative_or_non_finite_tolerance_exits_2(command, tol, capsys):
+    assert main([*command, "--tol", tol]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number of at least 0, got {float(tol)}" in err
 
 
 def test_eval_non_finite_literal_or_result_exits_2(capsys):

@@ -310,6 +310,8 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
     # every name and verdict as the scipy.sparse kernels gave them, and every
     # residual bit as the numpy kernels give them (within 1e-15 of scipy's,
     # test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6)
+    # or, for the standard representations, their one-particle blocks (within
+    # 1e-15 of the kernel, test_whole_set_and_factored_closure_paths_agree)
     verdicts = hashlib.sha256(repr(tuple(c[:2] for c in earlier)).encode())
     assert verdicts.hexdigest() == (DATA / "run_suite6_verdicts.sha256").read_text().strip()
     digest = hashlib.sha256(repr(earlier).encode()).hexdigest()
@@ -323,8 +325,7 @@ def test_run_suite_checks_every_sector_unit_algebra_exhaustively():
             assert count == math.comb(n, m) ** 2, (n, m)
 
 
-def test_factored_closure_path_records_its_batch_time(monkeypatch):
-    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
+def test_factored_closure_path_records_its_batch_time():
     gens = liealg.generalized_gell_mann(4)
     rep = schwinger.standard_rep(gens, 4)
     report = verify.check_closure(rep, liealg.structure_constants(gens), label="x")
@@ -351,10 +352,7 @@ def _factored_closure(ops, sc, tol=verify.DEFAULT_TOL, label="x"):
     rep = schwinger.RepresentationResult.from_ops(
         ops, schwinger.RepMeta("standard", ops[0].modes)
     )
-    with pytest.MonkeyPatch.context() as m:
-        # below 0, so that zero operators (no product terms) are over it too
-        m.setattr(verify, "_CLOSURE_PRODUCT_TERMS", -1)
-        report = verify.check_closure(rep, sc, tol, label=label)
+    report = verify.check_closure(rep, sc, tol, label=label)
     pairs = [c for c in report.checks if "/span/" not in c.name]
     spans = [c for c in report.checks if "/span/" in c.name]
     assert [c.name for c in spans] == [f"{label}/span/{g:03d}" for g in range(1, len(ops) + 1)]
@@ -365,9 +363,13 @@ def test_whole_set_and_factored_closure_paths_agree():
     mix = _gell_mann_mix()
     mix_sc = liealg.structure_constants(mix)
     assert np.min(np.abs(mix_sc.c["value"])) < 1e-14
-    gens, sc = _ggm_with_constants(4)
-    for ops, constants in [(list(schwinger.standard_rep(mix, 3)), mix_sc),
-                           (list(schwinger.standard_rep(gens, 4)), sc)]:
+    # the non-orthogonal basis, then each standard representation of run_suite(6)
+    cases = [(list(schwinger.standard_rep(mix, 3)), mix_sc)]
+    for n in range(2, 7):
+        gens, sc = _ggm_with_constants(n)
+        cases.append((list(schwinger.standard_rep(gens, n)), sc))
+    for ops, constants in cases:
+        # an operator list takes the whole-set kernel
         whole = verify.check_closure(ops, constants, label="x")
         factored, pairs, spans = _factored_closure(ops, constants)
         assert whole.overall and factored.overall
@@ -377,6 +379,7 @@ def test_whole_set_and_factored_closure_paths_agree():
 
     # a flipped entry of a two-particle state leaves the one-particle block
     # alone, so only the span check of that operator can see it
+    gens, sc = _ggm_with_constants(4)
     ops = list(schwinger.standard_rep(gens, 4))
     two = fock.sector_indices(4, 2)
     entry = np.flatnonzero(np.isin(sparse.coo_rows(ops[3].mat), two))[0]
@@ -1038,6 +1041,22 @@ def test_one_body_closure_is_the_same_in_any_batching(n, k, seed):
         ]
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_one_body_closure_equals_the_kernel_on_random_bilinears(n, k, seed):
+    # off-diagonal and diagonal remainders of one size, so that each can be a pair's worst
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-3, 4, size=(k, n * n)) * (rng.random((k, n * n)) < 0.6)
+    rec = np.zeros(2 * k, dtype=liealg.RECORD_DTYPE)
+    rec["i"], rec["j"], rec["l"] = rng.integers(k, size=(3, 2 * k))
+    rec["value"] = rng.integers(-2, 3, size=2 * k)
+    constants = liealg.StructureConstants(k, rec)
+    ops = list(schwinger.standard_rep(coeffs.reshape(k, n, n).astype(complex), n))
+    kernel = [c.residual for c in verify.check_closure(ops, constants).checks]
+    factored = verify._one_body_closure(coeffs.astype(complex), n, constants)
+    assert factored.tolist() == kernel
+
+
 # -- the closure kernel against the scipy.sparse kernel it replaced --------------
 
 
@@ -1097,7 +1116,8 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
 
     monkeypatch.setattr(verify, "_closure_residuals", compared)
     assert len(verify.run_suite(6).checks) == 18_387
-    assert len(gaps) == 43 and max(gaps) <= 1e-15
+    # the five standard representations (n = 2..6) are closed from their blocks
+    assert len(gaps) == 38 and max(gaps) <= 1e-15
 
 
 @settings(
@@ -1147,11 +1167,6 @@ def test_closure_path_selection_bound():
         return verify._product_terms(rep.stack)
 
     ggm = liealg.generalized_gell_mann
-    # standard_rep takes the kernel up to n = 9 and the factored path above
-    assert terms(schwinger.standard_rep(ggm(9), 9)) == 970_190 <= verify._CLOSURE_PRODUCT_TERMS
-    factored = [terms(schwinger.standard_rep(ggm(n), n)) for n in (10, 12)]
-    assert factored == [2_932_792, 23_971_064]
-    assert min(factored) > verify._CLOSURE_PRODUCT_TERMS
     whole_set = [
         terms(schwinger.rep_ucnm(ggm(15), 6, 2)),
         terms(schwinger.mixed_rep(ggm(10), liealg.conjugate_rep(ggm(10)), 5, 2, 1, 1)),
@@ -1161,9 +1176,23 @@ def test_closure_path_selection_bound():
     assert max(whole_set) <= verify._CLOSURE_PRODUCT_TERMS
 
 
-@pytest.mark.parametrize("n", [10, 12])
+def test_standard_closure_at_nine_modes_peaks_under_8_mib_traced():
+    # the whole-set kernel would form 970,190 product terms here, 120 MiB traced
+    gens, sc = _ggm_with_constants(9)
+    rep = schwinger.standard_rep(gens, 9)
+    tracemalloc.start()
+    try:
+        report = verify.check_closure(rep, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall and len(report) == 80 * 79 // 2 + 80
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_anticommutation_exact_where_closure_is_factored(n):
-    # the factored closure path rests on these relations at its mode counts
+    # the factored closure path rests on these relations at every mode count
     report = verify.check_anticommutation(n)
     assert len(report.checks) == 3 * n * n
     assert report.overall and all(c.residual == 0.0 for c in report.checks)
