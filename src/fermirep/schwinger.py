@@ -17,23 +17,24 @@ their inputs.
 
 Each generator of ``standard_rep``, ``nssfr_un``, ``rep_ucnm`` and
 ``mixed_rep`` is a linear combination of one fixed term set: the
-bilinears a+_a a_b, or the sector units Q_ij.  ``_assemble`` forms a
-whole set as the row blocks of one sparse product kron(C, I) @
-vstack(terms), with one row of C per generator, in chunks of generators
-that bound the Kronecker factor.  The product (sparse.matmul) sums each
-entry over the terms in ascending order, so every entry equals, to the
-bit, the sum of the terms added one at a time.  The unit operators
-themselves come from one product of the stacked O+_i |vac><vac| and the
-stacked O_j.
+bilinears a+_a a_b, or the sector units Q_ij.  ``_assembled`` forms a
+set as the row blocks of sparse products kron(C, I) @ vstack(terms),
+with one row of C per generator, one product per part: a run of
+consecutive generators that bounds the Kronecker factor.  The product
+(sparse.matmul) sums each entry over the terms in ascending order, so
+every entry equals, to the bit, the sum of the terms added one at a
+time.  Each builder joins the parts into one stack;
+``standard_parts`` hands out those of ``standard_rep`` as they are
+formed, for the one family whose operators fill every sector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "selective_function",
     "eval_at_number_operator",
     "standard_rep",
+    "standard_parts",
     "nssfr_u3_explicit",
     "nssfr_un",
     "sector_operators",
@@ -182,7 +184,9 @@ class RepresentationResult:
     ) -> "RepresentationResult":
         """The operators stacked in order; an iterator of them comes with its count."""
         count = len(ops) if count is None else count
-        return cls(*_concatenate((op.mat for op in ops), count, 1 << meta.modes), meta)
+        parts = (cls(op.mat, (op.mat.dtype,), replace(meta, labels=meta.labels[g:g + 1]))
+                 for g, op in enumerate(ops))
+        return _joined(parts, meta, count)
 
     @property
     def modes(self) -> int:
@@ -202,33 +206,37 @@ class RepresentationResult:
         return FockOperator(self.modes, sparse.with_data(block, values.astype(self.dtypes[g])))
 
 
-def _concatenate(
-    blocks: Iterable[sparse.CSR], count: int, dim: int, capacity: int = 0
-) -> tuple[sparse.CSR, tuple[np.dtype, ...]]:
-    """CSR blocks of dim columns, count * dim rows in all, as one canonical
-    complex128 stack, each block dropped once copied in; and their dtypes.
+def _joined(
+    parts: Iterable[RepresentationResult], meta: RepMeta, count: int
+) -> RepresentationResult:
+    """The operators of consecutive parts, count in all, as one representation
+    of meta labelled as the parts are: one canonical complex128 stack, each
+    part dropped once copied in.
 
-    The entry arrays start with room for capacity entries and double when
-    full.  Pages of np.empty never written stay out of the resident set.
+    The entry arrays double when full.  Pages of np.empty never written
+    stay out of the resident set.
     """
+    dim = 1 << meta.modes
     index = np.int32 if count * dim < 2**31 else np.int64
-    data, indices = np.empty(capacity, np.complex128), np.empty(capacity, index)
+    data, indices = np.empty(0, np.complex128), np.empty(0, index)
     indptr = np.zeros(count * dim + 1, index)
-    end, row, dtypes = 0, 0, []
-    for block in blocks:
-        dtypes.append(block.dtype)
-        if block.shape[1] != dim:
-            raise ValueError(f"a block of width {block.shape[1]} among operators of {dim}")
-        start, end = end, end + block.nnz
+    end, row, dtypes, labels = 0, 0, [], []
+    for part in parts:
+        if part.modes != meta.modes:
+            raise ValueError(f"a part on {part.modes} modes among operators on {meta.modes}")
+        block, start, end = part.stack, end, end + part.stack.nnz
         if end > len(data):
             data, indices = _grown(data, start, end), _grown(indices, start, end)
         data[start:end], indices[start:end] = block.data, block.indices
         indptr[row + 1:row + block.shape[0] + 1] = block.indptr[1:] + start
         row += block.shape[0]
+        dtypes += part.dtypes
+        labels += part.meta.labels
     # trimmed in place: the constructor copies a slice of a much larger array
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
-    return sparse.CSR(data, indices, indptr, (count * dim, dim)), tuple(dtypes)
+    stack = sparse.CSR(data, indices, indptr, (count * dim, dim))
+    return RepresentationResult(stack, tuple(dtypes), replace(meta, labels=tuple(labels)))
 
 
 def _grown(values: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -296,11 +304,10 @@ def _bilinear_stack(n: int) -> sparse.CSR:
     return sparse.CSR(np.concatenate(vals), np.concatenate(cols), indptr, (n * n * dim, dim))
 
 
-# _assemble forms kron(C, I_dim) for at most this many stored entries at a
-# time: one generator at n = 12, a whole Gell-Mann set at n <= 6.  The
-# peak RSS of build un-standard --n 12 sets export's peak; it is 70.0-70.2
-# MiB at 2^13 and at 2^15, and 100 with its 1.4 M entries formed at once
-# (70.4-70.6 MiB with term-by-term sums; 2-vCPU VM)
+# _assembled forms kron(C, I_dim) for at most this many stored entries at a
+# time, one part: one generator at n = 12, a whole Gell-Mann set at n <= 6.
+# build un-standard --n 12 writes each part as it is formed and peaks at
+# 42.8 MB RSS at 2^11 and 2^13, 43.0 at 2^15 and 53.8 at 2^17 (2-vCPU VM)
 _ASSEMBLY_ENTRIES = 1 << 13
 
 
@@ -341,8 +348,20 @@ def _stacked(coeffs: np.ndarray, terms: sparse.CSR, dim: int) -> sparse.CSR:
     return sparse.matmul(kron, sparse.take_rows(terms, (used[:, None] * dim + basis).ravel()))
 
 
-def _assemble(coeffs: np.ndarray, terms: sparse.CSR, meta: RepMeta) -> RepresentationResult:
-    """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs.
+def _parts(
+    chunking: np.ndarray, form: Callable[[slice], sparse.CSR],
+    dtypes: tuple[np.dtype, ...], meta: RepMeta,
+) -> Iterator[RepresentationResult]:
+    """The generators of meta as consecutive parts, one for each run of
+    _chunks(chunking), formed as form(run) when the iteration reaches it."""
+    for r in _chunks(chunking, 1 << meta.modes):
+        yield RepresentationResult(form(r), dtypes[r], replace(meta, labels=meta.labels[r]))
+
+
+def _assembled(
+    coeffs: np.ndarray, terms: sparse.CSR, meta: RepMeta
+) -> Iterator[RepresentationResult]:
+    """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs, as parts.
 
     terms holds the t-th term as its t-th dim x dim row block.  Rows are
     formed with complex coefficients, so a real row gets imaginary parts of
@@ -350,12 +369,13 @@ def _assemble(coeffs: np.ndarray, terms: sparse.CSR, meta: RepMeta) -> Represent
     operator, a row of zeros the int64 zero operator, any other complex128.
     """
     dim = 1 << meta.modes
-    bound = int(np.count_nonzero(coeffs, axis=0) @ np.diff(terms.indptr[::dim]))
-    pieces = (_stacked(coeffs[r], terms, dim) for r in _chunks(coeffs, dim))
-    stack, _ = _concatenate(pieces, len(coeffs), dim, bound)
     real = ~np.any(coeffs.imag, axis=1)
     kinds = np.where(real, np.where(np.any(coeffs, axis=1), "f8", "i8"), "c16")
-    return RepresentationResult(stack, tuple(map(np.dtype, kinds)), meta)
+
+    def form(r: slice) -> sparse.CSR:
+        return _stacked(coeffs[r], terms, dim)
+
+    return _parts(coeffs, form, tuple(map(np.dtype, kinds)), meta)
 
 
 def standard_rep(
@@ -366,11 +386,19 @@ def standard_rep(
     Requires the generator dimension to equal the mode count.  Every
     output operator commutes with the total number operator.
     """
+    return _joined(standard_parts(gens, n), RepMeta("standard", n), len(gens))
+
+
+def standard_parts(
+    gens: liealg.GeneratorSet | Sequence[np.ndarray], n: int
+) -> Iterator[RepresentationResult]:
+    """The operators of standard_rep as consecutive parts, each formed when
+    the iteration reaches it; the arguments are checked on the call."""
     coeffs, labels, dim = _coefficient_rows(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    return _assemble(coeffs, _bilinear_stack(n), meta)
+    return _assembled(coeffs, _bilinear_stack(n), meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -399,16 +427,16 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     terms = _bilinear_stack(n)
     low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
     dim = 1 << n
-    pieces = (
-        sparse.add(
+
+    def form(r: slice) -> sparse.CSR:
+        return sparse.add(
             sparse.matmul(_stacked(low[r], terms, dim), f_low),
             sparse.matmul(_stacked(high[r], terms, dim), f_high),
         )
-        for r in _chunks(np.hstack([low, high]), dim)
-    )
-    stack, _ = _concatenate(pieces, len(low), dim)
+
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
-    return RepresentationResult(stack, (np.dtype(np.complex128),) * len(low), meta)
+    dtypes = (np.dtype(np.complex128),) * len(low)
+    return _joined(_parts(np.hstack([low, high]), form, dtypes, meta), meta, len(low))
 
 
 def nssfr_u3_explicit() -> RepresentationResult:
@@ -541,7 +569,7 @@ def rep_ucnm(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return _assemble(coeffs, unit_set(n, m).stack, meta)
+    return _joined(_assembled(coeffs, unit_set(n, m).stack, meta), meta, len(coeffs))
 
 
 def mixed_rep(
@@ -604,4 +632,4 @@ def mixed_rep(
         labels=gens.labels,
         xi=(xi_minus, xi_plus),
     )
-    return _assemble(coeffs, terms, meta)
+    return _joined(_assembled(coeffs, terms, meta), meta, len(coeffs))

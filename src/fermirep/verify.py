@@ -8,6 +8,7 @@ its results ordered by check name.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -169,20 +170,33 @@ def check_closure(
             f"closure of {k} operators forms {terms:,} product terms, over the bound "
             f"of {_CLOSURE_PRODUCT_TERMS:,}"
         )
-    report = VerificationReport({"label": label, "tol": tol})
     t0 = time.perf_counter()
     if standard:
-        coeffs, span = _span(stack, rep.modes)
-        values = _one_body_closure(coeffs, rep.modes, constants)
-    else:
-        keys, worst = _closure_residuals(stack, constants)
-        # key a * k + b (a < b) goes to its place among the pairs in row-major order
-        a, b = np.divmod(keys, k)
-        values = np.zeros(k * (k - 1) // 2)
-        values[a * (2 * k - a - 3) // 2 + b - 1] = worst
+        return _bilinear_closure([_span(stack, rep.modes)], constants, tol, label, t0)
+    keys, worst = _closure_residuals(stack, constants)
+    # key a * k + b (a < b) goes to its place among the pairs in row-major order
+    a, b = np.divmod(keys, k)
+    values = np.zeros(k * (k - 1) // 2)
+    values[a * (2 * k - a - 3) // 2 + b - 1] = worst
+    report = VerificationReport({"label": label, "tol": tol})
     report.add_batch(_PairNames(f"{label}/", k, True), values, tol)
-    if standard:
-        report.add_batch([f"{label}/span/{g:03d}" for g in range(1, k + 1)], span, tol)
+    report.timings[label] = time.perf_counter() - t0
+    return report
+
+
+def _bilinear_closure(
+    read: list[tuple[np.ndarray, np.ndarray]], constants: StructureConstants, tol: float,
+    label: str, t0: float,
+) -> VerificationReport:
+    """check_closure of a standard representation from what _span read of
+    its consecutive parts, timed from t0."""
+    coeffs, span = map(np.concatenate, zip(*read))
+    k, n = len(coeffs), math.isqrt(coeffs.shape[1])
+    if constants.size != k:
+        raise ValueError(f"representation has {k} operators but constants are for {constants.size}")
+    report = VerificationReport({"label": label, "tol": tol})
+    report.add_batch(_PairNames(f"{label}/", k, True), _one_body_closure(coeffs, n, constants), tol)
+    report.add_batch([f"{label}/span/{g:03d}" for g in range(1, k + 1)], span, tol)
     report.timings[label] = time.perf_counter() - t0
     return report
 
@@ -419,8 +433,10 @@ def _block_equality_checks(
     n: int,
     tol: float,
     label: str,
+    first: int = 1,
 ) -> VerificationReport:
-    """Sector blocks of each operator against expected matrices.
+    """Sector blocks of each operator against expected matrices, the checks
+    numbered from first.
 
     Blocks listed in expected_blocks are compared entrywise, sectors in
     must_vanish must be zero, other sectors are unconstrained; off-block
@@ -443,7 +459,7 @@ def _block_equality_checks(
         expected = sparse.from_triplets(g * d + i, start + j, expected[g, i, j], taken.shape)
         diff = sparse.subtract(taken, expected)
         np.maximum(resid, _group_maxima(sparse.coo_rows(diff) // d, diff.data, k), out=resid)
-    return _operator_checks(resid, tol, label, t0)
+    return _operator_checks(resid, tol, label, t0, [f"{a:03d}" for a in range(first, first + k)])
 
 
 def _outer_product_check(
@@ -466,18 +482,29 @@ def _outer_product_check(
 
 
 def representation_checks(
-    rep: RepresentationResult, gens: liealg.GeneratorSet, constants: StructureConstants,
-    tol: float = DEFAULT_TOL, second: liealg.GeneratorSet | None = None,
+    rep: RepresentationResult | Iterable[RepresentationResult], gens: liealg.GeneratorSet,
+    constants: StructureConstants, tol: float = DEFAULT_TOL,
+    second: liealg.GeneratorSet | None = None,
 ) -> VerificationReport:
     """check_closure, check_number_commutant and _block_equality_checks of rep
     for its set gens, named <family>/<variant>/nXX[mYY] after rep.meta.
+
+    rep is one representation or its consecutive parts, as
+    schwinger.standard_parts gives them.  Each part is checked, then
+    dropped: the span (of a standard one), number-commutant and block
+    checks run on it, and a standard one's pairs close on the one-particle
+    blocks its span checks read (_bilinear_closure).  Any other variant
+    is joined first: the whole-set closure kernel needs every operator.
+    A family's timing sums its measured part times.
 
     Expected blocks, every other sector vanishing: standard, G on sector 1
     and conjugate_rep(G) on n - 1, its middle sectors left to the span
     checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, xi_minus G on m
     and xi_plus G2 on n - m, G2 being second, the set build paired with G.
     """
-    meta, n, mats = rep.meta, rep.modes, gens.mats
+    parts = iter([rep] if isinstance(rep, RepresentationResult) else rep)
+    first = next(parts)
+    meta, n, mats = first.meta, first.modes, gens.mats
     variant, m = meta.variant, meta.particles
     if variant == "standard":
         # at n = 2 sector n - 1 is sector 1
@@ -490,12 +517,30 @@ def representation_checks(
         expected = {m: meta.xi[0] * mats, n - m: meta.xi[1] * second.mats}
     else:
         raise ValueError(f"no check catalogue for variant {variant!r}")
+    parts, first = itertools.chain([first], parts), None  # each part is dropped once checked
+    if variant != "standard":
+        parts = [schwinger._joined(parts, meta, len(gens))]
     vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in expected]
     tag = f"{variant}/n{n:02d}" + (f"m{m:02d}" if m is not None else "")
+    numcomm, block = VerificationReport(), VerificationReport()
+    read, seconds, start = [], 0.0, 0
+    for part in parts:
+        t0, stop = time.perf_counter(), start + len(part)
+        if variant == "standard":
+            read.append(_span(part.stack, n))
+            seconds += time.perf_counter() - t0
+        else:
+            closure = check_closure(part, constants, tol, label=f"closure/{tag}")
+        numcomm.extend(check_number_commutant(part, n, tol, label=f"numcomm/{tag}"))
+        own = {s: blocks[start:stop] for s, blocks in expected.items()}
+        block.extend(_block_equality_checks(part, own, vanish, n, tol, f"block/{tag}", start + 1))
+        start = stop
+    if variant == "standard":
+        t0 = time.perf_counter() - seconds
+        closure = _bilinear_closure(read, constants, tol, f"closure/{tag}", t0)
     report = VerificationReport({"tol": tol, "variant": variant})
-    report.extend(check_closure(rep, constants, tol, label=f"closure/{tag}"))
-    report.extend(check_number_commutant(rep, n, tol, label=f"numcomm/{tag}"))
-    report.extend(_block_equality_checks(rep, expected, vanish, n, tol, f"block/{tag}"))
+    for family in (closure, numcomm, block):
+        report.extend(family)
     return report
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermirep import liealg, schwinger, verify
+from fermirep.cli import main as cli_main
 from fermirep.cli import matfile
 from fermirep.cli.main import (
     EXIT_CHECK_FAILED,
@@ -337,6 +340,146 @@ def test_verify_from_refuses_non_finite_entry(tmp_path, capsys):
     assert rc != EXIT_OK
     assert "is not finite" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["un-standard", "--n", "3", "--m", "2"], "--m"),
+    (["un-nonstandard", "--n", "3", "--m", "1"], "--m"),
+    (["un-standard", "--n", "3", "--pairing", "conjugate"], "--pairing"),
+    (["un-nonstandard", "--n", "3", "--xi-plus", "1"], "--xi-plus"),
+    (["ucnm", "--n", "4", "--m", "2", "--xi-minus", "1"], "--xi-minus"),
+    (["ucnm", "--n", "4", "--m", "2", "--pairing", "same"], "--pairing"),
+])
+def test_build_refuses_an_option_its_group_drops(tmp_path, monkeypatch, capsys, args, option):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator family built")
+
+    monkeypatch.setattr(liealg, "generalized_gell_mann", refuse)
+    out = tmp_path / "out"
+    assert main(["build", *args, "--out", str(out)]) == EXIT_USAGE
+    assert f"argument {option}: group {args[0]} does not use it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["mixed", "--n", "4", "--m", "2"], ["ucnm", "--n", "4", "--m", "4"]])
+def test_a_refused_build_creates_no_output_directory(tmp_path, args):
+    out = tmp_path / "out"
+    assert main(["build", *args, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["un-standard", "--n", "7"], ["un-nonstandard", "--n", "5"],
+    ["ucnm", "--n", "5", "--m", "2"], ["mixed", "--n", "5", "--m", "2"],
+])
+def test_build_one_generator_a_part_writes_the_same_files(tmp_path, monkeypatch, args):
+    assert main(["build", *args, "--out", str(tmp_path / "default")]) == EXIT_OK
+    monkeypatch.setattr(schwinger, "_ASSEMBLY_ENTRIES", 1)
+    assert main(["build", *args, "--out", str(tmp_path / "least")]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "least").iterdir())
+    for name in names:
+        assert (tmp_path / "least" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+def _in_parts(out, monkeypatch, bound, report_path):
+    """verify --from out in parts of at least bound stored entries, as a JSON
+    report: the exit code, the payload, and the generator count and
+    number-commutant timing of each part."""
+    parts, numcomm = [], verify.check_number_commutant
+
+    def counted(rep, *args, **kwargs):
+        report = numcomm(rep, *args, **kwargs)
+        parts.append((len(rep), *report.timings.values()))
+        return report
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "check_number_commutant", counted)
+        mp.setattr(cli_main, "_PART_ENTRIES", bound)
+        rc = main(["verify", "--from", str(out), "--format", "json", "--report", str(report_path)])
+    payload = json.loads(report_path.read_text()) if report_path.exists() else None
+    return rc, payload, parts
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verify_from_one_generator_a_part_gives_the_in_memory_checks(tmp_path, monkeypatch, n):
+    out = tmp_path / "std"
+    assert main(["build", "un-standard", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    gens = liealg.generalized_gell_mann(n)
+    whole = schwinger.standard_rep(gens, n)
+    memory = verify.representation_checks(whole, gens, liealg.structure_constants(gens), 1e-10)
+    rc, payload, parts = _in_parts(out, monkeypatch, 1, tmp_path / "report.json")
+    assert rc == EXIT_OK and [size for size, _ in parts] == [1] * len(gens)
+    checks = payload["checks"]
+    assert tuple((c["name"], c["passed"], c["residual"]) for c in checks) == memory.signature()
+    # each family's time is measured, on each part, not split among its checks
+    tag = f"standard/n{n:02d}"
+    assert set(payload["timings"]) == {f"{family}/{tag}" for family in ("closure", "numcomm", "block")}
+    assert payload["timings"][f"numcomm/{tag}"] == sum(seconds for _, seconds in parts)
+    assert all(c["elapsed"] == 0.0 for c in checks)
+
+
+def _ends(parts):
+    """The last generator number of each part."""
+    return list(itertools.accumulate(size for size, _ in parts))
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_verify_from_names_a_corrupted_generator_of_a_later_part(tmp_path, monkeypatch, where):
+    out, report = tmp_path / "std6", tmp_path / "report.json"
+    assert main(["build", "un-standard", "--n", "6", "--out", str(out)]) == EXIT_OK
+    rc, _, parts = _in_parts(out, monkeypatch, 200, report)
+    assert rc == EXIT_OK and len(parts) >= 3 and min(size for size, _ in parts) > 1
+    ends = _ends(parts)
+    # the second generator of the middle part, or the last generator of all
+    g = ends[len(ends) // 2 - 1] + 2 if where == "middle" else ends[-1]
+    target = out / f"generator_{g:03d}.json"
+    corrupted = json.loads(target.read_text())
+    # an entry between two one-particle states, in rows 1 to 6
+    next(e for e in corrupted["entries"] if 1 <= e["row"] <= 6 and 1 <= e["col"] <= 6)["re"] += 0.25
+    target.write_text(json.dumps(corrupted))
+    rc, payload, _ = _in_parts(out, monkeypatch, 200, report)
+    assert rc == EXIT_CHECK_FAILED
+    failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+    assert {name for name in failed if "/span/" in name or name.startswith("block/")} == {
+        f"closure/standard/n06/span/{g:03d}", f"block/standard/n06/{g:03d}"
+    }
+
+
+def test_verify_from_refuses_a_non_finite_entry_of_a_middle_part(tmp_path, monkeypatch, capsys):
+    out, report = tmp_path / "std6", tmp_path / "report.json"
+    assert main(["build", "un-standard", "--n", "6", "--out", str(out)]) == EXIT_OK
+    _, _, parts = _in_parts(out, monkeypatch, 200, report)
+    report.unlink()
+    ends = _ends(parts)
+    target = out / f"generator_{ends[len(ends) // 2 - 1] + 1:03d}.json"
+    payload = json.loads(target.read_text())
+    payload["entries"][0]["re"] = float("inf")
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc, payload, parts = _in_parts(out, monkeypatch, 200, report)
+    assert rc == EXIT_IO and payload is None
+    err = capsys.readouterr().err
+    assert target.name in err and "is not finite" in err
+    # the parts before the refused file were read and checked
+    assert 0 < len(parts) < len(ends)
+
+
+def _peak_mib(args):
+    """main(args)'s traced peak, in MiB."""
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_and_verify_from_hold_a_bounded_part_of_an_eleven_mode_build(tmp_path):
+    # whole stacks of 120 operators on 2,048 states: 9.6 and 9.0 MiB traced
+    out = tmp_path / "std11"
+    assert _peak_mib(["build", "un-standard", "--n", "11", "--out", str(out)]) < 6.5
+    assert _peak_mib(["verify", "--from", str(out)]) < 4.5
 
 
 # a build of every variant at n <= 5, and the pairing of the mixed ones

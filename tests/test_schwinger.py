@@ -587,39 +587,51 @@ def _conjugated(gens, rng, kind):
     return liealg.GeneratorSet.create([scale * u @ g @ u.conj().T for g in gens.mats])
 
 
+# the default chunk bound, one of several products per assembly at these
+# sizes, and the least bound: one part per generator
+_BOUNDS = (None, 16, 1)
+
+
 @contextlib.contextmanager
-def _chunked(small):
-    """With small, tiny chunks: several products per assembly at these sizes."""
+def _chunked(bound):
+    """With a bound, that bound on the stored entries of each chunk."""
     with pytest.MonkeyPatch.context() as mp:
-        if small:
-            mp.setattr(schwinger, "_ASSEMBLY_ENTRIES", 16)
+        if bound is not None:
+            mp.setattr(schwinger, "_ASSEMBLY_ENTRIES", bound)
         yield
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 4), kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 5), small=st.booleans(),
+    count=st.integers(1, 5), bound=st.sampled_from(_BOUNDS),
 )
-def test_standard_rep_matches_term_sum(n, kind, seed, count, small):
+def test_standard_rep_matches_term_sum(n, kind, seed, count, bound):
     mats = _coefficients(np.random.default_rng(seed), kind, count, n)
-    with _chunked(small):
+    with _chunked(bound):
         rep = schwinger.standard_rep(mats, n)
+        parts = list(schwinger.standard_parts(mats, n))
     terms = _oracle_bilinears(n)
     _assert_bitwise_equal(rep.ops, [_term_sum(g, terms, n) for g in mats])
+    # the parts are the operators in order, each labelled and typed as in the whole
+    _assert_bitwise_equal([op for part in parts for op in part], rep.ops)
+    assert sum((part.meta.labels for part in parts), ()) == rep.meta.labels
+    assert sum((part.dtypes for part in parts), ()) == rep.dtypes
+    if bound == 1:
+        assert [len(part) for part in parts] == [1] * count
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     nm=st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]),
     kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 5), small=st.booleans(),
+    count=st.integers(1, 5), bound=st.sampled_from(_BOUNDS),
 )
-def test_rep_ucnm_matches_term_sum(nm, kind, seed, count, small):
+def test_rep_ucnm_matches_term_sum(nm, kind, seed, count, bound):
     n, m = nm
     k = math.comb(n, m)
     mats = _coefficients(np.random.default_rng(seed), kind, count, k)
-    with _chunked(small):
+    with _chunked(bound):
         rep = schwinger.rep_ucnm(mats, n, m)
     units = _oracle_units(n, m)
     _assert_bitwise_equal(rep.ops, [_term_sum(g, units, n) for g in mats])
@@ -629,11 +641,11 @@ def test_rep_ucnm_matches_term_sum(nm, kind, seed, count, small):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     n=st.integers(3, 5), kind=st.sampled_from(("real", "complex", "imaginary")),
-    seed=st.integers(0, 2**32 - 1), small=st.booleans(),
+    seed=st.integers(0, 2**32 - 1), bound=st.sampled_from(_BOUNDS),
 )
-def test_nssfr_un_matches_term_sum(n, kind, seed, small):
+def test_nssfr_un_matches_term_sum(n, kind, seed, bound):
     gens = _conjugated(liealg.generalized_gell_mann(n), np.random.default_rng(seed), kind)
-    with _chunked(small):
+    with _chunked(bound):
         rep = schwinger.nssfr_un(gens, n)
     terms = _oracle_bilinears(n)
     f_low = schwinger.eval_at_number_operator(schwinger.selective_function(n, 1), n)
@@ -652,14 +664,14 @@ def test_nssfr_un_matches_term_sum(n, kind, seed, small):
     kind=st.sampled_from(("real", "complex", "imaginary")),
     seed=st.integers(0, 2**32 - 1),
     xi=st.sampled_from([(1, 1), (1, 0), (0, 1)]),
-    pairing=st.sampled_from(("same", "conjugate")), small=st.booleans(),
+    pairing=st.sampled_from(("same", "conjugate")), bound=st.sampled_from(_BOUNDS),
 )
-def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing, small):
+def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing, bound):
     n, m = nm
     k = math.comb(n, m)
     gens = _conjugated(liealg.generalized_gell_mann(k), np.random.default_rng(seed), kind)
     gens2 = gens if pairing == "same" else liealg.conjugate_rep(gens)
-    with _chunked(small):
+    with _chunked(bound):
         rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
     units_m, units_mbar = _oracle_units(n, m), _oracle_units(n, n - m)
     expected = []
