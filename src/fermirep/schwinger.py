@@ -17,15 +17,19 @@ their inputs.
 
 Each generator of ``standard_rep``, ``nssfr_un``, ``rep_ucnm`` and
 ``mixed_rep`` is a linear combination of one fixed term set: the
-bilinears a+_a a_b, or the sector units Q_ij.  ``_assembled`` forms a
-set as the row blocks of sparse products kron(C, I) @ vstack(terms),
-with one row of C per generator, one product per part: a run of
-consecutive generators that bounds the Kronecker factor.  The product
-(sparse.matmul) sums each entry over the terms in ascending order, so
-every entry equals, to the bit, the sum of the terms added one at a
-time.  Each builder joins the parts into one stack;
-``standard_parts`` hands out those of ``standard_rep`` as they are
-formed, for the one family whose operators fill every sector.
+bilinears a+_a a_b, or the sector units Q_ij.  Every entry of such a
+combination is known in closed form, so the builders write the entries
+straight from the coefficient rows, with no term ever formed: a sector
+unit's coefficient at its place in the sector (``_sector_rep``); a
+bilinear's off-diagonal coefficient, signed, at each of its 2^(n-2)
+moves, and on the diagonal the sum of the held modes' coefficients
+(``_bilinears``).  Each entry equals, to the bit, the sum of the terms
+added one at a time in ascending order from zero, so no zero part is
+negative.  The bilinear families are formed in parts, runs of
+consecutive generators that bound the entries formed at once; each
+builder joins the parts into one stack, and ``standard_parts`` hands
+out those of ``standard_rep`` as they are formed, for the one family
+whose operators fill every sector.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -271,50 +274,74 @@ def _coefficient_rows(
     return mats.reshape(len(mats), -1), labels, mats.shape[1]
 
 
-def _bilinear_stack(n: int) -> sparse.CSR:
-    """The n^2 bilinears a+_a a_b, row-major, as row blocks of one matrix.
+def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
+    """Entry (p, S), S an occupation bitmask, is the sum of diagonals[p, a]
+    over the modes a in S, added in ascending a starting from zero."""
+    count, n = diagonals.shape
+    sums = np.zeros((count, 1 << n), np.complex128)
+    for a in range(n):
+        # the sets whose highest mode is a: those below it, plus mode a
+        sums[:, 1 << a:2 << a] = sums[:, :1 << a] + diagonals[:, a, None]
+    return sums
 
-    Computed on occupation bitmasks, with no ladder products: a+_a a_b
-    takes each state S that holds mode b, and holds no mode a once b is
-    removed, to S - b + a with the sign of a_b (modes held below b)
-    times that of a+_a (modes held below a in S - b).
-    Every row holds at most one entry, an int64 +-1; a = b gives the
-    number operator.  These are the entries of the ladder products.
+
+def _bilinears(coeffs: np.ndarray, n: int) -> sparse.CSR:
+    """Row block g is rho(C_g) = sum_ab C_g[a, b] a+_a a_b, C_g being row g
+    of coeffs, row-major.
+
+    Written from the coefficients, with no ladder product: the diagonal
+    entry of state S is the sum of C_g[a, a] over the modes a held in S
+    (_subset_sums), and each C_g[a, b] != 0 with a != b takes each of the
+    2^(n-2) states S that hold b and not a to S - b + a, signed by the
+    modes held below b in S and below a in S - b.  Each zero part is +0.0,
+    as in the terms' sum from zero.
     """
-    fock._require_modes(n)
-    dim = 1 << n
-    position, states = fock._state_positions(n), np.arange(dim, dtype=np.int32)
+    dim, count = 1 << n, len(coeffs)
+    position = fock._state_positions(n)
     popcount = fock._particle_counts(n)[position]  # indexed by bitmask
-    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
-    for t in range(n * n):
-        a, b = divmod(t, n)
-        held = states[(states >> b & 1 == 1) & ((states ^ 1 << b) >> a & 1 == 0)]
-        removed = held ^ 1 << b
-        # modes held below b in S, and below a in S - b
-        parity = popcount[held & (1 << b) - 1] + popcount[removed & (1 << a) - 1]
-        row = position[removed | 1 << a]
-        order = np.argsort(row)
-        rows.append(t * dim + row[order])
-        cols.append(position[held][order])
-        vals.append(1 - 2 * (parity[order] & 1).astype(np.int64))
-    # one entry per listed row: the row pointer counts them up
-    indptr = np.zeros(n * n * dim + 1, dtype=np.int32)
-    indptr[np.concatenate(rows) + 1] = 1
-    np.cumsum(indptr, out=indptr)
-    return sparse.CSR(np.concatenate(vals), np.concatenate(cols), indptr, (n * n * dim, dim))
+    g, t = np.nonzero(coeffs)
+    off = t % (n + 1) != 0  # the diagonal is every (n + 1)-th term
+    g, t = g[off, None], t[off, None]
+    a, b = np.divmod(t, n)
+    # the states holding neither a nor b: a zero bit put in at each of them
+    rest, low, high = np.arange(dim >> 2), np.minimum(a, b), np.maximum(a, b)
+    rest = rest >> low << low + 1 | rest & (1 << low) - 1
+    rest = rest >> high << high + 1 | rest & (1 << high) - 1
+    odd = (popcount[rest & (1 << b) - 1] + popcount[rest & (1 << a) - 1]) & 1
+    value = coeffs[g, t]
+    moved = np.where(odd, -value, value) + 0.0
+    sums = _subset_sums(coeffs[:, ::n + 1])[:, fock._masks(n)]
+    return sparse.from_triplets(
+        np.concatenate([((g << n) + position[rest | 1 << a]).ravel(), np.arange(count << n)]),
+        np.concatenate([position[rest | 1 << b].ravel(), np.tile(np.arange(dim), count)]),
+        np.concatenate([moved.ravel(), sums.ravel()]), (count << n, dim),
+    )
 
 
-# _assembled forms kron(C, I_dim) for at most this many stored entries at a
-# time, one part: one generator at n = 12, a whole Gell-Mann set at n <= 6.
-# build un-standard --n 12 writes each part as it is formed and peaks at
-# 42.8 MB RSS at 2^11 and 2^13, 43.0 at 2^15 and 53.8 at 2^17 (2-vCPU VM)
+def _kinds(owners: np.ndarray, values: np.ndarray, count: int) -> tuple[np.dtype, ...]:
+    """The type of each of count operators, operator owners[t] having the
+    nonzero coefficient values[t]: int64 with none, float64 with only real
+    ones, else complex128.  A real operator's complex entries have
+    imaginary parts of zero and, to the bit, the real parts of a real sum."""
+    live = np.bincount(owners, minlength=count) > 0
+    imaginary = np.bincount(owners, values.imag != 0, minlength=count) > 0
+    return tuple(map(np.dtype, np.where(imaginary, "c16", np.where(live, "f8", "i8"))))
+
+
+# _parts forms about this many entries at a time, one part: one generator
+# of the Gell-Mann set at n = 12, the whole set at n <= 6.  build
+# un-standard --n 12 writes each part as it is formed and peaks at 35.2 MB
+# RSS at 2^11 and 2^13, 38.0 at 2^15 and 50.9 at 2^17 (2-vCPU VM)
 _ASSEMBLY_ENTRIES = 1 << 13
 
 
-def _chunks(coeffs: np.ndarray, dim: int) -> list[slice]:
+def _chunks(coeffs: np.ndarray, n: int) -> list[slice]:
     """Consecutive rows of coeffs, each run forming at most _ASSEMBLY_ENTRIES
-    entries of kron(coeffs[run], I_dim); a row over the bound is alone."""
-    ends = np.cumsum(np.count_nonzero(coeffs, axis=1) * dim)
+    entries; a row over the bound is alone.  A row holds one or more n x n
+    blocks C, each forming 2^n diagonal entries and at most 2^(n-2) per
+    nonzero C[a, b]."""
+    blocks, nonzero = coeffs.shape[1] // (n * n), np.count_nonzero(coeffs, axis=1)
+    ends = np.cumsum((blocks << n) + (nonzero << n >> 2))
     pieces, start = [], 0
     while start < len(coeffs):
         base = ends[start - 1] if start else 0
@@ -324,58 +351,14 @@ def _chunks(coeffs: np.ndarray, dim: int) -> list[slice]:
     return pieces
 
 
-def _stacked(coeffs: np.ndarray, terms: sparse.CSR, dim: int) -> sparse.CSR:
-    """Row block g is sum_t coeffs[g, t] terms[t], for the row blocks of terms.
-
-    One sparse product kron(coeffs, I_dim) @ terms, over only the terms
-    some row uses.  Row g * dim + r of the Kronecker factor holds
-    coeffs[g, t] at column t * dim + r for each nonzero coefficient, in
-    ascending t, and sparse.matmul sums each output entry over that row
-    in stored order.  So every entry is the row-major term-by-term sum,
-    rounded the same way, and exact zeros are dropped.
-    """
-    used = np.flatnonzero(np.any(coeffs, axis=0))
-    coeffs = coeffs[:, used]
-    basis = np.arange(dim)
-    cols = [(np.flatnonzero(row) * dim + basis[:, None]).ravel() for row in coeffs]
-    vals = [np.tile(row[row != 0], dim) for row in coeffs]
-    widths = np.count_nonzero(coeffs, axis=1)
-    kron = sparse.CSR(
-        np.concatenate(vals), np.concatenate(cols),
-        np.concatenate([[0], np.cumsum(np.repeat(widths, dim))]),
-        (len(coeffs) * dim, len(used) * dim),
-    )
-    return sparse.matmul(kron, sparse.take_rows(terms, (used[:, None] * dim + basis).ravel()))
-
-
 def _parts(
-    chunking: np.ndarray, form: Callable[[slice], sparse.CSR],
+    coeffs: np.ndarray, form: Callable[[slice], sparse.CSR],
     dtypes: tuple[np.dtype, ...], meta: RepMeta,
 ) -> Iterator[RepresentationResult]:
     """The generators of meta as consecutive parts, one for each run of
-    _chunks(chunking), formed as form(run) when the iteration reaches it."""
-    for r in _chunks(chunking, 1 << meta.modes):
+    _chunks(coeffs), formed as form(run) when the iteration reaches it."""
+    for r in _chunks(coeffs, meta.modes):
         yield RepresentationResult(form(r), dtypes[r], replace(meta, labels=meta.labels[r]))
-
-
-def _assembled(
-    coeffs: np.ndarray, terms: sparse.CSR, meta: RepMeta
-) -> Iterator[RepresentationResult]:
-    """The operators sum_t coeffs[g, t] terms[t], one per row of coeffs, as parts.
-
-    terms holds the t-th term as its t-th dim x dim row block.  Rows are
-    formed with complex coefficients, so a real row gets imaginary parts of
-    zero and, to the bit, the real parts of a real product; it is a float64
-    operator, a row of zeros the int64 zero operator, any other complex128.
-    """
-    dim = 1 << meta.modes
-    real = ~np.any(coeffs.imag, axis=1)
-    kinds = np.where(real, np.where(np.any(coeffs, axis=1), "f8", "i8"), "c16")
-
-    def form(r: slice) -> sparse.CSR:
-        return _stacked(coeffs[r], terms, dim)
-
-    return _parts(coeffs, form, tuple(map(np.dtype, kinds)), meta)
 
 
 def standard_rep(
@@ -397,8 +380,11 @@ def standard_parts(
     coeffs, labels, dim = _coefficient_rows(gens)
     if dim != n:
         raise ValueError(f"generator dimension {dim} does not match n={n}")
+    fock._require_modes(n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    return _assembled(coeffs, _bilinear_stack(n), meta)
+    g, t = np.nonzero(coeffs)
+    dtypes = _kinds(g, coeffs[g, t], len(coeffs))
+    return _parts(coeffs, lambda r: _bilinears(coeffs[r], n), dtypes, meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -413,6 +399,7 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     """
     if n < 3:
         raise ValueError(f"number-selective construction needs n >= 3, got {n}")
+    fock._require_modes(n)
     if gens.dim != n:
         raise ValueError(f"generator dimension {gens.dim} does not match n={n}")
     traces = np.trace(gens.mats, axis1=1, axis2=2)
@@ -424,14 +411,12 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     conj = liealg.conjugate_rep(gens)
     f_low = eval_at_number_operator(selective_function(n, 1), n).mat
     f_high = eval_at_number_operator(selective_function(n, n - 1), n).mat
-    terms = _bilinear_stack(n)
     low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
-    dim = 1 << n
 
     def form(r: slice) -> sparse.CSR:
         return sparse.add(
-            sparse.matmul(_stacked(low[r], terms, dim), f_low),
-            sparse.matmul(_stacked(high[r], terms, dim), f_high),
+            sparse.matmul(_bilinears(low[r], n), f_low),
+            sparse.matmul(_bilinears(high[r], n), f_high),
         )
 
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
@@ -529,29 +514,42 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
 
 
 def unit_set(n: int, m: int) -> RepresentationResult:
-    """The operators of element_operators on the cached stack, not to be modified."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(
-            f"particle count must be in [1, {n - 1}] for unit operators, got {m}"
-        )
-    fock._require_modes(n)
-    k, meta = math.comb(n, m), RepMeta("units", n, m)
-    return RepresentationResult(_unit_stack(n, m), (np.dtype(np.int64),) * k * k, meta)
-
-
-# run_suite and mixed_rep reuse a set right after building it; the small
-# bound keeps large sets from living for the rest of the process
-@lru_cache(maxsize=4)
-def _unit_stack(n: int, m: int) -> sparse.CSR:
-    """Q_ij as the basis outer product e_{s+i, s+j}, s the sector's first index.
-
-    It equals the product O+_i |vac><vac| O_j of sector_operators entry for entry.
-    """
+    """The operators of element_operators as one stack: Q_ij is the basis
+    outer product e_{s+i, s+j}, s the sector's first index, equal entry for
+    entry to the product O+_i |vac><vac| O_j of sector_operators."""
+    _require_sector(n, m)
     dim, k, s = 1 << n, math.comb(n, m), fock._sector_start(n, m)
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
-    return sparse.from_triplets(
+    stack = sparse.from_triplets(
         (i * k + j) * dim + s + i, s + j, np.ones(k * k, dtype=np.int64), (k * k * dim, dim)
     )
+    return RepresentationResult(stack, (np.dtype(np.int64),) * k * k, RepMeta("units", n, m))
+
+
+def _require_sector(n: int, m: int) -> None:
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"particle count must be in [1, {n - 1}] for unit operators, got {m}")
+    fock._require_modes(n)
+
+
+def _sector_rep(sets: Sequence[tuple[np.ndarray, int]], meta: RepMeta) -> RepresentationResult:
+    """The operators sum_ij G[i, j] Q_ij(m) summed over the pairs (G, m) of
+    sets, G running over the matrices of a set: each nonzero G[i, j] of
+    matrix g is written at (g * 2^n + s + i, s + j), s the first state of
+    sector m, with each zero part +0.0, as in the terms' sum from zero.
+    Only the nonzero coefficients are formed."""
+    n, count = meta.modes, len(sets[0][0])
+    rows, cols, vals = [], [], []
+    for mats, m in sets:
+        _require_sector(n, m)
+        g, i, j = np.nonzero(mats)
+        s = fock._sector_start(n, m)
+        rows.append((g << n) + s + i)
+        cols.append(s + j)
+        vals.append(mats[g, i, j] + 0.0)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    stack = sparse.from_triplets(rows, cols, vals, (count << n, 1 << n))
+    return _joined([RepresentationResult(stack, _kinds(rows >> n, vals, count), meta)], meta, count)
 
 
 def rep_ucnm(
@@ -569,7 +567,7 @@ def rep_ucnm(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return _joined(_assembled(coeffs, unit_set(n, m).stack, meta), meta, len(coeffs))
+    return _sector_rep([(coeffs.reshape(-1, k, k), m)], meta)
 
 
 def mixed_rep(
@@ -621,10 +619,6 @@ def mixed_rep(
             f"structure constants of the two sets differ by {mismatch:.3e}"
         )
 
-    # coefficient rows [G | G2] against the units of sectors m and n - m
-    parts = [(gens, m)] * xi_minus + [(gens2, mbar)] * xi_plus
-    coeffs = np.hstack([gs.mats.reshape(len(gs), -1) for gs, _ in parts])
-    terms = sparse.vstack([unit_set(n, s).stack for _, s in parts])
     meta = RepMeta(
         variant="mixed",
         modes=n,
@@ -632,4 +626,4 @@ def mixed_rep(
         labels=gens.labels,
         xi=(xi_minus, xi_plus),
     )
-    return _joined(_assembled(coeffs, terms, meta), meta, len(coeffs))
+    return _sector_rep([(gens.mats, m)] * xi_minus + [(gens2.mats, mbar)] * xi_plus, meta)

@@ -21,7 +21,7 @@ from .errors import CapacityError
 from .fock import FockOperator
 from .liealg import StructureConstants
 from .report import CheckResult, VerificationReport, _PairNames
-from .schwinger import RepresentationResult
+from .schwinger import RepresentationResult, _subset_sums
 
 __all__ = [
     "CheckResult",
@@ -280,17 +280,6 @@ def _one_body_closure(coeffs: np.ndarray, n: int, constants: StructureConstants)
     return resid
 
 
-def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
-    """Entry (p, S), S an occupation bitmask, is the sum of diagonals[p, a]
-    over the modes a in S, added in ascending a starting from zero."""
-    count, n = diagonals.shape
-    sums = np.zeros((count, 1 << n), np.complex128)
-    for a in range(n):
-        # the sets whose highest mode is a: those below it, plus mode a
-        sums[:, 1 << a:2 << a] = sums[:, :1 << a] + diagonals[:, a, None]
-    return sums
-
-
 def _group_maxima(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Largest |values[t]| in each of count groups, value t being in group groups[t]."""
     worst = np.zeros(count)
@@ -517,7 +506,7 @@ def representation_checks(
         expected = {m: meta.xi[0] * mats, n - m: meta.xi[1] * second.mats}
     else:
         raise ValueError(f"no check catalogue for variant {variant!r}")
-    parts, first = itertools.chain([first], parts), None  # each part is dropped once checked
+    parts, first = itertools.chain(iter([first]), parts), None  # a spent iterator drops its part
     if variant != "standard":
         parts = [schwinger._joined(parts, meta, len(gens))]
     vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in expected]

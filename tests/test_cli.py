@@ -277,6 +277,23 @@ def _pinned_reports():
         yield pytest.param(build.split(), digest, id=build)
 
 
+def _pinned_builds():
+    for line in (DATA / "build_sha256.txt").read_text().splitlines():
+        digest, build = line.split("  ", 1)
+        yield pytest.param(build.split(), digest, id=build)
+
+
+@pytest.mark.parametrize(("build", "digest"), list(_pinned_builds()))
+def test_build_writes_the_pinned_files(tmp_path, build, digest):
+    # one digest over the manifest and the generator files, in name order
+    out = tmp_path / "built"
+    assert main(["build", *build, "--out", str(out)]) == EXIT_OK
+    written = hashlib.sha256()
+    for path in sorted(out.iterdir(), key=lambda p: p.name):
+        written.update(path.read_bytes())
+    assert written.hexdigest() == digest
+
+
 @pytest.mark.parametrize(("build", "digest"), list(_pinned_reports()))
 def test_verify_from_writes_the_pinned_json_report(tmp_path, build, digest):
     out = tmp_path / "built"
@@ -476,10 +493,17 @@ def _peak_mib(args):
 
 
 def test_build_and_verify_from_hold_a_bounded_part_of_an_eleven_mode_build(tmp_path):
-    # whole stacks of 120 operators on 2,048 states: 9.6 and 9.0 MiB traced
+    # whole stacks of 120 operators on 2,048 states: 9.6 and 9.0 MiB traced;
+    # the build's 2.1 MiB was 5.3 through a stack of the 121 bilinears
     out = tmp_path / "std11"
-    assert _peak_mib(["build", "un-standard", "--n", "11", "--out", str(out)]) < 6.5
+    assert _peak_mib(["build", "un-standard", "--n", "11", "--out", str(out)]) < 3.0
     assert _peak_mib(["verify", "--from", str(out)]) < 4.5
+
+
+def test_build_un_nonstandard_forms_no_bilinear_stack(tmp_path):
+    # 2.4 MiB traced; 6.2 through a stack of the 121 bilinears on 2,048 states
+    out = tmp_path / "nssfr11"
+    assert _peak_mib(["build", "un-nonstandard", "--n", "11", "--out", str(out)]) < 3.5
 
 
 # a build of every variant at n <= 5, and the pairing of the mixed ones

@@ -118,34 +118,41 @@ def test_standard_rep_zero_generator():
     assert rep[0].nnz == 0
 
 
-def test_bilinear_stack_equals_the_ladder_products():
+def _identity_bilinears(n):
+    """rho(e_ab) = a+_a a_b for every a, b, row-major, from identity rows."""
+    return schwinger._bilinears(np.eye(n * n), n)
+
+
+def test_bilinears_of_identity_rows_are_the_ladder_products():
     for n in range(1, 8):
         modes = range(1, n + 1)
         products = [schwinger._bilinear(n, a, b).mat for a in modes for b in modes]
-        got, want = schwinger._bilinear_stack(n), sparse.vstack(products)
-        assert got.dtype == want.dtype == np.int64
-        # int32 index arrays, as scipy chose them: half the int64 default's bytes
-        assert got.indptr.dtype == got.indices.dtype == np.int32
-        for field in ("indptr", "indices", "data"):
+        got, want = _identity_bilinears(n), sparse.vstack(products)
+        assert got.dtype == np.complex128 and want.dtype == np.int64
+        for field in ("indptr", "indices"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
+        # byte comparison, so every imaginary part is +0.0
+        assert got.data.tobytes() == want.data.astype(np.complex128).tobytes(), n
 
 
-def test_bilinear_stack_needs_no_numpy_2_popcount(monkeypatch):
+def test_bilinears_need_no_numpy_2_popcount(monkeypatch):
     # pyproject.toml admits numpy 1.x, which has no np.bitwise_count
     monkeypatch.delattr(np, "bitwise_count")
     for n in range(1, 9):
         modes = range(1, n + 1)
         products = [(fock.creation(n, a) @ fock.annihilation(n, b)).mat for a in modes for b in modes]
-        got, want = schwinger._bilinear_stack(n), sparse.vstack(products)
-        assert got.dtype == want.dtype == np.int64
+        got, want = _identity_bilinears(n), sparse.vstack(products)
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
 
 
 def test_standard_rep_refuses_modes_over_the_cap(monkeypatch):
     monkeypatch.setenv(fock.CAP_ENV_VAR, "3")
-    with pytest.raises(CapacityError):
-        schwinger.standard_rep(liealg.generalized_gell_mann(4), 4)
+    gens = liealg.generalized_gell_mann(4)
+    for build in (schwinger.standard_rep, schwinger.standard_parts, schwinger.nssfr_un):
+        # standard_parts refuses on the call, before any part is formed
+        with pytest.raises(CapacityError):
+            build(gens, 4)
 
 
 def test_standard_rep_dimension_mismatch():
@@ -587,14 +594,14 @@ def _conjugated(gens, rng, kind):
     return liealg.GeneratorSet.create([scale * u @ g @ u.conj().T for g in gens.mats])
 
 
-# the default chunk bound, one of several products per assembly at these
-# sizes, and the least bound: one part per generator
+# the default part bound (one part at these sizes), a bound of several
+# parts per set, and the least bound: one part per generator
 _BOUNDS = (None, 16, 1)
 
 
 @contextlib.contextmanager
 def _chunked(bound):
-    """With a bound, that bound on the stored entries of each chunk."""
+    """With a bound, that bound on the entries each part forms."""
     with pytest.MonkeyPatch.context() as mp:
         if bound is not None:
             mp.setattr(schwinger, "_ASSEMBLY_ENTRIES", bound)
@@ -625,14 +632,13 @@ def test_standard_rep_matches_term_sum(n, kind, seed, count, bound):
 @given(
     nm=st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]),
     kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 5), bound=st.sampled_from(_BOUNDS),
+    count=st.integers(1, 5),
 )
-def test_rep_ucnm_matches_term_sum(nm, kind, seed, count, bound):
+def test_rep_ucnm_matches_term_sum(nm, kind, seed, count):
     n, m = nm
     k = math.comb(n, m)
     mats = _coefficients(np.random.default_rng(seed), kind, count, k)
-    with _chunked(bound):
-        rep = schwinger.rep_ucnm(mats, n, m)
+    rep = schwinger.rep_ucnm(mats, n, m)
     units = _oracle_units(n, m)
     _assert_bitwise_equal(rep.ops, [_term_sum(g, units, n) for g in mats])
     _assert_bitwise_equal(schwinger.element_operators(n, m), units)
@@ -664,15 +670,14 @@ def test_nssfr_un_matches_term_sum(n, kind, seed, bound):
     kind=st.sampled_from(("real", "complex", "imaginary")),
     seed=st.integers(0, 2**32 - 1),
     xi=st.sampled_from([(1, 1), (1, 0), (0, 1)]),
-    pairing=st.sampled_from(("same", "conjugate")), bound=st.sampled_from(_BOUNDS),
+    pairing=st.sampled_from(("same", "conjugate")),
 )
-def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing, bound):
+def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing):
     n, m = nm
     k = math.comb(n, m)
     gens = _conjugated(liealg.generalized_gell_mann(k), np.random.default_rng(seed), kind)
     gens2 = gens if pairing == "same" else liealg.conjugate_rep(gens)
-    with _chunked(bound):
-        rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
+    rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
     units_m, units_mbar = _oracle_units(n, m), _oracle_units(n, n - m)
     expected = []
     for g, g2 in zip(gens.mats, gens2.mats):
@@ -749,7 +754,7 @@ def _unit_stack_from_sector_operators(n, m):
 def test_unit_stack_equals_the_sector_operator_products():
     for n in range(2, 9):
         for m in range(1, n):
-            got, want = schwinger._unit_stack(n, m), _unit_stack_from_sector_operators(n, m)
+            got, want = schwinger.unit_set(n, m).stack, _unit_stack_from_sector_operators(n, m)
             assert got.shape == want.shape and got.dtype == want.dtype == np.int64
             for field in ("indptr", "indices", "data"):
                 a, b = getattr(got, field), getattr(want, field)

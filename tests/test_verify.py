@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -896,8 +897,9 @@ def _corrupted_representations(draw, kinds=("ucnm", "mixed", "standard")):
 
 
 def _span_oracle(stack, n):
-    """The span check by rebuilding: rho(C_g) assembled as the builder
-    assembles it (schwinger._stacked over _bilinear_stack), then subtracted."""
+    """The span check by rebuilding, independently of the builder it guards:
+    rho(C_g) summed from the ladder products a+_a a_b term by term in
+    row-major order, then subtracted."""
     dim, k = 1 << n, stack.shape[0] >> n
     one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
     rows, cols = sparse.coo_rows(one), one.indices
@@ -905,10 +907,14 @@ def _span_oracle(stack, n):
     coeffs = np.zeros((k * n, n), dtype=np.complex128)
     coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
     coeffs, span = coeffs.reshape(k, n * n), np.zeros(k)
-    for r in schwinger._chunks(coeffs, dim):
-        rebuilt = schwinger._stacked(coeffs[r], schwinger._bilinear_stack(n), dim)
-        diff = sparse.subtract(sparse.take_rows(stack, slice(r.start * dim, r.stop * dim)), rebuilt)
-        span[r] = verify._group_maxima(sparse.coo_rows(diff) >> n, diff.data, r.stop - r.start)
+    modes = range(1, n + 1)
+    terms = [fock.creation(n, a) @ fock.annihilation(n, b) for a in modes for b in modes]
+    for g, row in enumerate(coeffs):
+        rebuilt = FockOperator.zero(n)
+        for t in np.flatnonzero(row):
+            rebuilt = rebuilt + complex(row[t]) * terms[t]
+        diff = sparse.subtract(sparse.take_rows(stack, slice(g * dim, (g + 1) * dim)), rebuilt.mat)
+        span[g] = np.max(np.abs(diff.data), initial=0.0)
     return coeffs, span
 
 
@@ -972,6 +978,27 @@ def test_span_from_stored_entries_equals_the_rebuilt_oracle(case, bound):
     want_coeffs, want_span = _span_oracle(stack, n)
     assert coeffs.tobytes() == want_coeffs.tobytes()
     assert span.tobytes() == want_span.tobytes()
+
+
+def test_representation_checks_drops_each_part_once_checked(monkeypatch):
+    n = 8
+    gens = liealg.generalized_gell_mann(n)
+    yielded, alive, span = [], [], verify._span
+
+    def parts():
+        for part in schwinger.standard_parts(gens, n):
+            yielded.append(weakref.ref(part))
+            yield part
+
+    def counted(stack, modes):
+        alive.append(sum(ref() is not None for ref in yielded))
+        return span(stack, modes)
+
+    monkeypatch.setattr(verify, "_span", counted)
+    report = verify.representation_checks(parts(), gens, liealg.structure_constants(gens))
+    assert report.overall and len(alive) >= 3
+    # only the part being checked is held
+    assert alive == [1] * len(alive)
 
 
 @settings(
