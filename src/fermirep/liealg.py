@@ -210,32 +210,73 @@ def _gram_inverse(flat: sparse.CSR) -> sparse.CSR:
     return sparse.from_dense(np.linalg.inv(sparse.toarray(gram)).T)
 
 
-def commutator_entries(
-    tall: sparse.CSR, sign: int = -1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (rows, cols, values) of the matrix with block (a, b) = [M_a, M_b].
+# commutator_entries forms about this many product terms at a time, one
+# chunk of row blocks.  structure_constants(generalized_gell_mann(15)) then
+# takes 5 chunks at a 2.0 MB tracemalloc peak (6.0 MB in one), and the
+# closure of its rep_ucnm on (6, 2) 5 chunks at 1.0 MB (3.3 MB); verify
+# --from of that build peaks at 35.8, 36.3 and 37.8 MB RSS at 2^12, 2^13
+# and 2^14, against 42.0 MB in one chunk (2-vCPU VM)
+_COMMUTATOR_TERMS = 1 << 13
 
-    tall = vstack(M) for k square d x d matrices, and block (a, b) of
-    tall @ hstack(M) is M_a M_b.  Each of its entries is returned in place
-    and, times sign (1 or -1), at the same place of block (b, a), so sign 1
-    gives the anticommutators {M_a, M_b} instead.  Entries sharing a place
-    are not summed; rows and cols are int64.
+
+def commutator_entries(
+    tall: sparse.CSR, sign: int = -1, upper: bool = False
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The block rows of the matrix with block (a, b) = M_a M_b + sign M_b M_a,
+    a chunk of consecutive row blocks at a time.
+
+    tall = vstack(M) for k square d x d matrices; sign -1 gives the
+    commutators [M_a, M_b], sign 1 the anticommutators.  For each chunk
+    A = [a0, a1) yields a0, a1 and the entries (rows, cols, values; int64
+    indices) of its block rows, only those of blocks b > a (b >= a for
+    sign 1) with upper.  M_a M_b is block (a, b) of tall[A] @ hstack(M),
+    and M_b M_a block (b, a) of tall @ hstack(M_A), whose entries are moved
+    to (a, b) times sign and listed after the first: entries sharing a
+    place are not summed.  Only the rows of tall holding an entry are
+    multiplied.  A chunk forms about _COMMUTATOR_TERMS product terms,
+    counted per block: each entry (r, c) of M_a meets row c of hstack(M)
+    and every entry of tall in column r.
     """
     d = tall.shape[1]
-    rows = sparse.coo_rows(tall)
+    k = tall.shape[0] // d
+    at = sparse.coo_rows(tall)
+    # the rows of tall holding an entry, and tall with those rows alone
+    starts = np.ones(len(at), dtype=bool)
+    starts[1:] = at[1:] != at[:-1]
+    held = at[starts]
+    packed = sparse.CSR(tall.data, tall.indices, np.append(np.flatnonzero(starts), tall.nnz),
+                        (len(held), d))
     # hstack(M): entry (r, c) of M_a at (r, a * d + c)
-    wide = sparse.from_triplets(
-        rows % d, rows // d * d + tall.indices, tall.data, (d, tall.shape[0])
-    )
-    entries = sparse.matmul(tall, wide)
-    rows, cols = sparse.coo_rows(entries), entries.indices.astype(np.int64)
-    # (b - a) * d moves an entry of block (a, b) to the same place of (b, a)
-    shift = (cols // d - rows // d) * d
-    return (
-        np.concatenate([rows, rows + shift]),
-        np.concatenate([cols, cols - shift]),
-        np.concatenate([entries.data, entries.data if sign > 0 else -entries.data]),
-    )
+    wide = sparse.from_triplets(at % d, at // d * d + tall.indices, tall.data, (d, k * d))
+    terms = np.bincount(at % d, minlength=d)[tall.indices]
+    terms += np.bincount(tall.indices, minlength=d)[at % d]
+    cost = np.append(0, np.cumsum(terms))[tall.indptr[d::d]]
+    del starts, terms
+
+    def block_rows(a0: int, a1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo, hi = np.searchsorted(held, [a0 * d, a1 * d]).tolist()
+        own = slice(packed.indptr[lo], packed.indptr[hi])
+        local = at[own] - a0 * d
+        # hstack(M_A), from the entries of tall[A] alone
+        wide_a = sparse.from_triplets(local % d, local // d * d + tall.indices[own],
+                                      tall.data[own], (d, (a1 - a0) * d))
+        ahead = sparse.matmul(sparse.take_rows(packed, slice(lo, hi)), wide)
+        below = lo if upper else 0  # blocks b < a0 meet A only in pairs left out
+        behind = sparse.matmul(sparse.take_rows(packed, slice(below, None)), wide_a)
+        # M_b M_a at (b d + r, a d + c) goes to (a d + r, b d + c)
+        there, place = held[below + sparse.coo_rows(behind)], behind.indices
+        rows = np.concatenate([held[lo + sparse.coo_rows(ahead)], (place // d + a0) * d + there % d])
+        cols = np.concatenate([ahead.indices, there // d * d + place % d]).astype(np.int64)
+        vals = np.concatenate([ahead.data, behind.data if sign > 0 else -behind.data])
+        if upper:
+            keep = rows // d < cols // d + (sign > 0)
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return rows, cols, vals
+
+    firsts = np.unique(cost // _COMMUTATOR_TERMS, return_index=True)[1].tolist()
+    for a0, a1 in zip(firsts, firsts[1:] + [k]):
+        # yielded straight from the call, so this frame keeps no reference
+        yield (a0, a1, *block_rows(a0, a1))
 
 
 def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureConstants:
@@ -243,63 +284,70 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
 
     Solves [G_i, G_j] = sum_l c[i, j, l] G_l by projecting with the trace
     inner product through the Gram matrix, so non-orthogonal sets are
-    handled too.  The k^2 commutators come from commutator_entries,
-    flattened to rows, and are projected at once.  Only the nonzero
-    coefficients are kept (see StructureConstants).  Raises ClosureError
-    if any commutator has a component outside the span (residual >= tol).
-    The projection reuses the flattened set and the Gram inverse that
-    GeneratorSet formed.
+    handled too.  The commutators come from commutator_entries a chunk of
+    rows i at a time; each chunk's are flattened to rows and projected at
+    once.  Only the nonzero coefficients are kept (see
+    StructureConstants).  Raises ClosureError if any commutator has a
+    component outside the span (residual >= tol), naming the first such
+    i and its worst j.  The projection reuses the flattened set and the
+    Gram inverse that GeneratorSet formed.
     """
     k, d = len(gens), gens.dim
     flat = gens._flat
     proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
+    records = []
+    for a0, a1, rows, cols, vals in commutator_entries(
+        sparse.from_dense(gens.mats.reshape(k * d, d))
+    ):
+        # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j
+        # with a nonzero commutator: a row per pair would make every index
+        # pointer k^2 long
+        pairs, row = np.unique(rows // d * k + cols // d, return_inverse=True)
+        comm = sparse.from_triplets(row, rows % d * d + cols % d, vals, (len(pairs), d * d))
+        del rows, cols, vals, row  # freed before the products, which set the peak
+        coeff = sparse.matmul(comm, proj)
 
-    rows, cols, vals = commutator_entries(sparse.from_dense(gens.mats.reshape(k * d, d)))
-    # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j
-    # with a nonzero commutator: a row per pair would make every index
-    # pointer k^2 long
-    pairs, row = np.unique(rows // d * k + cols // d, return_inverse=True)
-    comm = sparse.from_triplets(row, rows % d * d + cols % d, vals, (len(pairs), d * d))
-    del rows, cols, vals, row  # freed before the products, which set the peak
-    coeff = sparse.matmul(comm, proj)
+        diff = sparse.subtract(comm, sparse.matmul(coeff, flat))
+        resid = np.zeros((a1 - a0) * k)
+        np.maximum.at(resid, pairs[sparse.coo_rows(diff)] - a0 * k, np.abs(diff.data))
+        resid = resid.reshape(-1, k)
+        failing = np.flatnonzero(resid.max(axis=1) >= tol)
+        if failing.size:
+            i = int(failing[0])
+            j = int(np.argmax(resid[i]))
+            raise ClosureError(
+                f"commutator of generators {a0 + i + 1} and {j + 1} leaves the span "
+                f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
+            )
 
-    diff = sparse.subtract(comm, sparse.matmul(coeff, flat))
-    resid = np.zeros(k * k)
-    np.maximum.at(resid, pairs[sparse.coo_rows(diff)], np.abs(diff.data))
-    resid = resid.reshape(k, k)
-    failing = np.flatnonzero(resid.max(axis=1) >= tol)
-    if failing.size:
-        i = int(failing[0])
-        j = int(np.argmax(resid[i]))
-        raise ClosureError(
-            f"commutator of generators {i + 1} and {j + 1} leaves the span "
-            f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
-        )
-
-    records = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
-    records["i"], records["j"] = np.divmod(pairs[sparse.coo_rows(coeff)], k)
-    records["l"] = coeff.indices
-    records["value"] = coeff.data
-    return StructureConstants(k, records)
+        part = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
+        part["i"], part["j"] = np.divmod(pairs[sparse.coo_rows(coeff)], k)
+        part["l"] = coeff.indices
+        part["value"] = coeff.data
+        records.append(part)
+    return StructureConstants(k, np.concatenate(records))
 
 
-def matrix_unit_constants(k: int) -> StructureConstants:
+def matrix_unit_constants(k: int, start: int = 0, stop: int | None = None) -> StructureConstants:
     """Structure constants of gl(k) over the k^2 matrix units e_ij.
 
     Unit e_ij has index i * k + j (0-based), and
     [e_ij, e_pq] = d_jp e_iq - d_qi e_pj.  The records are built per unit
-    a = (i, j) and sorted within it, so no array has more than 2k^3 entries.
+    a = (i, j) and sorted within it, so no array has more than 2k entries
+    per unit; only those of the units a in [start, stop) are built (all by
+    default), and each unit's records are the same whatever the range.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    i, j, x = np.ogrid[:k, :k, :k]
+    a = np.arange(start, k * k if stop is None else stop)[:, None]
+    (i, j), x = np.divmod(a, k), np.arange(k)
     # for every x: the d_jp term b = (j, x), l = (i, x), value 1, then the
     # d_qi term b = (x, i), l = (x, j), value -1
-    b = np.concatenate(np.broadcast_arrays(j * k + x, x * k + i), axis=2)
-    l = np.concatenate(np.broadcast_arrays(i * k + x, x * k + j), axis=2)
-    order = np.argsort(b * k * k + l, axis=2)
-    b, l = np.take_along_axis(b, order, axis=2), np.take_along_axis(l, order, axis=2)
-    a = np.broadcast_to(i * k + j, b.shape)
+    b = np.concatenate(np.broadcast_arrays(j * k + x, x * k + i), axis=1)
+    l = np.concatenate(np.broadcast_arrays(i * k + x, x * k + j), axis=1)
+    order = np.argsort(b * k * k + l, axis=1)
+    b, l = np.take_along_axis(b, order, axis=1), np.take_along_axis(l, order, axis=1)
+    a = np.broadcast_to(a, b.shape)
     keep = (b != a) | (i != j)  # in [e_ii, e_ii] the two terms cancel
     records = np.empty(int(keep.sum()), dtype=RECORD_DTYPE)
     records["i"], records["j"], records["l"] = a[keep], b[keep], l[keep]

@@ -285,9 +285,10 @@ def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _bilinears(coeffs: np.ndarray, n: int) -> sparse.CSR:
+def _bilinears(coeffs: np.ndarray, n: int, sectors: Iterable[int] | None = None) -> sparse.CSR:
     """Row block g is rho(C_g) = sum_ab C_g[a, b] a+_a a_b, C_g being row g
-    of coeffs, row-major.
+    of coeffs, row-major; with sectors, only its rows in those particle-
+    number sectors, the others left empty.
 
     Written from the coefficients, with no ladder product: the diagonal
     entry of state S is the sum of C_g[a, a] over the modes a held in S
@@ -298,22 +299,28 @@ def _bilinears(coeffs: np.ndarray, n: int) -> sparse.CSR:
     """
     dim, count = 1 << n, len(coeffs)
     position = fock._state_positions(n)
-    popcount = fock._particle_counts(n)[position]  # indexed by bitmask
+    counts = fock._particle_counts(n)
+    popcount = counts[position]  # indexed by bitmask
+    wanted = np.isin(np.arange(n + 1), list(range(n + 1) if sectors is None else sectors))
     g, t = np.nonzero(coeffs)
     off = t % (n + 1) != 0  # the diagonal is every (n + 1)-th term
     g, t = g[off, None], t[off, None]
     a, b = np.divmod(t, n)
-    # the states holding neither a nor b: a zero bit put in at each of them
-    rest, low, high = np.arange(dim >> 2), np.minimum(a, b), np.maximum(a, b)
+    # the states holding neither a nor b, a zero bit put in at each of them;
+    # S - b + a holds one mode more than such a state
+    rest = np.flatnonzero(wanted[popcount[:dim >> 2] + 1])
+    low, high = np.minimum(a, b), np.maximum(a, b)
     rest = rest >> low << low + 1 | rest & (1 << low) - 1
     rest = rest >> high << high + 1 | rest & (1 << high) - 1
     odd = (popcount[rest & (1 << b) - 1] + popcount[rest & (1 << a) - 1]) & 1
     value = coeffs[g, t]
     moved = np.where(odd, -value, value) + 0.0
-    sums = _subset_sums(coeffs[:, ::n + 1])[:, fock._masks(n)]
+    states = np.flatnonzero(wanted[counts])
+    sums = _subset_sums(coeffs[:, ::n + 1])[:, fock._masks(n)[states]]
     return sparse.from_triplets(
-        np.concatenate([((g << n) + position[rest | 1 << a]).ravel(), np.arange(count << n)]),
-        np.concatenate([position[rest | 1 << b].ravel(), np.tile(np.arange(dim), count)]),
+        np.concatenate([((g << n) + position[rest | 1 << a]).ravel(),
+                        (np.arange(count)[:, None] << n | states).ravel()]),
+        np.concatenate([position[rest | 1 << b].ravel(), np.tile(states, count)]),
         np.concatenate([moved.ravel(), sums.ravel()]), (count << n, dim),
     )
 
@@ -409,14 +416,20 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
             f"generator {gens.labels[g]} is not traceless (trace {traces[g]:.3e})"
         )
     conj = liealg.conjugate_rep(gens)
-    f_low = eval_at_number_operator(selective_function(n, 1), n).mat
-    f_high = eval_at_number_operator(selective_function(n, n - 1), n).mat
     low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
+
+    def factor(m: int) -> tuple[sparse.CSR, list[int]]:
+        """f(N; m), and the sectors it keeps, where each bilinear is formed:
+        m, and the empty and the full one."""
+        p = selective_function(n, m)
+        return eval_at_number_operator(p, n).mat, [s for s in range(n + 1) if p.evaluate(s)]
+
+    (f_low, on_low), (f_high, on_high) = factor(1), factor(n - 1)
 
     def form(r: slice) -> sparse.CSR:
         return sparse.add(
-            sparse.matmul(_bilinears(low[r], n), f_low),
-            sparse.matmul(_bilinears(high[r], n), f_high),
+            sparse.matmul(_bilinears(low[r], n, on_low), f_low),
+            sparse.matmul(_bilinears(high[r], n, on_high), f_high),
         )
 
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)

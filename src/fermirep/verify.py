@@ -63,7 +63,7 @@ def check_anticommutation(
     report = VerificationReport({"n": n, "tol": tol})
     name = f"anticomm/n{n:02d}"
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(_stack_of(ops), StructureConstants(k, rec), sign=1)
+    keys, worst = _closure_residuals(_stack_of(ops), _records_of(StructureConstants(k, rec)), 1)
     resid = np.zeros(k * k)
     resid[keys] = worst
     i, j = np.divmod(np.arange(n * n), n)
@@ -93,52 +93,66 @@ def _product_terms(stack: sparse.CSR) -> int:
     return int(np.dot(cols, rows))
 
 
-# check_closure runs the whole-set kernel on any input but a standard
-# representation only while the product it forms has at most this many
-# terms (_product_terms), and raises CapacityError (CLI exit 2) above.  At
-# 128.7-129.1 traced bytes per term (standard_rep at n = 8, 9 and 10, 2-vCPU
-# VM) this is a 400 MB budget: nssfr_un up to n = 12 (21,062 terms) and
-# ucnm (8, 2) (133,047) fit, and ucnm (9, 3) (3,700,555) is refused
+# check_closure refuses (CapacityError, CLI exit 2) a representation that is
+# not standard when the product its kernel forms would have more than this
+# many terms (_product_terms).  The kernel holds about
+# liealg._COMMUTATOR_TERMS terms at a time, so this bounds its total work,
+# not one allocation: nssfr_un up to n = 12 (21,062 terms) and ucnm (8, 2)
+# (133,047) fit, and ucnm (9, 3) (3,700,555) is refused
 _CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
 
 
+def _records_of(constants: StructureConstants) -> Callable[[int, int], np.ndarray]:
+    """records(a0, a1) for _closure_residuals: the records of constants with
+    i in [a0, a1), in their order in c, found by searchsorted on c["i"]."""
+    c = constants.c
+    if np.any(c["i"][1:] < c["i"][:-1]):  # a hand-made set need not be sorted
+        c = c[np.argsort(c["i"], kind="stable")]
+    bounds = np.searchsorted(c["i"], np.arange(constants.size + 1))
+    return lambda a0, a1: c[bounds[a0]:bounds[a1]]
+
+
 def _closure_residuals(
-    tall: sparse.CSR, constants: StructureConstants, sign: int = -1
+    tall: sparse.CSR, records: Callable[[int, int], np.ndarray], sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block maxima of [r_a, r_b] - sum_l c[a, b, l] r_l over all pairs a < b.
 
-    Block (a, b) of one sparse matrix over the full 2^n space sums the
-    commutator's entries from liealg.commutator_entries and, for each
-    coefficient record (a, b, l, v), -v times every stored entry of r_l,
-    the row blocks of tall.  With sign 1 the anticommutator {r_a, r_b}
-    takes the commutator's place, and the pairs a = b are included.
-    Returns the sorted keys a * k + b of the blocks holding a nonzero
-    entry and, aligned with them, each block's largest absolute entry.
+    The r_a are the row blocks of tall, and records(a0, a1) gives the
+    coefficient records (a, b, l, v) with a in [a0, a1), in the order of
+    StructureConstants.c.  For each chunk of row blocks a of
+    liealg.commutator_entries, one sparse matrix over the full 2^n space
+    sums block (a, b)'s commutator entries and, for each record with
+    a < b, -v times every stored entry of r_l.  With sign 1 the
+    anticommutator {r_a, r_b} takes the commutator's place, and the pairs
+    a = b are included.  Returns the sorted keys a * k + b of the blocks
+    holding a nonzero entry and, aligned with them, each block's largest
+    absolute entry.
     """
     dim = tall.shape[1]
     k = tall.shape[0] // dim
-    rows, cols, vals = liealg.commutator_entries(tall, sign)
-    upper = rows // dim < cols // dim + (sign > 0)
-    rows, cols, vals = rows[upper], cols[upper], vals[upper]
-
-    # record c[chosen[t]] is repeated once for each stored entry pos of its
-    # r_l, which are tall's entries first[l] to first[l + 1] - 1
-    c = constants.c
-    chosen = np.flatnonzero(c["i"] < c["j"] + (sign > 0))
-    first = tall.indptr[::dim]
-    per = np.diff(first)[c["l"][chosen]]
-    which = np.repeat(chosen, per)
-    pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
-    rows = np.concatenate([rows, c["i"][which] * dim + sparse.coo_rows(tall)[pos] % dim])
-    cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
-    vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
-    diff = sparse.from_triplets(rows, cols, vals, (k * dim, k * dim))
-    # freed before the block keys are formed: for the 4,900 units of sector
-    # (8, 4) the traced peak is 85 MiB instead of 100 MiB
-    del rows, cols, vals
-    keys = sparse.coo_rows(diff) // dim * k + diff.indices // dim
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return keys, _group_maxima(inverse.reshape(-1), diff.data, len(keys))
+    first, local = tall.indptr[::dim], sparse.coo_rows(tall) % dim
+    sizes = np.diff(first)
+    keys, worst = [], []
+    for a0, a1, rows, cols, vals in liealg.commutator_entries(tall, sign, upper=True):
+        # record c[t] is repeated once for each stored entry pos of its r_l,
+        # which are tall's entries first[l] to first[l + 1] - 1
+        c = records(a0, a1)
+        c = c[c["i"] < c["j"] + (sign > 0)]
+        per = sizes[c["l"]]
+        which = np.repeat(np.arange(len(c)), per)
+        pos = np.arange(len(which)) + np.repeat(first[c["l"]] - np.cumsum(per) + per, per)
+        rows = np.concatenate([rows, c["i"][which] * dim + local[pos]])
+        cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
+        vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
+        del c, which, pos
+        diff = sparse.from_triplets(rows - a0 * dim, cols, vals, ((a1 - a0) * dim, k * dim))
+        # freed before the block keys are formed
+        del rows, cols, vals
+        key = (sparse.coo_rows(diff) // dim + a0) * k + diff.indices // dim
+        key, inverse = np.unique(key, return_inverse=True)
+        keys.append(key)
+        worst.append(_group_maxima(inverse.reshape(-1), diff.data, len(key)))
+    return np.concatenate(keys), np.concatenate(worst)
 
 
 def check_closure(
@@ -173,7 +187,7 @@ def check_closure(
     t0 = time.perf_counter()
     if standard:
         return _bilinear_closure([_span(stack, rep.modes)], constants, tol, label, t0)
-    keys, worst = _closure_residuals(stack, constants)
+    keys, worst = _closure_residuals(stack, _records_of(constants))
     # key a * k + b (a < b) goes to its place among the pairs in row-major order
     a, b = np.divmod(keys, k)
     values = np.zeros(k * (k - 1) // 2)
@@ -330,7 +344,10 @@ def check_eij_algebra(
     report = VerificationReport({"label": label, "k": k, "tol": tol})
     size = k * k
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(_stack_of(units), liealg.matrix_unit_constants(k))
+    # the records of each chunk's units only: all 2k^3 would be 40 bytes each
+    keys, worst = _closure_residuals(
+        _stack_of(units), lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c
+    )
     # the kernel keeps blocks (a, b) with a < b; block (b, a) is its negative
     row_worst = np.zeros(size)
     np.maximum.at(row_worst, keys // size, worst)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -337,18 +338,26 @@ def test_matrix_unit_constants_match_the_gram_projection():
         liealg.matrix_unit_constants(0)
 
 
-def test_commutator_entries_sign_one_gives_anticommutators():
+def test_commutator_entries_sign_one_gives_anticommutators(monkeypatch):
     # integer entries, so every sum is exact whatever its order
     d = 3
     mats = list(np.random.default_rng(0).integers(-3, 4, size=(3, d, d)).astype(float))
-    for sign in (-1, 1):
-        rows, cols, vals = liealg.commutator_entries(sparse.from_dense(np.vstack(mats)), sign)
-        full = np.zeros((3 * d, 3 * d))
-        np.add.at(full, (rows, cols), vals)
-        for a in range(3):
-            for b in range(3):
-                expected = mats[a] @ mats[b] + sign * mats[b] @ mats[a]
-                assert np.array_equal(full[a * d:(a + 1) * d, b * d:(b + 1) * d], expected)
+    tall = sparse.from_dense(np.vstack(mats))
+    for bound, chunks in ((liealg._COMMUTATOR_TERMS, [(0, 3)]), (1, [(0, 1), (1, 2), (2, 3)])):
+        monkeypatch.setattr(liealg, "_COMMUTATOR_TERMS", bound)
+        for sign, upper in itertools.product((-1, 1), (False, True)):
+            full, ranges = np.zeros((3 * d, 3 * d)), []
+            for a0, a1, rows, cols, vals in liealg.commutator_entries(tall, sign, upper):
+                assert np.all((rows >= a0 * d) & (rows < a1 * d))
+                np.add.at(full, (rows, cols), vals)
+                ranges.append((a0, a1))
+            assert ranges == chunks
+            for a in range(3):
+                for b in range(3):
+                    expected = mats[a] @ mats[b] + sign * mats[b] @ mats[a]
+                    if upper and b + (sign > 0) <= a:  # left out
+                        expected = 0 * expected
+                    assert np.array_equal(full[a * d:(a + 1) * d, b * d:(b + 1) * d], expected)
 
 
 def test_structure_constants_ggm28_sparse_and_totally_antisymmetric():
@@ -373,6 +382,18 @@ def test_structure_constants_ggm28_sparse_and_totally_antisymmetric():
         pos = np.searchsorted(keys, idx)
         assert np.array_equal(keys[pos], idx)
         assert np.max(np.abs(f.real[pos] + f.real)) < 1e-12
+
+
+def test_structure_constants_of_su15_peak_under_3_mb_traced():
+    # one chunk of rows i at a time; all 224^2 pairs at once peaked at 5.6-6.0 MB
+    gens = liealg.generalized_gell_mann(15)
+    tracemalloc.start()
+    try:
+        sc = liealg.structure_constants(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sc.c) > 10_000 and peak < 3e6
 
 
 def _random_unitary(d, seed):

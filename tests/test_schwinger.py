@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,50 @@ def test_bilinears_need_no_numpy_2_popcount(monkeypatch):
         got, want = _identity_bilinears(n), sparse.vstack(products)
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_bilinears_on_some_sectors_are_those_rows_of_all_of_them(n, count, seed, data):
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.normal(size=(count, n * n)) + 1j * rng.normal(size=(count, n * n)))
+    coeffs *= rng.random((count, n * n)) < 0.6
+    sectors = data.draw(st.sets(st.integers(0, n)))
+    whole, some = schwinger._bilinears(coeffs, n), schwinger._bilinears(coeffs, n, sectors)
+    assert some.shape == whole.shape
+    rows = np.flatnonzero(np.isin(np.tile(fock._particle_counts(n), count), list(sectors)))
+    want = sparse.take_rows(whole, rows)
+    got = sparse.take_rows(some, rows)
+    assert some.nnz == got.nnz
+    for field in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_nssfr_un_forms_its_bilinears_on_the_kept_sectors_only(monkeypatch):
+    # f(N; 1) and f(N; n - 1) vanish on sectors 2..n-2: the whole bilinears
+    # would form 623,029 entries here for the 714 the result keeps
+    gens, formed = liealg.generalized_gell_mann(12), []
+    bilinears = schwinger._bilinears
+
+    def counted(*args):
+        out = bilinears(*args)
+        formed.append(out.nnz)
+        return out
+
+    monkeypatch.setattr(schwinger, "_bilinears", counted)
+    rep = schwinger.nssfr_un(gens, 12)
+    assert rep.stack.nnz == 714 and sum(formed) <= 2 * rep.stack.nnz
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        schwinger.nssfr_un(gens, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4.1 MiB forming the whole bilinears; the result's row pointer alone is 2.2 MiB
+    assert peak < 3.8 * 2**20
 
 
 def test_standard_rep_refuses_modes_over_the_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import fermirep.report
 from fermirep import fock, liealg, schwinger, sparse, verify
-from fermirep.errors import CapacityError
+from fermirep.errors import CapacityError, ClosureError
 from fermirep.fock import FockOperator
 from fermirep.verify import VerificationReport
 
@@ -1136,8 +1137,10 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
     # every anticomm, closure and eij family of the suite goes through the kernel
     kernel, gaps = verify._closure_residuals, []
 
-    def compared(tall, constants, sign=-1):
-        keys, worst = kernel(tall, constants, sign)
+    def compared(tall, records, sign=-1):
+        keys, worst = kernel(tall, records, sign)
+        k = tall.shape[0] // tall.shape[1]
+        constants = liealg.StructureConstants(k, records(0, k))
         gaps.append(_scipy_kernel_gap(tall, constants, sign, keys, worst))
         return keys, worst
 
@@ -1157,8 +1160,223 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
 def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_corrupted_sets(case):
     ops, sc = case
     tall = verify._stack_of(ops)
-    keys, worst = verify._closure_residuals(tall, sc)
+    keys, worst = verify._closure_residuals(tall, verify._records_of(sc))
     assert _scipy_kernel_gap(tall, sc, -1, keys, worst) <= 1e-15
+
+
+# -- the chunked kernel against the whole-set kernel it replaced ------------------
+
+
+def _whole_set_commutator_entries(tall, sign=-1):
+    """liealg.commutator_entries before it was chunked: every block (a, b) of
+    tall @ hstack(M) in one product, each entry also placed, times sign, in
+    block (b, a)."""
+    d = tall.shape[1]
+    rows = sparse.coo_rows(tall)
+    wide = sparse.from_triplets(
+        rows % d, rows // d * d + tall.indices, tall.data, (d, tall.shape[0])
+    )
+    entries = sparse.matmul(tall, wide)
+    rows, cols = sparse.coo_rows(entries), entries.indices.astype(np.int64)
+    shift = (cols // d - rows // d) * d
+    return (
+        np.concatenate([rows, rows + shift]),
+        np.concatenate([cols, cols - shift]),
+        np.concatenate([entries.data, entries.data if sign > 0 else -entries.data]),
+    )
+
+
+def _whole_set_closure_residuals(tall, constants, sign=-1):
+    """verify._closure_residuals before it was chunked: one sparse matrix for all pairs."""
+    dim = tall.shape[1]
+    k = tall.shape[0] // dim
+    rows, cols, vals = _whole_set_commutator_entries(tall, sign)
+    upper = rows // dim < cols // dim + (sign > 0)
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    c = constants.c
+    chosen = np.flatnonzero(c["i"] < c["j"] + (sign > 0))
+    first = tall.indptr[::dim]
+    per = np.diff(first)[c["l"][chosen]]
+    which = np.repeat(chosen, per)
+    pos = np.arange(len(which)) + np.repeat(first[c["l"][chosen]] - np.cumsum(per) + per, per)
+    rows = np.concatenate([rows, c["i"][which] * dim + sparse.coo_rows(tall)[pos] % dim])
+    cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
+    vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
+    diff = sparse.from_triplets(rows, cols, vals, (k * dim, k * dim))
+    keys = sparse.coo_rows(diff) // dim * k + diff.indices // dim
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, verify._group_maxima(inverse.reshape(-1), diff.data, len(keys))
+
+
+def _whole_set_structure_constants(gens, tol=1e-10):
+    """liealg.structure_constants before it was chunked: all k^2 commutators
+    projected at once."""
+    k, d = len(gens), gens.dim
+    flat = gens._flat
+    proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
+    rows, cols, vals = _whole_set_commutator_entries(sparse.from_dense(gens.mats.reshape(k * d, d)))
+    pairs, row = np.unique(rows // d * k + cols // d, return_inverse=True)
+    comm = sparse.from_triplets(row, rows % d * d + cols % d, vals, (len(pairs), d * d))
+    coeff = sparse.matmul(comm, proj)
+    diff = sparse.subtract(comm, sparse.matmul(coeff, flat))
+    resid = np.zeros(k * k)
+    np.maximum.at(resid, pairs[sparse.coo_rows(diff)], np.abs(diff.data))
+    resid = resid.reshape(k, k)
+    failing = np.flatnonzero(resid.max(axis=1) >= tol)
+    if failing.size:
+        i = int(failing[0])
+        j = int(np.argmax(resid[i]))
+        raise ClosureError(
+            f"commutator of generators {i + 1} and {j + 1} leaves the span "
+            f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
+        )
+    records = np.empty(coeff.nnz, dtype=liealg.RECORD_DTYPE)
+    records["i"], records["j"] = np.divmod(pairs[sparse.coo_rows(coeff)], k)
+    records["l"] = coeff.indices
+    records["value"] = coeff.data
+    return liealg.StructureConstants(k, records)
+
+
+def _whole_set_kernel(tall, records, sign=-1):
+    """_closure_residuals' signature on the whole-set kernel, all records at once."""
+    k = tall.shape[0] // tall.shape[1]
+    return _whole_set_closure_residuals(tall, liealg.StructureConstants(k, records(0, k)), sign)
+
+
+# the default chunk bound, and one row block per chunk
+_BOUNDS = pytest.mark.parametrize("bound", [None, 1], ids=["default", "one-block"])
+
+
+@contextlib.contextmanager
+def _chunk_bound(bound):
+    """The kernel's chunk bound held at bound (None: left as it is)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(liealg, "_COMMUTATOR_TERMS", bound)
+        yield
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _same_report(check, *args, **kwargs):
+    """check(*args, **kwargs) with the chunked kernel and with the whole-set
+    one give the same names, verdicts and residuals, to the bit."""
+    fast = check(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_closure_residuals", _whole_set_kernel)
+        slow = check(*args, **kwargs)
+    got, want = fast.signature(), slow.signature()
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert np.array([row[2] for row in got]).tobytes() == np.array([row[2] for row in want]).tobytes()
+    return fast
+
+
+@_BOUNDS
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_corrupted_representations())
+def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_sets(bound, case):
+    ops, sc = case
+    tall = verify._stack_of(ops)
+    with _chunk_bound(bound):
+        got = verify._closure_residuals(tall, verify._records_of(sc))
+        _same_report(verify.check_closure, ops, sc)
+    assert _same_bits(got, _whole_set_closure_residuals(tall, sc))
+
+
+@_BOUNDS
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_corrupted_unit_sets())
+def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_unit_sets(bound, case):
+    n, m, units = case
+    k = math.isqrt(len(units))
+    with _chunk_bound(bound):
+        _same_report(verify.check_eij_algebra, units, k)
+        tall = verify._stack_of(units)
+        got = verify._closure_residuals(tall, lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c)
+    assert _same_bits(got, _whole_set_closure_residuals(tall, liealg.matrix_unit_constants(k)))
+
+
+@_BOUNDS
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_corrupted_ladders())
+def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_ladders(bound, case):
+    n, ann = case
+    with _chunk_bound(bound):
+        _same_report(verify.check_anticommutation, n,
+                     annihilation_source=lambda modes, i: ann[i - 1])
+
+
+def _non_orthogonal_spin1():
+    jp, jm, j3 = liealg.spin1_matrices().mats
+    return liealg.GeneratorSet.create([jp, jm, j3 + jp])
+
+
+@_BOUNDS
+@pytest.mark.parametrize(
+    "make",
+    [*(functools.partial(liealg.generalized_gell_mann, d) for d in range(2, 16)),
+     liealg.gell_mann, liealg.spin1_matrices, _non_orthogonal_spin1],
+    ids=[*(f"ggm{d}" for d in range(2, 16)), "gell_mann", "spin1", "non_orthogonal"],
+)
+def test_chunked_structure_constants_equal_the_whole_set_ones(bound, make):
+    gens = make()
+    with _chunk_bound(bound):
+        got = liealg.structure_constants(gens)
+    want = _whole_set_structure_constants(gens)
+    assert got.size == want.size and got.c.tobytes() == want.c.tobytes()
+
+
+def _outcome(extract, gens):
+    """The records extract(gens) gives, as bytes, or the ClosureError text it raises."""
+    try:
+        return extract(gens).c.tobytes()
+    except ClosureError as exc:
+        return str(exc)
+
+
+@_BOUNDS
+def test_chunked_structure_constants_name_the_whole_set_closure_error(bound):
+    # Pauli matrices on modes 1-2 close; the pair on modes 3-4 does not, and
+    # the first generator to leave the span is the fourth, with the fifth
+    pauli, pair = liealg.generalized_gell_mann(2).mats, np.zeros((2, 4, 4), complex)
+    pair[:, 2:, 2:] = pauli[:2]
+    gens = liealg.GeneratorSet.create([*np.pad(pauli, ((0, 0), (0, 2), (0, 2))), *pair])
+    want = _outcome(_whole_set_structure_constants, gens)
+    assert want.startswith("commutator of generators 4 and 5 leaves the span")
+    with _chunk_bound(bound):
+        assert _outcome(liealg.structure_constants, gens) == want
+
+
+@_BOUNDS
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(d=st.integers(2, 5), data=st.data())
+def test_chunked_structure_constants_of_any_sub_set_match_the_whole_set_ones(bound, d, data):
+    mats = liealg.generalized_gell_mann(d).mats
+    chosen = data.draw(st.lists(st.integers(0, len(mats) - 1), min_size=1, unique=True))
+    gens = liealg.GeneratorSet.create([mats[a] for a in chosen])
+    want = _outcome(_whole_set_structure_constants, gens)
+    with _chunk_bound(bound):
+        assert _outcome(liealg.structure_constants, gens) == want
+
+
+def test_closure_of_the_su15_sector_representation_peaks_under_2_mb_traced():
+    # the closure that verify --from runs on build ucnm --n 6 --m 2; all
+    # pairs at once peaked at 3.3 MB
+    gens, sc = _ggm_with_constants(15)
+    rep = schwinger.rep_ucnm(gens, 6, 2)
+    tracemalloc.start()
+    try:
+        report = verify.check_closure(rep, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall and len(report.checks) == 224 * 223 // 2
+    assert peak < 2e6
 
 
 def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
