@@ -4,11 +4,12 @@ spelled once, and the pieces of every row are joined in one call."""
 import numpy as np
 
 
-def float_reprs(values: np.ndarray) -> np.ndarray:
-    """repr of each float64 value (json's spelling of a finite float), as an
-    object array formatted once per bit pattern, so -0.0 and 0.0 stay apart."""
+def float_reprs(values: np.ndarray, spell=repr) -> np.ndarray:
+    """spell of each float64 value, by default repr (json's spelling of a finite
+    float), as an object array formatted once per bit pattern, so -0.0 and 0.0
+    stay apart."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    table = np.array([spell(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return table[inverse.reshape(values.shape)]
 
 

@@ -204,11 +204,8 @@ def cmd_verify(args) -> int:
         path = Path(args.report)
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-        if args.format == "json":
-            with path.open("w") as fh:
-                report.write_json(fh)
-        else:
-            path.write_text(report.to_text())
+        with path.open("w") as fh:
+            (report.write_json if args.format == "json" else report.write_text)(fh)
     print(
         f"{len(report)} checks, {report.failed_count()} failed, "
         f"max residual {report.max_residual():.3e}"

@@ -11,6 +11,7 @@ import functools
 import io
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence, TextIO
@@ -30,9 +31,16 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-# write_json formats this many checks at a time
-_JSON_CHUNK = 1024
+# write_json and write_text format this many checks at a time
+_CHUNK = 1024
 _JSON_BOOL = np.array(["false", "true"], dtype=object)
+_TEXT_VERDICT = np.array(["FAIL", "PASS"], dtype=object)
+
+
+def _is_number(value) -> bool:
+    """Whether value is a finite JSON number a float holds: an int or a float, not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
@@ -68,12 +76,23 @@ class _PairNames:
             row = tags[i + 1:] if self.upper else tags
             yield from [f"{p}{kind}[{a},{b}]" for b in row for kind in self.kinds]
 
+    @property
+    def in_order(self) -> bool:
+        """Whether the names run in sorted order: one kind, and tags of one width."""
+        return len(self.kinds) == 1 and self.k < 100
+
+    def ends(self) -> tuple[str, str]:
+        """The first and the last name of a pattern that holds any."""
+        a, b = (self.k - 1, self.k) if self.upper else (self.k, self.k)
+        return (f"{self.prefix}{self.kinds[0]}[01,{2 if self.upper else 1:02d}]",
+                f"{self.prefix}{self.kinds[-1]}[{a:02d},{b:02d}]")
+
     @functools.cached_property
     def _tags(self) -> np.ndarray:
         return np.array([f"{a:02d}" for a in range(1, self.k + 1)], dtype=object)
 
-    def json_columns(self, part: slice) -> list:
-        """The names in part as JSON strings, in columns of pieces for _text.joined."""
+    def columns(self, part: slice, json: bool) -> list:
+        """The names in part, as JSON strings when json, in columns of pieces for _text.joined."""
         pair, kind = np.divmod(np.arange(*part.indices(len(self))), len(self.kinds))
         if self.upper:
             # row a of the pairs a < b starts at pair a * (2k - a - 1) / 2
@@ -82,8 +101,10 @@ class _PairNames:
             b = pair - starts[a] + a + 1
         else:
             a, b = np.divmod(pair, self.k)
-        heads = [encode_basestring_ascii(self.prefix + kind)[:-1] + "[" for kind in self.kinds]
-        return [np.array(heads, dtype=object)[kind], self._tags[a], ",", self._tags[b], ']"']
+        heads = [encode_basestring_ascii(self.prefix + kind)[:-1] + "[" if json
+                 else self.prefix + kind + "[" for kind in self.kinds]
+        return [np.array(heads, dtype=object)[kind], self._tags[a], ",", self._tags[b],
+                ']"' if json else "]"]
 
 
 class _Batch(NamedTuple):
@@ -95,14 +116,41 @@ class _Batch(NamedTuple):
     elapsed: np.ndarray | None  # float64; None when every check's is 0.0
 
 
+def _sorted(batches: list[_Batch]) -> _Batch:
+    """The checks of batches, in their order, as one batch stably sorted by name.
+
+    A single batch already in name order is returned as it is: a pattern
+    in order generates no name.
+    """
+    if len(batches) == 1:
+        names = batches[0].names
+        if (names.in_order if isinstance(names, _PairNames)
+                else all(a <= b for a, b in itertools.pairwise(names))):
+            return batches[0]
+    names = list(itertools.chain.from_iterable(b.names for b in batches))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    timed = any(b.elapsed is not None for b in batches)
+    return _Batch([names[a] for a in order], _column(batches, "residuals")[order],
+                  _column(batches, "passed")[order],
+                  _column(batches, "elapsed")[order] if timed else None)
+
+
+def _column(batches: list[_Batch], field: str) -> np.ndarray:
+    """One field of the batches as one array, elapsed 0.0 where a batch holds none."""
+    parts = [np.zeros(len(b.residuals)) if getattr(b, field) is None else getattr(b, field)
+             for b in batches]
+    return np.concatenate([np.zeros(0, bool if field == "passed" else np.float64), *parts])
+
+
 class VerificationReport:
     """Accumulated check results with an overall verdict.
 
     Checks are held as a list of batches, one per add or add_batch call:
     each batch keeps its residuals and verdicts as numpy arrays and its
     names as a list, or, for the pair families, as a pattern that
-    generates them.  Names are generated only by ``checks``, ``failed()``,
-    ``signature()``, ``sort_by_name()`` and the writers.  ``names``,
+    generates them.  ``sort_by_name()`` keeps a pattern whose names
+    already run in order, so names are generated only by ``checks``,
+    ``failed()``, ``signature()`` and the writers.  ``names``,
     ``passed``, ``residuals`` and ``elapsed`` build lists of the whole
     report on demand.  Checks computed together as one batch carry
     elapsed = 0.0; the batch's measured wall time is in ``timings`` under
@@ -124,23 +172,15 @@ class VerificationReport:
 
     @property
     def passed(self) -> list[bool]:
-        return self._column("passed").tolist()
+        return _column(self._batches, "passed").tolist()
 
     @property
     def residuals(self) -> list[float]:
-        return self._column("residuals").tolist()
+        return _column(self._batches, "residuals").tolist()
 
     @property
     def elapsed(self) -> list[float]:
-        return self._column("elapsed").tolist()
-
-    def _column(self, field: str) -> np.ndarray:
-        """One field of every batch as one array, elapsed 0.0 where a batch holds none."""
-        parts = [
-            np.zeros(len(b.residuals)) if getattr(b, field) is None else getattr(b, field)
-            for b in self._batches
-        ]
-        return np.concatenate([np.zeros(0, bool if field == "passed" else np.float64), *parts])
+        return _column(self._batches, "elapsed").tolist()
 
     @property
     def checks(self) -> tuple[CheckResult, ...]:
@@ -184,16 +224,25 @@ class VerificationReport:
             self.timings[label] = self.timings.get(label, 0.0) + seconds
 
     def sort_by_name(self) -> None:
-        """Order the checks by name; checks of equal name keep their order."""
-        names = self.names
-        order = sorted(range(len(names)), key=names.__getitem__)
-        timed = any(b.elapsed is not None for b in self._batches)
-        self._batches = [_Batch(
-            [names[a] for a in order],
-            self._column("residuals")[order],
-            self._column("passed")[order],
-            self._column("elapsed")[order] if timed else None,
-        )]
+        """Order the checks by name; checks of equal name keep their order.
+
+        Each batch is put in name order on its own, and the batches are
+        ordered by their first names.  Only runs of batches whose name
+        ranges overlap are merged, name by name; a report whose batches
+        cover disjoint ranges keeps every batch, and every pattern in order.
+        """
+        batches = [_sorted([b]) for b in self._batches if len(b.residuals)]
+        ends = [b.names.ends() if isinstance(b.names, _PairNames) else (b.names[0], b.names[-1])
+                for b in batches]
+        runs: list[list[int]] = []
+        for a in sorted(range(len(batches)), key=lambda a: ends[a][0]):  # stable: ties by position
+            if runs and ends[a][0] <= last:
+                runs[-1].append(a)
+                last = max(last, ends[a][1])
+            else:
+                runs.append([a])
+                last = ends[a][1]
+        self._batches = [_sorted([batches[a] for a in sorted(run)]) for run in runs]
 
     def _failures(self) -> Iterator[CheckResult]:
         for b in self._batches:
@@ -226,13 +275,26 @@ class VerificationReport:
 
     __hash__ = None
 
+    def _parts(self, json: bool) -> Iterator[tuple[_Batch, slice, list]]:
+        """Each batch _CHUNK checks at a time: the batch, the part and the
+        part's names, as JSON strings when json, in columns for _text.joined."""
+        for b in self._batches:
+            for s in range(0, len(b.residuals), _CHUNK):
+                part = slice(s, s + _CHUNK)
+                if isinstance(b.names, _PairNames):
+                    yield b, part, b.names.columns(part, json)
+                else:
+                    names = b.names[part]
+                    yield b, part, [np.array(list(map(encode_basestring_ascii, names)) if json
+                                             else names, dtype=object)]
+
     def write_json(self, fh: TextIO) -> None:
         """Write the report as a JSON object with one check per line.
 
-        Checks are formatted _JSON_CHUNK at a time, so neither the text
-        nor a dict of the whole report is held.  The spelling is json's:
-        names through its ASCII string encoder and floats by repr, which
-        is json's float form for the finite values a report holds.
+        Checks are formatted _CHUNK at a time, so neither the text nor a
+        dict of the whole report is held.  The spelling is json's: names
+        through its ASCII string encoder and floats by repr, which is
+        json's float form for the finite values a report holds.
         from_dict(json.load(fh)) rebuilds the report.
         """
         fh.write(
@@ -240,16 +302,12 @@ class VerificationReport:
             f'"overall": {json.dumps(self.overall)},\n"checks": ['
         )
         lead = 1  # the comma before the first check is dropped
-        for b in self._batches:
-            for s in range(0, len(b.residuals), _JSON_CHUNK):
-                part = slice(s, s + _JSON_CHUNK)
-                names = (b.names.json_columns(part) if isinstance(b.names, _PairNames)
-                         else [np.array(list(map(encode_basestring_ascii, b.names[part])), object)])
-                passed, residual = _JSON_BOOL[b.passed[part].view(np.int8)], b.residuals[part]
-                elapsed = "0.0" if b.elapsed is None else float_reprs(b.elapsed[part])
-                fh.write(joined([',\n{"name": ', *names, ', "passed": ', passed, ', "residual": ',
-                                 float_reprs(residual), ', "elapsed": ', elapsed, "}"])[lead:])
-                lead = 0
+        for b, part, names in self._parts(json=True):
+            passed, residual = _JSON_BOOL[b.passed[part].view(np.int8)], b.residuals[part]
+            elapsed = "0.0" if b.elapsed is None else float_reprs(b.elapsed[part])
+            fh.write(joined([',\n{"name": ', *names, ', "passed": ', passed, ', "residual": ',
+                             float_reprs(residual), ', "elapsed": ', elapsed, "}"])[lead:])
+            lead = 0
         fh.write(f'\n],\n"timings": {json.dumps(self.timings)}\n}}\n')
 
     def to_json(self) -> str:
@@ -262,17 +320,21 @@ class VerificationReport:
     def from_dict(cls, payload: dict) -> "VerificationReport":
         """The report a write_json payload describes.
 
-        Raises ValueError unless every check's name is a string, its
-        passed a boolean, and its residual and elapsed finite and
-        nonnegative.
+        Raises ValueError unless checks is a list of objects, each with a
+        string name, a boolean passed, and a residual and (optionally) an
+        elapsed that are finite, nonnegative JSON numbers.
         """
         report = cls(payload.get("params", {}))
-        checks = payload["checks"]
+        checks = payload.get("checks")
+        if not isinstance(checks, list):
+            raise ValueError(f"checks must be a list of checks, got {checks!r}")
         for a, c in enumerate(checks):
-            if not (isinstance(c["name"], str) and isinstance(c["passed"], bool)):
+            if not (isinstance(c, dict) and isinstance(c.get("name"), str)
+                    and isinstance(c.get("passed"), bool)
+                    and _is_number(c.get("residual")) and _is_number(c.get("elapsed", 0.0))):
                 raise ValueError(
-                    f"check {a}: name must be a string and passed a boolean, "
-                    f"got {c['name']!r} and {c['passed']!r}"
+                    f"check {a}: name must be a string, passed a boolean, and residual "
+                    f"and elapsed finite numbers, got {c!r}"
                 )
         residuals = np.array([float(c["residual"]) for c in checks])
         elapsed = np.array([float(c.get("elapsed", 0.0)) for c in checks])
@@ -286,14 +348,22 @@ class VerificationReport:
         }
         return report
 
+    def write_text(self, fh: TextIO) -> None:
+        """Write the report as one line per check and an overall line.
+
+        Checks are formatted _CHUNK at a time, as write_json formats them.
+        """
+        lead = 1  # the newline before the first line is dropped
+        for b, part, names in self._parts(json=False):
+            verdict, residual = _TEXT_VERDICT[b.passed[part].view(np.int8)], b.residuals[part]
+            fh.write(joined(["\n", verdict, "  ", *names, "  residual=",
+                             float_reprs(residual, "{:.3e}".format)])[lead:])
+            lead = 0
+        fh.write(("" if lead else "\n") + f"overall: {'PASS' if self.overall else 'FAIL'} "
+                 f"({len(self)} checks, {self.failed_count()} failed)")
+
     def to_text(self) -> str:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {name}  residual={r:.3e}"
-            for b in self._batches
-            for name, ok, r in zip(b.names, b.passed, b.residuals)
-        ]
-        lines.append(
-            f"overall: {'PASS' if self.overall else 'FAIL'} "
-            f"({len(self)} checks, {self.failed_count()} failed)"
-        )
-        return "\n".join(lines)
+        """The text write_text writes."""
+        buffer = io.StringIO()
+        self.write_text(buffer)
+        return buffer.getvalue()

@@ -305,6 +305,19 @@ def test_verify_from_writes_the_pinned_json_report(tmp_path, build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_verify_n_max_6_writes_the_pinned_json_and_text_reports(tmp_path):
+    # digests of both formats, the JSON without its timings
+    for line in (DATA / "verify_n_max6_sha256.txt").read_text().splitlines():
+        digest, fmt = line.split("  ")
+        report_path = tmp_path / f"report.{fmt}"
+        args = ["verify", "--n-max", "6", "--format", fmt, "--report", str(report_path)]
+        assert main(args) == EXIT_OK
+        text = report_path.read_text()
+        if fmt == "json":
+            text = _untimed(text)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+
+
 @pytest.mark.parametrize("n", [6, 10])
 def test_verify_from_checks_bilinears_from_their_one_particle_blocks(tmp_path, n):
     out = tmp_path / f"std{n}"

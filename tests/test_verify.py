@@ -433,6 +433,15 @@ def _json_per_check(report):
     )
 
 
+def _text_per_check(report):
+    """The text report as one f-string per check, joined."""
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}  residual={c.residual:.3e}"
+             for c in report.checks]
+    lines.append(f"overall: {'PASS' if report.overall else 'FAIL'} "
+                 f"({len(report)} checks, {report.failed_count()} failed)")
+    return "\n".join(lines)
+
+
 _TOL = 1e-10
 _NAMES = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'), st.characters()),
@@ -444,7 +453,7 @@ _RESIDUALS = st.one_of(
     ]),
     st.floats(min_value=0.0, allow_infinity=False),
 )
-_CHUNK = fermirep.report._JSON_CHUNK
+_CHUNK = fermirep.report._CHUNK
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -468,6 +477,9 @@ def test_streamed_report_equals_the_per_check_encoder(checks, single, length, pa
     buffer = io.StringIO()
     report.write_json(buffer)
     assert buffer.getvalue() == text
+    buffer = io.StringIO()
+    report.write_text(buffer)
+    assert buffer.getvalue() == report.to_text() == _text_per_check(report)
     restored = VerificationReport.from_dict(json.loads(text))
     assert restored == report
     assert restored.elapsed == report.elapsed and restored.timings == report.timings
@@ -525,11 +537,32 @@ def test_checks_are_built_only_for_failures(monkeypatch, tmp_path):
     {"name": "x", "passed": None, "residual": 0.0},
     {"name": 7, "passed": True, "residual": 0.0},
     {"name": ["x"], "passed": False, "residual": 0.0},
+    {"passed": True, "residual": 0.0},
+    {"name": "x", "residual": 0.0},
+    {"name": "x", "passed": True, "residual": "0.5"},
+    {"name": "x", "passed": True, "residual": True},
+    {"name": "x", "passed": True, "residual": None},
+    {"name": "x", "passed": True},
+    {"name": "x", "passed": True, "residual": 0.0, "elapsed": "0.5"},
+    {"name": "x", "passed": True, "residual": 0.0, "elapsed": False},
+    {"name": "x", "passed": True, "residual": 10**400},
+    {"name": "x", "passed": True, "residual": 0.0, "elapsed": float("nan")},
+    "b",
+    ["x", True, 0.0],
 ])
 def test_from_dict_refuses_a_non_boolean_verdict_or_a_non_string_name(check):
-    good = {"name": "ok", "passed": True, "residual": 0.0, "elapsed": 0.0}
-    with pytest.raises(ValueError, match="check 1"):
+    # residual and elapsed must be JSON numbers: an int is one, a bool or a string is not
+    good = {"name": "ok", "passed": True, "residual": 0, "elapsed": 0.25}
+    assert VerificationReport.from_dict({"checks": [good]}).checks == (
+        verify.CheckResult("ok", True, 0.0, 0.25),)
+    with pytest.raises(ValueError, match="^check 1: "):
         VerificationReport.from_dict({"params": {}, "checks": [good, check], "timings": {}})
+
+
+@pytest.mark.parametrize("payload", [{"checks": "ab"}, {"checks": None}, {"checks": {}}, {}])
+def test_from_dict_refuses_checks_that_are_not_a_list(payload):
+    with pytest.raises(ValueError, match="checks must be a list"):
+        VerificationReport.from_dict(payload)
 
 
 def _closure_of_zero_operators():
@@ -567,7 +600,7 @@ def test_closure_places_the_pair_residuals_within_24_bytes_per_pair():
     k=st.sampled_from([0, 1, 2, 5, 12, 101]),
     upper=st.booleans(),
     kinds=st.sampled_from([("",), ("aa", "cc", "ac"), ('"', "\u2028")]),
-    chunk=st.sampled_from([1, 5, 64, fermirep.report._JSON_CHUNK]),
+    chunk=st.sampled_from([1, 5, 64, fermirep.report._CHUNK]),
 )
 def test_pair_name_batches_stream_as_the_per_check_encoder(prefix, k, upper, kinds, chunk):
     # pair names are written from tables of their pieces, chunk checks at a time
@@ -577,8 +610,9 @@ def test_pair_name_batches_stream_as_the_per_check_encoder(prefix, k, upper, kin
     report.add_batch(names, np.arange(len(names)) * 0.1, 0.5)
     report.add_batch(["last"], [-0.0], _TOL)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fermirep.report, "_JSON_CHUNK", chunk)
+        mp.setattr(fermirep.report, "_CHUNK", chunk)
         assert report.to_json() == _json_per_check(report)
+        assert report.to_text() == _text_per_check(report)
 
 
 def test_failed_generates_names_only_up_to_the_failures_it_returns():
@@ -600,24 +634,48 @@ def test_failed_generates_names_only_up_to_the_failures_it_returns():
     assert made == ["x/[01,02]", "x/[01,03]", "x/[01,04]", "x/[01,05]", "x/[01,06]", "x/[01,07]"]
 
 
+# names that repeat across batches, and that fall inside the pattern batches' name ranges
+_SORT_NAMES = st.one_of(_NAMES, st.sampled_from([
+    "", "x/", "x/[01,02]", "x/[02,01]", "x/[05,05]", "x/[100,01]", "x/aa[01,01]", "closure/[01,02]",
+]))
+
+
 @st.composite
 def _batches(draw):
     """One recording step: ("add", name, residual, elapsed), ("batch", names,
     residuals) with a list or a pair pattern of names, or ("sub", steps)."""
     kind = draw(st.sampled_from(["add", "list", "pattern"]))
     if kind == "add":
-        return ("add", draw(_NAMES), draw(_RESIDUALS), draw(_RESIDUALS))
+        return ("add", draw(_SORT_NAMES), draw(_RESIDUALS), draw(_RESIDUALS))
     if kind == "list":
-        names = draw(st.lists(_NAMES, max_size=6))
+        names = draw(st.lists(_SORT_NAMES, max_size=6))
     else:
+        # past 99 the index tags have unequal widths (large k drawn as pairs a < b only)
+        k = draw(st.one_of(st.integers(0, 5), st.sampled_from([99, 100, 120])))
         names = fermirep.report._PairNames(
             draw(st.sampled_from(["", "x/", "closure/"])),
-            draw(st.integers(0, 5)),
-            draw(st.booleans()),
-            draw(st.sampled_from([("",), ("aa", "cc", "ac")])),
+            k,
+            k > 5 or draw(st.booleans()),
+            ("",) if k > 5 else draw(st.sampled_from([("",), ("aa", "cc", "ac")])),
         )
     pool = draw(st.lists(_RESIDUALS, min_size=1, max_size=4))
     return ("batch", names, [pool[a % len(pool)] for a in range(len(names))])
+
+
+def _sorted_as_one_list(report):
+    """The report with every name generated and all its checks stably sorted
+    by name into one list batch."""
+    names = report.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    oracle = VerificationReport(report.params)
+    oracle.timings = dict(report.timings)
+    oracle._batches = [fermirep.report._Batch(
+        [names[a] for a in order],
+        np.array(report.residuals)[order],
+        np.array(report.passed, dtype=bool)[order],
+        np.array(report.elapsed)[order],
+    )]
+    return oracle
 
 
 def _record(report, steps):
@@ -653,13 +711,47 @@ def test_batched_report_equals_its_materialized_columns(steps, limit):
     assert restored.signature() == report.signature()
     assert restored.elapsed == report.elapsed
 
+    expected = _sorted_as_one_list(report)
     report.sort_by_name()
-    assert list(zip(report.names, report.passed, report.residuals, report.elapsed)) == sorted(
-        columns, key=lambda c: c[0]
-    )
+    assert report.names == expected.names and report.passed == expected.passed
+    assert report.residuals == expected.residuals and report.elapsed == expected.elapsed
+    assert report.to_json() == expected.to_json()
     assert report.failed() == [c for c in report.checks if not c.passed]
     restored.sort_by_name()
     assert restored == report and restored.to_json() == report.to_json()
+
+
+def test_sort_by_name_merges_batches_that_meet_at_one_name():
+    # the later batch ends at the name the earlier one starts with: the
+    # earlier batch's check of that name stays first
+    report = VerificationReport()
+    report.add_batch(["b", "c"], [1.0, 2.0], _TOL)
+    report.add_batch(["a", "b"], [3.0, 4.0], _TOL)
+    report.add_batch(fermirep.report._PairNames("d", 2, True), [5.0], _TOL)
+    report.sort_by_name()
+    assert report.names == ["a", "b", "b", "c", "d[01,02]"]
+    assert report.residuals == [3.0, 1.0, 4.0, 2.0, 5.0]
+    assert isinstance(report._batches[-1].names, fermirep.report._PairNames)
+
+
+def test_sorting_the_run_suite6_report_keeps_its_patterns_in_under_1_mb(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(VerificationReport, "sort_by_name", lambda self: None)
+        report = verify.run_suite(6)
+    in_order = [b.names for b in report._batches
+                if isinstance(b.names, fermirep.report._PairNames) and b.names.in_order]
+    assert len(in_order) == 37
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report.sort_by_name()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6 and held <= 0.1e6, (peak, held)
+    kept = {id(b.names) for b in report._batches}
+    assert all(id(names) in kept for names in in_order)
+    assert len(report) == 18_387
 
 
 # -- whole-set kernels against the per-quadruple and per-unit definitions --------
