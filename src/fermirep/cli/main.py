@@ -67,8 +67,9 @@ def build_variant(
 ):
     """The requested representation as consecutive parts plus its generator
     set: a standard one's parts are formed as the iteration reaches them,
-    any other is one part."""
+    any other is one part.  The mode count is checked before the set is built."""
     from .. import liealg, schwinger
+    fock._require_modes(n)
     if group in ("un-standard", "un-nonstandard"):
         gens = liealg.generalized_gell_mann(n)
         family = {"name": "generalized_gell_mann", "dim": n}
@@ -132,8 +133,8 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-# verify --from reads a standard build in parts of at least this many stored
-# entries, each dropped once checked: 18 parts of 7 or 8 generators at n = 12,
+# verify --from reads a build in parts of at least this many stored entries,
+# each dropped once checked: 18 parts of 7 or 8 generators at n = 12 standard,
 # where it peaks at 38.0 MB RSS (37.6 at 2^13, 39.6 at 2^15, 46.6 read whole)
 # in the CPU time of a whole read; at 2^13 it took 9 % more (2-vCPU VM, fresh
 # processes, 30 alternating runs)
@@ -141,10 +142,10 @@ _PART_ENTRIES = 1 << 14
 
 
 def _load_built(dirpath: Path):
-    """The representation a build wrote, its generator set, and the set a
-    mixed build pairs with it (gens itself otherwise).  A standard build
-    comes as consecutive parts of at least _PART_ENTRIES stored entries,
-    read when the iteration reaches them; any other is read whole."""
+    """The representation a build wrote, as consecutive parts of at least
+    _PART_ENTRIES stored entries read when the iteration reaches them, its
+    generator set, and the set a mixed build pairs with it (gens itself
+    otherwise)."""
     from .. import liealg, schwinger
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
@@ -154,13 +155,6 @@ def _load_built(dirpath: Path):
     except ValueError as err:
         raise matfile.MatfileError(f"{manifest_path}: {err}") from None
 
-    def operators():
-        for path in (dirpath / item["file"] for item in items):
-            op, _meta = matfile.read_operator(path)
-            if op.modes != modes:
-                raise matfile.MatfileError(f"{path}: {op.modes} modes, the manifest says {modes!r}")
-            yield op
-
     meta = schwinger.RepMeta(
         variant=manifest["variant"],
         modes=modes,
@@ -168,10 +162,14 @@ def _load_built(dirpath: Path):
         labels=tuple(item["label"] for item in items),
         xi=tuple(manifest["xi"]) if manifest.get("xi") else None,
     )
+    paths = [dirpath / item["file"] for item in items]
 
     def parts():
         ops, stored, start = [], 0, 0
-        for op in operators():
+        for path in paths:
+            op, _meta = matfile.read_operator(path)
+            if op.modes != modes:
+                raise matfile.MatfileError(f"{path}: {op.modes} modes, the manifest says {modes!r}")
             ops.append(op)
             stored += op.mat.nnz
             if stored >= _PART_ENTRIES or start + len(ops) == len(items):
@@ -180,15 +178,11 @@ def _load_built(dirpath: Path):
                 ops, stored, start = [], 0, start + len(ops)
                 yield part
 
-    if meta.variant == "standard":
-        # a missing file is refused before the family is built, as a whole read refuses it
-        for item in items:
-            (dirpath / item["file"]).stat()
-        rep = parts()
-    else:
-        rep = schwinger.RepresentationResult.from_ops(operators(), meta, len(items))
+    for path in paths:  # a missing file is refused before the family is built
+        path.stat()
     gens = build()
-    return rep, gens, liealg.conjugate_rep(gens) if manifest.get("pairing") == "conjugate" else gens
+    second = liealg.conjugate_rep(gens) if manifest.get("pairing") == "conjugate" else gens
+    return parts(), gens, second
 
 
 def cmd_verify(args) -> int:

@@ -247,7 +247,8 @@ def read_manifest(path: str | Path) -> dict:
         if not valid(manifest.get(key)):
             raise MatfileError(f"{path}: manifest {key} {manifest.get(key)!r} has the wrong type")
     xi, pairing = manifest.get("xi"), manifest.get("pairing")
-    if manifest["variant"] == "mixed" and (xi is None or pairing not in PAIRINGS):
+    valid_xi = xi in ([0, 1], [1, 0], [1, 1])  # as mixed_rep takes it
+    if manifest["variant"] == "mixed" and (not valid_xi or pairing not in PAIRINGS):
         raise MatfileError(f"{path}: mixed manifest needs xi and a pairing in {PAIRINGS}, "
                            f"got {xi!r} and {pairing!r}")
     generators = manifest["generators"]

@@ -95,10 +95,14 @@ class StructureConstants:
     coefficient of every ordered pair (i, j), sorted lexicographically by
     (i, j, l).  ``rows`` is the same data as a (size^2, size) CSR matrix
     whose row i * size + j holds the expansion of [G_i, G_j].
+    ``residuals`` (None in a hand-made set) holds the sorted keys i * size
+    + j of the pairs i < j whose residual [G_i, G_j] - sum_l c[i, j, l] G_l
+    is nonzero and, aligned with them, its largest absolute entry.
     """
 
     size: int
     c: np.ndarray
+    residuals: tuple[np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
     def rows(self) -> sparse.CSR:
@@ -212,11 +216,11 @@ def _gram_inverse(flat: sparse.CSR) -> sparse.CSR:
 
 # commutator_entries forms about this many product terms at a time, one
 # chunk of row blocks.  structure_constants(generalized_gell_mann(15)) then
-# takes 5 chunks at a 2.0 MB tracemalloc peak (6.0 MB in one), and the
-# closure of its rep_ucnm on (6, 2) 5 chunks at 1.0 MB (3.3 MB); verify
-# --from of that build peaks at 35.8, 36.3 and 37.8 MB RSS at 2^12, 2^13
-# and 2^14, against 42.0 MB in one chunk (2-vCPU VM)
-_COMMUTATOR_TERMS = 1 << 13
+# takes 10 chunks at a 1.3 MiB tracemalloc peak (5 at 1.9 MiB at 2^13, 6.0
+# MB in one) and 1-3 ms more than at 2^13; verify --from of its ucnm (6, 2)
+# build peaks at 36.0 MB RSS against 36.6 MB at 2^13 (2-vCPU VM, fresh
+# processes)
+_COMMUTATOR_TERMS = 1 << 12
 
 
 def commutator_entries(
@@ -290,12 +294,13 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     StructureConstants).  Raises ClosureError if any commutator has a
     component outside the span (residual >= tol), naming the first such
     i and its worst j.  The projection reuses the flattened set and the
-    Gram inverse that GeneratorSet formed.
+    Gram inverse that GeneratorSet formed, and the pair residuals it
+    reduces are kept (StructureConstants.residuals).
     """
     k, d = len(gens), gens.dim
     flat = gens._flat
     proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
-    records = []
+    records, found = [], []
     for a0, a1, rows, cols, vals in commutator_entries(
         sparse.from_dense(gens.mats.reshape(k * d, d))
     ):
@@ -319,13 +324,15 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
                 f"commutator of generators {a0 + i + 1} and {j + 1} leaves the span "
                 f"(residual {resid[i, j]:.3e} >= {tol:.1e})"
             )
+        at = np.flatnonzero(np.triu(resid, a0 + 1))  # the pairs i < j, keyed i * k + j
+        found.append((at + a0 * k, resid.flat[at]))
 
         part = np.empty(coeff.nnz, dtype=RECORD_DTYPE)
         part["i"], part["j"] = np.divmod(pairs[sparse.coo_rows(coeff)], k)
         part["l"] = coeff.indices
         part["value"] = coeff.data
         records.append(part)
-    return StructureConstants(k, np.concatenate(records))
+    return StructureConstants(k, np.concatenate(records), tuple(map(np.concatenate, zip(*found))))
 
 
 def matrix_unit_constants(k: int, start: int = 0, stop: int | None = None) -> StructureConstants:

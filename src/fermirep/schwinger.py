@@ -182,14 +182,11 @@ class RepresentationResult:
             raise ValueError(f"stack {self.stack.shape} is not {len(self)} operators")
 
     @classmethod
-    def from_ops(
-        cls, ops: Iterable[FockOperator], meta: RepMeta, count: int | None = None
-    ) -> "RepresentationResult":
-        """The operators stacked in order; an iterator of them comes with its count."""
-        count = len(ops) if count is None else count
+    def from_ops(cls, ops: Sequence[FockOperator], meta: RepMeta) -> "RepresentationResult":
+        """The operators stacked in order."""
         parts = (cls(op.mat, (op.mat.dtype,), replace(meta, labels=meta.labels[g:g + 1]))
                  for g, op in enumerate(ops))
-        return _joined(parts, meta, count)
+        return _joined(parts, meta, len(ops))
 
     @property
     def modes(self) -> int:

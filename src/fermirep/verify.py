@@ -82,26 +82,6 @@ def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sparse.CSR:
     return sparse.vstack([op.mat for op in ops])
 
 
-def _product_terms(stack: sparse.CSR) -> int:
-    """Terms of stack @ hstack(ops) for its row blocks ops, a bound on its stored entries.
-
-    Summed over t: stored entries in column t times those in row t.
-    """
-    dim = stack.shape[1]
-    cols = np.bincount(stack.indices, minlength=dim)
-    rows = np.diff(stack.indptr).reshape(-1, dim).sum(axis=0, dtype=np.int64)
-    return int(np.dot(cols, rows))
-
-
-# check_closure refuses (CapacityError, CLI exit 2) a representation that is
-# not standard when the product its kernel forms would have more than this
-# many terms (_product_terms).  The kernel holds about
-# liealg._COMMUTATOR_TERMS terms at a time, so this bounds its total work,
-# not one allocation: nssfr_un up to n = 12 (21,062 terms) and ucnm (8, 2)
-# (133,047) fit, and ucnm (9, 3) (3,700,555) is refused
-_CLOSURE_PRODUCT_TERMS = 400_000_000 // 140
-
-
 def _records_of(constants: StructureConstants) -> Callable[[int, int], np.ndarray]:
     """records(a0, a1) for _closure_residuals: the records of constants with
     i in [a0, a1), in their order in c, found by searchsorted on c["i"]."""
@@ -168,8 +148,7 @@ def check_closure(
     max |r_g - rho(C_g)|, which pins every sector, and the pairs close on
     the n x n blocks (_one_body_closure).  Any other input takes one sparse
     matrix over the full 2^n space (_closure_residuals), so entries joining
-    sectors count like any other, and over _CLOSURE_PRODUCT_TERMS raises
-    CapacityError before the kernel allocates.
+    sectors count like any other.
     """
     stack = _stack_of(rep)
     k = stack.shape[0] // stack.shape[1]
@@ -177,25 +156,53 @@ def check_closure(
         raise ValueError(
             f"representation has {k} operators but constants are for {constants.size}"
         )
-    standard = isinstance(rep, RepresentationResult) and rep.meta.variant == "standard"
-    terms = 0 if standard else _product_terms(stack)
-    if terms > _CLOSURE_PRODUCT_TERMS:
-        raise CapacityError(
-            f"closure of {k} operators forms {terms:,} product terms, over the bound "
-            f"of {_CLOSURE_PRODUCT_TERMS:,}"
-        )
     t0 = time.perf_counter()
-    if standard:
+    if isinstance(rep, RepresentationResult) and rep.meta.variant == "standard":
         return _bilinear_closure([_span(stack, rep.modes)], constants, tol, label, t0)
-    keys, worst = _closure_residuals(stack, _records_of(constants))
-    # key a * k + b (a < b) goes to its place among the pairs in row-major order
-    a, b = np.divmod(keys, k)
+    return _pair_checks(k, [_closure_residuals(stack, _records_of(constants))], tol, label, t0)
+
+
+def _pair_checks(
+    k: int, residuals: Iterable, tol: float, label: str, t0: float, plus: np.ndarray | float = 0.0
+) -> VerificationReport:
+    """One <label>/[a,b] check per pair a < b, timed from t0: the largest
+    worst of key a * k + b in the (keys, worst) sets given, plus plus."""
     values = np.zeros(k * (k - 1) // 2)
-    values[a * (2 * k - a - 3) // 2 + b - 1] = worst
+    for keys, worst in residuals:
+        a, b = np.divmod(keys, k)
+        np.maximum.at(values, a * (2 * k - a - 3) // 2 + b - 1, worst)
+    values += plus
     report = VerificationReport({"label": label, "tol": tol})
     report.add_batch(_PairNames(f"{label}/", k, True), values, tol)
     report.timings[label] = time.perf_counter() - t0
     return report
+
+
+def _sector_closure(
+    gens: liealg.GeneratorSet, sets: Iterable[liealg.GeneratorSet], constants: StructureConstants,
+    block: VerificationReport, n: int, tol: float, label: str, t0: float,
+) -> VerificationReport:
+    """check_closure of rho_g = X_g + D_g on n modes, X_g holding matrix g of
+    each of sets on its own sector block, with no 2^n product: each set's
+    pair residuals (gens' kept in constants), plus, unless every d_g =
+    max |D_g| (the residuals of block) is 0, a bound on what the D_g add."""
+    delta = np.array(block.residuals)
+    k = len(delta)
+    residuals = [
+        constants.residuals if s is gens and constants.residuals is not None else
+        _closure_residuals(sparse.from_dense(s.mats.reshape(-1, s.dim)), _records_of(constants))
+        for s in sets
+    ]
+    if not delta.any():
+        return _pair_checks(k, residuals, tol, label, t0)
+    # w_a = ||X_a||_inf + ||X_a||_1 (over the sets) + 2^n d_a, 2^n d_a bounding
+    # ||D_a||_inf; pair (a, b) adds w_a d_b + w_b d_a + sum_l |c[a, b, l]| d_l
+    norms = np.max([[np.abs(s.mats).sum(axis=x).max(axis=1) for x in (2, 1)] for s in sets], axis=0)
+    bound = np.outer(norms.sum(axis=0) + delta * (1 << n), delta)
+    bound += bound.T
+    c = constants.c
+    np.add.at(bound, (c["i"], c["j"]), np.abs(c["value"]) * delta[c["l"]])
+    return _pair_checks(k, residuals, tol, label, t0, bound[np.triu_indices(k, 1)])
 
 
 def _bilinear_closure(
@@ -206,12 +213,8 @@ def _bilinear_closure(
     its consecutive parts, timed from t0."""
     coeffs, span = map(np.concatenate, zip(*read))
     k, n = len(coeffs), math.isqrt(coeffs.shape[1])
-    if constants.size != k:
-        raise ValueError(f"representation has {k} operators but constants are for {constants.size}")
-    report = VerificationReport({"label": label, "tol": tol})
-    report.add_batch(_PairNames(f"{label}/", k, True), _one_body_closure(coeffs, n, constants), tol)
+    report = _pair_checks(k, [], tol, label, t0, _one_body_closure(coeffs, n, constants))
     report.add_batch([f"{label}/span/{g:03d}" for g in range(1, k + 1)], span, tol)
-    report.timings[label] = time.perf_counter() - t0
     return report
 
 
@@ -492,41 +495,37 @@ def representation_checks(
     constants: StructureConstants, tol: float = DEFAULT_TOL,
     second: liealg.GeneratorSet | None = None,
 ) -> VerificationReport:
-    """check_closure, check_number_commutant and _block_equality_checks of rep
-    for its set gens, named <family>/<variant>/nXX[mYY] after rep.meta.
+    """Closure, check_number_commutant and _block_equality_checks of rep,
+    named <family>/<variant>/nXX[mYY] after rep.meta.
 
-    rep is one representation or its consecutive parts, as
-    schwinger.standard_parts gives them.  Each part is checked, then
-    dropped: the span (of a standard one), number-commutant and block
-    checks run on it, and a standard one's pairs close on the one-particle
-    blocks its span checks read (_bilinear_closure).  Any other variant
-    is joined first: the whole-set closure kernel needs every operator.
+    rep is one representation or its consecutive parts, each checked, then
+    dropped; constants are structure_constants(gens).  A standard one's
+    pairs close on the one-particle blocks its span checks read
+    (_bilinear_closure), any other's through its sets (_sector_closure).
     A family's timing sums its measured part times.
 
     Expected blocks, every other sector vanishing: standard, G on sector 1
     and conjugate_rep(G) on n - 1, its middle sectors left to the span
-    checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, xi_minus G on m
-    and xi_plus G2 on n - m, G2 being second, the set build paired with G.
+    checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, G on m and
+    second (the set build paired with G) on n - m, each unless its xi is 0.
     """
     parts = iter([rep] if isinstance(rep, RepresentationResult) else rep)
     first = next(parts)
-    meta, n, mats = first.meta, first.modes, gens.mats
+    meta, n = first.meta, first.modes
     variant, m = meta.variant, meta.particles
     if variant == "standard":
         # at n = 2 sector n - 1 is sector 1
-        expected = {1: mats, n - 1: liealg.conjugate_rep(gens).mats if n > 2 else mats}
+        sets = {1: gens, n - 1: liealg.conjugate_rep(gens) if n > 2 else gens}
     elif variant == "nssfr":
-        expected = {1: mats, n - 1: mats}
+        sets = {1: gens, n - 1: gens}
     elif variant == "ucnm":
-        expected = {m: mats}
+        sets = {m: gens}
     elif variant == "mixed":
-        expected = {m: meta.xi[0] * mats, n - m: meta.xi[1] * second.mats}
+        sets = {s: g for s, g, xi in ((m, gens, meta.xi[0]), (n - m, second, meta.xi[1])) if xi}
     else:
         raise ValueError(f"no check catalogue for variant {variant!r}")
     parts, first = itertools.chain(iter([first]), parts), None  # a spent iterator drops its part
-    if variant != "standard":
-        parts = [schwinger._joined(parts, meta, len(gens))]
-    vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in expected]
+    vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in sets]
     tag = f"{variant}/n{n:02d}" + (f"m{m:02d}" if m is not None else "")
     numcomm, block = VerificationReport(), VerificationReport()
     read, seconds, start = [], 0.0, 0
@@ -535,15 +534,15 @@ def representation_checks(
         if variant == "standard":
             read.append(_span(part.stack, n))
             seconds += time.perf_counter() - t0
-        else:
-            closure = check_closure(part, constants, tol, label=f"closure/{tag}")
         numcomm.extend(check_number_commutant(part, n, tol, label=f"numcomm/{tag}"))
-        own = {s: blocks[start:stop] for s, blocks in expected.items()}
+        own = {s: g.mats[start:stop] for s, g in sets.items()}
         block.extend(_block_equality_checks(part, own, vanish, n, tol, f"block/{tag}", start + 1))
         start = stop
-    if variant == "standard":
-        t0 = time.perf_counter() - seconds
-        closure = _bilinear_closure(read, constants, tol, f"closure/{tag}", t0)
+    if constants.size != start:
+        raise ValueError(f"rep has {start} operators but constants are for {constants.size}")
+    t0, label = time.perf_counter() - seconds, f"closure/{tag}"
+    closure = (_bilinear_closure(read, constants, tol, label, t0) if variant == "standard" else
+               _sector_closure(gens, sets.values(), constants, block, n, tol, label, t0))
     report = VerificationReport({"tol": tol, "variant": variant})
     for family in (closure, numcomm, block):
         report.extend(family)

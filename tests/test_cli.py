@@ -305,6 +305,25 @@ def test_verify_from_writes_the_pinned_json_report(tmp_path, build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _pinned_verdicts():
+    for line in (DATA / "verify_from_verdicts_sha256.txt").read_text().splitlines():
+        digest, build = line.split("  ", 1)
+        yield pytest.param(build.split(), digest, id=build)
+
+
+@pytest.mark.parametrize(("build", "digest"), list(_pinned_verdicts()))
+def test_verify_from_gives_the_pinned_verdicts(tmp_path, build, digest):
+    # one digest over the (name, passed) list: residuals may move, verdicts may not
+    out = tmp_path / "built"
+    assert main(["build", *build, "--out", str(out)]) == EXIT_OK
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--from", str(out), "--format", "json", "--report", str(report_path)]
+    assert main(args) == EXIT_OK
+    checks = json.loads(report_path.read_text())["checks"]
+    verdicts = repr(tuple((c["name"], c["passed"]) for c in checks))
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == digest
+
+
 def test_verify_n_max_6_writes_the_pinned_json_and_text_reports(tmp_path):
     # digests of both formats, the JSON without its timings
     for line in (DATA / "verify_n_max6_sha256.txt").read_text().splitlines():
@@ -348,15 +367,6 @@ def test_verify_from_checks_bilinears_from_their_one_particle_blocks(tmp_path, n
     assert f"{span}007" in failed
 
 
-def test_verify_from_refuses_sector_build_over_the_closure_bound(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "ucnm42"
-    assert main(["build", "ucnm", "--n", "4", "--m", "2", "--out", str(out)]) == EXIT_OK
-    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
-    capsys.readouterr()
-    assert main(["verify", "--from", str(out)]) == EXIT_USAGE
-    assert "product terms, over the bound of 0" in capsys.readouterr().err
-
-
 def test_verify_from_refuses_non_finite_entry(tmp_path, capsys):
     out = tmp_path / "std3"
     assert main(["build", "un-standard", "--n", "3", "--out", str(out)]) == EXIT_OK
@@ -388,6 +398,22 @@ def test_build_refuses_an_option_its_group_drops(tmp_path, monkeypatch, capsys, 
     out = tmp_path / "out"
     assert main(["build", *args, "--out", str(out)]) == EXIT_USAGE
     assert f"argument {option}: group {args[0]} does not use it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["un-standard", "--n", "15"], ["un-nonstandard", "--n", "15"],
+    ["ucnm", "--n", "15", "--m", "2"], ["mixed", "--n", "15", "--m", "2"],
+])
+def test_build_refuses_a_mode_count_over_the_cap_before_the_family(tmp_path, monkeypatch, capsys, args):
+    # ucnm (15, 2) would first build a 1.9 GB generator array
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator family built")
+
+    monkeypatch.setattr(liealg, "generalized_gell_mann", refuse)
+    out = tmp_path / "out"
+    assert main(["build", *args, "--out", str(out)]) == EXIT_USAGE
+    assert "mode count must be in [1, 14], got 15" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,19 +457,30 @@ def _in_parts(out, monkeypatch, bound, report_path):
     return rc, payload, parts
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_verify_from_one_generator_a_part_gives_the_in_memory_checks(tmp_path, monkeypatch, n):
-    out = tmp_path / "std"
-    assert main(["build", "un-standard", "--n", str(n), "--out", str(out)]) == EXIT_OK
-    gens = liealg.generalized_gell_mann(n)
-    whole = schwinger.standard_rep(gens, n)
-    memory = verify.representation_checks(whole, gens, liealg.structure_constants(gens), 1e-10)
+@pytest.mark.parametrize("build", [
+    *(pytest.param(["un-standard", "--n", str(n)], id=str(n)) for n in range(2, 9)),
+    pytest.param(["un-nonstandard", "--n", "5"], id="nssfr-5"),
+    pytest.param(["ucnm", "--n", "5", "--m", "2"], id="ucnm-5-2"),
+    *(pytest.param(["mixed", "--n", "5", "--m", "2", "--pairing", pairing], id=f"mixed-5-2-{pairing}")
+      for pairing in ("conjugate", "same")),
+])
+def test_verify_from_one_generator_a_part_gives_the_in_memory_checks(tmp_path, monkeypatch, build):
+    out = tmp_path / "built"
+    assert main(["build", *build, "--out", str(out)]) == EXIT_OK
+    group, n = build[0], int(build[2])
+    m = int(build[4]) if len(build) > 3 else None
+    pairing = build[-1] if group == "mixed" else "conjugate"
+    built, gens, _family = build_variant(group, n, m, (1, 1), pairing)
+    whole = schwinger.standard_rep(gens, n) if group == "un-standard" else built[0]
+    second = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
+    sc = liealg.structure_constants(gens)
+    memory = verify.representation_checks(whole, gens, sc, 1e-10, second)
     rc, payload, parts = _in_parts(out, monkeypatch, 1, tmp_path / "report.json")
     assert rc == EXIT_OK and [size for size, _ in parts] == [1] * len(gens)
     checks = payload["checks"]
     assert tuple((c["name"], c["passed"], c["residual"]) for c in checks) == memory.signature()
     # each family's time is measured, on each part, not split among its checks
-    tag = f"standard/n{n:02d}"
+    tag = f"{whole.meta.variant}/n{n:02d}" + (f"m{m:02d}" if m else "")
     assert set(payload["timings"]) == {f"{family}/{tag}" for family in ("closure", "numcomm", "block")}
     assert payload["timings"][f"numcomm/{tag}"] == sum(seconds for _, seconds in parts)
     assert all(c["elapsed"] == 0.0 for c in checks)
@@ -644,9 +681,26 @@ def _corrupt(kind, out, group, pairing, built, draw):
 def test_verify_from_fails_every_corrupted_build(built, kind, data):
     group, pairing = data.draw(st.sampled_from([b for b in _BUILDS if _applies(kind, *b)]))
     with tempfile.TemporaryDirectory() as work:
-        out = built(group, Path(work) / "out")
+        out, report = built(group, Path(work) / "out"), Path(work) / "report.json"
         _corrupt(kind, out, group, pairing, built, data.draw)
-        assert _verify_from(out) == EXIT_CHECK_FAILED, (group, kind)
+        args = ["verify", "--from", str(out), "--format", "json", "--report", str(report)]
+        assert main(args) == EXIT_CHECK_FAILED, (group, kind)
+        if group[0] != "un-standard":
+            _assert_closure_bounds_the_kernel(out, report)
+
+
+def _assert_closure_bounds_the_kernel(out, report):
+    """Every closure residual verify --from reported for a sector build is at
+    least the 2^n kernel's on the operators it read, less rounding."""
+    parts, gens, _second = cli_main._load_built(out)
+    ops = [op for part in parts for op in part]
+    oracle = verify.check_closure(ops, liealg.structure_constants(gens), label="x").checks
+    kernel = {c.name[2:]: c.residual for c in oracle}
+    checks = json.loads(report.read_text())["checks"]
+    closure = {c["name"].rsplit("/", 1)[1]: c["residual"] for c in checks
+               if c["name"].startswith("closure/")}
+    assert closure.keys() == kernel.keys()
+    assert all(closure[pair] >= kernel[pair] - 2 * sys.float_info.epsilon for pair in kernel)
 
 
 def test_verify_from_fails_an_emptied_sector_build(built, tmp_path):

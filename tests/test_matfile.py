@@ -372,6 +372,8 @@ def test_verify_from_refuses_a_sector_family_of_the_wrong_dimension(
          "mixed manifest needs xi and a pairing in ('conjugate', 'same'), got [1, 1] and None"),
         (lambda m: m.update(pairing="other"), "got [1, 1] and 'other'"),
         (lambda m: m.update(xi=None), "got None and 'conjugate'"),
+        (lambda m: m.update(xi=[0, 0]), "got [0, 0] and 'conjugate'"),
+        (lambda m: m.update(xi=[2, 1]), "got [2, 1] and 'conjugate'"),
     ],
 )
 def test_verify_from_refuses_a_mixed_manifest_without_xi_or_pairing(

@@ -392,19 +392,6 @@ def test_whole_set_and_factored_closure_paths_agree():
     assert spans[3].residual == 2 * abs(ops[3].mat.data[entry])
 
 
-def test_factored_closure_refuses_other_inputs_over_the_bound(monkeypatch):
-    monkeypatch.setattr(verify, "_CLOSURE_PRODUCT_TERMS", 0)
-    gens, sc = _ggm_with_constants(6)
-    ucnm = schwinger.rep_ucnm(gens, 4, 2)
-    terms = verify._product_terms(ucnm.stack)
-    with pytest.raises(CapacityError, match=f"{terms:,} product terms.* bound of 0"):
-        verify.check_closure(ucnm, sc)
-    gens, sc = _ggm_with_constants(3)
-    ops = list(schwinger.standard_rep(gens, 3))
-    with pytest.raises(CapacityError, match="product terms"):
-        verify.check_closure(ops, sc)
-
-
 def test_report_extend_sums_timings():
     a = VerificationReport()
     a.timings["batch"] = 1.0
@@ -1094,6 +1081,84 @@ def test_representation_checks_drops_each_part_once_checked(monkeypatch):
     assert alive == [1] * len(alive)
 
 
+# -- sector variants closed through their generator sets, against the 2^n kernel ---
+
+# two units in the last place of 1: how far summation order moves a residual
+_ROUNDING = 2 * np.finfo(float).eps
+
+
+def _closure_against_the_kernel(rep, gens, second=None):
+    """The closure residuals representation_checks reports for rep and those of
+    the 2^n kernel on its operators as a list (the oracle), pair by pair."""
+    sc = liealg.structure_constants(gens)
+    report = verify.representation_checks(rep, gens, sc, verify.DEFAULT_TOL, second)
+    reported = [c for c in report.checks if c.name.startswith("closure/")]
+    oracle = verify.check_closure(list(rep), sc, label="x").checks
+    assert [c.name.rsplit("/", 1)[1] for c in reported] == [c.name[2:] for c in oracle]
+    return np.array([c.residual for c in reported]), np.array([c.residual for c in oracle])
+
+
+def _mixed_cases():
+    for n, m in ((5, 2), (4, 1)):
+        gens = liealg.generalized_gell_mann(math.comb(n, m))
+        for pairing, second in (("same", gens), ("conjugate", liealg.conjugate_rep(gens))):
+            for xi in ((1, 0), (0, 1), (1, 1)):
+                yield pytest.param(n, m, pairing, xi, id=f"mixed-n{n}m{m}-{pairing}-{xi[0]}{xi[1]}")
+
+
+@pytest.mark.parametrize("n, m", [
+    (n, m) for n in range(2, 7) for m in range(1, n)
+    if math.comb(n, m) <= verify._MAX_SECTOR_REP_DIM or (n, m) == (6, 2)
+])
+def test_ucnm_closure_is_the_kernel_within_rounding(n, m):
+    # run_suite(6)'s ucnm representations, and (6, 2)
+    gens = liealg.generalized_gell_mann(math.comb(n, m))
+    reported, oracle = _closure_against_the_kernel(schwinger.rep_ucnm(gens, n, m), gens)
+    assert np.max(np.abs(reported - oracle), initial=0.0) <= _ROUNDING
+
+
+@pytest.mark.parametrize("n, m, pairing, xi", list(_mixed_cases()))
+def test_mixed_closure_is_the_kernel_within_rounding(n, m, pairing, xi):
+    gens = liealg.generalized_gell_mann(math.comb(n, m))
+    second = gens if pairing == "same" else liealg.conjugate_rep(gens)
+    rep = schwinger.mixed_rep(gens, second, n, m, *xi)
+    reported, oracle = _closure_against_the_kernel(rep, gens, second)
+    assert np.max(np.abs(reported - oracle), initial=0.0) <= _ROUNDING
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_nssfr_closure_bounds_the_kernel_within_1e14(n):
+    # its blocks differ from G by rounding, so the bound adds their terms
+    gens = liealg.generalized_gell_mann(n)
+    reported, oracle = _closure_against_the_kernel(schwinger.nssfr_un(gens, n), gens)
+    assert np.all(reported >= oracle - _ROUNDING)
+    assert np.all(reported <= oracle + 1e-14)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["nssfr", "ucnm", "same", "conjugate"]), st.data())
+def test_sector_closure_bounds_the_kernel_on_corrupted_representations(kind, data):
+    n = data.draw(st.integers(3, 5))
+    if kind == "nssfr":
+        gens, second = liealg.generalized_gell_mann(n), None
+        rep = schwinger.nssfr_un(gens, n)
+    else:
+        m = data.draw(st.integers(1, n - 1).filter(lambda m: kind == "ucnm" or 2 * m != n))
+        gens = liealg.generalized_gell_mann(math.comb(n, m))
+        second = liealg.conjugate_rep(gens) if kind == "conjugate" else gens
+        rep = (schwinger.rep_ucnm(gens, n, m) if kind == "ucnm"
+               else schwinger.mixed_rep(gens, second, n, m, 1, data.draw(st.integers(0, 1))))
+    ops, dim = list(rep), 1 << n
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, r, c = (data.draw(st.integers(0, top - 1)) for top in (len(ops), dim, dim))
+        value = data.draw(st.sampled_from([1e-12, 1e-8, 0.25, -1.0, 2j]))
+        ops[a] = ops[a] + FockOperator.from_entries(n, {(r, c): value})
+    broken = schwinger.RepresentationResult.from_ops(ops, rep.meta)
+    reported, oracle = _closure_against_the_kernel(broken, gens, second)
+    assert np.all(reported >= oracle - _ROUNDING)
+
+
 @settings(
     max_examples=40,
     derandomize=True,
@@ -1226,7 +1291,8 @@ def _scipy_kernel_gap(tall, constants, sign, keys, worst):
 
 
 def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monkeypatch):
-    # every anticomm, closure and eij family of the suite goes through the kernel
+    # every anticomm and eij family of the suite and closure/u3-explicit go
+    # through the kernel; the representations close through their sets
     kernel, gaps = verify._closure_residuals, []
 
     def compared(tall, records, sign=-1):
@@ -1238,8 +1304,7 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
 
     monkeypatch.setattr(verify, "_closure_residuals", compared)
     assert len(verify.run_suite(6).checks) == 18_387
-    # the five standard representations (n = 2..6) are closed from their blocks
-    assert len(gaps) == 38 and max(gaps) <= 1e-15
+    assert len(gaps) == 6 + 15 + 1 and max(gaps) <= 1e-15
 
 
 @settings(
@@ -1497,20 +1562,6 @@ def test_closure_of_zero_operators_is_zero():
     report, pairs, spans = _factored_closure([zero] * 3, sc, label="closure")
     assert report.overall and report.max_residual() == 0.0
     assert [c.name for c in pairs] == [c.name for c in verify.check_closure([zero] * 3, sc).checks]
-
-
-def test_closure_path_selection_bound():
-    def terms(rep):
-        return verify._product_terms(rep.stack)
-
-    ggm = liealg.generalized_gell_mann
-    whole_set = [
-        terms(schwinger.rep_ucnm(ggm(15), 6, 2)),
-        terms(schwinger.mixed_rep(ggm(10), liealg.conjugate_rep(ggm(10)), 5, 2, 1, 1)),
-        terms(schwinger.rep_ucnm(ggm(28), 8, 2)),
-    ]
-    assert whole_set == [19_635, 11_100, 133_047]
-    assert max(whole_set) <= verify._CLOSURE_PRODUCT_TERMS
 
 
 def test_standard_closure_at_nine_modes_peaks_under_8_mib_traced():
