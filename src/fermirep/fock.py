@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Mapping
 
 import numpy as np
@@ -301,9 +301,10 @@ def _state_positions(n: int) -> np.ndarray:
     return positions
 
 
-def _sector_start(n: int, m: int) -> int:
-    """Basis index of the first state with particle count m."""
-    return sum(math.comb(n, q) for q in range(m))
+@lru_cache(maxsize=None)
+def _sector_starts(n: int) -> tuple[int, ...]:
+    """Basis index of the first state of each particle count 0..n, and 2^n."""
+    return tuple(accumulate((math.comb(n, q) for q in range(n + 1)), initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -327,8 +328,8 @@ def sector_dimension(n: int, m: int) -> int:
 def sector_indices(n: int, m: int) -> list[int]:
     """Basis indices with particle count m (a contiguous ascending run)."""
     _require_modes(n)
-    start = _sector_start(n, m)
-    return list(range(start, start + sector_dimension(n, m)))
+    size = sector_dimension(n, m)  # m is checked before the table is read
+    return list(range(_sector_starts(n)[m], _sector_starts(n)[m] + size))
 
 
 def vacuum_projector(n: int) -> FockOperator:

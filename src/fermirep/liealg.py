@@ -4,7 +4,7 @@ Provides the standard 3x3 Gell-Mann matrices, their d-dimensional
 generalization, the spin-1 ladder triple, the quadratic construction of
 the Gell-Mann set from spin-1 matrices, structure-constant extraction by
 Gram projection, and the conjugation A' = U (-A^T) U^T by the signed
-antidiagonal U.
+antidiagonal U.  A set is held as one sparse record of its entries.
 """
 
 from __future__ import annotations
@@ -39,45 +39,36 @@ __all__ = [
 class GeneratorSet:
     """Ordered same-dimension square complex matrices with labels.
 
-    ``mats`` is one read-only complex128 array of shape (k, dim, dim),
-    copied once from the matrices given (a sequence or an array), so a
-    caller's array is neither aliased nor made read-only.
+    ``flat``, the one stored form, is a read-only (k, dim^2) complex128 CSR
+    record: row g holds matrix g's nonzero entries, row-major.  Indexing,
+    and iteration through it, cut a fresh dim x dim array from it per call.
     """
 
     dim: int
-    mats: np.ndarray
+    flat: sparse.CSR
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        mats = np.array(self.mats, dtype=np.complex128)
-        if mats.ndim != 3 or mats.shape[1:] != (self.dim, self.dim):
-            raise ValueError(
-                f"generator array shape {mats.shape} is not (k, {self.dim}, {self.dim})"
-            )
-        if len(self.labels) != len(mats):
-            raise ValueError("labels and matrices must have equal length")
-        mats.flags.writeable = False
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        flat = sparse.from_dense(mats.reshape(len(mats), -1))
-        self.__dict__.update(_flat=flat, _gram_inverse=_gram_inverse(flat))
+        if self.flat.shape != (len(self.labels), self.dim * self.dim):
+            raise ValueError(f"record {self.flat.shape} is not {len(self.labels)} x {self.dim}^2")
+        self.__dict__.update(_gram_inverse=_gram_inverse(self.flat))
 
     @classmethod
     def create(cls, mats: Sequence[np.ndarray], labels: Sequence[str] | None = None):
+        mats = np.asarray(mats, dtype=np.complex128)
         if len(mats) == 0:
             raise ValueError("a generator set needs at least one matrix")
         if labels is None:
             labels = [f"g_{k}" for k in range(1, len(mats) + 1)]
-        return cls(len(mats[0]), mats, tuple(labels))
+        return cls(mats.shape[1], sparse.from_dense(mats.reshape(len(mats), -1)), tuple(labels))
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return self.flat.shape[0]
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.mats)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.mats[k]
+    def __getitem__(self, g: int) -> np.ndarray:
+        row, mat = sparse.take_rows(self.flat, [range(len(self))[g]]), np.zeros(self.dim**2, "c16")
+        mat[row.indices] = row.data
+        return mat.reshape(self.dim, self.dim)
 
 
 # one record per stored coefficient c[i, j, l] (0-based indices)
@@ -133,19 +124,20 @@ def generalized_gell_mann(d: int, label_prefix: str = "g") -> GeneratorSet:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    mats = np.zeros((d * d - 1, d, d), dtype=np.complex128)
     # entry (j, c), j < c (0-based), lies in the pair members number
     # c^2 - 1 + 2j and c^2 + 2j and in diagonal member (c + 1)^2 - 2
     j, c = np.triu_indices(d, 1)
     sym = c * c - 1 + 2 * j
-    mats[sym, j, c] = mats[sym, c, j] = 1
-    mats[sym + 1, j, c], mats[sym + 1, c, j] = -1j, 1j
     l = np.arange(1, d)
     scale = np.sqrt(2.0 / (l * (l + 1)))
-    mats[(c + 1) ** 2 - 2, j, j] = scale[c - 1]
-    mats[(l + 1) ** 2 - 2, l, l] = -l * scale
-    labels = tuple(f"{label_prefix}_{a}" for a in range(1, d * d))
-    return GeneratorSet(d, mats, labels)
+    upper, lower, one = j * d + c, c * d + j, np.ones(len(j))
+    keys = np.concatenate([sym, sym, sym + 1, sym + 1, (c + 1) ** 2 - 2, (l + 1) ** 2 - 2]) * d * d
+    keys += np.concatenate([upper, lower, upper, lower, j * (d + 1), l * (d + 1)])
+    # -1j filled in as is keeps its real part -0.0, as the dense set held it
+    vals = np.concatenate([one, one, np.full(len(j), -1j), 1j * one, scale[c - 1], -l * scale])
+    order = np.argsort(keys)
+    flat = sparse._from_places(keys[order], vals[order], (d * d - 1, d * d))
+    return GeneratorSet(d, flat, tuple(f"{label_prefix}_{a}" for a in range(1, d * d)))
 
 
 def spin1_matrices() -> GeneratorSet:
@@ -154,7 +146,7 @@ def spin1_matrices() -> GeneratorSet:
     j_plus = np.array([[0, s, 0], [0, 0, s], [0, 0, 0]], dtype=np.complex128)
     j_minus = j_plus.conj().T
     j3 = np.diag([1.0, 0.0, -1.0]).astype(np.complex128)
-    return GeneratorSet(3, (j_plus, j_minus, j3), ("J_plus", "J_minus", "J_3"))
+    return GeneratorSet.create((j_plus, j_minus, j3), ("J_plus", "J_minus", "J_3"))
 
 
 def gellmann_from_spin1() -> GeneratorSet:
@@ -164,7 +156,7 @@ def gellmann_from_spin1() -> GeneratorSet:
     J_plus, J_minus and J_3; the result coincides entrywise with
     gell_mann().
     """
-    jp, jm, j3 = spin1_matrices().mats
+    jp, jm, j3 = spin1_matrices()
     s2 = math.sqrt(2.0)
     s3 = math.sqrt(3.0)
 
@@ -189,8 +181,12 @@ def gellmann_from_spin1() -> GeneratorSet:
         (1j * s2 / 2) * (lo - lo_t),
         (1 / (4 * s3)) * comm(jp @ jp, jm @ jm) + (1 / (2 * s3)) * comm(lo, lo_t),
     )
-    labels = tuple(f"lambda_{a}" for a in range(1, 9))
-    return GeneratorSet(3, mats, labels)
+    return GeneratorSet.create(mats, tuple(f"lambda_{a}" for a in range(1, 9)))
+
+
+# _gram_inverse forms the Gram about this many product terms at a time: the
+# 58,000 of generalized_gell_mann(56) at once peaked at 6.3 MiB traced, 2.4 in runs
+_GRAM_TERMS = 1 << 14
 
 
 def _gram_inverse(flat: sparse.CSR) -> sparse.CSR:
@@ -203,8 +199,12 @@ def _gram_inverse(flat: sparse.CSR) -> sparse.CSR:
     diagonal Gram (a trace-orthogonal set's) is inverted entrywise, others densely.
     """
     conj = sparse.with_data(flat, flat.data.conj())
-    gram = sparse.matmul(conj, sparse.conj_transpose(conj))
-    k, rows, mag = gram.shape[0], sparse.coo_rows(gram), np.abs(gram.data)
+    right, k = sparse.conj_transpose(conj), flat.shape[0]
+    cost = np.append(0, np.cumsum(np.diff(right.indptr)[conj.indices]))[conj.indptr[1:]]
+    firsts = np.unique(cost // _GRAM_TERMS, return_index=True)[1].tolist()
+    gram = sparse.vstack([sparse.matmul(sparse.take_rows(conj, slice(a0, a1)), right)
+                          for a0, a1 in zip(firsts, firsts[1:] + [k])])
+    rows, mag = sparse.coo_rows(gram), np.abs(gram.data)
     diag, sums = sparse.diagonal(gram), np.bincount(rows, mag, k)
     certified = np.all(2 * np.abs(diag) - sums > sums.max(initial=0.0) * k * np.finfo(float).eps)
     if not certified and np.linalg.matrix_rank(sparse.toarray(gram), hermitian=True) < k:
@@ -288,22 +288,19 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
 
     Solves [G_i, G_j] = sum_l c[i, j, l] G_l by projecting with the trace
     inner product through the Gram matrix, so non-orthogonal sets are
-    handled too.  The commutators come from commutator_entries a chunk of
-    rows i at a time; each chunk's are flattened to rows and projected at
-    once.  Only the nonzero coefficients are kept (see
-    StructureConstants).  Raises ClosureError if any commutator has a
+    handled too.  The commutators come from commutator_entries on the
+    set's record read as (k * dim, dim) rows, a chunk of rows i at a time;
+    each chunk's are flattened and projected at once through the record
+    and GeneratorSet's Gram inverse.  Only the nonzero coefficients are kept
+    (see StructureConstants).  Raises ClosureError if any commutator has a
     component outside the span (residual >= tol), naming the first such
-    i and its worst j.  The projection reuses the flattened set and the
-    Gram inverse that GeneratorSet formed, and the pair residuals it
-    reduces are kept (StructureConstants.residuals).
+    i and its worst j.  The pair residuals it reduces are kept
+    (StructureConstants.residuals).
     """
-    k, d = len(gens), gens.dim
-    flat = gens._flat
+    k, d, flat = len(gens), gens.dim, gens.flat
     proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
     records, found = [], []
-    for a0, a1, rows, cols, vals in commutator_entries(
-        sparse.from_dense(gens.mats.reshape(k * d, d))
-    ):
+    for a0, a1, rows, cols, vals in commutator_entries(sparse.reshape(flat, (k * d, d))):
         # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j
         # with a nonzero commutator: a row per pair would make every index
         # pointer k^2 long
@@ -373,16 +370,19 @@ def conjugation_matrix(n: int) -> np.ndarray:
 
 
 def conjugate_rep(gens: GeneratorSet, n: int | None = None) -> GeneratorSet:
-    """Apply A' = U (-A^T) U^T to every generator.
+    """Apply A' = U (-A^T) U^T to every generator, U = conjugation_matrix(dim).
 
     A -> -A^T, the dual representation, is a linear Lie algebra
     automorphism, so the output satisfies the same commutation relations
     as the input for any set, Hermitian or not; applying the map twice
     returns the original set.  On a Hermitian set it equals U (-A*) U+.
+    U is a signed permutation: each stored A[i, j] moves, exactly, to
+    (d-1-j, d-1-i) as -(-1)^(i+j) A[i, j], its zero parts +0.0.
     """
     if n is not None and n != gens.dim:
         raise ValueError(f"dimension mismatch: generators are {gens.dim}, got n={n}")
-    u = conjugation_matrix(gens.dim)
-    mats = u @ -gens.mats.transpose(0, 2, 1) @ u.T
-    labels = tuple(f"{lbl}_conj" for lbl in gens.labels)
-    return GeneratorSet(gens.dim, mats, labels)
+    d, flat = gens.dim, gens.flat
+    i, j = np.divmod(flat.indices, d)
+    vals = np.where((i + j) % 2, flat.data, -flat.data)
+    conj = sparse.from_triplets(sparse.coo_rows(flat), d * d - 1 - j * d - i, vals, flat.shape)
+    return GeneratorSet(d, conj, tuple(f"{lbl}_conj" for lbl in gens.labels))

@@ -252,23 +252,22 @@ def _bilinear(n: int, alpha: int, beta: int) -> FockOperator:
 
 def _coefficient_rows(
     gens: liealg.GeneratorSet | Sequence[np.ndarray],
-) -> tuple[np.ndarray, tuple[str, ...], int]:
+) -> tuple[sparse.CSR, tuple[str, ...], int]:
     """Coefficient rows, labels and dimension of a generator argument.
 
-    Row g holds matrix g's entries row-major: the term order of a stack.
-    Plain matrix sequences are accepted as well; unlike GeneratorSet they
-    may be linearly dependent (e.g. contain zero matrices).
+    Row g holds matrix g's entries row-major (a GeneratorSet's own record):
+    the term order of a stack.  Plain matrix sequences are accepted as well;
+    unlike GeneratorSet they may be linearly dependent (e.g. zero matrices).
     """
     if isinstance(gens, liealg.GeneratorSet):
-        mats, labels = gens.mats, gens.labels
-    else:
-        mats = np.asarray(gens, dtype=np.complex128)
-        if len(mats) == 0:
-            raise ValueError("need at least one coefficient matrix")
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("coefficient matrices must be square with equal dimension")
-        labels = tuple(f"g_{k}" for k in range(1, len(mats) + 1))
-    return mats.reshape(len(mats), -1), labels, mats.shape[1]
+        return gens.flat, gens.labels, gens.dim
+    mats = np.asarray(gens, dtype=np.complex128)
+    if len(mats) == 0:
+        raise ValueError("need at least one coefficient matrix")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("coefficient matrices must be square with equal dimension")
+    labels = tuple(f"g_{k}" for k in range(1, len(mats) + 1))
+    return sparse.from_dense(mats.reshape(len(mats), -1)), labels, mats.shape[1]
 
 
 def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
@@ -282,9 +281,9 @@ def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _bilinears(coeffs: np.ndarray, n: int, sectors: Iterable[int] | None = None) -> sparse.CSR:
+def _bilinears(rows: sparse.CSR, n: int, sectors: Iterable[int] | None = None) -> sparse.CSR:
     """Row block g is rho(C_g) = sum_ab C_g[a, b] a+_a a_b, C_g being row g
-    of coeffs, row-major; with sectors, only its rows in those particle-
+    of rows, row-major; with sectors, only its rows in those particle-
     number sectors, the others left empty.
 
     Written from the coefficients, with no ladder product: the diagonal
@@ -294,6 +293,7 @@ def _bilinears(coeffs: np.ndarray, n: int, sectors: Iterable[int] | None = None)
     modes held below b in S and below a in S - b.  Each zero part is +0.0,
     as in the terms' sum from zero.
     """
+    coeffs = sparse.toarray(rows)  # n^2 wide at most
     dim, count = 1 << n, len(coeffs)
     position = fock._state_positions(n)
     counts = fock._particle_counts(n)
@@ -339,29 +339,20 @@ def _kinds(owners: np.ndarray, values: np.ndarray, count: int) -> tuple[np.dtype
 _ASSEMBLY_ENTRIES = 1 << 13
 
 
-def _chunks(coeffs: np.ndarray, n: int) -> list[slice]:
-    """Consecutive rows of coeffs, each run forming at most _ASSEMBLY_ENTRIES
-    entries; a row over the bound is alone.  A row holds one or more n x n
-    blocks C, each forming 2^n diagonal entries and at most 2^(n-2) per
-    nonzero C[a, b]."""
-    blocks, nonzero = coeffs.shape[1] // (n * n), np.count_nonzero(coeffs, axis=1)
-    ends = np.cumsum((blocks << n) + (nonzero << n >> 2))
-    pieces, start = [], 0
-    while start < len(coeffs):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
-        pieces.append(slice(start, stop))
-        start = stop
-    return pieces
-
-
 def _parts(
-    coeffs: np.ndarray, form: Callable[[slice], sparse.CSR],
+    nonzero: np.ndarray, blocks: int, form: Callable[[slice], sparse.CSR],
     dtypes: tuple[np.dtype, ...], meta: RepMeta,
 ) -> Iterator[RepresentationResult]:
-    """The generators of meta as consecutive parts, one for each run of
-    _chunks(coeffs), formed as form(run) when the iteration reaches it."""
-    for r in _chunks(coeffs, meta.modes):
+    """The generators of meta as consecutive parts, each formed as form(run)
+    when the iteration reaches its run of coefficient rows.  Row g holds
+    nonzero[g] nonzeros in blocks n x n blocks C, each forming 2^n diagonal
+    entries and at most 2^(n-2) per nonzero C[a, b]; a run forms at most
+    _ASSEMBLY_ENTRIES entries, a row over the bound alone."""
+    ends, start = np.cumsum((blocks << meta.modes) + (nonzero << meta.modes >> 2)), 0
+    while start < len(nonzero):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
+        r, start = slice(start, stop), stop
         yield RepresentationResult(form(r), dtypes[r], replace(meta, labels=meta.labels[r]))
 
 
@@ -386,9 +377,9 @@ def standard_parts(
         raise ValueError(f"generator dimension {dim} does not match n={n}")
     fock._require_modes(n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    g, t = np.nonzero(coeffs)
-    dtypes = _kinds(g, coeffs[g, t], len(coeffs))
-    return _parts(coeffs, lambda r: _bilinears(coeffs[r], n), dtypes, meta)
+    dtypes = _kinds(sparse.coo_rows(coeffs), coeffs.data, len(labels))
+    return _parts(np.diff(coeffs.indptr), 1,
+                  lambda r: _bilinears(sparse.take_rows(coeffs, r), n), dtypes, meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -406,14 +397,13 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     fock._require_modes(n)
     if gens.dim != n:
         raise ValueError(f"generator dimension {gens.dim} does not match n={n}")
-    traces = np.trace(gens.mats, axis1=1, axis2=2)
+    low, high = gens.flat, liealg.conjugate_rep(gens).flat
+    traces = sparse.toarray(sparse.matmul(low, sparse.from_dense(np.eye(n).reshape(-1, 1))))[:, 0]
     g = int(np.argmax(np.abs(traces) > TRACELESS_TOL))  # the first, if any
     if abs(traces[g]) > TRACELESS_TOL:
         raise ValidationError(
             f"generator {gens.labels[g]} is not traceless (trace {traces[g]:.3e})"
         )
-    conj = liealg.conjugate_rep(gens)
-    low, high = gens.mats.reshape(len(gens), -1), conj.mats.reshape(len(gens), -1)
 
     def factor(m: int) -> tuple[sparse.CSR, list[int]]:
         """f(N; m), and the sectors it keeps, where each bilinear is formed:
@@ -425,13 +415,13 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
 
     def form(r: slice) -> sparse.CSR:
         return sparse.add(
-            sparse.matmul(_bilinears(low[r], n, on_low), f_low),
-            sparse.matmul(_bilinears(high[r], n, on_high), f_high),
+            sparse.matmul(_bilinears(sparse.take_rows(low, r), n, on_low), f_low),
+            sparse.matmul(_bilinears(sparse.take_rows(high, r), n, on_high), f_high),
         )
 
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
-    dtypes = (np.dtype(np.complex128),) * len(low)
-    return _joined(_parts(np.hstack([low, high]), form, dtypes, meta), meta, len(low))
+    nonzero, dtypes = np.diff(low.indptr) + np.diff(high.indptr), (np.dtype("c16"),) * len(gens)
+    return _joined(_parts(nonzero, 2, form, dtypes, meta), meta, len(gens))
 
 
 def nssfr_u3_explicit() -> RepresentationResult:
@@ -528,7 +518,7 @@ def unit_set(n: int, m: int) -> RepresentationResult:
     outer product e_{s+i, s+j}, s the sector's first index, equal entry for
     entry to the product O+_i |vac><vac| O_j of sector_operators."""
     _require_sector(n, m)
-    dim, k, s = 1 << n, math.comb(n, m), fock._sector_start(n, m)
+    dim, k, s = 1 << n, math.comb(n, m), fock._sector_starts(n)[m]
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
     stack = sparse.from_triplets(
         (i * k + j) * dim + s + i, s + j, np.ones(k * k, dtype=np.int64), (k * k * dim, dim)
@@ -542,21 +532,19 @@ def _require_sector(n: int, m: int) -> None:
     fock._require_modes(n)
 
 
-def _sector_rep(sets: Sequence[tuple[np.ndarray, int]], meta: RepMeta) -> RepresentationResult:
+def _sector_rep(sets: Sequence[tuple[sparse.CSR, int]], meta: RepMeta) -> RepresentationResult:
     """The operators sum_ij G[i, j] Q_ij(m) summed over the pairs (G, m) of
-    sets, G running over the matrices of a set: each nonzero G[i, j] of
-    matrix g is written at (g * 2^n + s + i, s + j), s the first state of
-    sector m, with each zero part +0.0, as in the terms' sum from zero.
-    Only the nonzero coefficients are formed."""
-    n, count = meta.modes, len(sets[0][0])
+    sets, G running over the rows of a set's record: each stored G[i, j]
+    of matrix g is written at (g * 2^n + s + i, s + j), s the first state
+    of sector m, with each zero part +0.0, as in the terms' sum from zero."""
+    n, count = meta.modes, sets[0][0].shape[0]
     rows, cols, vals = [], [], []
-    for mats, m in sets:
+    for flat, m in sets:
         _require_sector(n, m)
-        g, i, j = np.nonzero(mats)
-        s = fock._sector_start(n, m)
-        rows.append((g << n) + s + i)
+        (i, j), s = np.divmod(flat.indices, math.comb(n, m)), fock._sector_starts(n)[m]
+        rows.append((sparse.coo_rows(flat) << n) + s + i)
         cols.append(s + j)
-        vals.append(mats[g, i, j] + 0.0)
+        vals.append(flat.data + 0.0)
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     stack = sparse.from_triplets(rows, cols, vals, (count << n, 1 << n))
     return _joined([RepresentationResult(stack, _kinds(rows >> n, vals, count), meta)], meta, count)
@@ -577,7 +565,7 @@ def rep_ucnm(
             f"generator dimension {dim} does not match C({n},{m}) = {k}"
         )
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return _sector_rep([(coeffs.reshape(-1, k, k), m)], meta)
+    return _sector_rep([(coeffs, m)], meta)
 
 
 def mixed_rep(
@@ -636,4 +624,4 @@ def mixed_rep(
         labels=gens.labels,
         xi=(xi_minus, xi_plus),
     )
-    return _sector_rep([(gens.mats, m)] * xi_minus + [(gens2.mats, mbar)] * xi_plus, meta)
+    return _sector_rep([(gens.flat, m)] * xi_minus + [(gens2.flat, mbar)] * xi_plus, meta)

@@ -32,6 +32,7 @@ __all__ = [
     "matmul",
     "vstack",
     "take_rows",
+    "reshape",
     "conj_transpose",
     "coo_rows",
     "diagonal",
@@ -264,6 +265,11 @@ def take_rows(a: CSR, rows) -> CSR:
     indptr = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return CSR(a.data[pos], a.indices[pos], indptr, (len(rows), a.shape[1]))
+
+
+def reshape(a: CSR, shape: tuple[int, int]) -> CSR:
+    """a read row-major as a shape[0] x shape[1] matrix of as many places."""
+    return _from_places(coo_rows(a) * a.shape[1] + a.indices, a.data, shape)
 
 
 def conj_transpose(a: CSR) -> CSR:

@@ -163,15 +163,16 @@ def check_closure(
 
 
 def _pair_checks(
-    k: int, residuals: Iterable, tol: float, label: str, t0: float, plus: np.ndarray | float = 0.0
+    k: int, residuals: Iterable, tol: float, label: str, t0: float, plus: Iterable = ()
 ) -> VerificationReport:
-    """One <label>/[a,b] check per pair a < b, timed from t0: the largest
-    worst of key a * k + b in the (keys, worst) sets given, plus plus."""
+    """One <label>/[a,b] check per pair a < b, timed from t0: the largest worst
+    of key a * k + b in the (keys, worst) sets given, plus plus's (first pair, block)s."""
     values = np.zeros(k * (k - 1) // 2)
     for keys, worst in residuals:
         a, b = np.divmod(keys, k)
         np.maximum.at(values, a * (2 * k - a - 3) // 2 + b - 1, worst)
-    values += plus
+    for at, block in plus:
+        values[at:at + len(block)] += block
     report = VerificationReport({"label": label, "tol": tol})
     report.add_batch(_PairNames(f"{label}/", k, True), values, tol)
     report.timings[label] = time.perf_counter() - t0
@@ -187,22 +188,26 @@ def _sector_closure(
     pair residuals (gens' kept in constants), plus, unless every d_g =
     max |D_g| (the residuals of block) is 0, a bound on what the D_g add."""
     delta = np.array(block.residuals)
-    k = len(delta)
+    k, records = len(delta), _records_of(constants)
     residuals = [
         constants.residuals if s is gens and constants.residuals is not None else
-        _closure_residuals(sparse.from_dense(s.mats.reshape(-1, s.dim)), _records_of(constants))
-        for s in sets
+        _closure_residuals(sparse.reshape(s.flat, (k * s.dim, s.dim)), records) for s in sets
     ]
-    if not delta.any():
-        return _pair_checks(k, residuals, tol, label, t0)
     # w_a = ||X_a||_inf + ||X_a||_1 (over the sets) + 2^n d_a, 2^n d_a bounding
     # ||D_a||_inf; pair (a, b) adds w_a d_b + w_b d_a + sum_l |c[a, b, l]| d_l
-    norms = np.max([[np.abs(s.mats).sum(axis=x).max(axis=1) for x in (2, 1)] for s in sets], axis=0)
-    bound = np.outer(norms.sum(axis=0) + delta * (1 << n), delta)
-    bound += bound.T
-    c = constants.c
-    np.add.at(bound, (c["i"], c["j"]), np.abs(c["value"]) * delta[c["l"]])
-    return _pair_checks(k, residuals, tol, label, t0, bound[np.triu_indices(k, 1)])
+    w = np.max([[np.bincount(sparse.coo_rows(s.flat) * s.dim + x, np.abs(s.flat.data), k * s.dim)
+                 .reshape(k, -1).max(axis=1) for x in np.divmod(s.flat.indices, s.dim)]
+                for s in sets], axis=0).sum(axis=0) + delta * (1 << n)
+
+    def bound(rows=max(1, _CLOSURE_PAIR_BYTES // (8 * k))):  # none while every d_g is 0
+        for a0 in range(0, k if delta.any() else 0, rows):  # the pairs of rows a at a time
+            a = np.arange(a0, min(a0 + rows, k))[:, None]
+            extra = w[a] * delta + delta[a] * w  # row block a of the k x k bound
+            c = records(a0, a0 + len(a))
+            np.add.at(extra, (c["i"] - a0, c["j"]), np.abs(c["value"]) * delta[c["l"]])
+            yield a0 * (2 * k - a0 - 1) // 2, extra[a < np.arange(k)]
+
+    return _pair_checks(k, residuals, tol, label, t0, bound())
 
 
 def _bilinear_closure(
@@ -213,15 +218,15 @@ def _bilinear_closure(
     its consecutive parts, timed from t0."""
     coeffs, span = map(np.concatenate, zip(*read))
     k, n = len(coeffs), math.isqrt(coeffs.shape[1])
-    report = _pair_checks(k, [], tol, label, t0, _one_body_closure(coeffs, n, constants))
+    report = _pair_checks(k, [], tol, label, t0, [(0, _one_body_closure(coeffs, n, constants))])
     report.add_batch([f"{label}/span/{g:03d}" for g in range(1, k + 1)], span, tol)
     return report
 
 
-# _one_body_closure forms the n x n blocks of the pairs this many bytes of
-# them at a time (113 pairs at n = 12, traced peak 1.9 MiB), and sums the
-# diagonals of this many pairs over every occupied set at a time (4096 x
-# 16 complex entries, 1 MiB, at n = 12)
+# _one_body_closure forms the n x n blocks of the pairs, and _sector_closure
+# its bound's rows, this many bytes at a time (113 pairs at n = 12, traced
+# peak 1.9 MiB), and sums the diagonals of this many pairs over every
+# occupied set at a time (4096 x 16 complex entries, 1 MiB, at n = 12)
 _CLOSURE_PAIR_BYTES = 1 << 18
 _DIAGONAL_PAIRS = 16
 # _span takes about this many stored entries and states (dim per operator) at a time
@@ -309,7 +314,7 @@ def _entry_sectors(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
     of operators on n modes, the rows' read from the row pointer at the first
     row of each sector of each operator: no row index per entry is formed."""
     dim, k = 1 << n, stack.shape[0] >> n
-    firsts = np.arange(k)[:, None] * dim + [fock._sector_start(n, m) for m in range(n + 1)]
+    firsts = np.arange(k)[:, None] * dim + fock._sector_starts(n)[:-1]
     sizes = np.diff(stack.indptr[np.append(firsts, k * dim)])
     rows = np.repeat(np.tile(np.arange(n + 1, dtype=np.int8), k), sizes)
     return rows, fock._particle_counts(n).astype(np.int8)[stack.indices]
@@ -411,7 +416,7 @@ def block_decompose(op: FockOperator) -> BlockDecomposition:
     rows, cols, inside = sparse.coo_rows(mat), mat.indices, sector == col_sector
     blocks = {}
     for m in range(n + 1):
-        start, size = fock._sector_start(n, m), math.comb(n, m)
+        start, size = fock._sector_starts(n)[m], math.comb(n, m)
         blocks[m] = np.zeros((size, size), dtype=np.complex128)
         mine = inside & (sector == m)
         blocks[m][rows[mine] - start, cols[mine] - start] = mat.data[mine]
@@ -437,7 +442,7 @@ def compare_ops(
 
 def _block_equality_checks(
     rep: RepresentationResult,
-    expected_blocks: dict[int, Sequence[np.ndarray]],
+    expected_blocks: dict[int, sparse.CSR],
     must_vanish: Iterable[int],
     n: int,
     tol: float,
@@ -447,10 +452,10 @@ def _block_equality_checks(
     """Sector blocks of each operator against expected matrices, the checks
     numbered from first.
 
-    Blocks listed in expected_blocks are compared entrywise, sectors in
-    must_vanish must be zero, other sectors are unconstrained; off-block
-    entries count against every operator.  Each expected sector is
-    compared on the operators' rows in it, taken as one sparse matrix.
+    Blocks listed in expected_blocks, records as GeneratorSet.flat, are
+    compared entrywise, sectors in must_vanish must be zero, other sectors
+    are unconstrained; off-block entries count against every operator.
+    Each expected sector is compared on the operators' rows in it at once.
     """
     stack = _stack_of(rep)
     dim, k = 1 << n, stack.shape[0] >> n
@@ -460,12 +465,12 @@ def _block_equality_checks(
     plain = np.flatnonzero((sector != col_sector) | vanishing[sector])
     ops = np.searchsorted(stack.indptr[::dim], plain, "right") - 1
     resid = _group_maxima(ops, stack.data[plain], k)
-    for m, mats in expected_blocks.items():
-        start, d, expected = fock._sector_start(n, m), math.comb(n, m), np.asarray(mats)
+    for m, flat in expected_blocks.items():
+        start, d = fock._sector_starts(n)[m], math.comb(n, m)
         rows = np.arange(k)[:, None] * dim + start + np.arange(d)
         taken = sparse.take_rows(stack, rows.ravel())
-        g, i, j = np.nonzero(expected)
-        expected = sparse.from_triplets(g * d + i, start + j, expected[g, i, j], taken.shape)
+        (i, j), g = np.divmod(flat.indices, d), sparse.coo_rows(flat)
+        expected = sparse.from_triplets(g * d + i, start + j, flat.data, taken.shape)
         diff = sparse.subtract(taken, expected)
         np.maximum(resid, _group_maxima(sparse.coo_rows(diff) // d, diff.data, k), out=resid)
     return _operator_checks(resid, tol, label, t0, [f"{a:03d}" for a in range(first, first + k)])
@@ -476,7 +481,7 @@ def _outer_product_check(
 ) -> VerificationReport:
     """Each unit operator against the literal basis outer product."""
     report = VerificationReport({"label": label, "tol": tol})
-    s, k = fock._sector_start(n, m), fock.sector_dimension(n, m)
+    s, k = fock._sector_starts(n)[m], fock.sector_dimension(n, m)
     t0 = time.perf_counter()
     stack = _stack_of(units)
     a = np.arange(k * k)
@@ -535,7 +540,7 @@ def representation_checks(
             read.append(_span(part.stack, n))
             seconds += time.perf_counter() - t0
         numcomm.extend(check_number_commutant(part, n, tol, label=f"numcomm/{tag}"))
-        own = {s: g.mats[start:stop] for s, g in sets.items()}
+        own = {s: sparse.take_rows(g.flat, slice(start, stop)) for s, g in sets.items()}
         block.extend(_block_equality_checks(part, own, vanish, n, tol, f"block/{tag}", start + 1))
         start = stop
     if constants.size != start:
@@ -606,7 +611,7 @@ def run_suite(
             gm = liealg.gell_mann()
             rebuilt = liealg.gellmann_from_spin1()
             t0 = time.perf_counter()
-            worst = float(np.max(np.abs(rebuilt.mats - gm.mats)))
+            worst = float(np.max(np.abs(sparse.subtract(rebuilt.flat, gm.flat).data), initial=0))
             report.add("reconstruct/spin1-quadratic", worst, tol, time.perf_counter() - t0)
             explicit, gm_sc = schwinger.nssfr_u3_explicit(), liealg.structure_constants(gm)
             uniform = schwinger.nssfr_un(gm, 3)

@@ -869,8 +869,8 @@ def test_eval_of_a_long_sum_and_of_deep_nesting(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["table", "structure", "--n", "200"],  # a 23.8 GiB generator array
-    ["build", "ucnm", "--n", "14", "--m", "7"],  # 1.97 PiB
+    ["table", "structure", "--n", "20000"],  # 3.2 GB for the index pairs of its set alone
+    ["build", "ucnm", "--n", "14", "--m", "7"],  # a set of 29,441,411 stored entries
 ])
 def test_a_request_over_the_memory_limit_exits_2(tmp_path, args):
     limit = 3 << 30

@@ -47,7 +47,7 @@ def test_generalized_d3_matches_gell_mann():
 def test_generalized_d6_count_traceless_orthogonal():
     g = liealg.generalized_gell_mann(6)
     assert len(g) == 35
-    stack = np.stack(g.mats)
+    stack = np.stack(list(g))
     assert np.max(np.abs(np.einsum("aii->a", stack))) < 1e-13
     gram = np.einsum("aij,bji->ab", stack, stack)
     assert np.max(np.abs(gram - 2 * np.eye(35))) < 1e-12
@@ -58,20 +58,38 @@ def test_generalized_bad_dimension():
         liealg.generalized_gell_mann(1)
 
 
+def _record(gens):
+    """A set's stored entries: their places g * d^2 + i * d + j, and their bits."""
+    flat = gens.flat
+    return (sparse.coo_rows(flat) * flat.shape[1] + flat.indices).tolist(), _bits(flat.data).tolist()
+
+
+def _nonzeros(mats):
+    """_record of the nonzero entries of dense matrices."""
+    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    g, t = np.nonzero(flat)
+    return (g * flat.shape[1] + t).tolist(), _bits(flat[g, t]).tolist()
+
+
 def test_generator_set_holds_one_read_only_array_copied_from_its_input():
+    # the one stored form is the (k, d^2) record; indexing cuts a fresh matrix
     g = liealg.generalized_gell_mann(4)
-    assert g.mats.shape == (15, 4, 4) and g.mats.dtype == np.complex128
-    assert not g.mats.flags.writeable
+    assert g.flat.shape == (15, 16) and g.flat.dtype == np.complex128
+    assert [name for name, v in vars(g).items() if isinstance(v, np.ndarray)] == []
+    assert not hasattr(g, "mats") and g.flat.nnz == 2 * 12 + 9
     with pytest.raises(ValueError):
-        g.mats[0, 0, 0] = 1
-    arr = np.array(g.mats)
+        g.flat.data[0] = 1
+    arr = np.array(list(g))
     for given in (arr, tuple(arr), list(arr)):
         copy = liealg.GeneratorSet.create(given)
-        assert copy.mats.shape == (15, 4, 4) and not copy.mats.flags.writeable
-        assert not np.shares_memory(copy.mats, arr)
-        assert np.array_equal(copy.mats, g.mats)
+        assert not np.shares_memory(copy.flat.data, arr)
+        assert _record(copy) == _record(g) == _nonzeros(arr)
         assert len(copy) == 15 and np.array_equal(copy[3], g[3])
         assert all(np.array_equal(a, b) for a, b in zip(copy, g))
+    g[3][0, 0] = 7  # a fresh matrix on each call
+    assert g[3][0, 0] == 0 and g[-1].shape == (4, 4)
+    with pytest.raises(IndexError):
+        g[15]
     assert arr.flags.writeable
 
 
@@ -99,21 +117,22 @@ def _ggm_reference(d):
 
 def _bits(mats):
     # real and imaginary parts as raw words, so a zero's sign bit counts too
-    return np.asarray(mats, dtype=np.complex128).view(np.uint64)
+    return np.ascontiguousarray(mats, dtype=np.complex128).view(np.uint64)
 
 
 def test_generator_arrays_match_the_per_matrix_construction_bit_for_bit():
+    # the stored entries are the nonzeros of the dense per-matrix construction
     for d in range(2, 25):
         gens = liealg.generalized_gell_mann(d)
         reference = _ggm_reference(d)
-        assert np.array_equal(_bits(gens.mats), _bits(reference)), d
+        assert _record(gens) == _nonzeros(reference), d
         u = liealg.conjugation_matrix(d)
         conj = [u @ (-m.T) @ u.T for m in reference]
-        assert np.array_equal(_bits(liealg.conjugate_rep(gens).mats), _bits(conj)), d
+        assert _record(liealg.conjugate_rep(gens)) == _nonzeros(conj), d
 
 
 def test_spin1_matrices_exact():
-    jp, jm, j3 = liealg.spin1_matrices().mats
+    jp, jm, j3 = liealg.spin1_matrices()
     s = math.sqrt(2)
     assert np.allclose(jp, [[0, s, 0], [0, 0, s], [0, 0, 0]])
     assert np.allclose(jm, jp.conj().T)
@@ -121,7 +140,7 @@ def test_spin1_matrices_exact():
 
 
 def test_spin1_ladder_commutators():
-    jp, jm, j3 = liealg.spin1_matrices().mats
+    jp, jm, j3 = liealg.spin1_matrices()
     assert np.allclose(j3 @ jp - jp @ j3, jp)
     assert np.allclose(j3 @ jm - jm @ j3, -jm)
     assert np.allclose(jp @ jm - jm @ jp, 2 * j3)
@@ -168,7 +187,7 @@ def test_structure_constants_gell_mann():
 
 def test_structure_constants_pauli_half():
     g = liealg.generalized_gell_mann(2)
-    half = liealg.GeneratorSet.create([m / 2 for m in g.mats])
+    half = liealg.GeneratorSet.create([m / 2 for m in g])
     sc = liealg.structure_constants(half)
     assert abs(_dense(sc)[0, 1, 2] - 1j) < 1e-12
 
@@ -176,9 +195,9 @@ def test_structure_constants_pauli_half():
 def test_structure_constants_non_orthogonal_set():
     # (J+, J-, J3 + J+) spans the spin-1 algebra, but J3 + J+ overlaps J+ in
     # the trace inner product, so the projection takes the dense inverse
-    jp, jm, j3 = liealg.spin1_matrices().mats
+    jp, jm, j3 = liealg.spin1_matrices()
     gens = liealg.GeneratorSet.create([jp, jm, j3 + jp])
-    stack = gens.mats.reshape(3, -1)
+    stack = sparse.toarray(gens.flat)
     gram = stack.conj() @ stack.T
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 1
     c = _dense(liealg.structure_constants(gens))
@@ -208,10 +227,14 @@ def test_dependent_set_rejected():
 
 
 def test_generator_set_shape_validation():
+    eye = sparse.from_dense(np.eye(2).reshape(1, 4))
     with pytest.raises(ValueError):
-        liealg.GeneratorSet(3, (np.eye(2),), ("x",))
+        liealg.GeneratorSet(3, eye, ("x",))
     with pytest.raises(ValueError):
-        liealg.GeneratorSet(2, (np.eye(2),), ("x", "y"))
+        liealg.GeneratorSet(2, eye, ("x", "y"))
+    for mats in ([np.ones((2, 3))], np.ones((2, 2)), []):
+        with pytest.raises(ValueError):
+            liealg.GeneratorSet.create(mats)
 
 
 def test_conjugation_matrix_values():
@@ -267,7 +290,7 @@ def test_conjugate_rep_dimension_mismatch():
 def _oracle_structure_constants(gens):
     """Structure constants by an einsum projection per generator."""
     k = len(gens)
-    stack = np.stack(gens.mats)
+    stack = np.stack(list(gens))
     gram_inv = np.linalg.inv(np.einsum("ayx,byx->ab", stack.conj(), stack))
     c = np.zeros((k, k, k), dtype=np.complex128)
     for i in range(k):
@@ -278,7 +301,7 @@ def _oracle_structure_constants(gens):
 
 def _mixed_gell_mann():
     # invertible triangular mixing of the Gell-Mann set: closed, not orthogonal
-    gm = liealg.gell_mann().mats
+    gm = liealg.gell_mann()
     return liealg.GeneratorSet.create(
         [gm[a] + 0.5 * gm[a + 1] - 0.25j * gm[0] if a < 7 else gm[a] for a in range(8)]
     )
@@ -297,7 +320,7 @@ def test_structure_constants_match_einsum_oracle(make):
 
 
 def test_mixed_gell_mann_is_not_orthogonal():
-    stack = np.stack(_mixed_gell_mann().mats)
+    stack = np.stack(list(_mixed_gell_mann()))
     gram = np.einsum("ayx,byx->ab", stack.conj(), stack)
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 0.1
 
@@ -305,7 +328,7 @@ def test_mixed_gell_mann_is_not_orthogonal():
 def test_structure_constants_errors_after_projection_change():
     g = liealg.generalized_gell_mann(3)
     with pytest.raises(ClosureError, match="leaves the span"):
-        liealg.structure_constants(liealg.GeneratorSet.create(g.mats[:4]))
+        liealg.structure_constants(liealg.GeneratorSet.create([g[a] for a in range(4)]))
     # a singular Gram is refused once, when the set is built
     with pytest.raises(DependenceError):
         liealg.GeneratorSet.create([g[0], g[0], g[2]])
@@ -408,8 +431,8 @@ def _random_unitary(d, seed):
 def test_structure_constants_invariant_under_unitary_conjugation(d, seed):
     gens = liealg.generalized_gell_mann(d)
     u = _random_unitary(d, seed)
-    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gens.mats])
-    assert min(np.count_nonzero(m) for m in rotated.mats) > d
+    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gens])
+    assert min(np.count_nonzero(m) for m in rotated) > d
     sc = liealg.structure_constants(gens)
     assert liealg.structure_constants(rotated).max_difference(sc) <= 1e-12
 
@@ -441,7 +464,7 @@ def _decided_dependent(mats):
 )
 def test_dependence_decision_matches_the_dense_rank(d, seed, mixed, case):
     rng = np.random.default_rng(seed)
-    base = liealg.generalized_gell_mann(d).mats
+    base = np.array(list(liealg.generalized_gell_mann(d)))
     k = len(base)
     if mixed:  # an invertible complex mix: no longer trace-orthogonal
         mix = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -469,8 +492,8 @@ def test_dependence_decision_matches_the_dense_rank(d, seed, mixed, case):
 def test_dependence_decision_on_orthogonal_and_chevalley_sets(monkeypatch):
     from test_schwinger import _chevalley
 
-    ggm = [liealg.generalized_gell_mann(d).mats for d in range(2, 7)]
-    chevalley = [_chevalley(d).mats for d in range(2, 6)]
+    ggm = [np.array(list(liealg.generalized_gell_mann(d))) for d in range(2, 7)]
+    chevalley = [np.array(list(_chevalley(d))) for d in range(2, 6)]
     assert not any(map(_dense_rule_dependent, ggm + chevalley))
     calls = []
     rank = np.linalg.matrix_rank
@@ -489,11 +512,79 @@ def test_dependence_decision_on_orthogonal_and_chevalley_sets(monkeypatch):
 
 def test_generator_set_peak_memory_stays_near_its_array():
     ggm32 = liealg.generalized_gell_mann(32)
+    k = len(ggm32)
     tracemalloc.start()
     try:
-        liealg.GeneratorSet(32, ggm32.mats, ggm32.labels)
+        liealg.GeneratorSet(32, ggm32.flat, ggm32.labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the one copy of the matrices, and no dense k x k Gram beside it
-    assert peak <= 1.2 * ggm32.mats.nbytes
+    # the Gram's product terms (1.3 MB), with no dense k x k Gram and no
+    # dense (k, d, d) set beside the record: each would take 16.7 MB
+    assert peak <= 2e6 < 16 * k * k / 8
+
+
+def test_generalized_gell_mann_56_peaks_under_5_mb_traced():
+    # 7,755 stored entries; the dense (3135, 56, 56) set held 157 MB and
+    # peaked at 321 MB
+    tracemalloc.start()
+    try:
+        gens = liealg.generalized_gell_mann(56)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gens.flat.nnz == 7755 and peak < 5e6
+
+
+def _random_set(rng, k, d):
+    """k independent complex d x d matrices with zero entries and signed zero
+    parts: matrix g alone holds an entry at place p[g]."""
+    parts = rng.choice([0.0, 1.0], size=(2, k, d * d), p=[0.5, 0.5])
+    parts *= rng.standard_normal((2, k, d * d))  # 0.0 * x < 0 is -0.0
+    flat = np.empty((k, d * d), np.complex128)
+    flat.real, flat.imag = parts  # x + 1j * y would make each -0.0 real part +0.0
+    p = rng.choice(d * d, k, replace=False)
+    flat[:, p] = 0
+    flat[np.arange(k), p] = rng.standard_normal(k) + 1j
+    return flat.reshape(k, d, d)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_create_then_indexing_returns_every_nonzero_entry_bit_for_bit(d, data):
+    k, seed = data.draw(st.integers(1, d * d)), data.draw(st.integers(0, 2**32 - 1))
+    mats = _random_set(np.random.default_rng(seed), k, d)
+    gens = liealg.GeneratorSet.create(mats)
+    assert _record(gens) == _nonzeros(mats)
+    assert len(gens) == k
+    for got, want in zip(gens, mats):
+        assert np.array_equal(got != 0, want != 0)
+        assert np.array_equal(_bits(got[want != 0]), _bits(want[want != 0]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_conjugate_rep_equals_the_dense_conjugation_on_random_sets(d, data):
+    k, seed = data.draw(st.integers(1, d * d)), data.draw(st.integers(0, 2**32 - 1))
+    mats = _random_set(np.random.default_rng(seed), k, d)
+    conj = liealg.conjugate_rep(liealg.GeneratorSet.create(mats))
+    u = liealg.conjugation_matrix(d) if d > 1 else np.eye(1)
+    # U is a signed permutation, so the dense products are exact
+    want = [u @ -m.T @ u.T for m in mats]
+    assert len(conj) == k and all(np.array_equal(a, b) for a, b in zip(conj, want))
+    assert conj.labels == tuple(f"g_{g}_conj" for g in range(1, k + 1))
+    words = conj.flat.data.view(np.float64)
+    assert not np.any(np.signbit(words) & (words == 0))  # every zero part is +0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_conjugate_rep_twice_returns_the_original_record_exactly(d, data):
+    k, seed = data.draw(st.integers(1, d * d)), data.draw(st.integers(0, 2**32 - 1))
+    gens = liealg.GeneratorSet.create(_random_set(np.random.default_rng(seed), k, d))
+    for once in (gens, liealg.conjugate_rep(gens)):
+        twice = liealg.conjugate_rep(liealg.conjugate_rep(once)).flat
+        assert np.array_equal(twice.indptr, once.flat.indptr)
+        assert np.array_equal(twice.indices, once.flat.indices)
+        # equal values; the map writes +0.0 for each zero part, a -0.0 included
+        assert np.array_equal(_bits(twice.data), _bits(once.flat.data + 0.0))

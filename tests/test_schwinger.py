@@ -91,7 +91,7 @@ def test_eval_at_number_operator_mode_mismatch():
 
 def test_standard_rep_pauli_half_two_modes():
     g = liealg.generalized_gell_mann(2)
-    rep = schwinger.standard_rep([m / 2 for m in g.mats], 2)
+    rep = schwinger.standard_rep([m / 2 for m in g], 2)
     # basis position of the state with mode 1 occupied (mask 1), and mode 2 (mask 2)
     one, two = (fock.build_basis(2).tolist().index(mask) for mask in (1, 2))
     j3 = rep[2].to_dense()
@@ -121,7 +121,7 @@ def test_standard_rep_zero_generator():
 
 def _identity_bilinears(n):
     """rho(e_ab) = a+_a a_b for every a, b, row-major, from identity rows."""
-    return schwinger._bilinears(np.eye(n * n), n)
+    return schwinger._bilinears(sparse.from_dense(np.eye(n * n)), n)
 
 
 def test_bilinears_of_identity_rows_are_the_ladder_products():
@@ -155,7 +155,8 @@ def test_bilinears_on_some_sectors_are_those_rows_of_all_of_them(n, count, seed,
     coeffs = (rng.normal(size=(count, n * n)) + 1j * rng.normal(size=(count, n * n)))
     coeffs *= rng.random((count, n * n)) < 0.6
     sectors = data.draw(st.sets(st.integers(0, n)))
-    whole, some = schwinger._bilinears(coeffs, n), schwinger._bilinears(coeffs, n, sectors)
+    rows = sparse.from_dense(coeffs)
+    whole, some = schwinger._bilinears(rows, n), schwinger._bilinears(rows, n, sectors)
     assert some.shape == whole.shape
     rows = np.flatnonzero(np.isin(np.tile(fock._particle_counts(n), count), list(sectors)))
     want = sparse.take_rows(whole, rows)
@@ -265,7 +266,7 @@ def test_nssfr_four_modes_commutes_with_number():
 
 def test_nssfr_rejects_non_traceless():
     gm = liealg.gell_mann()
-    with_identity = liealg.GeneratorSet.create(list(gm.mats) + [np.eye(3)])
+    with_identity = liealg.GeneratorSet.create(list(gm) + [np.eye(3)])
     with pytest.raises(ValidationError):
         schwinger.nssfr_un(with_identity, 3)
 
@@ -518,7 +519,7 @@ def test_mixed_rep_errors():
         schwinger.mixed_rep(gm, gm, 3, 1, 0, 0)
     with pytest.raises(ValueError):
         schwinger.mixed_rep(gm, gm, 4, 1, 1, 1)  # dimension 3 vs C(4,1) = 4
-    scaled = liealg.GeneratorSet.create([2 * m for m in gm.mats])
+    scaled = liealg.GeneratorSet.create([2 * m for m in gm])
     with pytest.raises(ValidationError):
         schwinger.mixed_rep(gm, scaled, 3, 1, 1, 1)
 
@@ -526,12 +527,12 @@ def test_mixed_rep_errors():
 def test_mixed_rep_rejects_sets_with_other_structure_constants():
     gm = liealg.gell_mann()
     # the same span in another order: closed, but with other constants
-    swapped = liealg.GeneratorSet.create([gm[1], gm[0], *gm.mats[2:]])
+    swapped = liealg.GeneratorSet.create([gm[1], gm[0], *list(gm)[2:]])
     with pytest.raises(ValidationError, match="structure constants of the two sets differ"):
         schwinger.mixed_rep(gm, swapped, 3, 1, 1, 1)
     # a unitarily rotated set keeps them, so it is accepted
     u = liealg.conjugation_matrix(3) @ np.diag([1, 1j, -1])
-    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gm.mats])
+    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gm])
     assert len(schwinger.mixed_rep(gm, rotated, 3, 1, 1, 1).ops) == 8
 
 
@@ -550,7 +551,7 @@ def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch)
     calls.clear()
     schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 4, 1, 1, 1)
     assert len(calls) == 2
-    scaled = liealg.GeneratorSet.create([2 * m for m in gens.mats])
+    scaled = liealg.GeneratorSet.create([2 * m for m in gens])
     with pytest.raises(ValidationError):
         schwinger.mixed_rep(gens, scaled, 4, 1, 1, 1)
 
@@ -636,7 +637,7 @@ def _conjugated(gens, rng, kind):
         z = z + 1j * rng.standard_normal((d, d))
     u, _ = np.linalg.qr(z)
     scale = rng.choice([1.0, 0.3, -2.0])
-    return liealg.GeneratorSet.create([scale * u @ g @ u.conj().T for g in gens.mats])
+    return liealg.GeneratorSet.create([scale * u @ g @ u.conj().T for g in gens])
 
 
 # the default part bound (one part at these sizes), a bound of several
@@ -704,7 +705,7 @@ def test_nssfr_un_matches_term_sum(n, kind, seed, bound):
     conj = liealg.conjugate_rep(gens)
     expected = [
         _term_sum(g, terms, n) @ f_low + _term_sum(gc, terms, n) @ f_high
-        for g, gc in zip(gens.mats, conj.mats)
+        for g, gc in zip(gens, conj)
     ]
     _assert_bitwise_equal(rep.ops, expected)
 
@@ -725,7 +726,7 @@ def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing):
     rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
     units_m, units_mbar = _oracle_units(n, m), _oracle_units(n, n - m)
     expected = []
-    for g, g2 in zip(gens.mats, gens2.mats):
+    for g, g2 in zip(gens, gens2):
         op = FockOperator.zero(n)
         if xi[0]:
             op = op + _term_sum(g, units_m, n)
@@ -753,7 +754,7 @@ def test_mixed_rep_sector_blocks_of_both_pairings(nm, pairing, seed):
     second = gens if pairing == "same" else liealg.conjugate_rep(gens)
     rep = schwinger.mixed_rep(gens, second, n, m, 1, 1)
     low, high = fock.sector_indices(n, m), fock.sector_indices(n, n - m)
-    for op, g, g2 in zip(rep, gens.mats, second.mats):
+    for op, g, g2 in zip(rep, gens, second):
         dense = op.to_dense()
         assert np.max(np.abs(dense[np.ix_(low, low)] - g)) < 1e-12
         assert np.max(np.abs(dense[np.ix_(high, high)] - g2)) < 1e-12

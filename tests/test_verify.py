@@ -144,7 +144,7 @@ def test_block_decompose_roundtrip():
         # the basis lists the sectors in order of their particle count
         placed = np.zeros((8, 8), dtype=np.complex128)
         for m in range(4):
-            start, size = fock._sector_start(3, m), math.comb(3, m)
+            start, size = fock._sector_starts(3)[m], math.comb(3, m)
             placed[start:start + size, start:start + size] = dec.blocks[m]
         assert np.array_equal(placed, op.to_dense())
 
@@ -344,7 +344,7 @@ def _gell_mann_mix():
 
     Its structure constants include rounding-noise records below 1e-14.
     """
-    gm = liealg.gell_mann().mats
+    gm = liealg.gell_mann()
     return liealg.GeneratorSet.create([gm[a] + gm[a + 1] for a in range(7)] + [gm[7]])
 
 
@@ -1159,6 +1159,46 @@ def test_sector_closure_bounds_the_kernel_on_corrupted_representations(kind, dat
     assert np.all(reported >= oracle - _ROUNDING)
 
 
+def _dense_bound(sets, constants, delta, n):
+    """_sector_closure's bound for each pair a < b as it was formed before, on
+    k x k arrays from the dense matrices of the sets."""
+    mats = [np.array(list(s)) for s in sets]
+    norms = np.max([[np.abs(m).sum(axis=x).max(axis=1) for x in (2, 1)] for m in mats], axis=0)
+    bound = np.outer(norms.sum(axis=0) + delta * (1 << n), delta)
+    bound += bound.T
+    c = constants.c
+    np.add.at(bound, (c["i"], c["j"]), np.abs(c["value"]) * delta[c["l"]])
+    return bound[np.triu_indices(len(delta), 1)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(["ucnm", "same", "conjugate", "rotated"]), st.data())
+def test_sector_closure_bound_is_the_dense_formula_bit_for_bit(kind, data):
+    # row sums of a Gell-Mann matrix hold one entry; a rotated set's are
+    # summed in order only below d = 8, as numpy sums a dense row there
+    d = data.draw(st.integers(2, 7 if kind == "rotated" else 12))
+    gens = liealg.generalized_gell_mann(d)
+    if kind == "rotated":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        gens = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gens])
+    sets = {"same": [gens, gens], "conjugate": [gens, liealg.conjugate_rep(gens)]}.get(kind, [gens])
+    k, n, sc = len(gens), data.draw(st.integers(3, 8)), liealg.structure_constants(gens)
+    delta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 3e-16, 1e-12, 0.25, 2.0]),
+                                        min_size=k, max_size=k)))
+
+    def closure(residuals):
+        block = VerificationReport()
+        block.add_batch([f"b/{a}" for a in range(k)], residuals, 1e-10)
+        return np.array(verify._sector_closure(gens, sets, sc, block, n, 1e-10, "x", 0.0).residuals)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_CLOSURE_PAIR_BYTES", data.draw(st.sampled_from([8, 56, 1 << 18])))
+        got = closure(delta)
+    want = closure(np.zeros(k)) + _dense_bound(sets, sc, delta, n)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(
     max_examples=40,
     derandomize=True,
@@ -1369,9 +1409,9 @@ def _whole_set_structure_constants(gens, tol=1e-10):
     """liealg.structure_constants before it was chunked: all k^2 commutators
     projected at once."""
     k, d = len(gens), gens.dim
-    flat = gens._flat
+    flat = gens.flat
     proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
-    rows, cols, vals = _whole_set_commutator_entries(sparse.from_dense(gens.mats.reshape(k * d, d)))
+    rows, cols, vals = _whole_set_commutator_entries(sparse.from_dense(np.vstack(list(gens))))
     pairs, row = np.unique(rows // d * k + cols // d, return_inverse=True)
     comm = sparse.from_triplets(row, rows % d * d + cols % d, vals, (len(pairs), d * d))
     coeff = sparse.matmul(comm, proj)
@@ -1469,7 +1509,7 @@ def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_ladders(bound, 
 
 
 def _non_orthogonal_spin1():
-    jp, jm, j3 = liealg.spin1_matrices().mats
+    jp, jm, j3 = liealg.spin1_matrices()
     return liealg.GeneratorSet.create([jp, jm, j3 + jp])
 
 
@@ -1500,7 +1540,7 @@ def _outcome(extract, gens):
 def test_chunked_structure_constants_name_the_whole_set_closure_error(bound):
     # Pauli matrices on modes 1-2 close; the pair on modes 3-4 does not, and
     # the first generator to leave the span is the fourth, with the fifth
-    pauli, pair = liealg.generalized_gell_mann(2).mats, np.zeros((2, 4, 4), complex)
+    pauli, pair = np.array(list(liealg.generalized_gell_mann(2))), np.zeros((2, 4, 4), complex)
     pair[:, 2:, 2:] = pauli[:2]
     gens = liealg.GeneratorSet.create([*np.pad(pauli, ((0, 0), (0, 2), (0, 2))), *pair])
     want = _outcome(_whole_set_structure_constants, gens)
@@ -1513,7 +1553,7 @@ def test_chunked_structure_constants_name_the_whole_set_closure_error(bound):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(d=st.integers(2, 5), data=st.data())
 def test_chunked_structure_constants_of_any_sub_set_match_the_whole_set_ones(bound, d, data):
-    mats = liealg.generalized_gell_mann(d).mats
+    mats = list(liealg.generalized_gell_mann(d))
     chosen = data.draw(st.lists(st.integers(0, len(mats) - 1), min_size=1, unique=True))
     gens = liealg.GeneratorSet.create([mats[a] for a in chosen])
     want = _outcome(_whole_set_structure_constants, gens)
@@ -1613,7 +1653,7 @@ def test_numcomm_block_and_compare_checks_are_timed_as_batches():
     rep = schwinger.standard_rep(gens, 3)
     reports = [
         verify.check_number_commutant(rep, 3, label="x"),
-        verify._block_equality_checks(rep, {1: gens.mats}, (0, 3), 3, 1e-10, "x"),
+        verify._block_equality_checks(rep, {1: gens.flat}, (0, 3), 3, 1e-10, "x"),
         verify.compare_ops(rep, rep, label="x"),
     ]
     for report in reports:
@@ -1648,7 +1688,7 @@ def test_block_check_counts_entries_leaving_an_unconstrained_sector():
     row, col = fock.sector_indices(4, 2)[0], fock.sector_indices(4, 1)[0]
     ops[5] = ops[5] + FockOperator.from_entries(4, {(row, col): 0.25})
     rep = schwinger.RepresentationResult.from_ops(ops, schwinger.RepMeta("standard", 4))
-    report = verify._block_equality_checks(rep, {1: gens.mats, 3: conj.mats}, (0, 4), 4, 1e-10, "b")
+    report = verify._block_equality_checks(rep, {1: gens.flat, 3: conj.flat}, (0, 4), 4, 1e-10, "b")
     assert [c.name for c in report.failed()] == ["b/006"]
     assert report.failed()[0].residual == 0.25
 
@@ -1698,7 +1738,8 @@ def test_stack_checks_match_per_operator_oracles(case, seed, data):
     }
     vanish = sectors[min(split):max(split)]
     rep = schwinger.RepresentationResult.from_ops(ops, schwinger.RepMeta("x", n))
-    fast = verify._block_equality_checks(rep, expected, vanish, n, tol, "b")
+    records = {m: sparse.from_dense(np.reshape(b, (len(ops), -1))) for m, b in expected.items()}
+    fast = verify._block_equality_checks(rep, records, vanish, n, tol, "b")
     assert fast.signature() == _oracle_blocks(ops, expected, vanish, n, tol, "b").signature()
     fast = verify.check_number_commutant(ops, n, tol, label="c")
     assert fast.signature() == _oracle_numcomm(ops, n, tol, "c").signature()
