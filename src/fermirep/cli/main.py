@@ -210,6 +210,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import numpy as np
+
     from .. import liealg, schwinger
     if args.what == "selective":
         if args.m is None:
@@ -217,9 +219,10 @@ def cmd_table(args) -> int:
         poly = schwinger.selective_function(args.n, args.m)
         print(poly)
         return EXIT_OK
-    gens = liealg.generalized_gell_mann(args.n)
-    # the records are sorted in lexicographic (i, j, l) order
-    rec = liealg.structure_constants(gens).c
+    # su(n)'s 5n^3 - 9n^2 - 2n + 6 records, sorted by (i, j, l), peak held twice (as
+    # chunks, then joined): reserved untouched first, what cannot be held is refused at once
+    np.empty(max(0, 2 * (5 * args.n**3 - 9 * args.n**2 - 2 * args.n + 6)), liealg.RECORD_DTYPE)
+    rec = liealg.structure_constants(liealg.generalized_gell_mann(args.n)).c
     # coefficients printed in the convention [G_i, G_j] = 2i f_ijk G_k
     f = rec["value"] / 2j
     upper = (rec["i"] < rec["j"]) & (abs(f) > 1e-12)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -56,8 +57,8 @@ class GeneratorSet:
     @classmethod
     def create(cls, mats: Sequence[np.ndarray], labels: Sequence[str] | None = None):
         mats = np.asarray(mats, dtype=np.complex128)
-        if len(mats) == 0:
-            raise ValueError("a generator set needs at least one matrix")
+        if mats.ndim != 3 or len(mats) == 0:
+            raise ValueError(f"a generator set needs one or more matrices, got shape {mats.shape}")
         if labels is None:
             labels = [f"g_{k}" for k in range(1, len(mats) + 1)]
         return cls(mats.shape[1], sparse.from_dense(mats.reshape(len(mats), -1)), tuple(labels))
@@ -66,7 +67,8 @@ class GeneratorSet:
         return self.flat.shape[0]
 
     def __getitem__(self, g: int) -> np.ndarray:
-        row, mat = sparse.take_rows(self.flat, [range(len(self))[g]]), np.zeros(self.dim**2, "c16")
+        row = sparse.take_rows(self.flat, [range(len(self))[operator.index(g)]])
+        mat = np.zeros(self.dim**2, "c16")
         mat[row.indices] = row.data
         return mat.reshape(self.dim, self.dim)
 

@@ -165,8 +165,7 @@ def check_closure(
 def _pair_checks(
     k: int, residuals: Iterable, tol: float, label: str, t0: float, plus: Iterable = ()
 ) -> VerificationReport:
-    """One <label>/[a,b] check per pair a < b, timed from t0: the largest worst
-    of key a * k + b in the (keys, worst) sets given, plus plus's (first pair, block)s."""
+    """Checks <label>/[a,b], a < b, from t0: key a * k + b's largest worst, plus plus' blocks."""
     values = np.zeros(k * (k - 1) // 2)
     for keys, worst in residuals:
         a, b = np.divmod(keys, k)
@@ -184,17 +183,15 @@ def _sector_closure(
     block: VerificationReport, n: int, tol: float, label: str, t0: float,
 ) -> VerificationReport:
     """check_closure of rho_g = X_g + D_g on n modes, X_g holding matrix g of
-    each of sets on its own sector block, with no 2^n product: each set's
-    pair residuals (gens' kept in constants), plus, unless every d_g =
-    max |D_g| (the residuals of block) is 0, a bound on what the D_g add."""
+    each of sets on its own sector block, with no 2^n product: each set's pair
+    residuals (gens' kept in constants) plus, unless every d_g = max |D_g| (the
+    residuals of block) is 0, the bound w_a d_b + w_b d_a + sum_l |c[a, b, l]| d_l on
+    what they add, w_a = ||X_a||_inf + ||X_a||_1 (over sets) + 2^n d_a (2^n d_a >= ||D_a||_inf)."""
     delta = np.array(block.residuals)
     k, records = len(delta), _records_of(constants)
-    residuals = [
-        constants.residuals if s is gens and constants.residuals is not None else
-        _closure_residuals(sparse.reshape(s.flat, (k * s.dim, s.dim)), records) for s in sets
-    ]
-    # w_a = ||X_a||_inf + ||X_a||_1 (over the sets) + 2^n d_a, 2^n d_a bounding
-    # ||D_a||_inf; pair (a, b) adds w_a d_b + w_b d_a + sum_l |c[a, b, l]| d_l
+    residuals = [constants.residuals if s is gens and constants.residuals is not None else
+                 _closure_residuals(sparse.reshape(s.flat, (k * s.dim, s.dim)), records)
+                 for s in sets]
     w = np.max([[np.bincount(sparse.coo_rows(s.flat) * s.dim + x, np.abs(s.flat.data), k * s.dim)
                  .reshape(k, -1).max(axis=1) for x in np.divmod(s.flat.indices, s.dim)]
                 for s in sets], axis=0).sum(axis=0) + delta * (1 << n)
@@ -202,8 +199,7 @@ def _sector_closure(
     def bound(rows=max(1, _CLOSURE_PAIR_BYTES // (8 * k))):  # none while every d_g is 0
         for a0 in range(0, k if delta.any() else 0, rows):  # the pairs of rows a at a time
             a = np.arange(a0, min(a0 + rows, k))[:, None]
-            extra = w[a] * delta + delta[a] * w  # row block a of the k x k bound
-            c = records(a0, a0 + len(a))
+            extra, c = w[a] * delta + delta[a] * w, records(a0, a0 + len(a))  # row block a
             np.add.at(extra, (c["i"] - a0, c["j"]), np.abs(c["value"]) * delta[c["l"]])
             yield a0 * (2 * k - a0 - 1) // 2, extra[a < np.arange(k)]
 
@@ -452,10 +448,9 @@ def _block_equality_checks(
     """Sector blocks of each operator against expected matrices, the checks
     numbered from first.
 
-    Blocks listed in expected_blocks, records as GeneratorSet.flat, are
-    compared entrywise, sectors in must_vanish must be zero, other sectors
-    are unconstrained; off-block entries count against every operator.
-    Each expected sector is compared on the operators' rows in it at once.
+    Blocks in expected_blocks (records as GeneratorSet.flat) are compared
+    entrywise on the operators' rows in their sector at once; sectors in
+    must_vanish must be zero, others unconstrained; off-block entries always count.
     """
     stack = _stack_of(rep)
     dim, k = 1 << n, stack.shape[0] >> n

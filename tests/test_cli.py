@@ -755,6 +755,28 @@ def test_table_structure_output(capsys):
     assert "f[1,2,3] = 1" in out
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_table_structure_reserves_twice_its_records_first(n, monkeypatch, capsys):
+    import numpy as np
+
+    calls, empty = [], np.empty
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        calls.append((shape, np.dtype(dtype)))
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    code = main(["table", "structure", "--n", str(n)])
+    monkeypatch.undo()
+    assert calls[0] == (2 * (5 * n**3 - 9 * n**2 - 2 * n + 6), liealg.RECORD_DTYPE)
+    if n < 2:
+        assert code == EXIT_USAGE and "dimension must be at least 2" in capsys.readouterr().err
+        return
+    assert code == EXIT_OK
+    records = liealg.structure_constants(liealg.generalized_gell_mann(n)).c
+    assert calls[0][0] == 2 * len(records)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_table_structure_golden_text(capsys, n):
     assert main(["table", "structure", "--n", str(n)]) == EXIT_OK
@@ -869,7 +891,7 @@ def test_eval_of_a_long_sum_and_of_deep_nesting(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["table", "structure", "--n", "20000"],  # 3.2 GB for the index pairs of its set alone
+    ["table", "structure", "--n", "200"],  # 39,639,606 records, 2.95 GiB held twice
     ["build", "ucnm", "--n", "14", "--m", "7"],  # a set of 29,441,411 stored entries
 ])
 def test_a_request_over_the_memory_limit_exits_2(tmp_path, args):
@@ -891,6 +913,8 @@ def test_a_request_over_the_memory_limit_exits_2(tmp_path, args):
     assert done.stderr.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in done.stderr
     assert not out.exists()
+    if args[0] == "table":  # refused at the reservation, before any work
+        assert "shape (79279212,)" in done.stderr
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -232,9 +232,16 @@ def test_generator_set_shape_validation():
         liealg.GeneratorSet(3, eye, ("x",))
     with pytest.raises(ValueError):
         liealg.GeneratorSet(2, eye, ("x", "y"))
-    for mats in ([np.ones((2, 3))], np.ones((2, 2)), []):
+    for mats in ([np.ones((2, 3))], np.ones((2, 2)), np.ones(4), []):
         with pytest.raises(ValueError):
             liealg.GeneratorSet.create(mats)
+    gens = liealg.gell_mann()
+    for key in (slice(0, 2), 1.0, [0, 1]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            gens[key]
+    with pytest.raises(IndexError):
+        gens[8]
+    assert np.array_equal(gens[np.int64(-1)], gens[7])
 
 
 def test_conjugation_matrix_values():
