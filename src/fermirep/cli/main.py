@@ -80,9 +80,9 @@ def build_variant(
         return parts, gens, family
     if m is None:
         raise ValueError(f"group {group!r} requires --m")
-    k = fock.sector_dimension(n, m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"--m must be in [1, {n - 1}] for group {group!r}")
+    k = fock.sector_dimension(n, m)
     gens = liealg.generalized_gell_mann(k)
     family = {"name": "generalized_gell_mann", "dim": k}
     if group == "ucnm":
@@ -100,9 +100,9 @@ def representation_report(
     rep: schwinger.RepresentationResult, gens: liealg.GeneratorSet, tol: float,
     second: liealg.GeneratorSet,
 ) -> verify.VerificationReport:
-    """verify.representation_checks of a built representation, under its set's constants."""
-    from .. import liealg, verify
-    return verify.representation_checks(rep, gens, liealg.structure_constants(gens), tol, second)
+    """verify.representation_checks of a built representation."""
+    from .. import verify
+    return verify.representation_checks(rep, gens, tol, second)
 
 
 def cmd_build(args) -> int:
@@ -222,7 +222,7 @@ def cmd_table(args) -> int:
     # su(n)'s 5n^3 - 9n^2 - 2n + 6 records, sorted by (i, j, l), peak held twice (as
     # chunks, then joined): reserved untouched first, what cannot be held is refused at once
     np.empty(max(0, 2 * (5 * args.n**3 - 9 * args.n**2 - 2 * args.n + 6)), liealg.RECORD_DTYPE)
-    rec = liealg.structure_constants(liealg.generalized_gell_mann(args.n)).c
+    rec = liealg.generalized_gell_mann(args.n).constants.c
     # coefficients printed in the convention [G_i, G_j] = 2i f_ijk G_k
     f = rec["value"] / 2j
     upper = (rec["i"] < rec["j"]) & (abs(f) > 1e-12)
@@ -339,12 +339,20 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if not 0 <= getattr(args, "tol", 0) < math.inf:
         parser.error(f"argument --tol: must be a finite number of at least 0, got {args.tol}")
+    # an option the command would drop is refused, not ignored
+    unused, user = [], ""
     if args.command == "build":
-        # an option the group would drop is refused, not ignored
         unused = ["m"] * (args.group in ("un-standard", "un-nonstandard"))
         unused += ["xi_minus", "xi_plus", "pairing"] * (args.group != "mixed")
-        for name in (name for name in unused if getattr(args, name) is not None):
-            parser.error(f"argument --{name.replace('_', '-')}: group {args.group} does not use it")
+        user = f"group {args.group}"
+    elif args.command == "table" and args.what == "structure":
+        unused, user = ["m"], "table structure"
+    elif args.command == "verify" and args.from_dir:
+        unused, user = ["n_max"], "verify --from"
+    elif args.command == "eval" and args.check:
+        unused, user = ["out"], "eval --check"
+    for name in (name for name in unused if getattr(args, name) is not None):
+        parser.error(f"argument --{name.replace('_', '-')}: {user} does not use it")
     return args
 
 

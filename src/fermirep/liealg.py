@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class GeneratorSet:
     ``flat``, the one stored form, is a read-only (k, dim^2) complex128 CSR
     record: row g holds matrix g's nonzero entries, row-major.  Indexing,
     and iteration through it, cut a fresh dim x dim array from it per call.
+    ``constants`` is structure_constants(self), formed on first read and kept.
     """
 
     dim: int
@@ -72,6 +73,10 @@ class GeneratorSet:
         mat[row.indices] = row.data
         return mat.reshape(self.dim, self.dim)
 
+    @functools.cached_property
+    def constants(self) -> "StructureConstants":
+        return structure_constants(self)
+
 
 # one record per stored coefficient c[i, j, l] (0-based indices)
 RECORD_DTYPE = np.dtype(
@@ -86,11 +91,11 @@ class StructureConstants:
     Only the nonzero coefficients are stored: ``c`` is a record array of
     RECORD_DTYPE with fields i, j, l (0-based) and value, one record per
     coefficient of every ordered pair (i, j), sorted lexicographically by
-    (i, j, l).  ``rows`` is the same data as a (size^2, size) CSR matrix
-    whose row i * size + j holds the expansion of [G_i, G_j].
+    (i, j, l) (in a hand-made set, in any order, repeats adding up).
     ``residuals`` (None in a hand-made set) holds the sorted keys i * size
     + j of the pairs i < j whose residual [G_i, G_j] - sum_l c[i, j, l] G_l
     is nonzero and, aligned with them, its largest absolute entry.
+    ``records(a0, a1)`` gives the records with i in [a0, a1), in c's order.
     """
 
     size: int
@@ -98,16 +103,20 @@ class StructureConstants:
     residuals: tuple[np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
-    def rows(self) -> sparse.CSR:
-        k = self.size
-        c = self.c
-        return sparse.from_triplets(c["i"] * k + c["j"], c["l"], c["value"], (k * k, k))
+    def records(self) -> Callable[[int, int], np.ndarray]:
+        c = self.c  # sorted stably by i once, if it is not
+        c = c[np.argsort(c["i"], kind="stable")] if np.any(c["i"][1:] < c["i"][:-1]) else c
+        bounds = np.searchsorted(c["i"], np.arange(self.size + 1))
+        return lambda a0, a1: c[bounds[a0]:bounds[a1]]
 
     def max_difference(self, other: "StructureConstants") -> float:
+        """Largest |c[i, j, l] - other's|, each set one row keyed (i * size + j) * size + l."""
         if other.size != self.size:
             raise ValueError("structure-constant tensors have different sizes")
-        diff = sparse.subtract(self.rows, other.rows)
-        return float(np.max(np.abs(diff.data), initial=0.0))
+        k = self.size
+        rows = [sparse.from_triplets(0, (c["i"] * k + c["j"]) * k + c["l"], c["value"], (1, k**3))
+                for c in (self.c, other.c)]
+        return float(np.max(np.abs(sparse.subtract(*rows).data), initial=0.0))
 
 
 def gell_mann() -> GeneratorSet:

@@ -575,13 +575,12 @@ def mixed_rep(
     m: int,
     xi_minus: int,
     xi_plus: int,
-    tol: float = 1e-10,
 ) -> RepresentationResult:
     """Weighted pairing of two sector realizations on counts m and n - m.
 
     Builds  xi_minus * sum G_i^{ab} Q_ab(m)  +  xi_plus * sum G2_i^{ab}
     Q_ab(n-m).  The two generator sets must share their structure
-    constants (checked within tol); closure of the sum then follows
+    constants (gens.constants, within 1e-10); closure of the sum then follows
     sector by sector.  With xi = (1, 0) this reduces to rep_ucnm(gens).
 
     The conjugate set conjugate_rep(gens), U (-G^T) U^T, shares the
@@ -609,10 +608,8 @@ def mixed_rep(
             )
     if len(gens) != len(gens2):
         raise ValueError("generator sets have different lengths")
-    sc1 = liealg.structure_constants(gens, tol)
-    sc2 = sc1 if gens2 is gens else liealg.structure_constants(gens2, tol)
-    mismatch = sc1.max_difference(sc2)
-    if mismatch > tol:
+    mismatch = gens.constants.max_difference(gens2.constants)
+    if mismatch > 1e-10:
         raise ValidationError(
             f"structure constants of the two sets differ by {mismatch:.3e}"
         )

@@ -8,6 +8,7 @@ its results ordered by check name.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -63,7 +64,7 @@ def check_anticommutation(
     report = VerificationReport({"n": n, "tol": tol})
     name = f"anticomm/n{n:02d}"
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(_stack_of(ops), _records_of(StructureConstants(k, rec)), 1)
+    keys, worst = _closure_residuals(_stack_of(ops), StructureConstants(k, rec).records, 1)
     resid = np.zeros(k * k)
     resid[keys] = worst
     i, j = np.divmod(np.arange(n * n), n)
@@ -80,16 +81,6 @@ def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sparse.CSR:
     if isinstance(ops, RepresentationResult):
         return ops.stack
     return sparse.vstack([op.mat for op in ops])
-
-
-def _records_of(constants: StructureConstants) -> Callable[[int, int], np.ndarray]:
-    """records(a0, a1) for _closure_residuals: the records of constants with
-    i in [a0, a1), in their order in c, found by searchsorted on c["i"]."""
-    c = constants.c
-    if np.any(c["i"][1:] < c["i"][:-1]):  # a hand-made set need not be sorted
-        c = c[np.argsort(c["i"], kind="stable")]
-    bounds = np.searchsorted(c["i"], np.arange(constants.size + 1))
-    return lambda a0, a1: c[bounds[a0]:bounds[a1]]
 
 
 def _closure_residuals(
@@ -159,7 +150,7 @@ def check_closure(
     t0 = time.perf_counter()
     if isinstance(rep, RepresentationResult) and rep.meta.variant == "standard":
         return _bilinear_closure([_span(stack, rep.modes)], constants, tol, label, t0)
-    return _pair_checks(k, [_closure_residuals(stack, _records_of(constants))], tol, label, t0)
+    return _pair_checks(k, [_closure_residuals(stack, constants.records)], tol, label, t0)
 
 
 def _pair_checks(
@@ -179,17 +170,17 @@ def _pair_checks(
 
 
 def _sector_closure(
-    gens: liealg.GeneratorSet, sets: Iterable[liealg.GeneratorSet], constants: StructureConstants,
-    block: VerificationReport, n: int, tol: float, label: str, t0: float,
+    gens: liealg.GeneratorSet, sets: Iterable[liealg.GeneratorSet], block: VerificationReport,
+    n: int, tol: float, label: str, t0: float,
 ) -> VerificationReport:
     """check_closure of rho_g = X_g + D_g on n modes, X_g holding matrix g of
     each of sets on its own sector block, with no 2^n product: each set's pair
-    residuals (gens' kept in constants) plus, unless every d_g = max |D_g| (the
+    residuals (gens' kept in gens.constants) plus, unless every d_g = max |D_g| (the
     residuals of block) is 0, the bound w_a d_b + w_b d_a + sum_l |c[a, b, l]| d_l on
     what they add, w_a = ||X_a||_inf + ||X_a||_1 (over sets) + 2^n d_a (2^n d_a >= ||D_a||_inf)."""
     delta = np.array(block.residuals)
-    k, records = len(delta), _records_of(constants)
-    residuals = [constants.residuals if s is gens and constants.residuals is not None else
+    k, records = len(delta), gens.constants.records
+    residuals = [gens.constants.residuals if s is gens else
                  _closure_residuals(sparse.reshape(s.flat, (k * s.dim, s.dim)), records)
                  for s in sets]
     w = np.max([[np.bincount(sparse.coo_rows(s.flat) * s.dim + x, np.abs(s.flat.data), k * s.dim)
@@ -219,11 +210,11 @@ def _bilinear_closure(
     return report
 
 
-# _one_body_closure forms the n x n blocks of the pairs, and _sector_closure
-# its bound's rows, this many bytes at a time (113 pairs at n = 12, traced
-# peak 1.9 MiB), and sums the diagonals of this many pairs over every
-# occupied set at a time (4096 x 16 complex entries, 1 MiB, at n = 12)
-_CLOSURE_PAIR_BYTES = 1 << 18
+# _one_body_closure forms the n x n blocks of the pairs (four arrays a step),
+# and _sector_closure its bound's rows, this many bytes at a time (56 pairs at
+# n = 12, 1.0 MiB traced; at 2^18 1.8 MiB, 20 ms less and run_suite(6)'s peak),
+# and sums the diagonals of this many pairs over all occupied sets (1 MiB at n = 12)
+_CLOSURE_PAIR_BYTES = 1 << 17
 _DIAGONAL_PAIRS = 16
 # _span takes about this many stored entries and states (dim per operator) at a time
 _SPAN_ENTRIES = 1 << 15
@@ -280,14 +271,17 @@ def _one_body_closure(coeffs: np.ndarray, n: int, constants: StructureConstants)
     S.  Returns the residuals of the pairs i < j in row-major order.
     """
     k = len(coeffs)
-    mats, rows, flat = coeffs.reshape(k, n, n), constants.rows, sparse.from_dense(coeffs)
+    mats, flat = coeffs.reshape(k, n, n), sparse.from_dense(coeffs)
     first, second = np.triu_indices(k, 1)
     resid, off = np.zeros(len(first)), ~np.eye(n, dtype=bool)
     step = max(1, _CLOSURE_PAIR_BYTES // (16 * n * n))
     for p in range(0, len(first), step):
         i, j = first[p:p + step], second[p:p + step]
         comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1, n * n)
-        expansion = sparse.matmul(sparse.take_rows(rows, i * k + j), flat)
+        c = constants.records(i[0], i[-1] + 1)  # the step's pairs' records, in their order
+        c = c[np.isin(c["i"] * k + c["j"], i * k + j)]
+        place = np.searchsorted(i * k + j, c["i"] * k + c["j"])
+        expansion = sparse.matmul(sparse.from_triplets(place, c["l"], c["value"], (len(i), k)), flat)
         remainder = (comm - sparse.toarray(expansion)).reshape(-1, n, n)
         resid[p:p + step] = np.max(np.abs(remainder[:, off]), axis=1, initial=0.0)
         diag = np.diagonal(remainder, axis1=1, axis2=2)
@@ -492,15 +486,14 @@ def _outer_product_check(
 
 def representation_checks(
     rep: RepresentationResult | Iterable[RepresentationResult], gens: liealg.GeneratorSet,
-    constants: StructureConstants, tol: float = DEFAULT_TOL,
-    second: liealg.GeneratorSet | None = None,
+    tol: float = DEFAULT_TOL, second: liealg.GeneratorSet | None = None,
 ) -> VerificationReport:
     """Closure, check_number_commutant and _block_equality_checks of rep,
     named <family>/<variant>/nXX[mYY] after rep.meta.
 
     rep is one representation or its consecutive parts, each checked, then
-    dropped; constants are structure_constants(gens).  A standard one's
-    pairs close on the one-particle blocks its span checks read
+    dropped: an operator per member of gens, closing under gens.constants.  A
+    standard one's pairs close on the one-particle blocks its span checks read
     (_bilinear_closure), any other's through its sets (_sector_closure).
     A family's timing sums its measured part times.
 
@@ -509,6 +502,7 @@ def representation_checks(
     checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, G on m and
     second (the set build paired with G) on n - m, each unless its xi is 0.
     """
+    constants = gens.constants  # before the parts: after them, verify --from peaked 3-7 MiB higher
     parts = iter([rep] if isinstance(rep, RepresentationResult) else rep)
     first = next(parts)
     meta, n = first.meta, first.modes
@@ -538,11 +532,11 @@ def representation_checks(
         own = {s: sparse.take_rows(g.flat, slice(start, stop)) for s, g in sets.items()}
         block.extend(_block_equality_checks(part, own, vanish, n, tol, f"block/{tag}", start + 1))
         start = stop
-    if constants.size != start:
-        raise ValueError(f"rep has {start} operators but constants are for {constants.size}")
+    if len(gens) != start:
+        raise ValueError(f"rep has {start} operators but gens has {len(gens)} members")
     t0, label = time.perf_counter() - seconds, f"closure/{tag}"
     closure = (_bilinear_closure(read, constants, tol, label, t0) if variant == "standard" else
-               _sector_closure(gens, sets.values(), constants, block, n, tol, label, t0))
+               _sector_closure(gens, sets.values(), block, n, tol, label, t0))
     report = VerificationReport({"tol": tol, "variant": variant})
     for family in (closure, numcomm, block):
         report.extend(family)
@@ -551,8 +545,8 @@ def representation_checks(
 
 # run_suite checks rep_ucnm on the sectors of dimension k = C(n, m) up to
 # this k.  Without it run_suite(6) also checks k = 15, 15 and 20: 149,434
-# checks instead of 18,387, 0.38-0.42 s instead of 0.12-0.26 s and 68 MiB
-# of peak RSS instead of 38 MiB on a 2-vCPU VM
+# checks instead of 18,387, 0.22-0.33 s instead of 0.08-0.12 s and 81 MiB
+# of peak RSS instead of 37 MiB (2-vCPU VM, in-process, fresh processes)
 _MAX_SECTOR_REP_DIM = 10
 
 
@@ -587,20 +581,13 @@ def run_suite(
         report.extend(
             check_anticommutation(n, tol, annihilation_source=annihilation_source)
         )
-    # each generalized Gell-Mann set and its constants, built once per dimension
-    sets: dict[int, tuple[liealg.GeneratorSet, StructureConstants]] = {}
-
-    def gell_mann_set(d: int) -> tuple[liealg.GeneratorSet, StructureConstants]:
-        if d not in sets:
-            gens = liealg.generalized_gell_mann(d)
-            sets[d] = gens, liealg.structure_constants(gens)
-        return sets[d]
+    gell_mann_set = functools.cache(liealg.generalized_gell_mann)  # with its constants, kept
 
     for n in range(2, n_max + 1):
-        gens, sc = gell_mann_set(n)
-        report.extend(representation_checks(schwinger.standard_rep(gens, n), gens, sc, tol))
+        gens = gell_mann_set(n)
+        report.extend(representation_checks(schwinger.standard_rep(gens, n), gens, tol))
         if n >= 3:
-            report.extend(representation_checks(schwinger.nssfr_un(gens, n), gens, sc, tol))
+            report.extend(representation_checks(schwinger.nssfr_un(gens, n), gens, tol))
 
         if n == 3:
             gm = liealg.gell_mann()
@@ -608,10 +595,9 @@ def run_suite(
             t0 = time.perf_counter()
             worst = float(np.max(np.abs(sparse.subtract(rebuilt.flat, gm.flat).data), initial=0))
             report.add("reconstruct/spin1-quadratic", worst, tol, time.perf_counter() - t0)
-            explicit, gm_sc = schwinger.nssfr_u3_explicit(), liealg.structure_constants(gm)
-            uniform = schwinger.nssfr_un(gm, 3)
+            explicit, uniform = schwinger.nssfr_u3_explicit(), schwinger.nssfr_un(gm, 3)
             report.extend(compare_ops(explicit, uniform, tol, "compare/u3-explicit-vs-uniform"))
-            report.extend(check_closure(explicit, gm_sc, tol, label="closure/u3-explicit"))
+            report.extend(check_closure(explicit, gm.constants, tol, label="closure/u3-explicit"))
 
         for m in range(1, n):
             kdim = fock.sector_dimension(n, m)
@@ -621,8 +607,8 @@ def run_suite(
             report.extend(check_number_commutant(units, n, tol, label=f"numcomm/sector/{tag}"))
             report.extend(check_eij_algebra(units, kdim, tol, label=f"eij/{tag}"))
             if kdim <= _MAX_SECTOR_REP_DIM:
-                sector_gens, sector_sc = gell_mann_set(kdim)
+                sector_gens = gell_mann_set(kdim)
                 rep = schwinger.rep_ucnm(sector_gens, n, m)
-                report.extend(representation_checks(rep, sector_gens, sector_sc, tol))
+                report.extend(representation_checks(rep, sector_gens, tol))
     report.sort_by_name()
     return report

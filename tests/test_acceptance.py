@@ -303,7 +303,7 @@ def test_13_cli_round_trip(tmp_path):
 
     payload = json.loads(report_path.read_text())
     rep, gens, _family = build_variant("un-nonstandard", 3, None, None)
-    memory = verify.representation_checks(rep, gens, liealg.structure_constants(gens), 1e-10)
+    memory = verify.representation_checks(rep, gens, 1e-10)
     file_sig = tuple(
         (c["name"], c["passed"], c["residual"]) for c in payload["checks"]
     )

@@ -35,7 +35,7 @@ LAMBDA_H4 = "(adag(1)*a(3) + adag(3)*a(1)) * (1 - 2*N(2))"
 def _catalogue(group, n):
     """verify.representation_checks of what build writes for group, in memory."""
     rep, gens, _family = build_variant(group, n, None, None)
-    return verify.representation_checks(rep, gens, liealg.structure_constants(gens), 1e-10)
+    return verify.representation_checks(rep, gens, 1e-10)
 
 
 def test_build_un_nonstandard(tmp_path):
@@ -401,6 +401,27 @@ def test_build_refuses_an_option_its_group_drops(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, option, user", [
+    (["table", "structure", "--n", "2", "--m", "1"], "--m", "table structure"),
+    (["verify", "--from", "built", "--n-max", "99"], "--n-max", "verify --from"),
+    (["eval", "N(1)", "--n", "2", "--out", "op.json", "--check", "ref.json"], "--out", "eval --check"),
+], ids=["table-structure-m", "verify-from-n-max", "eval-check-out"])
+def test_commands_refuse_an_option_they_drop(tmp_path, monkeypatch, capsys, args, option, user):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == EXIT_USAGE
+    assert f"argument {option}: {user} does not use it" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("m", [0, 4, 5])
+def test_build_names_the_m_range_on_either_side(tmp_path, capsys, m):
+    # --m 5 once failed in the sector size instead: "particle count must be in [0, 4]"
+    out = tmp_path / "out"
+    assert main(["build", "ucnm", "--n", "4", "--m", str(m), "--out", str(out)]) == EXIT_USAGE
+    assert "--m must be in [1, 3] for group 'ucnm'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["un-standard", "--n", "15"], ["un-nonstandard", "--n", "15"],
     ["ucnm", "--n", "15", "--m", "2"], ["mixed", "--n", "15", "--m", "2"],
@@ -473,8 +494,7 @@ def test_verify_from_one_generator_a_part_gives_the_in_memory_checks(tmp_path, m
     built, gens, _family = build_variant(group, n, m, (1, 1), pairing)
     whole = schwinger.standard_rep(gens, n) if group == "un-standard" else built[0]
     second = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
-    sc = liealg.structure_constants(gens)
-    memory = verify.representation_checks(whole, gens, sc, 1e-10, second)
+    memory = verify.representation_checks(whole, gens, 1e-10, second)
     rc, payload, parts = _in_parts(out, monkeypatch, 1, tmp_path / "report.json")
     assert rc == EXIT_OK and [size for size, _ in parts] == [1] * len(gens)
     checks = payload["checks"]

@@ -368,6 +368,91 @@ def test_matrix_unit_constants_match_the_gram_projection():
         liealg.matrix_unit_constants(0)
 
 
+def _pair_rows_difference(a, b):
+    """max_difference as it was: each set a (k^2, k) CSR matrix whose row
+    i * k + j holds the expansion of [G_i, G_j]."""
+    k = a.size
+    rows = [sparse.from_triplets(c["i"] * k + c["j"], c["l"], c["value"], (k * k, k))
+            for c in (a.c, b.c)]
+    return float(np.max(np.abs(sparse.subtract(*rows).data), initial=0.0))
+
+
+@st.composite
+def _hand_made_pair(draw):
+    """Two hand-made sets of one size: records in any order, (i, j, l) repeated,
+    and the second a shuffled copy of the first with records changed and added."""
+    k = draw(st.integers(1, 4))
+    index = st.integers(0, k - 1)
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1j, -1e-17]),
+                      st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
+    record = st.tuples(index, index, index, value)
+    first = draw(st.lists(record, max_size=12))
+    second = draw(st.permutations(first))
+    for at in draw(st.lists(st.integers(0, max(len(second) - 1, 0)), max_size=3)):
+        if second:
+            second[at] = (*second[at][:3], draw(value))
+    second += draw(st.lists(record, max_size=3))
+    return [liealg.StructureConstants(k, np.array(recs, dtype=liealg.RECORD_DTYPE))
+            for recs in (first, second)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_hand_made_pair())
+def test_max_difference_is_the_pair_row_subtraction_bit_for_bit(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = x.max_difference(y), _pair_rows_difference(x, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_max_difference_of_su5_and_its_conjugate_is_the_pair_row_subtraction():
+    gens = liealg.generalized_gell_mann(5)
+    a, b = gens.constants, liealg.conjugate_rep(gens).constants
+    assert a.max_difference(b) == _pair_rows_difference(a, b) > 0
+    with pytest.raises(ValueError):
+        a.max_difference(liealg.gell_mann().constants)
+
+
+def test_max_difference_peaks_under_twice_its_records_traced():
+    # as (k^2, k) matrices the two sets of su(28) peaked at 19.3 MiB traced
+    gens = liealg.generalized_gell_mann(28)
+    a, b = gens.constants, liealg.conjugate_rep(gens).constants
+    held = a.c.nbytes + b.c.nbytes
+    tracemalloc.start()
+    try:
+        assert a.max_difference(b) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * held
+
+
+def test_constants_are_formed_once_per_set(monkeypatch):
+    calls = []
+    original = liealg.structure_constants
+    monkeypatch.setattr(liealg, "structure_constants",
+                        lambda gens: calls.append(gens) or original(gens))
+    gens = liealg.generalized_gell_mann(4)
+    assert calls == []
+    sc = gens.constants
+    assert gens.constants is sc and calls == [gens]
+    assert np.array_equal(sc.c, original(gens).c)
+    # sorted records are read in place
+    assert np.shares_memory(sc.records(0, len(gens)), sc.c)
+
+
+def test_records_of_a_hand_made_set_are_sorted_once_stably_by_first_index(monkeypatch):
+    rec = np.zeros(6, dtype=liealg.RECORD_DTYPE)
+    rec["i"], rec["j"], rec["value"] = [2, 0, 1, 0, 2, 1], [0, 1, 2, 1, 0, 2], np.arange(6)
+    sc = liealg.StructureConstants(3, rec)
+    records = sc.records
+    assert [r["value"].real.tolist() for r in (records(0, 1), records(1, 3), records(0, 3))] == [
+        [1, 3], [2, 5, 0, 4], [1, 3, 2, 5, 0, 4]]
+    # read again, nothing is sorted anew
+    monkeypatch.setattr(np, "argsort", None)
+    assert sc.records is records and len(sc.records(0, 3)) == 6
+
+
 def test_commutator_entries_sign_one_gives_anticommutators(monkeypatch):
     # integer entries, so every sum is exact whatever its order
     d = 3

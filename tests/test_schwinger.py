@@ -537,6 +537,7 @@ def test_mixed_rep_rejects_sets_with_other_structure_constants():
 
 
 def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch):
+    from fermirep import verify
     calls = []
     original = liealg.structure_constants
 
@@ -546,14 +547,18 @@ def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch)
 
     monkeypatch.setattr(liealg, "structure_constants", counting)
     gens = liealg.generalized_gell_mann(4)
-    schwinger.mixed_rep(gens, gens, 4, 1, 1, 1)
-    assert len(calls) == 1
-    calls.clear()
-    schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 4, 1, 1, 1)
-    assert len(calls) == 2
+    rep = schwinger.mixed_rep(gens, gens, 4, 1, 1, 1)
+    assert calls == [gens]
+    # the set keeps its constants: checking it, or pairing it again, forms none
+    assert verify.representation_checks(rep, gens, second=gens).overall
+    assert calls == [gens]
+    conj = liealg.conjugate_rep(gens)
+    schwinger.mixed_rep(gens, conj, 4, 1, 1, 1)
+    assert calls == [gens, conj]
     scaled = liealg.GeneratorSet.create([2 * m for m in gens])
     with pytest.raises(ValidationError):
         schwinger.mixed_rep(gens, scaled, 4, 1, 1, 1)
+    assert calls == [gens, conj, scaled]
 
 
 def test_representation_result_rejects_mixed_modes():

@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1075,10 +1076,20 @@ def test_representation_checks_drops_each_part_once_checked(monkeypatch):
         return span(stack, modes)
 
     monkeypatch.setattr(verify, "_span", counted)
-    report = verify.representation_checks(parts(), gens, liealg.structure_constants(gens))
+    report = verify.representation_checks(parts(), gens)
     assert report.overall and len(alive) >= 3
     # only the part being checked is held
     assert alive == [1] * len(alive)
+
+
+@pytest.mark.parametrize("variant", ["standard", "ucnm"])
+def test_representation_checks_refuses_a_representation_of_another_size(variant):
+    gens = liealg.generalized_gell_mann(3)
+    rep = schwinger.standard_rep(gens, 3) if variant == "standard" else schwinger.rep_ucnm(gens, 3, 1)
+    meta = replace(rep.meta, labels=rep.meta.labels[:5])
+    part = schwinger.RepresentationResult.from_ops(list(rep)[:5], meta)
+    with pytest.raises(ValueError, match="rep has 5 operators but gens has 8 members"):
+        verify.representation_checks(part, gens)
 
 
 # -- sector variants closed through their generator sets, against the 2^n kernel ---
@@ -1090,10 +1101,9 @@ _ROUNDING = 2 * np.finfo(float).eps
 def _closure_against_the_kernel(rep, gens, second=None):
     """The closure residuals representation_checks reports for rep and those of
     the 2^n kernel on its operators as a list (the oracle), pair by pair."""
-    sc = liealg.structure_constants(gens)
-    report = verify.representation_checks(rep, gens, sc, verify.DEFAULT_TOL, second)
+    report = verify.representation_checks(rep, gens, verify.DEFAULT_TOL, second)
     reported = [c for c in report.checks if c.name.startswith("closure/")]
-    oracle = verify.check_closure(list(rep), sc, label="x").checks
+    oracle = verify.check_closure(list(rep), gens.constants, label="x").checks
     assert [c.name.rsplit("/", 1)[1] for c in reported] == [c.name[2:] for c in oracle]
     return np.array([c.residual for c in reported]), np.array([c.residual for c in oracle])
 
@@ -1190,7 +1200,7 @@ def test_sector_closure_bound_is_the_dense_formula_bit_for_bit(kind, data):
     def closure(residuals):
         block = VerificationReport()
         block.add_batch([f"b/{a}" for a in range(k)], residuals, 1e-10)
-        return np.array(verify._sector_closure(gens, sets, sc, block, n, 1e-10, "x", 0.0).residuals)
+        return np.array(verify._sector_closure(gens, sets, block, n, 1e-10, "x", 0.0).residuals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_CLOSURE_PAIR_BYTES", data.draw(st.sampled_from([8, 56, 1 << 18])))
@@ -1264,6 +1274,33 @@ def test_one_body_closure_is_the_same_in_any_batching(n, k, seed):
         assert sums[:, s].tolist() == [
             sum((row[a] for a in range(n) if s >> a & 1), 0j) for row in diag.tolist()
         ]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 7), st.integers(0, 2**32 - 1), st.sampled_from([1, 600]))
+def test_one_body_expansions_are_the_pair_rows_entry_for_entry(n, k, seed, bound):
+    # hand-made records, unsorted, with repeated (i, j, l) summed in their order
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(k, n * n)) + 1j * rng.normal(size=(k, n * n))
+    rec = np.zeros(4 * k, dtype=liealg.RECORD_DTYPE)
+    rec["i"], rec["j"], rec["l"] = rng.integers(k, size=(3, 4 * k)) // rng.integers(1, 3)
+    rec["value"] = rng.normal(size=4 * k) + 1j * rng.normal(size=4 * k)
+    seen, matmul = [], sparse.matmul
+
+    def spy(a, b):
+        seen.append(a)
+        return matmul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "matmul", spy)
+        mp.setattr(verify, "_CLOSURE_PAIR_BYTES", bound)
+        verify._one_body_closure(coeffs, n, liealg.StructureConstants(k, rec))
+    # the oracle: one (k^2, k) matrix whose row i * k + j expands [G_i, G_j]
+    rows = sparse.from_triplets(rec["i"] * k + rec["j"], rec["l"], rec["value"], (k * k, k))
+    first, second = np.triu_indices(k, 1)
+    want, got = sparse.take_rows(rows, first * k + second), sparse.vstack(seen)
+    assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -1357,7 +1394,7 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
 def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_corrupted_sets(case):
     ops, sc = case
     tall = verify._stack_of(ops)
-    keys, worst = verify._closure_residuals(tall, verify._records_of(sc))
+    keys, worst = verify._closure_residuals(tall, sc.records)
     assert _scipy_kernel_gap(tall, sc, -1, keys, worst) <= 1e-15
 
 
@@ -1478,7 +1515,7 @@ def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_sets(bound, cas
     ops, sc = case
     tall = verify._stack_of(ops)
     with _chunk_bound(bound):
-        got = verify._closure_residuals(tall, verify._records_of(sc))
+        got = verify._closure_residuals(tall, sc.records)
         _same_report(verify.check_closure, ops, sc)
     assert _same_bits(got, _whole_set_closure_residuals(tall, sc))
 
