@@ -88,30 +88,22 @@ def build_variant(
     if group == "ucnm":
         parts = [schwinger.rep_ucnm(gens, n, m)]
     else:
-        if pairing not in matfile.PAIRINGS:
-            raise ValueError(f"unknown pairing {pairing!r}")
-        xi = xi or (1, 1)
-        gens2 = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
-        parts = [schwinger.mixed_rep(gens, gens2, n, m, xi[0], xi[1])]
+        parts = [schwinger.mixed_rep(gens, n, m, *(xi or (1, 1)), pairing)]
     return parts, gens, family
 
 
 def representation_report(
     rep: schwinger.RepresentationResult, gens: liealg.GeneratorSet, tol: float,
-    second: liealg.GeneratorSet,
 ) -> verify.VerificationReport:
     """verify.representation_checks of a built representation."""
     from .. import verify
-    return verify.representation_checks(rep, gens, tol, second)
+    return verify.representation_checks(rep, gens, tol)
 
 
 def cmd_build(args) -> int:
     mixed = args.group == "mixed"
-    pairing = args.pairing or "conjugate"
     xi = tuple(1 if w is None else w for w in (args.xi_minus, args.xi_plus)) if mixed else None
-    parts, _gens, family = build_variant(args.group, args.n, args.m, xi, pairing)
-    # only the mixed group has a second generator set to record
-    pairing = {"pairing": pairing} if mixed else {}
+    parts, _gens, family = build_variant(args.group, args.n, args.m, xi, args.pairing or "conjugate")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     generators = []
@@ -121,6 +113,8 @@ def cmd_build(args) -> int:
         # the fields every file and the manifest open with, in this order
         xi = list(meta.xi) if meta.xi else None
         head = {"variant": meta.variant, "modes": meta.modes, "particles": meta.particles, "xi": xi}
+        # only a mixed representation has a second generator set to record
+        pairing = {"pairing": meta.pairing} if meta.pairing else {}
         for label, op in zip(meta.labels, part):
             idx = len(generators) + 1
             fname = f"generator_{idx:03d}.json"
@@ -143,10 +137,9 @@ _PART_ENTRIES = 1 << 14
 
 def _load_built(dirpath: Path):
     """The representation a build wrote, as consecutive parts of at least
-    _PART_ENTRIES stored entries read when the iteration reaches them, its
-    generator set, and the set a mixed build pairs with it (gens itself
-    otherwise)."""
-    from .. import liealg, schwinger
+    _PART_ENTRIES stored entries read when the iteration reaches them, and
+    its generator set; a mixed one's meta carries the manifest's pairing."""
+    from .. import schwinger
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
     items, modes = manifest["generators"], manifest["modes"]
@@ -161,6 +154,7 @@ def _load_built(dirpath: Path):
         particles=manifest.get("particles"),
         labels=tuple(item["label"] for item in items),
         xi=tuple(manifest["xi"]) if manifest.get("xi") else None,
+        pairing=manifest.get("pairing"),
     )
     paths = [dirpath / item["file"] for item in items]
 
@@ -180,16 +174,14 @@ def _load_built(dirpath: Path):
 
     for path in paths:  # a missing file is refused before the family is built
         path.stat()
-    gens = build()
-    second = liealg.conjugate_rep(gens) if manifest.get("pairing") == "conjugate" else gens
-    return parts(), gens, second
+    return parts(), build()
 
 
 def cmd_verify(args) -> int:
     from .. import verify
     if args.from_dir:
-        rep, gens, second = _load_built(Path(args.from_dir))
-        report = representation_report(rep, gens, args.tol, second)
+        rep, gens = _load_built(Path(args.from_dir))
+        report = representation_report(rep, gens, args.tol)
     else:
         if args.n_max is None:
             raise ValueError("either --n-max or --from is required")

@@ -35,6 +35,7 @@ whose operators fill every sector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -154,13 +155,17 @@ def eval_at_number_operator(p: SelectivePolynomial, n: int) -> FockOperator:
 
 @dataclass(frozen=True)
 class RepMeta:
-    """Construction descriptor attached to a representation."""
+    """Construction descriptor attached to a representation.
+
+    pairing names the set a mixed representation puts on sector n - m:
+    "conjugate" for conjugate_rep(G), "same" for G; None on any other."""
 
     variant: str
     modes: int
     particles: int | None = None
     labels: tuple[str, ...] = ()
     xi: tuple[int, int] | None = None
+    pairing: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +205,7 @@ class RepresentationResult:
         return len(self.dtypes)
 
     def __getitem__(self, g: int) -> FockOperator:
-        g, dim = range(len(self))[g], 1 << self.modes
+        g, dim = range(len(self))[operator.index(g)], 1 << self.modes
         block = sparse.take_rows(self.stack, slice(g * dim, (g + 1) * dim))
         values = block.data if self.dtypes[g].kind == "c" else block.data.real
         return FockOperator(self.modes, sparse.with_data(block, values.astype(self.dtypes[g])))
@@ -568,57 +573,52 @@ def rep_ucnm(
     return _sector_rep([(coeffs, m)], meta)
 
 
+def _sector_sets(meta: RepMeta, gens: liealg.GeneratorSet) -> dict[int, liealg.GeneratorSet]:
+    """The set each sector of a meta representation of G = gens carries:
+    standard, G on 1 and conjugate_rep(G) on n - 1; nssfr, G on 1 and n - 1;
+    ucnm, G on m; mixed, G on m and the set its pairing names on n - m, each
+    unless its xi is 0.  Both pairings keep G's structure constants: X -> -X^T
+    is an automorphism, and conjugate_rep an exact signed index map."""
+    n, m, variant = meta.modes, meta.particles, meta.variant
+    if variant == "standard":
+        # at n = 2 sector n - 1 is sector 1
+        return {1: gens, n - 1: liealg.conjugate_rep(gens) if n > 2 else gens}
+    if variant == "nssfr":
+        return {1: gens, n - 1: gens}
+    if variant == "ucnm":
+        return {m: gens}
+    if variant != "mixed":
+        raise ValueError(f"no sector sets for variant {variant!r}")
+    if meta.pairing not in ("conjugate", "same"):
+        raise ValueError(f"unknown pairing {meta.pairing!r}")
+    second = liealg.conjugate_rep(gens) if meta.pairing == "conjugate" else gens
+    return {s: g for s, g, xi in ((m, gens, meta.xi[0]), (n - m, second, meta.xi[1])) if xi}
+
+
 def mixed_rep(
-    gens: liealg.GeneratorSet,
-    gens2: liealg.GeneratorSet,
-    n: int,
-    m: int,
-    xi_minus: int,
-    xi_plus: int,
+    gens: liealg.GeneratorSet, n: int, m: int, xi_minus: int, xi_plus: int, pairing: str,
 ) -> RepresentationResult:
     """Weighted pairing of two sector realizations on counts m and n - m.
 
     Builds  xi_minus * sum G_i^{ab} Q_ab(m)  +  xi_plus * sum G2_i^{ab}
-    Q_ab(n-m).  The two generator sets must share their structure
-    constants (gens.constants, within 1e-10); closure of the sum then follows
-    sector by sector.  With xi = (1, 0) this reduces to rep_ucnm(gens).
+    Q_ab(n-m), G2 the set pairing names (_sector_sets): "conjugate" for
+    conjugate_rep(gens), U (-G^T) U^T, or "same" for gens.  Either shares the
+    structure constants of gens, Hermitian or not, so closure follows sector
+    by sector.  With xi = (1, 0) this reduces to rep_ucnm(gens).
 
-    The conjugate set conjugate_rep(gens), U (-G^T) U^T, shares the
-    structure constants of any set gens, Hermitian or not.  With m = 1
-    and xi = (1, 1), gens2 = gens gives nssfr_un(gens, n) (G on both the
-    single-particle and the single-hole sector).  The conjugate pairing
-    gens2 = conjugate_rep(gens) gives
-    standard_rep(gens, 3) only at n = 3; for n >= 4 the bilinear
-    representation is also nonzero on the middle sectors.
+    With m = 1 and xi = (1, 1), the same pairing gives nssfr_un(gens, n) (G
+    on both the single-particle and the single-hole sector).  The conjugate
+    pairing gives standard_rep(gens, 3) only at n = 3; for n >= 4 the
+    bilinear representation is also nonzero on the middle sectors.
     """
     if xi_minus not in (0, 1) or xi_plus not in (0, 1):
         raise ValueError("sector weights must be 0 or 1")
     if xi_minus + xi_plus == 0:
         raise ValueError("at least one sector weight must be 1")
-    mbar = n - m
-    if mbar == m:
-        raise DegeneracyError(
-            f"complementary sector coincides with m={m} for n={n}"
-        )
+    if n - m == m:
+        raise DegeneracyError(f"complementary sector coincides with m={m} for n={n}")
     k = fock.sector_dimension(n, m)
-    for name, gs in (("first", gens), ("second", gens2)):
-        if gs.dim != k:
-            raise ValueError(
-                f"{name} generator dimension {gs.dim} does not match C({n},{m}) = {k}"
-            )
-    if len(gens) != len(gens2):
-        raise ValueError("generator sets have different lengths")
-    mismatch = gens.constants.max_difference(gens2.constants)
-    if mismatch > 1e-10:
-        raise ValidationError(
-            f"structure constants of the two sets differ by {mismatch:.3e}"
-        )
-
-    meta = RepMeta(
-        variant="mixed",
-        modes=n,
-        particles=m,
-        labels=gens.labels,
-        xi=(xi_minus, xi_plus),
-    )
-    return _sector_rep([(gens.flat, m)] * xi_minus + [(gens2.flat, mbar)] * xi_plus, meta)
+    if gens.dim != k:
+        raise ValueError(f"generator dimension {gens.dim} does not match C({n},{m}) = {k}")
+    meta = RepMeta("mixed", n, m, gens.labels, (xi_minus, xi_plus), pairing)
+    return _sector_rep([(g.flat, s) for s, g in _sector_sets(meta, gens).items()], meta)

@@ -486,7 +486,7 @@ def _outer_product_check(
 
 def representation_checks(
     rep: RepresentationResult | Iterable[RepresentationResult], gens: liealg.GeneratorSet,
-    tol: float = DEFAULT_TOL, second: liealg.GeneratorSet | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Closure, check_number_commutant and _block_equality_checks of rep,
     named <family>/<variant>/nXX[mYY] after rep.meta.
@@ -497,27 +497,14 @@ def representation_checks(
     (_bilinear_closure), any other's through its sets (_sector_closure).
     A family's timing sums its measured part times.
 
-    Expected blocks, every other sector vanishing: standard, G on sector 1
-    and conjugate_rep(G) on n - 1, its middle sectors left to the span
-    checks; nssfr, G on 1 and n - 1; ucnm, G on m; mixed, G on m and
-    second (the set build paired with G) on n - m, each unless its xi is 0.
+    Expected blocks: the sets of schwinger._sector_sets, every other sector
+    vanishing, except a standard one's middle sectors, left to the span checks.
     """
     constants = gens.constants  # before the parts: after them, verify --from peaked 3-7 MiB higher
     parts = iter([rep] if isinstance(rep, RepresentationResult) else rep)
     first = next(parts)
     meta, n = first.meta, first.modes
-    variant, m = meta.variant, meta.particles
-    if variant == "standard":
-        # at n = 2 sector n - 1 is sector 1
-        sets = {1: gens, n - 1: liealg.conjugate_rep(gens) if n > 2 else gens}
-    elif variant == "nssfr":
-        sets = {1: gens, n - 1: gens}
-    elif variant == "ucnm":
-        sets = {m: gens}
-    elif variant == "mixed":
-        sets = {s: g for s, g, xi in ((m, gens, meta.xi[0]), (n - m, second, meta.xi[1])) if xi}
-    else:
-        raise ValueError(f"no check catalogue for variant {variant!r}")
+    variant, m, sets = meta.variant, meta.particles, schwinger._sector_sets(meta, gens)
     parts, first = itertools.chain(iter([first]), parts), None  # a spent iterator drops its part
     vanish = (0, n) if variant == "standard" else [s for s in range(n + 1) if s not in sets]
     tag = f"{variant}/n{n:02d}" + (f"m{m:02d}" if m is not None else "")

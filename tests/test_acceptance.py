@@ -200,8 +200,7 @@ def test_10_sector_representation_closure():
 def test_11a_mixed_weights_reduce_to_sector_rep():
     # the complementary sector must differ, so use (n, m) = (3, 1)
     gens = liealg.generalized_gell_mann(3)
-    gens2 = liealg.conjugate_rep(gens)
-    mixed = schwinger.mixed_rep(gens, gens2, 3, 1, 1, 0)
+    mixed = schwinger.mixed_rep(gens, 3, 1, 1, 0, "conjugate")
     plain = schwinger.rep_ucnm(gens, 3, 1)
     worst = max(a.diff_max(b) for a, b in zip(mixed, plain))
     _criterion(
@@ -233,8 +232,8 @@ def test_11b_mixed_conjugate_pairing_reproduces_number_selective():
     """
     gm = liealg.gell_mann()
     nssfr = schwinger.nssfr_un(gm, 3)
-    same = schwinger.mixed_rep(gm, gm, 3, 1, 1, 1)
-    conj = schwinger.mixed_rep(gm, liealg.conjugate_rep(gm), 3, 1, 1, 1)
+    same = schwinger.mixed_rep(gm, 3, 1, 1, 1, "same")
+    conj = schwinger.mixed_rep(gm, 3, 1, 1, 1, "conjugate")
     bilinear = schwinger.standard_rep(gm, 3)
     same_diff = max(a.diff_max(b) for a, b in zip(same, nssfr))
     conj_diff = max(a.diff_max(b) for a, b in zip(conj, bilinear))

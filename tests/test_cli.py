@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermirep import liealg, schwinger, verify
+from fermirep import liealg, schwinger, sparse, verify
 from fermirep.cli import main as cli_main
 from fermirep.cli import matfile
 from fermirep.cli.main import (
@@ -493,8 +493,7 @@ def test_verify_from_one_generator_a_part_gives_the_in_memory_checks(tmp_path, m
     pairing = build[-1] if group == "mixed" else "conjugate"
     built, gens, _family = build_variant(group, n, m, (1, 1), pairing)
     whole = schwinger.standard_rep(gens, n) if group == "un-standard" else built[0]
-    second = liealg.conjugate_rep(gens) if pairing == "conjugate" else gens
-    memory = verify.representation_checks(whole, gens, 1e-10, second)
+    memory = verify.representation_checks(whole, gens, 1e-10)
     rc, payload, parts = _in_parts(out, monkeypatch, 1, tmp_path / "report.json")
     assert rc == EXIT_OK and [size for size, _ in parts] == [1] * len(gens)
     checks = payload["checks"]
@@ -574,6 +573,30 @@ def test_build_un_nonstandard_forms_no_bilinear_stack(tmp_path):
     # 2.4 MiB traced; 6.2 through a stack of the 121 bilinears on 2,048 states
     out = tmp_path / "nssfr11"
     assert _peak_mib(["build", "un-nonstandard", "--n", "11", "--out", str(out)]) < 3.5
+
+
+@pytest.mark.parametrize("pairing", ["conjugate", "same"])
+def test_build_mixed_forms_no_structure_constants(tmp_path, monkeypatch, pairing):
+    # both pairings keep G's constants by construction, so a build forms none;
+    # verify --from forms G's alone and closes the second set through the kernel
+    calls, original = [], liealg.structure_constants
+    monkeypatch.setattr(liealg, "structure_constants", lambda g: calls.append(g) or original(g))
+    build_variant("mixed", 5, 2, (1, 1), pairing)
+    out = tmp_path / "mixed52"
+    args = ["build", "mixed", "--n", "5", "--m", "2", "--pairing", pairing, "--out", str(out)]
+    assert main(args) == EXIT_OK and calls == []
+    assert main(["verify", "--from", str(out)]) == EXIT_OK
+    ggm = liealg.generalized_gell_mann(10)
+    assert [(g.labels, sparse.toarray(g.flat).tolist()) for g in calls] == [
+        (ggm.labels, sparse.toarray(ggm.flat).tolist())]
+
+
+@pytest.mark.parametrize("pairing", ["conjugate", "same"])
+def test_build_mixed_holds_no_more_than_its_sectors(tmp_path, pairing):
+    # 9.0 (conjugate) and 6.7 MiB (same) traced with the two sets' structure
+    # constants formed to compare them; build ucnm --n 7 --m 2 is 0.84 MiB
+    args = ["build", "mixed", "--n", "7", "--m", "2", "--pairing", pairing]
+    assert _peak_mib([*args, "--out", str(tmp_path / "mixed72")]) < 3.0
 
 
 # a build of every variant at n <= 5, and the pairing of the mixed ones
@@ -712,7 +735,7 @@ def test_verify_from_fails_every_corrupted_build(built, kind, data):
 def _assert_closure_bounds_the_kernel(out, report):
     """Every closure residual verify --from reported for a sector build is at
     least the 2^n kernel's on the operators it read, less rounding."""
-    parts, gens, _second = cli_main._load_built(out)
+    parts, gens = cli_main._load_built(out)
     ops = [op for part in parts for op in part]
     oracle = verify.check_closure(ops, liealg.structure_constants(gens), label="x").checks
     kernel = {c.name[2:]: c.residual for c in oracle}

@@ -264,10 +264,14 @@ def test_conjugate_rep_lambda3():
 
 
 def test_conjugate_rep_preserves_structure_constants():
-    gm = liealg.gell_mann()
-    sc = liealg.structure_constants(gm)
-    sc_conj = liealg.structure_constants(liealg.conjugate_rep(gm))
-    assert sc.max_difference(sc_conj) < 1e-12
+    # what lets a mixed representation pair G with its conjugate set unchecked
+    from test_schwinger import _chevalley
+    sets = [liealg.generalized_gell_mann(d) for d in range(2, 13)]
+    sets += [liealg.gell_mann(), liealg.spin1_matrices(), liealg.gellmann_from_spin1()]
+    sets += [_chevalley(d) for d in range(3, 7)]  # real, traceless, not Hermitian
+    for gens in sets:
+        sc_conj = liealg.structure_constants(liealg.conjugate_rep(gens))
+        assert gens.constants.max_difference(sc_conj) <= 1e-12, gens.labels[0]
 
 
 def test_conjugate_rep_involution():

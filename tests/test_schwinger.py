@@ -427,19 +427,18 @@ def test_rep_ucnm_dimension_error():
 
 def test_mixed_rep_reduces_to_sector_rep():
     gens = liealg.generalized_gell_mann(3)
-    gens2 = liealg.conjugate_rep(gens)
-    mixed = schwinger.mixed_rep(gens, gens2, 3, 1, 1, 0)
+    mixed = schwinger.mixed_rep(gens, 3, 1, 1, 0, "conjugate")
     plain = schwinger.rep_ucnm(gens, 3, 1)
     assert _max_diff(mixed, plain) == 0.0
 
 
 def test_mixed_rep_same_set_reproduces_number_selective():
     # pairing a set with itself on the complementary sector gives the
-    # number-selective construction
-    gm = liealg.gell_mann()
-    mixed = schwinger.mixed_rep(gm, gm, 3, 1, 1, 1)
-    nssfr = schwinger.nssfr_un(gm, 3)
-    assert _max_diff(mixed, nssfr) < 1e-12
+    # number-selective construction: the paper's uniform approach
+    for n in range(3, 9):
+        gens = liealg.generalized_gell_mann(n)
+        mixed = schwinger.mixed_rep(gens, n, 1, 1, 1, "same")
+        assert _max_diff(mixed, schwinger.nssfr_un(gens, n)) < 1e-12, n
 
 
 def test_mixed_rep_conjugate_set_reproduces_bilinear():
@@ -447,7 +446,7 @@ def test_mixed_rep_conjugate_set_reproduces_bilinear():
     # the complementary-sector restriction of a bilinear already carries the
     # conjugation, while the unit-operator restriction is the raw matrix
     gm = liealg.gell_mann()
-    mixed = schwinger.mixed_rep(gm, liealg.conjugate_rep(gm), 3, 1, 1, 1)
+    mixed = schwinger.mixed_rep(gm, 3, 1, 1, 1, "conjugate")
     std = schwinger.standard_rep(gm, 3)
     assert _max_diff(mixed, std) < 1e-12
 
@@ -460,7 +459,7 @@ def test_rep_ucnm_hermiticity_inherited():
 
 def test_mixed_rep_hermiticity_inherited():
     gm = liealg.gell_mann()
-    rep = schwinger.mixed_rep(gm, liealg.conjugate_rep(gm), 3, 1, 1, 1)
+    rep = schwinger.mixed_rep(gm, 3, 1, 1, 1, "conjugate")
     assert all(op.diff_max(op.dagger()) < 1e-13 for op in rep)
 
 
@@ -468,7 +467,7 @@ def test_mixed_rep_five_modes_closes():
     from fermirep import verify
 
     gens = liealg.generalized_gell_mann(10)
-    rep = schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 5, 2, 1, 1)
+    rep = schwinger.mixed_rep(gens, 5, 2, 1, 1, "conjugate")
     sc = liealg.structure_constants(gens)
     report = verify.check_closure(rep, sc, tol=1e-10)
     assert report.overall
@@ -491,7 +490,7 @@ def test_conjugate_constructions_close_on_a_non_hermitian_set():
     for n, m in [(3, 1), (4, 1), (5, 1), (5, 2)]:
         gens = _chevalley(math.comb(n, m))
         sc = liealg.structure_constants(gens)
-        reps = [schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), n, m, 1, 1)]
+        reps = [schwinger.mixed_rep(gens, n, m, 1, 1, "conjugate")]
         if m == 1:
             reps.append(schwinger.nssfr_un(gens, n))
         for rep in reps:
@@ -500,7 +499,7 @@ def test_conjugate_constructions_close_on_a_non_hermitian_set():
 
 def test_mixed_rep_supported_on_two_sectors():
     gens = liealg.generalized_gell_mann(10)
-    rep = schwinger.mixed_rep(gens, liealg.conjugate_rep(gens), 5, 2, 1, 1)
+    rep = schwinger.mixed_rep(gens, 5, 2, 1, 1, "conjugate")
     r2, r3 = fock.sector_indices(5, 2), fock.sector_indices(5, 3)
     for op in rep.ops[:5]:
         dense = op.to_dense()
@@ -514,51 +513,15 @@ def test_mixed_rep_errors():
     gm = liealg.gell_mann()
     gens4 = liealg.generalized_gell_mann(4)
     with pytest.raises(DegeneracyError):
-        schwinger.mixed_rep(gens4, gens4, 4, 2, 1, 1)
+        schwinger.mixed_rep(gens4, 4, 2, 1, 1, "same")
     with pytest.raises(ValueError):
-        schwinger.mixed_rep(gm, gm, 3, 1, 0, 0)
+        schwinger.mixed_rep(gm, 3, 1, 0, 0, "same")
     with pytest.raises(ValueError):
-        schwinger.mixed_rep(gm, gm, 4, 1, 1, 1)  # dimension 3 vs C(4,1) = 4
-    scaled = liealg.GeneratorSet.create([2 * m for m in gm])
-    with pytest.raises(ValidationError):
-        schwinger.mixed_rep(gm, scaled, 3, 1, 1, 1)
-
-
-def test_mixed_rep_rejects_sets_with_other_structure_constants():
-    gm = liealg.gell_mann()
-    # the same span in another order: closed, but with other constants
-    swapped = liealg.GeneratorSet.create([gm[1], gm[0], *list(gm)[2:]])
-    with pytest.raises(ValidationError, match="structure constants of the two sets differ"):
-        schwinger.mixed_rep(gm, swapped, 3, 1, 1, 1)
-    # a unitarily rotated set keeps them, so it is accepted
-    u = liealg.conjugation_matrix(3) @ np.diag([1, 1j, -1])
-    rotated = liealg.GeneratorSet.create([u @ g @ u.conj().T for g in gm])
-    assert len(schwinger.mixed_rep(gm, rotated, 3, 1, 1, 1).ops) == 8
-
-
-def test_mixed_rep_builds_one_structure_constant_tensor_for_one_set(monkeypatch):
-    from fermirep import verify
-    calls = []
-    original = liealg.structure_constants
-
-    def counting(gens, *args, **kwargs):
-        calls.append(gens)
-        return original(gens, *args, **kwargs)
-
-    monkeypatch.setattr(liealg, "structure_constants", counting)
-    gens = liealg.generalized_gell_mann(4)
-    rep = schwinger.mixed_rep(gens, gens, 4, 1, 1, 1)
-    assert calls == [gens]
-    # the set keeps its constants: checking it, or pairing it again, forms none
-    assert verify.representation_checks(rep, gens, second=gens).overall
-    assert calls == [gens]
-    conj = liealg.conjugate_rep(gens)
-    schwinger.mixed_rep(gens, conj, 4, 1, 1, 1)
-    assert calls == [gens, conj]
-    scaled = liealg.GeneratorSet.create([2 * m for m in gens])
-    with pytest.raises(ValidationError):
-        schwinger.mixed_rep(gens, scaled, 4, 1, 1, 1)
-    assert calls == [gens, conj, scaled]
+        schwinger.mixed_rep(gm, 4, 1, 1, 1, "same")  # dimension 3 vs C(4,1) = 4
+    for pairing in ("other", None):
+        for xi in ((1, 1), (1, 0)):
+            with pytest.raises(ValueError, match=f"unknown pairing {pairing!r}"):
+                schwinger.mixed_rep(gm, 3, 1, *xi, pairing)
 
 
 def test_representation_result_rejects_mixed_modes():
@@ -570,6 +533,13 @@ def test_representation_result_rejects_mixed_modes():
     stack = sparse.from_triplets([], [], np.zeros(0), (3 * 4, 4))
     with pytest.raises(ValueError):
         schwinger.RepresentationResult(stack, (np.dtype(np.int64),) * 2, schwinger.RepMeta("x", 2))
+    rep = schwinger.rep_ucnm(liealg.generalized_gell_mann(3), 3, 1)
+    for key in (slice(0, 2), 1.0, [0, 1]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            rep[key]
+    with pytest.raises(IndexError):
+        rep[8]
+    assert rep[np.int64(-1)] == rep[7]
 
 
 # -- one-product assembly against the term-by-term sum --------------------------
@@ -728,7 +698,7 @@ def test_mixed_rep_matches_term_sum(nm, kind, seed, xi, pairing):
     k = math.comb(n, m)
     gens = _conjugated(liealg.generalized_gell_mann(k), np.random.default_rng(seed), kind)
     gens2 = gens if pairing == "same" else liealg.conjugate_rep(gens)
-    rep = schwinger.mixed_rep(gens, gens2, n, m, *xi)
+    rep = schwinger.mixed_rep(gens, n, m, *xi, pairing)
     units_m, units_mbar = _oracle_units(n, m), _oracle_units(n, n - m)
     expected = []
     for g, g2 in zip(gens, gens2):
@@ -757,7 +727,7 @@ def test_mixed_rep_sector_blocks_of_both_pairings(nm, pairing, seed):
         # a rotated set is dense, and its k^3 constants grow fast beyond this
         gens = _conjugated(gens, np.random.default_rng(seed), "complex")
     second = gens if pairing == "same" else liealg.conjugate_rep(gens)
-    rep = schwinger.mixed_rep(gens, second, n, m, 1, 1)
+    rep = schwinger.mixed_rep(gens, n, m, 1, 1, pairing)
     low, high = fock.sector_indices(n, m), fock.sector_indices(n, n - m)
     for op, g, g2 in zip(rep, gens, second):
         dense = op.to_dense()

@@ -952,8 +952,8 @@ def _corrupted_representations(draw, kinds=("ucnm", "mixed", "standard")):
         if kind == "ucnm":
             ops = list(schwinger.rep_ucnm(gens, n, m).ops)
         else:
-            gens2 = gens if draw(st.booleans()) else liealg.conjugate_rep(gens)
-            ops = list(schwinger.mixed_rep(gens, gens2, n, m, 1, 1).ops)
+            pairing = "same" if draw(st.booleans()) else "conjugate"
+            ops = list(schwinger.mixed_rep(gens, n, m, 1, 1, pairing).ops)
     dim = 1 << n
     counts = fock._particle_counts(n)
     for _ in range(draw(st.integers(0, 3))):
@@ -1098,10 +1098,10 @@ def test_representation_checks_refuses_a_representation_of_another_size(variant)
 _ROUNDING = 2 * np.finfo(float).eps
 
 
-def _closure_against_the_kernel(rep, gens, second=None):
+def _closure_against_the_kernel(rep, gens):
     """The closure residuals representation_checks reports for rep and those of
     the 2^n kernel on its operators as a list (the oracle), pair by pair."""
-    report = verify.representation_checks(rep, gens, verify.DEFAULT_TOL, second)
+    report = verify.representation_checks(rep, gens, verify.DEFAULT_TOL)
     reported = [c for c in report.checks if c.name.startswith("closure/")]
     oracle = verify.check_closure(list(rep), gens.constants, label="x").checks
     assert [c.name.rsplit("/", 1)[1] for c in reported] == [c.name[2:] for c in oracle]
@@ -1111,7 +1111,7 @@ def _closure_against_the_kernel(rep, gens, second=None):
 def _mixed_cases():
     for n, m in ((5, 2), (4, 1)):
         gens = liealg.generalized_gell_mann(math.comb(n, m))
-        for pairing, second in (("same", gens), ("conjugate", liealg.conjugate_rep(gens))):
+        for pairing in ("same", "conjugate"):
             for xi in ((1, 0), (0, 1), (1, 1)):
                 yield pytest.param(n, m, pairing, xi, id=f"mixed-n{n}m{m}-{pairing}-{xi[0]}{xi[1]}")
 
@@ -1130,9 +1130,8 @@ def test_ucnm_closure_is_the_kernel_within_rounding(n, m):
 @pytest.mark.parametrize("n, m, pairing, xi", list(_mixed_cases()))
 def test_mixed_closure_is_the_kernel_within_rounding(n, m, pairing, xi):
     gens = liealg.generalized_gell_mann(math.comb(n, m))
-    second = gens if pairing == "same" else liealg.conjugate_rep(gens)
-    rep = schwinger.mixed_rep(gens, second, n, m, *xi)
-    reported, oracle = _closure_against_the_kernel(rep, gens, second)
+    rep = schwinger.mixed_rep(gens, n, m, *xi, pairing)
+    reported, oracle = _closure_against_the_kernel(rep, gens)
     assert np.max(np.abs(reported - oracle), initial=0.0) <= _ROUNDING
 
 
@@ -1151,21 +1150,20 @@ def test_nssfr_closure_bounds_the_kernel_within_1e14(n):
 def test_sector_closure_bounds_the_kernel_on_corrupted_representations(kind, data):
     n = data.draw(st.integers(3, 5))
     if kind == "nssfr":
-        gens, second = liealg.generalized_gell_mann(n), None
+        gens = liealg.generalized_gell_mann(n)
         rep = schwinger.nssfr_un(gens, n)
     else:
         m = data.draw(st.integers(1, n - 1).filter(lambda m: kind == "ucnm" or 2 * m != n))
         gens = liealg.generalized_gell_mann(math.comb(n, m))
-        second = liealg.conjugate_rep(gens) if kind == "conjugate" else gens
         rep = (schwinger.rep_ucnm(gens, n, m) if kind == "ucnm"
-               else schwinger.mixed_rep(gens, second, n, m, 1, data.draw(st.integers(0, 1))))
+               else schwinger.mixed_rep(gens, n, m, 1, data.draw(st.integers(0, 1)), kind))
     ops, dim = list(rep), 1 << n
     for _ in range(data.draw(st.integers(1, 3))):
         a, r, c = (data.draw(st.integers(0, top - 1)) for top in (len(ops), dim, dim))
         value = data.draw(st.sampled_from([1e-12, 1e-8, 0.25, -1.0, 2j]))
         ops[a] = ops[a] + FockOperator.from_entries(n, {(r, c): value})
     broken = schwinger.RepresentationResult.from_ops(ops, rep.meta)
-    reported, oracle = _closure_against_the_kernel(broken, gens, second)
+    reported, oracle = _closure_against_the_kernel(broken, gens)
     assert np.all(reported >= oracle - _ROUNDING)
 
 
