@@ -33,8 +33,9 @@ GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
 def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
     """The builder of the generator set a manifest names, refused before any
     allocation unless the set has one member per listed generator and the
-    dimension its variant needs: the mode count, or C(modes, particles)."""
-    from .. import liealg
+    dimension its variant needs: the mode count, or C(modes, particles); a
+    mixed manifest needs an xi and a pairing as mixed_rep takes them."""
+    from .. import liealg, schwinger
     family, size = manifest.get("family"), len(manifest["generators"])
     fields = family if isinstance(family, dict) else {}
     name, dim = fields.get("name"), fields.get("dim")
@@ -55,6 +56,10 @@ def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
         raise ValueError(f"family {family!r} is {dim} x {dim}, not sector {m} of {modes} modes")
     if variant not in ("standard", "nssfr", "ucnm", "mixed"):
         raise ValueError(f"variant {variant!r} is not one that build writes")
+    xi, pairing = manifest.get("xi"), manifest.get("pairing")
+    if variant == "mixed" and (xi not in ([0, 1], [1, 0], [1, 1]) or pairing not in schwinger.PAIRINGS):
+        raise ValueError(f"mixed manifest needs xi and a pairing in {schwinger.PAIRINGS}, "
+                         f"got {xi!r} and {pairing!r}")
     return build
 
 
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--xi-minus", type=int, choices=(0, 1), help="mixed only (default 1)")
     p_build.add_argument("--xi-plus", type=int, choices=(0, 1), help="mixed only (default 1)")
     p_build.add_argument(
-        "--pairing", choices=matfile.PAIRINGS,
+        "--pairing",
         help="mixed only: second set on sector n - m is the conjugate set (default) or the same set",
     )
     p_build.add_argument("--out", required=True, help="output directory")

@@ -53,7 +53,6 @@ from .._text import float_reprs, joined
 from ..fock import FockOperator, mode_capacity
 
 __all__ = [
-    "PAIRINGS",
     "MatfileError",
     "operator_to_payload",
     "payload_to_operator",
@@ -66,10 +65,6 @@ __all__ = [
 # the text of json.dumps(payload, indent=1) around an entry's row, col, re
 # and im, nested at depth 2 and led by the comma that follows an entry
 _ENTRY = (',\n  {\n   "row": ', ',\n   "col": ', ',\n   "re": ', ',\n   "im": ', '\n  }')
-
-# second set of a mixed build on sector n - m: the conjugate set, or the
-# set itself (which rebuilds the number-selective representation at m = 1)
-PAIRINGS = ("conjugate", "same")
 
 # manifest fields that verify --from reads besides generators and family
 _MANIFEST_FIELDS = {
@@ -246,11 +241,6 @@ def read_manifest(path: str | Path) -> dict:
     for key, valid in _MANIFEST_FIELDS.items():
         if not valid(manifest.get(key)):
             raise MatfileError(f"{path}: manifest {key} {manifest.get(key)!r} has the wrong type")
-    xi, pairing = manifest.get("xi"), manifest.get("pairing")
-    valid_xi = xi in ([0, 1], [1, 0], [1, 1])  # as mixed_rep takes it
-    if manifest["variant"] == "mixed" and (not valid_xi or pairing not in PAIRINGS):
-        raise MatfileError(f"{path}: mixed manifest needs xi and a pairing in {PAIRINGS}, "
-                           f"got {xi!r} and {pairing!r}")
     generators = manifest["generators"]
     if not isinstance(generators, list) or not all(
         isinstance(item, dict) and type(item.get("label")) is str

@@ -235,46 +235,46 @@ _COMMUTATOR_TERMS = 1 << 12
 
 
 def commutator_entries(
-    tall: sparse.CSR, sign: int = -1, upper: bool = False
+    flat: sparse.CSR, sign: int = -1, upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """The block rows of the matrix with block (a, b) = M_a M_b + sign M_b M_a,
     a chunk of consecutive row blocks at a time.
 
-    tall = vstack(M) for k square d x d matrices; sign -1 gives the
-    commutators [M_a, M_b], sign 1 the anticommutators.  For each chunk
-    A = [a0, a1) yields a0, a1 and the entries (rows, cols, values; int64
-    indices) of its block rows, only those of blocks b > a (b >= a for
-    sign 1) with upper.  M_a M_b is block (a, b) of tall[A] @ hstack(M),
-    and M_b M_a block (b, a) of tall @ hstack(M_A), whose entries are moved
-    to (a, b) times sign and listed after the first: entries sharing a
-    place are not summed.  Only the rows of tall holding an entry are
-    multiplied.  A chunk forms about _COMMUTATOR_TERMS product terms,
-    counted per block: each entry (r, c) of M_a meets row c of hstack(M)
-    and every entry of tall in column r.
+    Row a of the (k, d^2) record flat holds the d x d matrix M_a's entries
+    keyed r * d + c (GeneratorSet.flat, RepresentationResult.flat); sign -1
+    gives the commutators [M_a, M_b], sign 1 the anticommutators.  For each
+    chunk A = [a0, a1) yields a0, a1 and the entries (rows, cols, values;
+    int64 indices) of its block rows, only those of blocks b > a (b >= a for
+    sign 1) with upper.  With tall = vstack(M), read from the keys, M_a M_b
+    is block (a, b) of tall[A] @ hstack(M), and M_b M_a block (b, a) of
+    tall @ hstack(M_A), whose entries are moved to (a, b) times sign and
+    listed after the first: entries sharing a place are not summed.  Only
+    the rows of tall holding an entry are formed and multiplied.  A chunk
+    forms about _COMMUTATOR_TERMS product terms, counted per block: each
+    entry (r, c) of M_a meets row c of hstack(M) and every entry of tall in
+    column r.
     """
-    d = tall.shape[1]
-    k = tall.shape[0] // d
-    at = sparse.coo_rows(tall)
+    k, d = flat.shape[0], math.isqrt(flat.shape[1])
+    g, (r, c) = sparse.coo_rows(flat), np.divmod(flat.indices, d)
+    at = g * d + r  # each entry's row of tall
     # the rows of tall holding an entry, and tall with those rows alone
     starts = np.ones(len(at), dtype=bool)
     starts[1:] = at[1:] != at[:-1]
     held = at[starts]
-    packed = sparse.CSR(tall.data, tall.indices, np.append(np.flatnonzero(starts), tall.nnz),
-                        (len(held), d))
+    packed = sparse.CSR(flat.data, c, np.append(np.flatnonzero(starts), flat.nnz), (len(held), d))
     # hstack(M): entry (r, c) of M_a at (r, a * d + c)
-    wide = sparse.from_triplets(at % d, at // d * d + tall.indices, tall.data, (d, k * d))
-    terms = np.bincount(at % d, minlength=d)[tall.indices]
-    terms += np.bincount(tall.indices, minlength=d)[at % d]
-    cost = np.append(0, np.cumsum(terms))[tall.indptr[d::d]]
+    wide = sparse.from_triplets(r, g * d + c, flat.data, (d, k * d))
+    terms = np.bincount(r, minlength=d)[c]
+    terms += np.bincount(c, minlength=d)[r]
+    cost = np.append(0, np.cumsum(terms))[flat.indptr[1:]]
     del starts, terms
 
     def block_rows(a0: int, a1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, hi = np.searchsorted(held, [a0 * d, a1 * d]).tolist()
         own = slice(packed.indptr[lo], packed.indptr[hi])
-        local = at[own] - a0 * d
-        # hstack(M_A), from the entries of tall[A] alone
-        wide_a = sparse.from_triplets(local % d, local // d * d + tall.indices[own],
-                                      tall.data[own], (d, (a1 - a0) * d))
+        # hstack(M_A), from the entries of M_A alone
+        wide_a = sparse.from_triplets(r[own], (g[own] - a0) * d + c[own], flat.data[own],
+                                      (d, (a1 - a0) * d))
         ahead = sparse.matmul(sparse.take_rows(packed, slice(lo, hi)), wide)
         below = lo if upper else 0  # blocks b < a0 meet A only in pairs left out
         behind = sparse.matmul(sparse.take_rows(packed, slice(below, None)), wide_a)
@@ -300,7 +300,7 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     Solves [G_i, G_j] = sum_l c[i, j, l] G_l by projecting with the trace
     inner product through the Gram matrix, so non-orthogonal sets are
     handled too.  The commutators come from commutator_entries on the
-    set's record read as (k * dim, dim) rows, a chunk of rows i at a time;
+    set's record, a chunk of rows i at a time;
     each chunk's are flattened and projected at once through the record
     and GeneratorSet's Gram inverse.  Only the nonzero coefficients are kept
     (see StructureConstants).  Raises ClosureError if any commutator has a
@@ -311,7 +311,7 @@ def structure_constants(gens: GeneratorSet, tol: float = 1e-10) -> StructureCons
     k, d, flat = len(gens), gens.dim, gens.flat
     proj = sparse.matmul(sparse.conj_transpose(flat), gens._gram_inverse)
     records, found = [], []
-    for a0, a1, rows, cols, vals in commutator_entries(sparse.reshape(flat, (k * d, d))):
+    for a0, a1, rows, cols, vals in commutator_entries(flat):
         # row p of comm is [G_i, G_j] flattened, for the p-th pair i * k + j
         # with a nonzero commutator: a row per pair would make every index
         # pointer k^2 long

@@ -27,7 +27,7 @@ moves, and on the diagonal the sum of the held modes' coefficients
 added one at a time in ascending order from zero, so no zero part is
 negative.  The bilinear families are formed in parts, runs of
 consecutive generators that bound the entries formed at once; each
-builder joins the parts into one stack, and ``standard_parts`` hands
+builder joins the parts into one record, and ``standard_parts`` hands
 out those of ``standard_rep`` as they are formed, for the one family
 whose operators fill every sector.
 """
@@ -47,6 +47,7 @@ from .errors import DegeneracyError, ValidationError
 from .fock import FockOperator
 
 __all__ = [
+    "PAIRINGS",
     "SelectivePolynomial",
     "SectorOperatorSet",
     "RepMeta",
@@ -65,6 +66,10 @@ __all__ = [
 ]
 
 TRACELESS_TOL = 1e-12
+
+# the set a mixed representation puts on sector n - m: the conjugate set, or
+# the set itself (which rebuilds the number-selective representation at m = 1)
+PAIRINGS = ("conjugate", "same")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,9 @@ def eval_at_number_operator(p: SelectivePolynomial, n: int) -> FockOperator:
 class RepMeta:
     """Construction descriptor attached to a representation.
 
-    pairing names the set a mixed representation puts on sector n - m:
-    "conjugate" for conjugate_rep(G), "same" for G; None on any other."""
+    pairing names the set a mixed representation puts on sector n - m, one
+    of PAIRINGS: "conjugate" for conjugate_rep(G), "same" for G; None on
+    any other."""
 
     variant: str
     modes: int
@@ -172,25 +178,27 @@ class RepMeta:
 class RepresentationResult:
     """Ordered operators realizing a generator set on the occupation space.
 
-    Operator g is row block g (dim x dim) of the canonical CSR ``stack``
-    and has value type ``dtypes[g]`` on its own (int64 for the zero
-    operator, float64 for a real one).  Indexing, and iteration through
-    it, cut a fresh FockOperator from the stack on each call.
+    ``flat``, the one stored form, is a canonical (k, 4^n) CSR record: row
+    g holds operator g's entries keyed r * 2^n + c, as GeneratorSet.flat
+    holds matrix g's with its dimension in place of 2^n.  Operator g has
+    value type ``dtypes[g]`` on its own (int64 for the zero operator,
+    float64 for a real one).  Indexing, and iteration through it, cut a
+    fresh FockOperator from its row on each call.
     """
 
-    stack: sparse.CSR
+    flat: sparse.CSR
     dtypes: tuple[np.dtype, ...]
     meta: RepMeta
 
     def __post_init__(self) -> None:
-        if self.stack.shape != (len(self) << self.modes, 1 << self.modes):
-            raise ValueError(f"stack {self.stack.shape} is not {len(self)} operators")
+        if self.flat.shape != (len(self), 1 << 2 * self.modes):
+            raise ValueError(f"record {self.flat.shape} is not {len(self)} operators")
 
     @classmethod
     def from_ops(cls, ops: Sequence[FockOperator], meta: RepMeta) -> "RepresentationResult":
-        """The operators stacked in order."""
-        parts = (cls(op.mat, (op.mat.dtype,), replace(meta, labels=meta.labels[g:g + 1]))
-                 for g, op in enumerate(ops))
+        """The operators as rows of one record, in order."""
+        parts = (cls(sparse.reshape(op.mat, (1, op.dim**2)), (op.mat.dtype,),
+                     replace(meta, labels=meta.labels[g:g + 1])) for g, op in enumerate(ops))
         return _joined(parts, meta, len(ops))
 
     @property
@@ -206,42 +214,39 @@ class RepresentationResult:
 
     def __getitem__(self, g: int) -> FockOperator:
         g, dim = range(len(self))[operator.index(g)], 1 << self.modes
-        block = sparse.take_rows(self.stack, slice(g * dim, (g + 1) * dim))
-        values = block.data if self.dtypes[g].kind == "c" else block.data.real
-        return FockOperator(self.modes, sparse.with_data(block, values.astype(self.dtypes[g])))
+        row = sparse.take_rows(self.flat, slice(g, g + 1))
+        values = (row.data if self.dtypes[g].kind == "c" else row.data.real).astype(self.dtypes[g])
+        return FockOperator(self.modes, sparse.reshape(sparse.with_data(row, values), (dim, dim)))
 
 
 def _joined(
     parts: Iterable[RepresentationResult], meta: RepMeta, count: int
 ) -> RepresentationResult:
     """The operators of consecutive parts, count in all, as one representation
-    of meta labelled as the parts are: one canonical complex128 stack, each
+    of meta labelled as the parts are: one canonical complex128 record, each
     part dropped once copied in.
 
     The entry arrays double when full.  Pages of np.empty never written
     stay out of the resident set.
     """
-    dim = 1 << meta.modes
-    index = np.int32 if count * dim < 2**31 else np.int64
-    data, indices = np.empty(0, np.complex128), np.empty(0, index)
-    indptr = np.zeros(count * dim + 1, index)
-    end, row, dtypes, labels = 0, 0, [], []
+    data, indices = np.empty(0, np.complex128), np.empty(0, np.int64)
+    indptr = np.zeros(count + 1, np.int64)
+    end, dtypes, labels = 0, [], []
     for part in parts:
         if part.modes != meta.modes:
             raise ValueError(f"a part on {part.modes} modes among operators on {meta.modes}")
-        block, start, end = part.stack, end, end + part.stack.nnz
+        block, start, end = part.flat, end, end + part.flat.nnz
         if end > len(data):
             data, indices = _grown(data, start, end), _grown(indices, start, end)
         data[start:end], indices[start:end] = block.data, block.indices
-        indptr[row + 1:row + block.shape[0] + 1] = block.indptr[1:] + start
-        row += block.shape[0]
+        indptr[len(dtypes) + 1:len(dtypes) + len(part) + 1] = block.indptr[1:] + start
         dtypes += part.dtypes
         labels += part.meta.labels
     # trimmed in place: the constructor copies a slice of a much larger array
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
-    stack = sparse.CSR(data, indices, indptr, (count * dim, dim))
-    return RepresentationResult(stack, tuple(dtypes), replace(meta, labels=tuple(labels)))
+    flat = sparse.CSR(data, indices, indptr, (count, 1 << 2 * meta.modes))
+    return RepresentationResult(flat, tuple(dtypes), replace(meta, labels=tuple(labels)))
 
 
 def _grown(values: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -260,8 +265,7 @@ def _coefficient_rows(
 ) -> tuple[sparse.CSR, tuple[str, ...], int]:
     """Coefficient rows, labels and dimension of a generator argument.
 
-    Row g holds matrix g's entries row-major (a GeneratorSet's own record):
-    the term order of a stack.  Plain matrix sequences are accepted as well;
+    Row g holds matrix g's entries row-major (a GeneratorSet's own record).  Plain matrix sequences are accepted as well;
     unlike GeneratorSet they may be linearly dependent (e.g. zero matrices).
     """
     if isinstance(gens, liealg.GeneratorSet):
@@ -287,9 +291,9 @@ def _subset_sums(diagonals: np.ndarray) -> np.ndarray:
 
 
 def _bilinears(rows: sparse.CSR, n: int, sectors: Iterable[int] | None = None) -> sparse.CSR:
-    """Row block g is rho(C_g) = sum_ab C_g[a, b] a+_a a_b, C_g being row g
-    of rows, row-major; with sectors, only its rows in those particle-
-    number sectors, the others left empty.
+    """Row g is rho(C_g) = sum_ab C_g[a, b] a+_a a_b keyed as
+    RepresentationResult.flat, C_g being row g of rows, row-major; with
+    sectors, only its entries in those particle-number sectors.
 
     Written from the coefficients, with no ladder product: the diagonal
     entry of state S is the sum of C_g[a, a] over the modes a held in S
@@ -317,13 +321,16 @@ def _bilinears(rows: sparse.CSR, n: int, sectors: Iterable[int] | None = None) -
     odd = (popcount[rest & (1 << b) - 1] + popcount[rest & (1 << a) - 1]) & 1
     value = coeffs[g, t]
     moved = np.where(odd, -value, value) + 0.0
+    moves = (position[rest | 1 << a].astype(np.int64) << n) + position[rest | 1 << b]
     states = np.flatnonzero(wanted[counts])
-    sums = _subset_sums(coeffs[:, ::n + 1])[:, fock._masks(n)[states]]
+    # the wanted states' diagonal, from the 2^n subset sums of a few rows at a time
+    step = max(1, _ASSEMBLY_ENTRIES >> n)
+    sums = np.concatenate([_subset_sums(coeffs[p:p + step, ::n + 1])[:, fock._masks(n)[states]]
+                           for p in range(0, count, step)])
     return sparse.from_triplets(
-        np.concatenate([((g << n) + position[rest | 1 << a]).ravel(),
-                        (np.arange(count)[:, None] << n | states).ravel()]),
-        np.concatenate([position[rest | 1 << b].ravel(), np.tile(states, count)]),
-        np.concatenate([moved.ravel(), sums.ravel()]), (count << n, dim),
+        np.concatenate([np.broadcast_to(g, moves.shape).ravel(), np.repeat(np.arange(count), len(states))]),
+        np.concatenate([moves.ravel(), np.tile(states << n | states, count)]),
+        np.concatenate([moved.ravel(), sums.ravel()]), (count, dim * dim),
     )
 
 
@@ -345,16 +352,15 @@ _ASSEMBLY_ENTRIES = 1 << 13
 
 
 def _parts(
-    nonzero: np.ndarray, blocks: int, form: Callable[[slice], sparse.CSR],
+    formed: np.ndarray, form: Callable[[slice], sparse.CSR],
     dtypes: tuple[np.dtype, ...], meta: RepMeta,
 ) -> Iterator[RepresentationResult]:
     """The generators of meta as consecutive parts, each formed as form(run)
-    when the iteration reaches its run of coefficient rows.  Row g holds
-    nonzero[g] nonzeros in blocks n x n blocks C, each forming 2^n diagonal
-    entries and at most 2^(n-2) per nonzero C[a, b]; a run forms at most
-    _ASSEMBLY_ENTRIES entries, a row over the bound alone."""
-    ends, start = np.cumsum((blocks << meta.modes) + (nonzero << meta.modes >> 2)), 0
-    while start < len(nonzero):
+    when the iteration reaches its run of coefficient rows, row g forming
+    formed[g] entries: a run forms at most _ASSEMBLY_ENTRIES entries, a row
+    over the bound alone."""
+    ends, start = np.cumsum(formed), 0
+    while start < len(formed):
         base = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
         r, start = slice(start, stop), stop
@@ -383,8 +389,9 @@ def standard_parts(
     fock._require_modes(n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
     dtypes = _kinds(sparse.coo_rows(coeffs), coeffs.data, len(labels))
-    return _parts(np.diff(coeffs.indptr), 1,
-                  lambda r: _bilinears(sparse.take_rows(coeffs, r), n), dtypes, meta)
+    # 2^n diagonal entries per row, and at most 2^(n-2) per nonzero C[a, b]
+    formed = (1 << n) + (np.diff(coeffs.indptr) << n >> 2)
+    return _parts(formed, lambda r: _bilinears(sparse.take_rows(coeffs, r), n), dtypes, meta)
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -410,23 +417,24 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
             f"generator {gens.labels[g]} is not traceless (trace {traces[g]:.3e})"
         )
 
-    def factor(m: int) -> tuple[sparse.CSR, list[int]]:
-        """f(N; m), and the sectors it keeps, where each bilinear is formed:
-        m, and the empty and the full one."""
+    counts = fock._particle_counts(n)
+
+    def term(rows: sparse.CSR, m: int, r: slice) -> sparse.CSR:
+        """The bilinears of rows[r] times f(N; m), formed on the sectors it
+        keeps (m, and the empty and the full one) alone: each entry times its
+        column's f, as the product by the diagonal f(N; m) rounds it."""
         p = selective_function(n, m)
-        return eval_at_number_operator(p, n).mat, [s for s in range(n + 1) if p.evaluate(s)]
-
-    (f_low, on_low), (f_high, on_high) = factor(1), factor(n - 1)
-
-    def form(r: slice) -> sparse.CSR:
-        return sparse.add(
-            sparse.matmul(_bilinears(sparse.take_rows(low, r), n, on_low), f_low),
-            sparse.matmul(_bilinears(sparse.take_rows(high, r), n, on_high), f_high),
-        )
+        f = np.array([float(p.evaluate(s)) for s in range(n + 1)], np.complex128)
+        bilinears = _bilinears(sparse.take_rows(rows, r), n, np.flatnonzero(f).tolist())
+        return sparse.scaled(bilinears, f[counts[bilinears.indices & (1 << n) - 1]])
 
     meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
-    nonzero, dtypes = np.diff(low.indptr) + np.diff(high.indptr), (np.dtype("c16"),) * len(gens)
-    return _joined(_parts(nonzero, 2, form, dtypes, meta), meta, len(gens))
+    # each side forms the n + 2 diagonal entries of its kept sectors, and one
+    # move per nonzero C[a, b]
+    formed = 2 * (n + 2) + np.diff(low.indptr) + np.diff(high.indptr)
+    parts = _parts(formed, lambda r: sparse.add(term(low, 1, r), term(high, n - 1, r)),
+                   (np.dtype("c16"),) * len(gens), meta)
+    return _joined(parts, meta, len(gens))
 
 
 def nssfr_u3_explicit() -> RepresentationResult:
@@ -519,16 +527,15 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
 
 
 def unit_set(n: int, m: int) -> RepresentationResult:
-    """The operators of element_operators as one stack: Q_ij is the basis
+    """The operators of element_operators as one record: Q_ij is the basis
     outer product e_{s+i, s+j}, s the sector's first index, equal entry for
     entry to the product O+_i |vac><vac| O_j of sector_operators."""
     _require_sector(n, m)
-    dim, k, s = 1 << n, math.comb(n, m), fock._sector_starts(n)[m]
+    k, s = math.comb(n, m), fock._sector_starts(n)[m]
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
-    stack = sparse.from_triplets(
-        (i * k + j) * dim + s + i, s + j, np.ones(k * k, dtype=np.int64), (k * k * dim, dim)
-    )
-    return RepresentationResult(stack, (np.dtype(np.int64),) * k * k, RepMeta("units", n, m))
+    flat = sparse.CSR(np.ones(k * k, np.int64), ((s + i) << n) + s + j, np.arange(k * k + 1),
+                      (k * k, 1 << 2 * n))
+    return RepresentationResult(flat, (np.dtype(np.int64),) * k * k, RepMeta("units", n, m))
 
 
 def _require_sector(n: int, m: int) -> None:
@@ -537,22 +544,25 @@ def _require_sector(n: int, m: int) -> None:
     fock._require_modes(n)
 
 
-def _sector_rep(sets: Sequence[tuple[sparse.CSR, int]], meta: RepMeta) -> RepresentationResult:
-    """The operators sum_ij G[i, j] Q_ij(m) summed over the pairs (G, m) of
-    sets, G running over the rows of a set's record: each stored G[i, j]
-    of matrix g is written at (g * 2^n + s + i, s + j), s the first state
-    of sector m, with each zero part +0.0, as in the terms' sum from zero."""
-    n, count = meta.modes, sets[0][0].shape[0]
-    rows, cols, vals = [], [], []
+def _placed(sets: Iterable[tuple[sparse.CSR, int]], n: int, count: int) -> sparse.CSR:
+    """The record of count operators sum_ij G[i, j] Q_ij(m), summed over the
+    pairs (G, m) of sets: G[i, j] of matrix g in row g at (s + i) 2^n + s + j,
+    s sector m's first state, zero parts +0.0 as in the terms' sum from zero."""
+    rows, keys, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for flat, m in sets:
-        _require_sector(n, m)
         (i, j), s = np.divmod(flat.indices, math.comb(n, m)), fock._sector_starts(n)[m]
-        rows.append((sparse.coo_rows(flat) << n) + s + i)
-        cols.append(s + j)
+        rows.append(sparse.coo_rows(flat))
+        keys.append(((s + i) << n) + s + j)
         vals.append(flat.data + 0.0)
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    stack = sparse.from_triplets(rows, cols, vals, (count << n, 1 << n))
-    return _joined([RepresentationResult(stack, _kinds(rows >> n, vals, count), meta)], meta, count)
+    return sparse.from_triplets(*map(np.concatenate, (rows, keys, vals)), (count, 1 << 2 * n))
+
+
+def _sector_rep(sets: Sequence[tuple[sparse.CSR, int]], meta: RepMeta) -> RepresentationResult:
+    """The representation of meta that _placed writes from sets."""
+    for _flat, m in sets:
+        _require_sector(meta.modes, m)
+    flat = _placed(sets, meta.modes, sets[0][0].shape[0])
+    return RepresentationResult(flat, _kinds(sparse.coo_rows(flat), flat.data, flat.shape[0]), meta)
 
 
 def rep_ucnm(
@@ -589,8 +599,8 @@ def _sector_sets(meta: RepMeta, gens: liealg.GeneratorSet) -> dict[int, liealg.G
         return {m: gens}
     if variant != "mixed":
         raise ValueError(f"no sector sets for variant {variant!r}")
-    if meta.pairing not in ("conjugate", "same"):
-        raise ValueError(f"unknown pairing {meta.pairing!r}")
+    if meta.pairing not in PAIRINGS:
+        raise ValueError(f"unknown pairing {meta.pairing!r}, not one of {PAIRINGS}")
     second = liealg.conjugate_rep(gens) if meta.pairing == "conjugate" else gens
     return {s: g for s, g, xi in ((m, gens, meta.xi[0]), (n - m, second, meta.xi[1])) if xi}
 

@@ -30,6 +30,7 @@ __all__ = [
     "add",
     "subtract",
     "matmul",
+    "scaled",
     "vstack",
     "take_rows",
     "reshape",
@@ -126,9 +127,8 @@ def _pointer(rows: np.ndarray, count: int) -> np.ndarray:
     """The row pointer of count rows holding entries in the ascending rows.
 
     Each row's last entry sets the pointer past it, and a running maximum
-    carries that over the empty rows, so no other array is as long as the
-    pointer, the largest one for a unit stack's k^2 dim rows.  It is int32
-    while the entries allow, as scipy made it.
+    carries that over the empty rows.  It is int32 while the entries
+    allow, as scipy made it.
     """
     last = np.flatnonzero(np.diff(rows, append=count))
     indptr = np.zeros(count + 1, np.int32 if len(rows) < 2**31 else np.int64)
@@ -218,6 +218,12 @@ def matmul(a: CSR, b: CSR) -> CSR:
     return from_triplets(rows, b.indices[pos], vals, (a.shape[0], b.shape[1]))
 
 
+def scaled(a: CSR, factors: np.ndarray) -> CSR:
+    """a with entry t times factors[t], rounded as a matmul term and summed from zero."""
+    dtype = np.result_type(a.dtype, factors.dtype)
+    return from_triplets(coo_rows(a), a.indices, _times(a.data.astype(dtype), factors.astype(dtype)), a.shape)
+
+
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y; complex products by the textbook formula, each part rounded
     once per operation (numpy's own complex loop may fuse them with FMA)."""
@@ -281,10 +287,6 @@ def conj_transpose(a: CSR) -> CSR:
 
 def coo_rows(a: CSR) -> np.ndarray:
     """The row of each stored entry, aligned with a.indices and a.data."""
-    if a.nnz < a.shape[0]:
-        # a unit stack has one entry per dim rows: search rather than walk every row
-        # (positions of the pointer's own type, or searchsorted copies it)
-        return np.searchsorted(a.indptr, np.arange(a.nnz, dtype=a.indptr.dtype), "right") - 1
     return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
 
 

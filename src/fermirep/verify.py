@@ -64,7 +64,7 @@ def check_anticommutation(
     report = VerificationReport({"n": n, "tol": tol})
     name = f"anticomm/n{n:02d}"
     t0 = time.perf_counter()
-    keys, worst = _closure_residuals(_stack_of(ops), StructureConstants(k, rec).records, 1)
+    keys, worst = _closure_residuals(_record_of(ops), StructureConstants(k, rec).records, 1)
     resid = np.zeros(k * k)
     resid[keys] = worst
     i, j = np.divmod(np.arange(n * n), n)
@@ -76,45 +76,45 @@ def check_anticommutation(
     return report
 
 
-def _stack_of(ops: RepresentationResult | Sequence[FockOperator]) -> sparse.CSR:
-    """Operator a as row block a: a representation's own stack, or a list stacked once."""
+def _record_of(ops: RepresentationResult | Sequence[FockOperator]) -> sparse.CSR:
+    """Operator a as row a of a (k, 4^n) record: a representation's own, or a list's."""
     if isinstance(ops, RepresentationResult):
-        return ops.stack
-    return sparse.vstack([op.mat for op in ops])
+        return ops.flat
+    return sparse.vstack([sparse.reshape(op.mat, (1, op.dim**2)) for op in ops])
 
 
 def _closure_residuals(
-    tall: sparse.CSR, records: Callable[[int, int], np.ndarray], sign: int = -1
+    flat: sparse.CSR, records: Callable[[int, int], np.ndarray], sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block maxima of [r_a, r_b] - sum_l c[a, b, l] r_l over all pairs a < b.
 
-    The r_a are the row blocks of tall, and records(a0, a1) gives the
+    Row a of the (k, d^2) record flat holds r_a's entries keyed r * d + c
+    (a GeneratorSet's or a representation's), and records(a0, a1) gives the
     coefficient records (a, b, l, v) with a in [a0, a1), in the order of
-    StructureConstants.c.  For each chunk of row blocks a of
-    liealg.commutator_entries, one sparse matrix over the full 2^n space
-    sums block (a, b)'s commutator entries and, for each record with
+    StructureConstants.c.  For each chunk of operators a of
+    liealg.commutator_entries, one sparse matrix over the full d-dimensional
+    space sums block (a, b)'s commutator entries and, for each record with
     a < b, -v times every stored entry of r_l.  With sign 1 the
     anticommutator {r_a, r_b} takes the commutator's place, and the pairs
     a = b are included.  Returns the sorted keys a * k + b of the blocks
     holding a nonzero entry and, aligned with them, each block's largest
     absolute entry.
     """
-    dim = tall.shape[1]
-    k = tall.shape[0] // dim
-    first, local = tall.indptr[::dim], sparse.coo_rows(tall) % dim
+    k, dim = flat.shape[0], math.isqrt(flat.shape[1])
+    first, (local, col) = flat.indptr, np.divmod(flat.indices, dim)
     sizes = np.diff(first)
     keys, worst = [], []
-    for a0, a1, rows, cols, vals in liealg.commutator_entries(tall, sign, upper=True):
+    for a0, a1, rows, cols, vals in liealg.commutator_entries(flat, sign, upper=True):
         # record c[t] is repeated once for each stored entry pos of its r_l,
-        # which are tall's entries first[l] to first[l + 1] - 1
+        # which are flat's entries first[l] to first[l + 1] - 1
         c = records(a0, a1)
         c = c[c["i"] < c["j"] + (sign > 0)]
         per = sizes[c["l"]]
         which = np.repeat(np.arange(len(c)), per)
         pos = np.arange(len(which)) + np.repeat(first[c["l"]] - np.cumsum(per) + per, per)
         rows = np.concatenate([rows, c["i"][which] * dim + local[pos]])
-        cols = np.concatenate([cols, c["j"][which] * dim + tall.indices[pos]])
-        vals = np.concatenate([vals, -c["value"][which] * tall.data[pos]])
+        cols = np.concatenate([cols, c["j"][which] * dim + col[pos]])
+        vals = np.concatenate([vals, -c["value"][which] * flat.data[pos]])
         del c, which, pos
         diff = sparse.from_triplets(rows - a0 * dim, cols, vals, ((a1 - a0) * dim, k * dim))
         # freed before the block keys are formed
@@ -141,16 +141,16 @@ def check_closure(
     matrix over the full 2^n space (_closure_residuals), so entries joining
     sectors count like any other.
     """
-    stack = _stack_of(rep)
-    k = stack.shape[0] // stack.shape[1]
+    flat = _record_of(rep)
+    k = flat.shape[0]
     if constants.size != k:
         raise ValueError(
             f"representation has {k} operators but constants are for {constants.size}"
         )
     t0 = time.perf_counter()
     if isinstance(rep, RepresentationResult) and rep.meta.variant == "standard":
-        return _bilinear_closure([_span(stack, rep.modes)], constants, tol, label, t0)
-    return _pair_checks(k, [_closure_residuals(stack, constants.records)], tol, label, t0)
+        return _bilinear_closure([_span(flat, rep.modes)], constants, tol, label, t0)
+    return _pair_checks(k, [_closure_residuals(flat, constants.records)], tol, label, t0)
 
 
 def _pair_checks(
@@ -180,8 +180,7 @@ def _sector_closure(
     what they add, w_a = ||X_a||_inf + ||X_a||_1 (over sets) + 2^n d_a (2^n d_a >= ||D_a||_inf)."""
     delta = np.array(block.residuals)
     k, records = len(delta), gens.constants.records
-    residuals = [gens.constants.residuals if s is gens else
-                 _closure_residuals(sparse.reshape(s.flat, (k * s.dim, s.dim)), records)
+    residuals = [gens.constants.residuals if s is gens else _closure_residuals(s.flat, records)
                  for s in sets]
     w = np.max([[np.bincount(sparse.coo_rows(s.flat) * s.dim + x, np.abs(s.flat.data), k * s.dim)
                  .reshape(k, -1).max(axis=1) for x in np.divmod(s.flat.indices, s.dim)]
@@ -220,30 +219,29 @@ _DIAGONAL_PAIRS = 16
 _SPAN_ENTRIES = 1 << 15
 
 
-def _span(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _span(flat: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows C_g (row-major), read exactly as the one-particle blocks of
-    operators r_g, and max |r_g - rho(C_g)| with rho(C_g) = sum_ab C_g[a, b]
-    a+_a a_b, read from r_g's stored entries: at (S', S) rho(C_g) holds the
-    sum of C_g[a, a] over a in S (ascending, as the builder adds it) if S'
-    = S, C_g[a, b] signed as a+_a a_b signs it if S' = S - b + a, else 0.
-    The places it fills and r_g lacks are counted: each C_g[a, b] != 0
-    (a != b) fills 2^(n-2), and each nonzero diagonal sum one.
+    operators r_g (the rows of flat, keyed as RepresentationResult.flat), and
+    max |r_g - rho(C_g)| with rho(C_g) = sum_ab C_g[a, b] a+_a a_b, read
+    from r_g's stored entries: at (S', S) rho(C_g) holds the sum of
+    C_g[a, a] over a in S (ascending, as the builder adds it) if S' = S,
+    C_g[a, b] signed as a+_a a_b signs it if S' = S - b + a, else 0.  The
+    places it fills and r_g lacks are counted: each C_g[a, b] != 0 (a != b)
+    fills 2^(n-2), and each nonzero diagonal sum one.
     """
-    dim, k = 1 << n, stack.shape[0] >> n
-    one = sparse.take_rows(stack, (np.arange(k)[:, None] * dim + np.arange(1, n + 1)).ravel())
-    rows, cols = sparse.coo_rows(one), one.indices
-    inside = (cols >= 1) & (cols <= n)
-    coeffs = np.zeros((k * n, n), dtype=np.complex128)
-    coeffs[rows[inside], cols[inside] - 1] = one.data[inside]
-    coeffs, span = coeffs.reshape(k, n * n), np.zeros(k)
+    dim, k = 1 << n, flat.shape[0]
+    coeffs, span = np.zeros((k, n * n), dtype=np.complex128), np.zeros(k)
     # popcount[S] counts the modes in bitmask S, so popcount[(1 << a) - 1] = a
     masks, popcount = fock._masks(n), fock._particle_counts(n)[fock._state_positions(n)]
-    cost = np.cumsum(np.diff(stack.indptr[::dim]) + dim)
+    cost = np.cumsum(np.diff(flat.indptr) + dim)
     starts = np.unique(cost // _SPAN_ENTRIES, return_index=True)[1]
     for start, stop in zip(starts, [*starts[1:], k]):
-        block, part = sparse.take_rows(stack, slice(start * dim, stop * dim)), coeffs[start:stop]
-        local = sparse.coo_rows(block)
-        g, source, target = local >> n, masks[block.indices], masks[local & dim - 1]
+        block, part = sparse.take_rows(flat, slice(start, stop)), coeffs[start:stop]
+        g, (row, col) = sparse.coo_rows(block), np.divmod(block.indices, dim)
+        # the one-particle states are 1..n, state a holding mode a alone
+        one = (row >= 1) & (row <= n) & (col >= 1) & (col <= n)
+        part[g[one], (row[one] - 1) * n + col[one] - 1] = block.data[one]
+        source, target = masks[col], masks[row]
         gained, lost = target & ~source, source & ~target
         move, same = (popcount[gained] == 1) & (popcount[lost] == 1), target == source
         sums = _subset_sums(part[:, ::n + 1])  # rho(C_g)'s diagonal, by bitmask
@@ -299,15 +297,11 @@ def _group_maxima(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndar
     return worst
 
 
-def _entry_sectors(stack: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Particle counts (int8) of each stored entry's row and column in a stack
-    of operators on n modes, the rows' read from the row pointer at the first
-    row of each sector of each operator: no row index per entry is formed."""
-    dim, k = 1 << n, stack.shape[0] >> n
-    firsts = np.arange(k)[:, None] * dim + fock._sector_starts(n)[:-1]
-    sizes = np.diff(stack.indptr[np.append(firsts, k * dim)])
-    rows = np.repeat(np.tile(np.arange(n + 1, dtype=np.int8), k), sizes)
-    return rows, fock._particle_counts(n).astype(np.int8)[stack.indices]
+def _entry_sectors(flat: sparse.CSR, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Particle counts (int8) of each stored entry's row and column in a
+    record of operators on n modes, read from its key r * 2^n + c."""
+    counts = fock._particle_counts(n).astype(np.int8)
+    return counts[flat.indices >> n], counts[flat.indices & (1 << n) - 1]
 
 
 def _operator_checks(
@@ -344,7 +338,7 @@ def check_eij_algebra(
     t0 = time.perf_counter()
     # the records of each chunk's units only: all 2k^3 would be 40 bytes each
     keys, worst = _closure_residuals(
-        _stack_of(units), lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c
+        _record_of(units), lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c
     )
     # the kernel keeps blocks (a, b) with a < b; block (b, a) is its negative
     row_worst = np.zeros(size)
@@ -365,20 +359,19 @@ def check_number_commutant(
 
     N_total is diagonal with entries d, so entry (r, c) of the commutator
     is v * d[c] - d[r] * v for each stored entry v of op: the residuals
-    come from the stacked operators' own entries in one pass, without a
-    sparse product.
+    come from the record's own entries in one pass, without a sparse
+    product.
     """
-    stack = _stack_of(rep)
-    dim = 1 << n
-    if stack.shape[1] != dim:
-        raise ValueError(f"operators of {stack.shape[1]} states are not on {n} modes")
+    flat = _record_of(rep)
+    if flat.shape[1] != 1 << 2 * n:
+        raise ValueError(f"operators of {math.isqrt(flat.shape[1])} states are not on {n} modes")
     tags = rep.meta.labels if isinstance(rep, RepresentationResult) else ()
     t0 = time.perf_counter()
-    rows, cols = _entry_sectors(stack, n)
+    rows, cols = _entry_sectors(flat, n)
     # an entry within one sector gives v * d - d * v = 0; only the others are formed
     moved = np.flatnonzero(rows != cols)
-    v, ops = stack.data[moved], np.searchsorted(stack.indptr[::dim], moved, "right") - 1
-    resid = _group_maxima(ops, v * cols[moved] - rows[moved] * v, stack.shape[0] >> n)
+    v, ops = flat.data[moved], np.searchsorted(flat.indptr, moved, "right") - 1
+    resid = _group_maxima(ops, v * cols[moved] - rows[moved] * v, flat.shape[0])
     report = _operator_checks(resid, tol, label, t0, tags)
     report.params["n"] = n
     return report
@@ -401,9 +394,9 @@ def block_decompose(op: FockOperator) -> BlockDecomposition:
     offset.  The off-block norm is the largest absolute entry of the
     others; it is zero exactly when the operator is number conserving.
     """
-    n, mat = op.modes, op.mat
-    sector, col_sector = _entry_sectors(mat, n)
-    rows, cols, inside = sparse.coo_rows(mat), mat.indices, sector == col_sector
+    n, mat, counts = op.modes, op.mat, fock._particle_counts(op.modes)
+    rows, cols = sparse.coo_rows(mat), mat.indices
+    sector, inside = counts[rows], counts[rows] == counts[cols]
     blocks = {}
     for m in range(n + 1):
         start, size = fock._sector_starts(n)[m], math.comb(n, m)
@@ -421,12 +414,12 @@ def compare_ops(
     label: str = "compare",
 ) -> VerificationReport:
     """Entrywise difference between two equal-length operator lists."""
-    stack_a, stack_b = _stack_of(a), _stack_of(b)
-    if stack_a.shape != stack_b.shape:
-        raise ValueError(f"stacks differ: {stack_a.shape} vs {stack_b.shape}")
+    flat_a, flat_b = _record_of(a), _record_of(b)
+    if flat_a.shape != flat_b.shape:
+        raise ValueError(f"records differ: {flat_a.shape} vs {flat_b.shape}")
     t0 = time.perf_counter()
-    diff, dim = sparse.subtract(stack_a, stack_b), stack_a.shape[1]
-    resid = _group_maxima(sparse.coo_rows(diff) // dim, diff.data, diff.shape[0] // dim)
+    diff = sparse.subtract(flat_a, flat_b)
+    resid = _group_maxima(sparse.coo_rows(diff), diff.data, diff.shape[0])
     return _operator_checks(resid, tol, label, t0)
 
 
@@ -442,26 +435,20 @@ def _block_equality_checks(
     """Sector blocks of each operator against expected matrices, the checks
     numbered from first.
 
-    Blocks in expected_blocks (records as GeneratorSet.flat) are compared
-    entrywise on the operators' rows in their sector at once; sectors in
-    must_vanish must be zero, others unconstrained; off-block entries always count.
+    Blocks in expected_blocks (records as GeneratorSet.flat) are placed in
+    one expected record, subtracted from the entries that count at once:
+    those of the expected sectors and of must_vanish, which must be zero,
+    and every off-block entry.  Other sectors are unconstrained.
     """
-    stack = _stack_of(rep)
-    dim, k = 1 << n, stack.shape[0] >> n
-    t0 = time.perf_counter()
-    sector, col_sector = _entry_sectors(stack, n)
-    vanishing = np.isin(np.arange(n + 1), list(must_vanish))
-    plain = np.flatnonzero((sector != col_sector) | vanishing[sector])
-    ops = np.searchsorted(stack.indptr[::dim], plain, "right") - 1
-    resid = _group_maxima(ops, stack.data[plain], k)
-    for m, flat in expected_blocks.items():
-        start, d = fock._sector_starts(n)[m], math.comb(n, m)
-        rows = np.arange(k)[:, None] * dim + start + np.arange(d)
-        taken = sparse.take_rows(stack, rows.ravel())
-        (i, j), g = np.divmod(flat.indices, d), sparse.coo_rows(flat)
-        expected = sparse.from_triplets(g * d + i, start + j, flat.data, taken.shape)
-        diff = sparse.subtract(taken, expected)
-        np.maximum(resid, _group_maxima(sparse.coo_rows(diff) // d, diff.data, k), out=resid)
+    flat = _record_of(rep)
+    k, t0 = flat.shape[0], time.perf_counter()
+    sector, col_sector = _entry_sectors(flat, n)
+    counted = np.isin(np.arange(n + 1), [*must_vanish, *expected_blocks])
+    kept = np.flatnonzero((sector != col_sector) | counted[sector])
+    checked = sparse.CSR(flat.data[kept], flat.indices[kept], np.searchsorted(kept, flat.indptr), flat.shape)
+    expected = schwinger._placed([(b, m) for m, b in expected_blocks.items()], n, k)
+    diff = sparse.subtract(checked, expected)
+    resid = _group_maxima(sparse.coo_rows(diff), diff.data, k)
     return _operator_checks(resid, tol, label, t0, [f"{a:03d}" for a in range(first, first + k)])
 
 
@@ -472,13 +459,11 @@ def _outer_product_check(
     report = VerificationReport({"label": label, "tol": tol})
     s, k = fock._sector_starts(n)[m], fock.sector_dimension(n, m)
     t0 = time.perf_counter()
-    stack = _stack_of(units)
+    flat = _record_of(units)
     a = np.arange(k * k)
     i, j = np.divmod(a, k)
-    expected = sparse.from_triplets(
-        a * (1 << n) + s + i, s + j, np.ones(k * k, dtype=np.int64), stack.shape
-    )
-    diff = sparse.subtract(stack, expected)
+    expected = sparse.from_triplets(a, ((s + i) << n) + s + j, np.ones(k * k, dtype=np.int64), flat.shape)
+    diff = sparse.subtract(flat, expected)
     report.add_batch([label], [np.max(np.abs(diff.data), initial=0.0)], tol)
     report.timings[label] = time.perf_counter() - t0
     return report
@@ -513,7 +498,7 @@ def representation_checks(
     for part in parts:
         t0, stop = time.perf_counter(), start + len(part)
         if variant == "standard":
-            read.append(_span(part.stack, n))
+            read.append(_span(part.flat, n))
             seconds += time.perf_counter() - t0
         numcomm.extend(check_number_commutant(part, n, tol, label=f"numcomm/{tag}"))
         own = {s: sparse.take_rows(g.flat, slice(start, stop)) for s, g in sets.items()}
@@ -532,8 +517,9 @@ def representation_checks(
 
 # run_suite checks rep_ucnm on the sectors of dimension k = C(n, m) up to
 # this k.  Without it run_suite(6) also checks k = 15, 15 and 20: 149,434
-# checks instead of 18,387, 0.22-0.33 s instead of 0.08-0.12 s and 81 MiB
-# of peak RSS instead of 37 MiB (2-vCPU VM, in-process, fresh processes)
+# checks instead of 18,387, 0.49-0.56 s instead of 0.12-0.21 s and 80 MiB
+# of peak RSS instead of 37 MiB (2-vCPU VM, in-process, fresh processes);
+# tracemalloc sees at most 18.5 MiB of those 80
 _MAX_SECTOR_REP_DIM = 10
 
 

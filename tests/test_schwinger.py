@@ -119,9 +119,15 @@ def test_standard_rep_zero_generator():
     assert rep[0].nnz == 0
 
 
+def _tall(flat, n):
+    """A record of operators on n modes read as their (k * 2^n, 2^n) stack."""
+    return sparse.reshape(flat, (flat.shape[0] << n, 1 << n))
+
+
 def _identity_bilinears(n):
-    """rho(e_ab) = a+_a a_b for every a, b, row-major, from identity rows."""
-    return schwinger._bilinears(sparse.from_dense(np.eye(n * n)), n)
+    """rho(e_ab) = a+_a a_b for every a, b, row-major, from identity rows,
+    as their stack."""
+    return _tall(schwinger._bilinears(sparse.from_dense(np.eye(n * n)), n), n)
 
 
 def test_bilinears_of_identity_rows_are_the_ladder_products():
@@ -157,7 +163,8 @@ def test_bilinears_on_some_sectors_are_those_rows_of_all_of_them(n, count, seed,
     sectors = data.draw(st.sets(st.integers(0, n)))
     rows = sparse.from_dense(coeffs)
     whole, some = schwinger._bilinears(rows, n), schwinger._bilinears(rows, n, sectors)
-    assert some.shape == whole.shape
+    assert some.shape == whole.shape == (count, 1 << 2 * n)
+    whole, some = _tall(whole, n), _tall(some, n)
     rows = np.flatnonzero(np.isin(np.tile(fock._particle_counts(n), count), list(sectors)))
     want = sparse.take_rows(whole, rows)
     got = sparse.take_rows(some, rows)
@@ -180,7 +187,8 @@ def test_nssfr_un_forms_its_bilinears_on_the_kept_sectors_only(monkeypatch):
 
     monkeypatch.setattr(schwinger, "_bilinears", counted)
     rep = schwinger.nssfr_un(gens, 12)
-    assert rep.stack.nnz == 714 and sum(formed) <= 2 * rep.stack.nnz
+    # one part: one call for G's bilinears, one for its conjugate's
+    assert rep.flat.nnz == 714 and sum(formed) <= 2 * rep.flat.nnz and len(formed) == 2
     monkeypatch.undo()
     tracemalloc.start()
     try:
@@ -188,7 +196,7 @@ def test_nssfr_un_forms_its_bilinears_on_the_kept_sectors_only(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 4.1 MiB forming the whole bilinears; the result's row pointer alone is 2.2 MiB
+    # 4.1 MiB forming the whole bilinears; 0.76 MiB in one part as a record
     assert peak < 3.8 * 2**20
 
 
@@ -530,9 +538,10 @@ def test_representation_result_rejects_mixed_modes():
             (FockOperator.zero(2), FockOperator.zero(3)),
             schwinger.RepMeta(variant="x", modes=2),
         )
-    stack = sparse.from_triplets([], [], np.zeros(0), (3 * 4, 4))
-    with pytest.raises(ValueError):
-        schwinger.RepresentationResult(stack, (np.dtype(np.int64),) * 2, schwinger.RepMeta("x", 2))
+    for shape in ((3, 16), (2, 4 * 4 * 4), (2 * 4, 4)):
+        flat = sparse.from_triplets([], [], np.zeros(0), shape)
+        with pytest.raises(ValueError, match="is not 2 operators"):
+            schwinger.RepresentationResult(flat, (np.dtype(np.int64),) * 2, schwinger.RepMeta("x", 2))
     rep = schwinger.rep_ucnm(liealg.generalized_gell_mann(3), 3, 1)
     for key in (slice(0, 2), 1.0, [0, 1]):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -751,9 +760,10 @@ def test_representation_views_are_fresh_copies_of_row_blocks():
     first = rep[0]
     with pytest.raises(ValueError, match="read-only"):
         first.mat.data[:] = 0
-    assert not np.shares_memory(first.mat.data, rep.stack.data)
+    assert not np.shares_memory(first.mat.data, rep.flat.data)
+    tall = _tall(rep.flat, 3)
     for g, op in enumerate(rep):
-        assert op == FockOperator(3, sparse.take_rows(rep.stack, slice(g * dim, (g + 1) * dim)))
+        assert op == FockOperator(3, sparse.take_rows(tall, slice(g * dim, (g + 1) * dim)))
     # the gell-mann set has real, imaginary and diagonal members
     assert {op.mat.dtype for op in rep} == {np.dtype(np.float64), np.dtype(np.complex128)}
 
@@ -775,7 +785,7 @@ def _unit_stack_from_sector_operators(n, m):
 def test_unit_stack_equals_the_sector_operator_products():
     for n in range(2, 9):
         for m in range(1, n):
-            got, want = schwinger.unit_set(n, m).stack, _unit_stack_from_sector_operators(n, m)
+            got, want = _tall(schwinger.unit_set(n, m).flat, n), _unit_stack_from_sector_operators(n, m)
             assert got.shape == want.shape and got.dtype == want.dtype == np.int64
             for field in ("indptr", "indices", "data"):
                 a, b = getattr(got, field), getattr(want, field)
@@ -788,3 +798,86 @@ def test_unit_set_is_the_element_operator_list():
     assert all(a == b for a, b in zip(units, schwinger.element_operators(4, 2)))
     with pytest.raises(ValueError):
         schwinger.unit_set(4, 4)
+
+
+# -- one record per operator set: index it, and each operator comes back --------
+
+
+def _entries(op):
+    """An operator's keys r * 2^n + c, value type and value bytes."""
+    keys = sparse.coo_rows(op.mat) * op.dim + op.mat.indices
+    return keys.tolist(), op.mat.dtype, op.mat.data.tobytes()
+
+
+def _stored(rep, g):
+    """Row g of rep's record as _entries reads an operator, at its own type."""
+    row, dtype = sparse.take_rows(rep.flat, [g]), rep.dtypes[g]
+    values = row.data if dtype.kind == "c" else row.data.real
+    return row.indices.tolist(), dtype, values.astype(dtype).tobytes()
+
+
+# zero parts of both signs, and integers that cancel nothing
+_PARTS = [0.0, -0.0, 1.5, -2.25, 1e-300, -7.0]
+
+
+@st.composite
+def _operator_lists(draw):
+    """Operators on n <= 6 modes of int64, float64 or complex128 entries,
+    complex ones with zero parts of either sign."""
+    n = draw(st.integers(1, 6))
+    dim, ops = 1 << n, []
+    for _ in range(draw(st.integers(1, 4))):
+        places = sorted(draw(st.sets(st.integers(0, dim * dim - 1), max_size=12)))
+        kind = draw(st.sampled_from(["i8", "f8", "c16"]))
+        if kind == "i8":
+            vals = np.array([draw(st.integers(1, 9)) * draw(st.sampled_from([-1, 1]))
+                             for _ in places], np.int64)
+        elif kind == "f8":
+            vals = np.array([draw(st.sampled_from(_PARTS[2:])) for _ in places], np.float64)
+        else:
+            vals = np.array([complex(*draw(st.sampled_from(
+                [(x, y) for x in _PARTS for y in _PARTS if x or y]))) for _ in places], np.complex128)
+        rows, cols = np.divmod(np.array(places, np.int64), dim)
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        ops.append(FockOperator(n, sparse.CSR(vals, cols, indptr, (dim, dim))))
+    return ops
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_operator_lists())
+def test_from_ops_then_index_gives_back_each_operator_bit_for_bit(ops):
+    rep = schwinger.RepresentationResult.from_ops(ops, schwinger.RepMeta("x", ops[0].modes))
+    assert rep.flat.shape == (len(ops), 1 << 2 * ops[0].modes)
+    for g, op in enumerate(ops):
+        assert _entries(rep[g]) == _entries(op) == _stored(rep, g)
+
+
+def _built(case):
+    n, m, kind = case
+    ggm = liealg.generalized_gell_mann
+    if kind == "standard":
+        return schwinger.standard_rep(ggm(n), n)
+    if kind == "nssfr":
+        return schwinger.nssfr_un(ggm(n), n)
+    if kind == "units":
+        return schwinger.unit_set(n, m)
+    if kind == "ucnm":
+        return schwinger.rep_ucnm(ggm(math.comb(n, m)), n, m)
+    return schwinger.mixed_rep(ggm(math.comb(n, m)), n, m, 1, 1, kind)
+
+
+# every builder at n <= 6, on sectors of dimension up to 10
+_BUILT = [
+    *((n, None, "standard") for n in range(2, 7)),
+    *((n, None, "nssfr") for n in range(3, 7)),
+    *((n, m, kind) for n in range(2, 7) for m in range(1, n) if math.comb(n, m) <= 10
+      for kind in ("units", "ucnm", *(schwinger.PAIRINGS if 2 * m != n else ()))),
+]
+
+
+@pytest.mark.parametrize("case", _BUILT, ids=[f"{k}-{n}-{m}" for n, m, k in _BUILT])
+def test_every_builder_indexes_its_record_back_bit_for_bit(case):
+    rep = _built(case)
+    again = schwinger.RepresentationResult.from_ops(list(rep), rep.meta)
+    for g in range(len(rep)):
+        assert _entries(rep[g]) == _stored(rep, g) == _entries(again[g])

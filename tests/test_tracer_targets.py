@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from fermirep import liealg, schwinger
+from fermirep import liealg, schwinger, sparse
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -53,4 +53,6 @@ def test_nnz_hook_reads_the_per_operator_view_as_the_stack():
         schwinger.nssfr_un(ggm(4), 4),
         schwinger.rep_ucnm(ggm(6), 4, 2),
     ):
-        assert value((), {}, rep) == rep.stack.nnz > 0
+        # the operators as one (k * 2^n, 2^n) stack
+        tall = sparse.reshape(rep.flat, (len(rep) << rep.modes, 1 << rep.modes))
+        assert value((), {}, rep) == tall.nnz > 0

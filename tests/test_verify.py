@@ -1018,7 +1018,7 @@ def _spanned_stacks(draw):
         elif kind == "integer":
             # diagonal sums that cancel exactly leave places rho(C_g) does not fill
             coeffs[g] = np.diag(rng.integers(-1, 2, size=n))
-    stack = schwinger.standard_rep(coeffs, n).stack
+    stack = _tall(schwinger.standard_rep(coeffs, n).flat)
     dim, masks = 1 << n, fock.build_basis(n)
     rows, cols, data = sparse.coo_rows(stack), stack.indices, stack.data.copy()
     what = draw(st.sampled_from(["none", "perturb", "delete", "off-pattern", "diagonal", "flip"]))
@@ -1055,7 +1055,7 @@ def test_span_from_stored_entries_equals_the_rebuilt_oracle(case, bound):
     with pytest.MonkeyPatch.context() as mp:
         # small bounds take the operators in several groups
         mp.setattr(verify, "_SPAN_ENTRIES", bound)
-        coeffs, span = verify._span(stack, n)
+        coeffs, span = verify._span(_flat(stack), n)
     want_coeffs, want_span = _span_oracle(stack, n)
     assert coeffs.tobytes() == want_coeffs.tobytes()
     assert span.tobytes() == want_span.tobytes()
@@ -1071,9 +1071,9 @@ def test_representation_checks_drops_each_part_once_checked(monkeypatch):
             yielded.append(weakref.ref(part))
             yield part
 
-    def counted(stack, modes):
+    def counted(flat, modes):
         alive.append(sum(ref() is not None for ref in yielded))
-        return span(stack, modes)
+        return span(flat, modes)
 
     monkeypatch.setattr(verify, "_span", counted)
     report = verify.representation_checks(parts(), gens)
@@ -1320,6 +1320,23 @@ def test_one_body_closure_equals_the_kernel_on_random_bilinears(n, k, seed):
 # -- the closure kernel against the scipy.sparse kernel it replaced --------------
 
 
+def _stack(ops):
+    """The operators as consecutive row blocks: the oracles' (k * dim, dim) form."""
+    return sparse.vstack([op.mat for op in ops])
+
+
+def _tall(flat):
+    """A (k, d^2) record read as the (k * d, d) stack of its matrices."""
+    d = math.isqrt(flat.shape[1])
+    return sparse.reshape(flat, (flat.shape[0] * d, d))
+
+
+def _flat(tall):
+    """A (k * d, d) stack read as the (k, d^2) record of its matrices."""
+    d = tall.shape[1]
+    return sparse.reshape(tall, (tall.shape[0] // d, d * d))
+
+
 def _scipy_closure_residuals(tall, constants, sign=-1):
     """_closure_residuals as written on scipy.sparse: the same terms, with the
     terms at one place summed in the order of scipy's unstable per-row sort."""
@@ -1370,11 +1387,11 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
     # through the kernel; the representations close through their sets
     kernel, gaps = verify._closure_residuals, []
 
-    def compared(tall, records, sign=-1):
-        keys, worst = kernel(tall, records, sign)
-        k = tall.shape[0] // tall.shape[1]
+    def compared(flat, records, sign=-1):
+        keys, worst = kernel(flat, records, sign)
+        k = flat.shape[0]
         constants = liealg.StructureConstants(k, records(0, k))
-        gaps.append(_scipy_kernel_gap(tall, constants, sign, keys, worst))
+        gaps.append(_scipy_kernel_gap(_tall(flat), constants, sign, keys, worst))
         return keys, worst
 
     monkeypatch.setattr(verify, "_closure_residuals", compared)
@@ -1391,9 +1408,8 @@ def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_run_suite6(monk
 @given(_corrupted_representations())
 def test_closure_kernel_stays_within_1e15_of_the_scipy_kernel_on_corrupted_sets(case):
     ops, sc = case
-    tall = verify._stack_of(ops)
-    keys, worst = verify._closure_residuals(tall, sc.records)
-    assert _scipy_kernel_gap(tall, sc, -1, keys, worst) <= 1e-15
+    keys, worst = verify._closure_residuals(verify._record_of(ops), sc.records)
+    assert _scipy_kernel_gap(_stack(ops), sc, -1, keys, worst) <= 1e-15
 
 
 # -- the chunked kernel against the whole-set kernel it replaced ------------------
@@ -1469,10 +1485,10 @@ def _whole_set_structure_constants(gens, tol=1e-10):
     return liealg.StructureConstants(k, records)
 
 
-def _whole_set_kernel(tall, records, sign=-1):
+def _whole_set_kernel(flat, records, sign=-1):
     """_closure_residuals' signature on the whole-set kernel, all records at once."""
-    k = tall.shape[0] // tall.shape[1]
-    return _whole_set_closure_residuals(tall, liealg.StructureConstants(k, records(0, k)), sign)
+    k = flat.shape[0]
+    return _whole_set_closure_residuals(_tall(flat), liealg.StructureConstants(k, records(0, k)), sign)
 
 
 # the default chunk bound, and one row block per chunk
@@ -1511,11 +1527,10 @@ def _same_report(check, *args, **kwargs):
 @given(case=_corrupted_representations())
 def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_sets(bound, case):
     ops, sc = case
-    tall = verify._stack_of(ops)
     with _chunk_bound(bound):
-        got = verify._closure_residuals(tall, sc.records)
+        got = verify._closure_residuals(verify._record_of(ops), sc.records)
         _same_report(verify.check_closure, ops, sc)
-    assert _same_bits(got, _whole_set_closure_residuals(tall, sc))
+    assert _same_bits(got, _whole_set_closure_residuals(_stack(ops), sc))
 
 
 @_BOUNDS
@@ -1527,9 +1542,9 @@ def test_chunked_kernel_equals_the_whole_set_kernel_on_corrupted_unit_sets(bound
     k = math.isqrt(len(units))
     with _chunk_bound(bound):
         _same_report(verify.check_eij_algebra, units, k)
-        tall = verify._stack_of(units)
-        got = verify._closure_residuals(tall, lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c)
-    assert _same_bits(got, _whole_set_closure_residuals(tall, liealg.matrix_unit_constants(k)))
+        flat = verify._record_of(units)
+        got = verify._closure_residuals(flat, lambda a0, a1: liealg.matrix_unit_constants(k, a0, a1).c)
+    assert _same_bits(got, _whole_set_closure_residuals(_stack(units), liealg.matrix_unit_constants(k)))
 
 
 @_BOUNDS
@@ -1609,6 +1624,22 @@ def test_closure_of_the_su15_sector_representation_peaks_under_2_mb_traced():
         tracemalloc.stop()
     assert report.overall and len(report.checks) == 224 * 223 // 2
     assert peak < 2e6
+
+
+def test_the_largest_unit_set_of_ten_modes_and_its_outer_and_numcomm_checks_peak_under_32_mib():
+    # the 63,504 units of sector (10, 5) as one record; as a (k^2 * 2^n, 2^n)
+    # stack they sat behind a 248 MiB row pointer, and outer peaked at 756 MiB
+    tracemalloc.start()
+    try:
+        units = schwinger.unit_set(10, 5)
+        outer = verify._outer_product_check(units, 10, 5, 0.0, "outer")
+        numcomm = verify.check_number_commutant(units, 10, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outer.overall and len(outer.checks) == 1
+    assert numcomm.overall and len(numcomm.checks) == 252**2
+    assert peak < 32 * 2**20
 
 
 def test_closure_stray_entry_joining_sectors_fails_exactly_the_affected_pairs():
