@@ -14,7 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .. import fock
 from ..errors import CapacityError
 from . import matfile
 
@@ -30,13 +29,12 @@ EXIT_IO = 3
 GROUPS = ("un-standard", "un-nonstandard", "ucnm", "mixed")
 
 
-def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
+def _rebuild_family(manifest: dict, meta: schwinger.RepMeta) -> Callable[[], liealg.GeneratorSet]:
     """The builder of the generator set a manifest names, refused before any
-    allocation unless the set has one member per listed generator and the
-    dimension its variant needs: the mode count, or C(modes, particles); a
-    mixed manifest needs an xi and a pairing as mixed_rep takes them."""
+    allocation unless the set has one member per listed generator and is one
+    that build writes for meta (schwinger.set_sectors)."""
     from .. import liealg, schwinger
-    family, size = manifest.get("family"), len(manifest["generators"])
+    family, size = manifest.get("family"), len(meta.labels)
     fields = family if isinstance(family, dict) else {}
     name, dim = fields.get("name"), fields.get("dim")
     if name == "generalized_gell_mann" and type(dim) is int:
@@ -49,17 +47,7 @@ def _rebuild_family(manifest: dict) -> Callable[[], liealg.GeneratorSet]:
         raise ValueError(f"unknown generator family {family!r}")
     if count != size:
         raise ValueError(f"family {family!r} has {count} generators, the manifest lists {size}")
-    variant, modes, m = manifest["variant"], manifest["modes"], manifest.get("particles")
-    if variant in ("standard", "nssfr") and dim != modes:
-        raise ValueError(f"family {family!r} acts on {dim} modes, the manifest says {modes}")
-    if variant in ("ucnm", "mixed") and not (m and 0 < m < modes and math.comb(modes, m) == dim):
-        raise ValueError(f"family {family!r} is {dim} x {dim}, not sector {m} of {modes} modes")
-    if variant not in ("standard", "nssfr", "ucnm", "mixed"):
-        raise ValueError(f"variant {variant!r} is not one that build writes")
-    xi, pairing = manifest.get("xi"), manifest.get("pairing")
-    if variant == "mixed" and (xi not in ([0, 1], [1, 0], [1, 1]) or pairing not in schwinger.PAIRINGS):
-        raise ValueError(f"mixed manifest needs xi and a pairing in {schwinger.PAIRINGS}, "
-                         f"got {xi!r} and {pairing!r}")
+    schwinger.set_sectors(meta, dim)
     return build
 
 
@@ -72,28 +60,23 @@ def build_variant(
 ):
     """The requested representation as consecutive parts plus its generator
     set: a standard one's parts are formed as the iteration reaches them,
-    any other is one part.  The mode count is checked before the set is built."""
+    any other is one part.  xi and pairing count for mixed only; the request
+    is refused as schwinger.set_dim refuses it, before the set is built."""
     from .. import liealg, schwinger
-    fock._require_modes(n)
-    if group in ("un-standard", "un-nonstandard"):
-        gens = liealg.generalized_gell_mann(n)
-        family = {"name": "generalized_gell_mann", "dim": n}
-        if group == "un-standard":
-            parts = schwinger.standard_parts(gens, n)
-        else:
-            parts = [schwinger.nssfr_un(gens, n)]
-        return parts, gens, family
-    if m is None:
-        raise ValueError(f"group {group!r} requires --m")
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"--m must be in [1, {n - 1}] for group {group!r}")
-    k = fock.sector_dimension(n, m)
-    gens = liealg.generalized_gell_mann(k)
-    family = {"name": "generalized_gell_mann", "dim": k}
-    if group == "ucnm":
+    variant = {"un-standard": "standard", "un-nonstandard": "nssfr"}.get(group, group)
+    mixed = variant == "mixed"
+    meta = schwinger.RepMeta(variant, n, m, xi=xi if mixed else None,
+                             pairing=pairing if mixed else None)
+    gens = liealg.generalized_gell_mann(schwinger.set_dim(meta))
+    family = {"name": "generalized_gell_mann", "dim": gens.dim}
+    if variant == "standard":
+        parts = schwinger.standard_parts(gens, n)
+    elif variant == "nssfr":
+        parts = [schwinger.nssfr_un(gens, n)]
+    elif variant == "ucnm":
         parts = [schwinger.rep_ucnm(gens, n, m)]
     else:
-        parts = [schwinger.mixed_rep(gens, n, m, *(xi or (1, 1)), pairing)]
+        parts = [schwinger.mixed_rep(gens, n, m, *meta.xi, pairing)]
     return parts, gens, family
 
 
@@ -106,8 +89,7 @@ def representation_report(
 
 
 def cmd_build(args) -> int:
-    mixed = args.group == "mixed"
-    xi = tuple(1 if w is None else w for w in (args.xi_minus, args.xi_plus)) if mixed else None
+    xi = tuple(1 if w is None else w for w in (args.xi_minus, args.xi_plus))
     parts, _gens, family = build_variant(args.group, args.n, args.m, xi, args.pairing or "conjugate")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,24 +125,24 @@ _PART_ENTRIES = 1 << 14
 def _load_built(dirpath: Path):
     """The representation a build wrote, as consecutive parts of at least
     _PART_ENTRIES stored entries read when the iteration reaches them, and
-    its generator set; a mixed one's meta carries the manifest's pairing."""
+    its generator set; its meta holds the manifest's fields, refused with
+    the family before any operator file is read."""
     from .. import schwinger
     manifest_path = dirpath / "manifest.json"
     manifest = matfile.read_manifest(manifest_path)
-    items, modes = manifest["generators"], manifest["modes"]
-    try:
-        build = _rebuild_family(manifest)
-    except ValueError as err:
-        raise matfile.MatfileError(f"{manifest_path}: {err}") from None
-
+    items, modes, xi = manifest["generators"], manifest["modes"], manifest.get("xi")
     meta = schwinger.RepMeta(
         variant=manifest["variant"],
         modes=modes,
         particles=manifest.get("particles"),
         labels=tuple(item["label"] for item in items),
-        xi=tuple(manifest["xi"]) if manifest.get("xi") else None,
+        xi=None if xi is None else tuple(xi),
         pairing=manifest.get("pairing"),
     )
+    try:
+        build = _rebuild_family(manifest, meta)
+    except ValueError as err:
+        raise matfile.MatfileError(f"{manifest_path}: {err}") from None
     paths = [dirpath / item["file"] for item in items]
 
     def parts():

@@ -68,7 +68,8 @@ class GeneratorSet:
         return self.flat.shape[0]
 
     def __getitem__(self, g: int) -> np.ndarray:
-        row = sparse.take_rows(self.flat, [range(len(self))[operator.index(g)]])
+        g = range(len(self))[operator.index(g)]
+        row = sparse.take_rows(self.flat, slice(g, g + 1))
         mat = np.zeros(self.dim**2, "c16")
         mat[row.indices] = row.data
         return mat.reshape(self.dim, self.dim)

@@ -25,11 +25,11 @@ bilinear's off-diagonal coefficient, signed, at each of its 2^(n-2)
 moves, and on the diagonal the sum of the held modes' coefficients
 (``_bilinears``).  Each entry equals, to the bit, the sum of the terms
 added one at a time in ascending order from zero, so no zero part is
-negative.  The bilinear families are formed in parts, runs of
-consecutive generators that bound the entries formed at once; each
-builder joins the parts into one record, and ``standard_parts`` hands
-out those of ``standard_rep`` as they are formed, for the one family
-whose operators fill every sector.
+negative.  ``standard_rep``, the one family whose operators fill every
+sector, is formed in parts, runs of consecutive generators that bound
+the entries formed at once, joined into one record; ``standard_parts``
+hands them out as they are formed.  Which representations can be built
+is one rule, ``set_sectors``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ __all__ = [
     "SelectivePolynomial",
     "SectorOperatorSet",
     "RepMeta",
+    "set_dim",
+    "set_sectors",
     "RepresentationResult",
     "selective_function",
     "eval_at_number_operator",
@@ -162,9 +164,10 @@ def eval_at_number_operator(p: SelectivePolynomial, n: int) -> FockOperator:
 class RepMeta:
     """Construction descriptor attached to a representation.
 
-    pairing names the set a mixed representation puts on sector n - m, one
-    of PAIRINGS: "conjugate" for conjugate_rep(G), "same" for G; None on
-    any other."""
+    particles is the sector m of ucnm and mixed, xi a mixed representation's
+    sector weights and pairing the set it puts on sector n - m, one of
+    PAIRINGS: "conjugate" for conjugate_rep(G), "same" for G.  Each is None
+    on a variant that does not take it; set_sectors holds the rules."""
 
     variant: str
     modes: int
@@ -174,31 +177,82 @@ class RepMeta:
     pairing: str | None = None
 
 
+def set_dim(meta: RepMeta) -> int:
+    """The dimension of the set a meta representation carries, raising
+    ValueError unless build writes meta: standard takes an n x n set and
+    nssfr one for n >= 3; ucnm and mixed take sector m in [1, n - 1] and a
+    C(n, m) one, mixed with xi (1, 0), (0, 1) or (1, 1), a pairing in
+    PAIRINGS and m != n - m (DegeneracyError).  A field the variant does
+    not take must be None."""
+    variant, n, m = meta.variant, meta.modes, meta.particles
+    if variant not in ("standard", "nssfr", "ucnm", "mixed"):
+        raise ValueError(f"variant {variant!r} is not one that build writes")
+    fock._require_modes(n)
+    stray = [("particles", m)] * (variant in ("standard", "nssfr"))
+    stray += [("xi", meta.xi), ("pairing", meta.pairing)] * (variant != "mixed")
+    for field, value in stray:
+        if value is not None:
+            raise ValueError(f"{variant} takes no {field}, got {value!r}")
+    if variant == "nssfr" and n < 3:
+        raise ValueError(f"number-selective construction needs n >= 3, got {n}")
+    if variant in ("standard", "nssfr"):
+        return n
+    if m is None or not 1 <= m <= n - 1:
+        raise ValueError(f"{variant} takes particles m in [1, {n - 1}], got {m!r}")
+    if variant == "mixed" and (meta.xi not in ((1, 0), (0, 1), (1, 1)) or meta.pairing not in PAIRINGS):
+        xi = None if meta.xi is None else list(meta.xi)  # as a manifest spells it
+        raise ValueError(f"mixed takes xi (1, 0), (0, 1) or (1, 1) and a pairing in {PAIRINGS}, "
+                         f"got {xi!r} and {meta.pairing!r}")
+    if variant == "mixed" and 2 * m == n:
+        raise DegeneracyError(f"complementary sector coincides with m={m} for n={n}")
+    return math.comb(n, m)
+
+
+def set_sectors(meta: RepMeta, dim: int) -> dict[int, bool]:
+    """The sectors a meta representation of a dim x dim set G acts on, each
+    mapped to whether it carries conjugate_rep(G) instead of G: standard, G
+    on 1 and the conjugate on n - 1; nssfr, G on both; ucnm, G on m; mixed,
+    G on m and the set its pairing names on n - m, each unless its xi is 0.
+    ValueError unless build writes meta for such a set (set_dim)."""
+    n, m, need = meta.modes, meta.particles, set_dim(meta)
+    if dim != need:
+        fits = (f"is {dim} x {dim}, not sector {m} of {n} modes" if m else
+                f"acts on {dim} modes, not {n}")
+        raise ValueError(f"{meta.variant}: the set {fits}")
+    if meta.variant == "standard":
+        return {1: False, n - 1: n > 2}  # at n = 2 sector n - 1 is sector 1
+    if meta.variant == "nssfr":
+        return {1: False, n - 1: False}
+    if meta.variant == "ucnm":
+        return {m: False}
+    sides = ((m, False, meta.xi[0]), (n - m, meta.pairing == "conjugate", meta.xi[1]))
+    return {s: conjugated for s, conjugated, xi in sides if xi}
+
+
 @dataclass(frozen=True, eq=False)
 class RepresentationResult:
     """Ordered operators realizing a generator set on the occupation space.
 
     ``flat``, the one stored form, is a canonical (k, 4^n) CSR record: row
     g holds operator g's entries keyed r * 2^n + c, as GeneratorSet.flat
-    holds matrix g's with its dimension in place of 2^n.  Operator g has
-    value type ``dtypes[g]`` on its own (int64 for the zero operator,
-    float64 for a real one).  Indexing, and iteration through it, cut a
-    fresh FockOperator from its row on each call.
+    holds matrix g's with its dimension in place of 2^n.  Every operator
+    takes the record's value type: complex128 for the built
+    representations, int64 for unit_set.  Indexing, and iteration through
+    it, cut a fresh FockOperator from its row on each call.
     """
 
     flat: sparse.CSR
-    dtypes: tuple[np.dtype, ...]
     meta: RepMeta
 
     def __post_init__(self) -> None:
-        if self.flat.shape != (len(self), 1 << 2 * self.modes):
-            raise ValueError(f"record {self.flat.shape} is not {len(self)} operators")
+        if self.flat.shape[1] != 1 << 2 * self.modes:
+            raise ValueError(f"record {self.flat.shape} is not of operators on {self.modes} modes")
 
     @classmethod
     def from_ops(cls, ops: Sequence[FockOperator], meta: RepMeta) -> "RepresentationResult":
-        """The operators as rows of one record, in order."""
-        parts = (cls(sparse.reshape(op.mat, (1, op.dim**2)), (op.mat.dtype,),
-                     replace(meta, labels=meta.labels[g:g + 1])) for g, op in enumerate(ops))
+        """The operators as rows of one complex128 record, in order."""
+        parts = (cls(sparse.reshape(op.mat, (1, op.dim**2)), replace(meta, labels=meta.labels[g:g + 1]))
+                 for g, op in enumerate(ops))
         return _joined(parts, meta, len(ops))
 
     @property
@@ -210,12 +264,12 @@ class RepresentationResult:
         return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.dtypes)
+        return self.flat.shape[0]
 
     def __getitem__(self, g: int) -> FockOperator:
         g, dim = range(len(self))[operator.index(g)], 1 << self.modes
         row = sparse.take_rows(self.flat, slice(g, g + 1))
-        values = (row.data if self.dtypes[g].kind == "c" else row.data.real).astype(self.dtypes[g])
+        values = row.data.copy()  # the operator's own, not views of the record
         return FockOperator(self.modes, sparse.reshape(sparse.with_data(row, values), (dim, dim)))
 
 
@@ -231,22 +285,20 @@ def _joined(
     """
     data, indices = np.empty(0, np.complex128), np.empty(0, np.int64)
     indptr = np.zeros(count + 1, np.int64)
-    end, dtypes, labels = 0, [], []
+    end, done, labels = 0, 0, []
     for part in parts:
-        if part.modes != meta.modes:
-            raise ValueError(f"a part on {part.modes} modes among operators on {meta.modes}")
         block, start, end = part.flat, end, end + part.flat.nnz
         if end > len(data):
             data, indices = _grown(data, start, end), _grown(indices, start, end)
         data[start:end], indices[start:end] = block.data, block.indices
-        indptr[len(dtypes) + 1:len(dtypes) + len(part) + 1] = block.indptr[1:] + start
-        dtypes += part.dtypes
+        indptr[done + 1:done + len(part) + 1] = block.indptr[1:] + start
+        done += len(part)
         labels += part.meta.labels
     # trimmed in place: the constructor copies a slice of a much larger array
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
     flat = sparse.CSR(data, indices, indptr, (count, 1 << 2 * meta.modes))
-    return RepresentationResult(flat, tuple(dtypes), replace(meta, labels=tuple(labels)))
+    return RepresentationResult(flat, replace(meta, labels=tuple(labels)))
 
 
 def _grown(values: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -334,37 +386,11 @@ def _bilinears(rows: sparse.CSR, n: int, sectors: Iterable[int] | None = None) -
     )
 
 
-def _kinds(owners: np.ndarray, values: np.ndarray, count: int) -> tuple[np.dtype, ...]:
-    """The type of each of count operators, operator owners[t] having the
-    nonzero coefficient values[t]: int64 with none, float64 with only real
-    ones, else complex128.  A real operator's complex entries have
-    imaginary parts of zero and, to the bit, the real parts of a real sum."""
-    live = np.bincount(owners, minlength=count) > 0
-    imaginary = np.bincount(owners, values.imag != 0, minlength=count) > 0
-    return tuple(map(np.dtype, np.where(imaginary, "c16", np.where(live, "f8", "i8"))))
-
-
-# _parts forms about this many entries at a time, one part: one generator
-# of the Gell-Mann set at n = 12, the whole set at n <= 6.  build
+# standard_parts forms about this many entries at a time, one part: one
+# generator of the Gell-Mann set at n = 12, the whole set at n <= 6.  build
 # un-standard --n 12 writes each part as it is formed and peaks at 35.2 MB
 # RSS at 2^11 and 2^13, 38.0 at 2^15 and 50.9 at 2^17 (2-vCPU VM)
 _ASSEMBLY_ENTRIES = 1 << 13
-
-
-def _parts(
-    formed: np.ndarray, form: Callable[[slice], sparse.CSR],
-    dtypes: tuple[np.dtype, ...], meta: RepMeta,
-) -> Iterator[RepresentationResult]:
-    """The generators of meta as consecutive parts, each formed as form(run)
-    when the iteration reaches its run of coefficient rows, row g forming
-    formed[g] entries: a run forms at most _ASSEMBLY_ENTRIES entries, a row
-    over the bound alone."""
-    ends, start = np.cumsum(formed), 0
-    while start < len(formed):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
-        r, start = slice(start, stop), stop
-        yield RepresentationResult(form(r), dtypes[r], replace(meta, labels=meta.labels[r]))
 
 
 def standard_rep(
@@ -382,16 +408,25 @@ def standard_parts(
     gens: liealg.GeneratorSet | Sequence[np.ndarray], n: int
 ) -> Iterator[RepresentationResult]:
     """The operators of standard_rep as consecutive parts, each formed when
-    the iteration reaches it; the arguments are checked on the call."""
+    the iteration reaches it; the arguments are checked on the call.  A part
+    is a run of coefficient rows forming at most _ASSEMBLY_ENTRIES entries,
+    a row over the bound alone."""
     coeffs, labels, dim = _coefficient_rows(gens)
-    if dim != n:
-        raise ValueError(f"generator dimension {dim} does not match n={n}")
-    fock._require_modes(n)
     meta = RepMeta(variant="standard", modes=n, labels=labels)
-    dtypes = _kinds(sparse.coo_rows(coeffs), coeffs.data, len(labels))
+    set_sectors(meta, dim)
     # 2^n diagonal entries per row, and at most 2^(n-2) per nonzero C[a, b]
-    formed = (1 << n) + (np.diff(coeffs.indptr) << n >> 2)
-    return _parts(formed, lambda r: _bilinears(sparse.take_rows(coeffs, r), n), dtypes, meta)
+    ends = np.cumsum((1 << n) + (np.diff(coeffs.indptr) << n >> 2))
+
+    def parts() -> Iterator[RepresentationResult]:
+        start = 0
+        while start < len(ends):
+            base = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + _ASSEMBLY_ENTRIES, "right")))
+            r, start = slice(start, stop), stop
+            flat = _bilinears(sparse.take_rows(coeffs, r), n)
+            yield RepresentationResult(flat, replace(meta, labels=labels[r]))
+
+    return parts()
 
 
 def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
@@ -404,11 +439,8 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
     vanishes everywhere else; tracelessness is required for the vanishing
     on the fully occupied sector, so non-traceless input is rejected.
     """
-    if n < 3:
-        raise ValueError(f"number-selective construction needs n >= 3, got {n}")
-    fock._require_modes(n)
-    if gens.dim != n:
-        raise ValueError(f"generator dimension {gens.dim} does not match n={n}")
+    meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
+    set_sectors(meta, gens.dim)
     low, high = gens.flat, liealg.conjugate_rep(gens).flat
     traces = sparse.toarray(sparse.matmul(low, sparse.from_dense(np.eye(n).reshape(-1, 1))))[:, 0]
     g = int(np.argmax(np.abs(traces) > TRACELESS_TOL))  # the first, if any
@@ -419,22 +451,18 @@ def nssfr_un(gens: liealg.GeneratorSet, n: int) -> RepresentationResult:
 
     counts = fock._particle_counts(n)
 
-    def term(rows: sparse.CSR, m: int, r: slice) -> sparse.CSR:
-        """The bilinears of rows[r] times f(N; m), formed on the sectors it
-        keeps (m, and the empty and the full one) alone: each entry times its
+    def term(rows: sparse.CSR, m: int) -> sparse.CSR:
+        """The bilinears of rows times f(N; m), formed on the sectors it keeps
+        (m, and the empty and the full one) alone: each entry times its
         column's f, as the product by the diagonal f(N; m) rounds it."""
         p = selective_function(n, m)
         f = np.array([float(p.evaluate(s)) for s in range(n + 1)], np.complex128)
-        bilinears = _bilinears(sparse.take_rows(rows, r), n, np.flatnonzero(f).tolist())
+        bilinears = _bilinears(rows, n, np.flatnonzero(f).tolist())
         return sparse.scaled(bilinears, f[counts[bilinears.indices & (1 << n) - 1]])
 
-    meta = RepMeta(variant="nssfr", modes=n, labels=gens.labels)
-    # each side forms the n + 2 diagonal entries of its kept sectors, and one
-    # move per nonzero C[a, b]
-    formed = 2 * (n + 2) + np.diff(low.indptr) + np.diff(high.indptr)
-    parts = _parts(formed, lambda r: sparse.add(term(low, 1, r), term(high, n - 1, r)),
-                   (np.dtype("c16"),) * len(gens), meta)
-    return _joined(parts, meta, len(gens))
+    # formed whole: n + 2 diagonal entries a side per generator on the kept
+    # sectors and one move per nonzero C[a, b], 7,176 entries at n = 14
+    return RepresentationResult(sparse.add(term(low, 1), term(high, n - 1)), meta)
 
 
 def nssfr_u3_explicit() -> RepresentationResult:
@@ -527,21 +555,14 @@ def element_operators(n: int, m: int) -> list[FockOperator]:
 
 
 def unit_set(n: int, m: int) -> RepresentationResult:
-    """The operators of element_operators as one record: Q_ij is the basis
-    outer product e_{s+i, s+j}, s the sector's first index, equal entry for
-    entry to the product O+_i |vac><vac| O_j of sector_operators."""
-    _require_sector(n, m)
-    k, s = math.comb(n, m), fock._sector_starts(n)[m]
+    """The operators of element_operators, on the sector a ucnm one takes,
+    as one int64 record: Q_ij is the basis outer product e_{s+i, s+j}, s the
+    sector's first index, equal to O+_i |vac><vac| O_j of sector_operators."""
+    k, s = set_dim(RepMeta("ucnm", n, m)), fock._sector_starts(n)[m]
     i, j = np.divmod(np.arange(k * k, dtype=np.int64), k)
     flat = sparse.CSR(np.ones(k * k, np.int64), ((s + i) << n) + s + j, np.arange(k * k + 1),
                       (k * k, 1 << 2 * n))
-    return RepresentationResult(flat, (np.dtype(np.int64),) * k * k, RepMeta("units", n, m))
-
-
-def _require_sector(n: int, m: int) -> None:
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"particle count must be in [1, {n - 1}] for unit operators, got {m}")
-    fock._require_modes(n)
+    return RepresentationResult(flat, RepMeta("units", n, m))
 
 
 def _placed(sets: Iterable[tuple[sparse.CSR, int]], n: int, count: int) -> sparse.CSR:
@@ -557,14 +578,6 @@ def _placed(sets: Iterable[tuple[sparse.CSR, int]], n: int, count: int) -> spars
     return sparse.from_triplets(*map(np.concatenate, (rows, keys, vals)), (count, 1 << 2 * n))
 
 
-def _sector_rep(sets: Sequence[tuple[sparse.CSR, int]], meta: RepMeta) -> RepresentationResult:
-    """The representation of meta that _placed writes from sets."""
-    for _flat, m in sets:
-        _require_sector(meta.modes, m)
-    flat = _placed(sets, meta.modes, sets[0][0].shape[0])
-    return RepresentationResult(flat, _kinds(sparse.coo_rows(flat), flat.data, flat.shape[0]), meta)
-
-
 def rep_ucnm(
     gens: liealg.GeneratorSet | Sequence[np.ndarray], n: int, m: int
 ) -> RepresentationResult:
@@ -573,36 +586,19 @@ def rep_ucnm(
     Each operator is sum_{a,b} G_i^{ab} Q_ab; its restriction to the
     sector block equals G_i and it vanishes on every other sector.
     """
-    k = fock.sector_dimension(n, m)
     coeffs, labels, dim = _coefficient_rows(gens)
-    if dim != k:
-        raise ValueError(
-            f"generator dimension {dim} does not match C({n},{m}) = {k}"
-        )
     meta = RepMeta(variant="ucnm", modes=n, particles=m, labels=labels)
-    return _sector_rep([(coeffs, m)], meta)
+    set_sectors(meta, dim)
+    return RepresentationResult(_placed([(coeffs, m)], n, len(labels)), meta)
 
 
 def _sector_sets(meta: RepMeta, gens: liealg.GeneratorSet) -> dict[int, liealg.GeneratorSet]:
-    """The set each sector of a meta representation of G = gens carries:
-    standard, G on 1 and conjugate_rep(G) on n - 1; nssfr, G on 1 and n - 1;
-    ucnm, G on m; mixed, G on m and the set its pairing names on n - m, each
-    unless its xi is 0.  Both pairings keep G's structure constants: X -> -X^T
-    is an automorphism, and conjugate_rep an exact signed index map."""
-    n, m, variant = meta.modes, meta.particles, meta.variant
-    if variant == "standard":
-        # at n = 2 sector n - 1 is sector 1
-        return {1: gens, n - 1: liealg.conjugate_rep(gens) if n > 2 else gens}
-    if variant == "nssfr":
-        return {1: gens, n - 1: gens}
-    if variant == "ucnm":
-        return {m: gens}
-    if variant != "mixed":
-        raise ValueError(f"no sector sets for variant {variant!r}")
-    if meta.pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {meta.pairing!r}, not one of {PAIRINGS}")
-    second = liealg.conjugate_rep(gens) if meta.pairing == "conjugate" else gens
-    return {s: g for s, g, xi in ((m, gens, meta.xi[0]), (n - m, second, meta.xi[1])) if xi}
+    """The set each sector of set_sectors(meta, gens.dim) carries, G = gens
+    or conjugate_rep(G).  Both keep G's structure constants: X -> -X^T is an
+    automorphism, and conjugate_rep an exact signed index map."""
+    sectors = set_sectors(meta, gens.dim)
+    conjugate = liealg.conjugate_rep(gens) if any(sectors.values()) else gens
+    return {s: conjugate if conjugated else gens for s, conjugated in sectors.items()}
 
 
 def mixed_rep(
@@ -611,24 +607,16 @@ def mixed_rep(
     """Weighted pairing of two sector realizations on counts m and n - m.
 
     Builds  xi_minus * sum G_i^{ab} Q_ab(m)  +  xi_plus * sum G2_i^{ab}
-    Q_ab(n-m), G2 the set pairing names (_sector_sets): "conjugate" for
-    conjugate_rep(gens), U (-G^T) U^T, or "same" for gens.  Either shares the
-    structure constants of gens, Hermitian or not, so closure follows sector
-    by sector.  With xi = (1, 0) this reduces to rep_ucnm(gens).
+    Q_ab(n-m), G2 the set pairing names: "conjugate" for conjugate_rep(gens),
+    U (-G^T) U^T, or "same" for gens.  Either shares the structure constants
+    of gens, Hermitian or not, so closure follows sector by sector.  The
+    arguments are set_sectors' to refuse; xi = (1, 0) gives rep_ucnm(gens).
 
     With m = 1 and xi = (1, 1), the same pairing gives nssfr_un(gens, n) (G
     on both the single-particle and the single-hole sector).  The conjugate
     pairing gives standard_rep(gens, 3) only at n = 3; for n >= 4 the
     bilinear representation is also nonzero on the middle sectors.
     """
-    if xi_minus not in (0, 1) or xi_plus not in (0, 1):
-        raise ValueError("sector weights must be 0 or 1")
-    if xi_minus + xi_plus == 0:
-        raise ValueError("at least one sector weight must be 1")
-    if n - m == m:
-        raise DegeneracyError(f"complementary sector coincides with m={m} for n={n}")
-    k = fock.sector_dimension(n, m)
-    if gens.dim != k:
-        raise ValueError(f"generator dimension {gens.dim} does not match C({n},{m}) = {k}")
     meta = RepMeta("mixed", n, m, gens.labels, (xi_minus, xi_plus), pairing)
-    return _sector_rep([(g.flat, s) for s, g in _sector_sets(meta, gens).items()], meta)
+    sets = _sector_sets(meta, gens)
+    return RepresentationResult(_placed([(g.flat, s) for s, g in sets.items()], n, len(gens)), meta)

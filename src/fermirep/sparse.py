@@ -254,23 +254,15 @@ def vstack(mats) -> CSR:
     )
 
 
-def take_rows(a: CSR, rows) -> CSR:
-    """The rows of a that rows selects: a slice (its arrays are views) or an index array."""
-    if isinstance(rows, slice):
-        start, stop, step = rows.indices(a.shape[0])
-        if step != 1:
-            raise ValueError("only unit-step row slices are views")
-        stop = max(start, stop)
-        lo, hi = a.indptr[start], a.indptr[stop]
-        return CSR(a.data[lo:hi], a.indices[lo:hi], a.indptr[start:stop + 1] - lo,
-                   (stop - start, a.shape[1]))
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = a.indptr[rows]
-    lengths = a.indptr[rows + 1] - starts
-    pos = _spans(starts, lengths)
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return CSR(a.data[pos], a.indices[pos], indptr, (len(rows), a.shape[1]))
+def take_rows(a: CSR, rows: slice) -> CSR:
+    """The rows of a in a unit-step slice; its arrays are views."""
+    start, stop, step = rows.indices(a.shape[0])
+    if step != 1:
+        raise ValueError("only unit-step row slices are views")
+    stop = max(start, stop)
+    lo, hi = a.indptr[start], a.indptr[stop]
+    return CSR(a.data[lo:hi], a.indices[lo:hi], a.indptr[start:stop + 1] - lo,
+               (stop - start, a.shape[1]))
 
 
 def reshape(a: CSR, shape: tuple[int, int]) -> CSR:

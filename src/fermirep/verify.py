@@ -484,6 +484,7 @@ def representation_checks(
 
     Expected blocks: the sets of schwinger._sector_sets, every other sector
     vanishing, except a standard one's middle sectors, left to the span checks.
+    A meta that build does not write is refused first (schwinger.set_sectors).
     """
     constants = gens.constants  # before the parts: after them, verify --from peaked 3-7 MiB higher
     parts = iter([rep] if isinstance(rep, RepresentationResult) else rep)

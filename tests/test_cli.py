@@ -418,7 +418,7 @@ def test_build_names_the_m_range_on_either_side(tmp_path, capsys, m):
     # --m 5 once failed in the sector size instead: "particle count must be in [0, 4]"
     out = tmp_path / "out"
     assert main(["build", "ucnm", "--n", "4", "--m", str(m), "--out", str(out)]) == EXIT_USAGE
-    assert "--m must be in [1, 3] for group 'ucnm'" in capsys.readouterr().err
+    assert f"ucnm takes particles m in [1, 3], got {m}" in capsys.readouterr().err
     assert not out.exists()
 
 

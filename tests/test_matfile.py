@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermirep import liealg, sparse
+from fermirep import liealg, schwinger, sparse
+from fermirep.cli import main as cli_main
 from fermirep.cli import matfile
 from fermirep.cli.main import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fermirep.fock import FockOperator, mode_capacity
@@ -295,7 +298,10 @@ def test_verify_from_read_refusal_exits_3_naming_the_file(built_std3, capsys, ed
         (lambda m: m.pop("generators"), "manifest is missing 'generators'"),
         (lambda m: m["generators"][1].pop("file"), "generators must be a list"),
         (lambda m: m.update(family={"name": "nonsense"}), "unknown generator family"),
-        (lambda m: m.update(modes=4), "3 modes, the manifest says 4"),
+        (lambda m: m.update(modes=4), "standard: the set acts on 3 modes, not 4"),
+        # a field the variant does not take is refused, not used or dropped
+        (lambda m: m.update(particles=2), "standard takes no particles, got 2"),
+        (lambda m: m.update(variant="nssfr", xi=[1, 1]), "nssfr takes no xi, got (1, 1)"),
         (lambda m: m.update(xi=5), "manifest xi 5 has the wrong type"),
         (lambda m: m.update(modes="3"), "manifest modes '3' has the wrong type"),
         (lambda m: m.update(generators=m["generators"][:5]),
@@ -342,15 +348,17 @@ def test_verify_from_refuses_a_large_family_before_reading_any_file(built_std3, 
     capsys.readouterr()
     assert main(["verify", "--from", str(built_std3)]) == EXIT_IO
     err = capsys.readouterr().err
-    assert "manifest.json" in err and "acts on 100 modes, the manifest says 3" in err
+    assert "manifest.json" in err and "standard: the set acts on 100 modes, not 3" in err
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda m: m.update(particles=1), "is 6 x 6, not sector 1 of 4 modes"),
-        (lambda m: m.update(particles=None), "is 6 x 6, not sector None of 4 modes"),
+        (lambda m: m.update(particles=None), "ucnm takes particles m in [1, 3], got None"),
         (lambda m: m.update(variant="other"), "variant 'other' is not one that build writes"),
+        (lambda m: m.update(xi=[0, 1], pairing="same"), "ucnm takes no xi, got (0, 1)"),
+        (lambda m: m.update(pairing="same"), "ucnm takes no pairing, got 'same'"),
     ],
 )
 def test_verify_from_refuses_a_sector_family_of_the_wrong_dimension(
@@ -368,8 +376,8 @@ def test_verify_from_refuses_a_sector_family_of_the_wrong_dimension(
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m.pop("pairing"),
-         "mixed manifest needs xi and a pairing in ('conjugate', 'same'), got [1, 1] and None"),
+        (lambda m: m.pop("pairing"), "mixed takes xi (1, 0), (0, 1) or (1, 1) and a pairing in "
+                                     "('conjugate', 'same'), got [1, 1] and None"),
         (lambda m: m.update(pairing="other"), "got [1, 1] and 'other'"),
         (lambda m: m.update(xi=None), "got None and 'conjugate'"),
         (lambda m: m.update(xi=[0, 0]), "got [0, 0] and 'conjugate'"),
@@ -403,6 +411,100 @@ def test_verify_from_builds_the_family_after_reading_every_file(built_std3, caps
     capsys.readouterr()
     assert main(["verify", "--from", str(built_std3)]) == EXIT_IO
     assert "generator_008.json" in capsys.readouterr().err
+
+
+# -- one validator: what set_sectors accepts is what build writes and reads back --
+
+
+def _written(meta, dim):
+    """Whether build writes meta for a dim x dim set, the rules stated once more."""
+    n, m, xi, pairing = meta.modes, meta.particles, meta.xi, meta.pairing
+    if meta.variant in ("standard", "nssfr"):
+        return (m, xi, pairing) == (None,) * 3 and dim == n and (meta.variant == "standard" or n >= 3)
+    if meta.variant not in ("ucnm", "mixed") or m is None or not 1 <= m <= n - 1:
+        return False
+    if meta.variant == "ucnm":
+        return (xi, pairing) == (None, None) and dim == math.comb(n, m)
+    return (xi in [(1, 0), (0, 1), (1, 1)] and pairing in ("conjugate", "same") and 2 * m != n
+            and dim == math.comb(n, m))
+
+
+@st.composite
+def _requests(draw):
+    """A meta on n in [2, 7] modes and a set dimension, each field drawn as
+    its variant takes it or as any value, so acceptance and every refusal
+    come up."""
+    variant = draw(st.sampled_from(["standard", "nssfr", "ucnm", "mixed", "units"]))
+    n, sector, mixed = draw(st.integers(2, 7)), variant in ("ucnm", "mixed"), variant == "mixed"
+
+    def field(fitting, anything):
+        return draw(fitting if draw(st.booleans()) else anything)
+
+    m = field(st.integers(1, n - 1) if sector else st.none(), st.none() | st.integers(-1, n + 1))
+    xi = field(st.sampled_from([(1, 0), (0, 1), (1, 1)]) if mixed else st.none(),
+               st.sampled_from([None, (1, 0), (0, 1), (1, 1), (0, 0), (2, 1)]))
+    pairing = field(st.sampled_from(schwinger.PAIRINGS) if mixed else st.none(),
+                    st.sampled_from([None, *schwinger.PAIRINGS, "other"]))
+    fitting = math.comb(n, m) if sector and m is not None and 0 <= m <= n else n
+    dim = field(st.just(fitting), st.integers(1, 12))
+    return schwinger.RepMeta(variant, n, m, xi=xi, pairing=pairing), dim
+
+
+class _Built(Exception):
+    """The generator family was asked for: nothing refused the request."""
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_requests())
+def test_one_validator_accepts_what_build_writes_and_refuses_before_any_set(tmp_path_factory, case):
+    meta, dim = case
+    try:
+        sectors, refusal = schwinger.set_sectors(meta, dim), None
+    except ValueError as err:
+        sectors, refusal = None, str(err)
+    assert (refusal is None) == _written(meta, dim), refusal
+    out = tmp_path_factory.mktemp("manifest")
+    (out / "op.json").write_text("")
+    generators = [{"label": f"g{k}", "file": "op.json"} for k in range(dim * dim - 1)]
+    manifest = {"variant": meta.variant, "modes": meta.modes, "particles": meta.particles,
+                "xi": None if meta.xi is None else list(meta.xi),
+                "family": {"name": "generalized_gell_mann", "dim": dim}, "generators": generators}
+    if meta.pairing is not None:
+        manifest["pairing"] = meta.pairing
+    matfile.write_manifest(out / "manifest.json", manifest)
+
+    def built(d, *args, **kwargs):
+        raise _Built(d)
+
+    def never_read(path):
+        raise AssertionError(f"{path} read")
+
+    group = {"standard": "un-standard", "nssfr": "un-nonstandard"}.get(meta.variant, meta.variant)
+    # the metas build_variant forms: it drops xi and a pairing on every group but mixed
+    asked = group == "mixed" or (meta.xi, meta.pairing) == (None, None) and meta.variant != "units"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liealg, "generalized_gell_mann", built)
+        mp.setattr(matfile, "read_operator", never_read)
+        # a build's manifest is refused, naming it, before its family is built or a file read
+        with pytest.raises(_Built if refusal is None else matfile.MatfileError) as read:
+            cli_main._load_built(out)
+        assert refusal is None or str(read.value) == f"{out / 'manifest.json'}: {refusal}"
+        if asked:
+            try:
+                cli_main.build_variant(group, meta.modes, meta.particles, meta.xi, meta.pairing)
+                raise AssertionError("built without the family")
+            except _Built as request_built:
+                builds = request_built.args[0]
+            except ValueError:
+                builds = None
+            # the set build_variant asks for is one the validator takes for meta
+            assert (builds == dim) == (refusal is None)
+    if asked and refusal is None and dim <= 6:
+        parts, gens, family = cli_main.build_variant(group, meta.modes, meta.particles, meta.xi, meta.pairing)
+        parts = list(parts)
+        assert family["dim"] == gens.dim == dim and sum(map(len, parts)) == len(gens)
+        assert all(part.meta == replace(meta, labels=part.meta.labels) for part in parts)
+        assert sectors == schwinger.set_sectors(parts[0].meta, dim)
 
 
 def test_eval_check_read_refusal_exits_3_naming_the_file(built_std3, capsys):
